@@ -1,6 +1,9 @@
 // Package cache implements the set-associative write-back caches of the
 // CMP system model: per-core private L1s and the shared banked L2, with
-// true-LRU replacement and MSHR-style miss tracking support hooks.
+// true-LRU replacement and MSHR-style miss tracking support hooks. A cache
+// is generic over the per-line payload its controller keeps (the L2 banks'
+// directory entries, the L1s' prefetch flag), stored inline so a line
+// array of pointer-free payloads holds no pointers at all.
 package cache
 
 import "fmt"
@@ -33,11 +36,11 @@ func (s State) String() string {
 func (s State) Valid() bool { return s != Invalid }
 
 // Line is one cache line. Payload carries controller-specific metadata
-// (the L2 banks attach directory entries here).
-type Line struct {
+// by value (the L2 banks keep directory entries here).
+type Line[P any] struct {
 	Tag     uint64
 	State   State
-	Payload any
+	Payload P
 
 	lru int64
 }
@@ -60,13 +63,13 @@ type Config struct {
 // shift-and-mask (no divide) and a whole set sits in adjacent hardware
 // cache lines, which is what keeps the lookup scan cheap on the warmup
 // and coherence hot paths.
-type Cache struct {
+type Cache[P any] struct {
 	cfg       Config
 	sets      int
 	setMask   uint64
 	ways      uint64
 	lineShift uint
-	lines     []Line // sets × ways, set-major
+	lines     []Line[P] // sets × ways, set-major
 	tick      int64
 
 	// Statistics.
@@ -74,7 +77,7 @@ type Cache struct {
 }
 
 // New builds a cache. Sizes must divide evenly.
-func New(cfg Config) *Cache {
+func New[P any](cfg Config) *Cache[P] {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
@@ -93,29 +96,29 @@ func New(cfg Config) *Cache {
 	if 1<<shift != cfg.LineBytes {
 		panic("cache: line size must be a power of two")
 	}
-	return &Cache{
+	return &Cache[P]{
 		cfg: cfg, sets: sets, setMask: uint64(sets - 1), ways: uint64(cfg.Ways),
 		lineShift: shift,
-		lines:     make([]Line, sets*cfg.Ways),
+		lines:     make([]Line[P], sets*cfg.Ways),
 	}
 }
 
 // LineAddr converts a byte address to a line address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
+func (c *Cache[P]) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
 // LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
+func (c *Cache[P]) LineBytes() int { return c.cfg.LineBytes }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache[P]) Sets() int { return c.sets }
 
 // base returns the index of lineAddr's set in the flat arrays.
-func (c *Cache) base(lineAddr uint64) uint64 {
+func (c *Cache[P]) base(lineAddr uint64) uint64 {
 	return ((lineAddr >> c.cfg.IndexShiftBits) & c.setMask) * c.ways
 }
 
 // find returns the index of the valid line holding lineAddr, or false.
-func (c *Cache) find(lineAddr uint64) (uint64, bool) {
+func (c *Cache[P]) find(lineAddr uint64) (uint64, bool) {
 	base := c.base(lineAddr)
 	set := c.lines[base : base+c.ways]
 	for i := range set {
@@ -130,7 +133,7 @@ func (c *Cache) find(lineAddr uint64) (uint64, bool) {
 
 // Lookup returns the line holding lineAddr, updating LRU on hit. The
 // returned pointer stays valid until the line is evicted.
-func (c *Cache) Lookup(lineAddr uint64) (*Line, bool) {
+func (c *Cache[P]) Lookup(lineAddr uint64) (*Line[P], bool) {
 	if i, ok := c.find(lineAddr); ok {
 		c.tick++
 		c.lines[i].lru = c.tick
@@ -142,7 +145,7 @@ func (c *Cache) Lookup(lineAddr uint64) (*Line, bool) {
 }
 
 // Peek is Lookup without LRU update or hit/miss accounting.
-func (c *Cache) Peek(lineAddr uint64) (*Line, bool) {
+func (c *Cache[P]) Peek(lineAddr uint64) (*Line[P], bool) {
 	if i, ok := c.find(lineAddr); ok {
 		return &c.lines[i], true
 	}
@@ -152,7 +155,7 @@ func (c *Cache) Peek(lineAddr uint64) (*Line, bool) {
 // victimIdx returns the way Insert would replace in lineAddr's set: the
 // first invalid way when one exists, otherwise the LRU way (earliest way
 // wins ties, matching the historical scan order).
-func (c *Cache) victimIdx(lineAddr uint64) uint64 {
+func (c *Cache[P]) victimIdx(lineAddr uint64) uint64 {
 	base := c.base(lineAddr)
 	set := c.lines[base : base+c.ways]
 	vi := 0
@@ -169,7 +172,7 @@ func (c *Cache) victimIdx(lineAddr uint64) uint64 {
 
 // Victim returns the line that Insert would replace: an invalid way when
 // one exists, otherwise the LRU way. It does not modify the cache.
-func (c *Cache) Victim(lineAddr uint64) *Line {
+func (c *Cache[P]) Victim(lineAddr uint64) *Line[P] {
 	return &c.lines[c.victimIdx(lineAddr)]
 }
 
@@ -177,10 +180,10 @@ func (c *Cache) Victim(lineAddr uint64) *Line {
 // whose tag passes the filter (invalid ways always pass): the LRU eligible
 // way, or nil when every way is filtered out. Controllers use it to avoid
 // evicting lines with in-flight transactions.
-func (c *Cache) VictimWhere(lineAddr uint64, ok func(tag uint64) bool) *Line {
+func (c *Cache[P]) VictimWhere(lineAddr uint64, ok func(tag uint64) bool) *Line[P] {
 	base := c.base(lineAddr)
 	set := c.lines[base : base+c.ways]
-	var victim *Line
+	var victim *Line[P]
 	for i := range set {
 		if !set[i].State.Valid() {
 			return &set[i]
@@ -199,7 +202,7 @@ func (c *Cache) VictimWhere(lineAddr uint64, ok func(tag uint64) bool) *Line {
 // evicted line (by value) when a valid line had to be replaced. The caller
 // is responsible for writing back / recalling the victim first — use
 // Victim to inspect it before inserting.
-func (c *Cache) Insert(lineAddr uint64, st State, payload any) (evicted Line, hadVictim bool) {
+func (c *Cache[P]) Insert(lineAddr uint64, st State, payload P) (evicted Line[P], hadVictim bool) {
 	if _, ok := c.Peek(lineAddr); ok {
 		panic(fmt.Sprintf("cache: double insert of line %#x", lineAddr))
 	}
@@ -209,22 +212,22 @@ func (c *Cache) Insert(lineAddr uint64, st State, payload any) (evicted Line, ha
 		c.Evictions++
 	}
 	c.tick++
-	c.lines[i] = Line{Tag: lineAddr, State: st, Payload: payload, lru: c.tick}
+	c.lines[i] = Line[P]{Tag: lineAddr, State: st, Payload: payload, lru: c.tick}
 	return evicted, hadVictim
 }
 
 // Invalidate drops a line, returning its prior contents.
-func (c *Cache) Invalidate(lineAddr uint64) (Line, bool) {
+func (c *Cache[P]) Invalidate(lineAddr uint64) (Line[P], bool) {
 	if i, ok := c.find(lineAddr); ok {
 		old := c.lines[i]
-		c.lines[i] = Line{}
+		c.lines[i] = Line[P]{}
 		return old, true
 	}
-	return Line{}, false
+	return Line[P]{}, false
 }
 
 // Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
+func (c *Cache[P]) Occupancy() int {
 	n := 0
 	for i := range c.lines {
 		if c.lines[i].State.Valid() {
@@ -235,7 +238,7 @@ func (c *Cache) Occupancy() int {
 }
 
 // ForEach visits every valid line.
-func (c *Cache) ForEach(fn func(*Line)) {
+func (c *Cache[P]) ForEach(fn func(*Line[P])) {
 	for i := range c.lines {
 		if c.lines[i].State.Valid() {
 			fn(&c.lines[i])

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-func newSmall() *Cache {
-	return New(Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}) // 16 sets
+func newSmall() *Cache[string] {
+	return New[string](Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}) // 16 sets
 }
 
 func TestLookupMissThenHit(t *testing.T) {
@@ -15,7 +15,7 @@ func TestLookupMissThenHit(t *testing.T) {
 	if _, ok := c.Lookup(5); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Insert(5, Shared, nil)
+	c.Insert(5, Shared, "")
 	l, ok := c.Lookup(5)
 	if !ok || l.Tag != 5 || l.State != Shared {
 		t.Fatalf("lookup after insert: %+v %v", l, ok)
@@ -29,11 +29,11 @@ func TestLRUReplacement(t *testing.T) {
 	c := newSmall()
 	// Fill one set: addresses congruent mod 16.
 	for i := 0; i < 4; i++ {
-		c.Insert(uint64(16*i), Shared, nil)
+		c.Insert(uint64(16*i), Shared, "")
 	}
 	// Touch line 0 to make it MRU; line 16 becomes LRU.
 	c.Lookup(0)
-	ev, had := c.Insert(64, Shared, nil)
+	ev, had := c.Insert(64, Shared, "")
 	if !had || ev.Tag != 16 {
 		t.Fatalf("evicted %+v (had=%v), want tag 16", ev, had)
 	}
@@ -44,8 +44,8 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestInsertPrefersInvalidWay(t *testing.T) {
 	c := newSmall()
-	c.Insert(0, Shared, nil)
-	if _, had := c.Insert(16, Shared, nil); had {
+	c.Insert(0, Shared, "")
+	if _, had := c.Insert(16, Shared, ""); had {
 		t.Error("evicted despite free ways")
 	}
 }
@@ -67,17 +67,17 @@ func TestInvalidate(t *testing.T) {
 
 func TestDoubleInsertPanics(t *testing.T) {
 	c := newSmall()
-	c.Insert(3, Shared, nil)
+	c.Insert(3, Shared, "")
 	defer func() {
 		if recover() == nil {
 			t.Error("double insert did not panic")
 		}
 	}()
-	c.Insert(3, Exclusive, nil)
+	c.Insert(3, Exclusive, "")
 }
 
 func TestLineAddr(t *testing.T) {
-	c := New(Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
+	c := New[string](Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
 	if got := c.LineAddr(0x1234); got != 0x1234>>7 {
 		t.Errorf("LineAddr = %#x", got)
 	}
@@ -92,7 +92,7 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	f := func(addr uint16) bool {
 		la := uint64(addr % 512)
 		if _, ok := c.Peek(la); !ok {
-			c.Insert(la, Shared, nil)
+			c.Insert(la, Shared, "")
 		}
 		return c.Occupancy() <= 64
 	}
@@ -103,7 +103,7 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 
 func TestPeekDoesNotAffectStats(t *testing.T) {
 	c := newSmall()
-	c.Insert(1, Shared, nil)
+	c.Insert(1, Shared, "")
 	h, m := c.Hits, c.Misses
 	c.Peek(1)
 	c.Peek(2)
@@ -115,10 +115,10 @@ func TestPeekDoesNotAffectStats(t *testing.T) {
 func TestForEach(t *testing.T) {
 	c := newSmall()
 	for i := uint64(0); i < 10; i++ {
-		c.Insert(i, Shared, nil)
+		c.Insert(i, Shared, "")
 	}
 	n := 0
-	c.ForEach(func(l *Line) { n++ })
+	c.ForEach(func(l *Line[string]) { n++ })
 	if n != 10 {
 		t.Errorf("visited %d lines, want 10", n)
 	}
@@ -141,7 +141,7 @@ func TestBadConfigPanics(t *testing.T) {
 	} {
 		func() {
 			defer func() { recover() }()
-			New(cfg)
+			New[string](cfg)
 			t.Errorf("config %+v accepted", cfg)
 		}()
 	}

@@ -26,14 +26,14 @@ func (r *recorder) typesOnly() []MsgType {
 }
 
 func newRecordedL1(rec *recorder) *L1 {
-	c := cache.New(cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
+	c := cache.New[bool](cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
 	return NewL1(1, c, rec, func(uint64) int { return 0 })
 }
 
 // install puts a line into the L1 in a given state without protocol
 // traffic (test setup).
 func install(l *L1, line uint64, st cache.State) {
-	l.c.Insert(line, st, nil)
+	l.c.Insert(line, st, false)
 }
 
 // TestL1Conformance walks the requester-side state/event table.
@@ -149,14 +149,13 @@ func TestL1DirtyBitsOnResponses(t *testing.T) {
 }
 
 func newRecordedHome(rec *recorder) *Home {
-	c := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
+	c := cache.New[DirEntry](cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
 	return NewHome(0, c, rec, func(uint64) int { return 99 })
 }
 
 // seedHome installs a line with a given directory state.
 func seedHome(h *Home, line uint64, d DirEntry) {
-	e := d
-	h.l2.Insert(line, cache.Shared, &e)
+	h.l2.Insert(line, cache.Shared, d)
 }
 
 // TestHomeConformance walks the directory-side state/event table.

@@ -6,17 +6,17 @@ import (
 	"heteronoc/internal/cmp/cache"
 )
 
-// DirEntry is the full-map directory state embedded in each L2 line.
+// DirEntry is the full-map directory state embedded in each L2 line. It
+// is stored by value in the line (16 bytes, no pointers), so the L2 line
+// arrays carry nothing for the garbage collector to scan.
 type DirEntry struct {
-	// Owner holds the tile with an E or M copy, -1 when none.
-	Owner int
 	// Sharers is a bit per tile with an S copy.
 	Sharers uint64
+	// Owner holds the tile with an E or M copy, -1 when none.
+	Owner int16
 	// Dirty marks the L2 copy more recent than memory.
 	Dirty bool
 }
-
-func newDir() *DirEntry { return &DirEntry{Owner: -1} }
 
 func (d *DirEntry) hasCopies() bool { return d.Owner >= 0 || d.Sharers != 0 }
 
@@ -48,7 +48,7 @@ type homeTx struct {
 // Home is the L2 bank + directory controller of one tile.
 type Home struct {
 	tile int
-	l2   *cache.Cache
+	l2   *cache.Cache[DirEntry]
 	tp   Transport
 	// mcFor maps a line to the terminal of its memory controller.
 	mcFor func(line uint64) int
@@ -60,20 +60,18 @@ type Home struct {
 	busy    map[uint64]*homeTx
 	waiting map[uint64][]Msg
 
-	// txFree and dirFree recycle transactions and directory entries. A tx
-	// returns to the pool at the end of the handler that removes its last
-	// busy alias (the rare makeRoom re-queue path leaves its tx to the GC
-	// rather than risk a double-free). Directory entries return when their
-	// L2 line is dropped.
-	txFree  []*homeTx
-	dirFree []*DirEntry
+	// txFree recycles transactions. A tx returns to the pool at the end of
+	// the handler that removes its last busy alias (the rare makeRoom
+	// re-queue path leaves its tx to the GC rather than risk a
+	// double-free).
+	txFree []*homeTx
 
 	// Statistics.
 	L2Hits, L2Misses, Recalls, MemReads, MemWrites int64
 }
 
 // NewHome builds the home controller for a tile.
-func NewHome(tile int, l2 *cache.Cache, tp Transport, mcFor func(uint64) int) *Home {
+func NewHome(tile int, l2 *cache.Cache[DirEntry], tp Transport, mcFor func(uint64) int) *Home {
 	return &Home{
 		tile: tile, l2: l2, tp: tp, mcFor: mcFor,
 		BankLatency: 6,
@@ -93,16 +91,6 @@ func (h *Home) getTx(req Msg) *homeTx {
 }
 
 func (h *Home) putTx(tx *homeTx) { h.txFree = append(h.txFree, tx) }
-
-func (h *Home) getDir() *DirEntry {
-	if n := len(h.dirFree); n > 0 {
-		d := h.dirFree[n-1]
-		h.dirFree = h.dirFree[:n-1]
-		*d = DirEntry{Owner: -1}
-		return d
-	}
-	return newDir()
-}
 
 // Busy reports whether a transaction is in flight for the line (tests).
 func (h *Home) Busy(line uint64) bool { return h.busy[line] != nil }
@@ -155,23 +143,24 @@ func (h *Home) process(m Msg) {
 		return
 	}
 	h.L2Hits++
-	d := e.Payload.(*DirEntry)
+	d := &e.Payload
+	owner := int(d.Owner)
 	switch m.Type {
 	case GetS:
-		if d.Owner >= 0 && d.Owner != m.Src {
+		if owner >= 0 && owner != m.Src {
 			tx := h.getTx(m)
 			tx.stage, tx.fwdKeepS = txFwd, true
 			h.busy[m.Line] = tx
-			h.send(FwdGetS, m.Line, d.Owner, m.Src, false)
+			h.send(FwdGetS, m.Line, owner, m.Src, false)
 			return
 		}
 		if !d.hasCopies() {
 			// First reader gets an exclusive clean copy.
-			d.Owner = m.Src
+			d.Owner = int16(m.Src)
 			h.send(DataE, m.Line, m.Src, m.Src, false)
 			return
 		}
-		if d.Owner == m.Src {
+		if owner == m.Src {
 			// The owner re-reads its own line (it may have silently
 			// dropped a clean E copy); refresh it as exclusive again.
 			h.send(DataE, m.Line, m.Src, m.Src, false)
@@ -180,11 +169,11 @@ func (h *Home) process(m Msg) {
 		d.Sharers |= 1 << uint(m.Src)
 		h.send(Data, m.Line, m.Src, m.Src, false)
 	case GetM:
-		if d.Owner >= 0 && d.Owner != m.Src {
+		if owner >= 0 && owner != m.Src {
 			tx := h.getTx(m)
 			tx.stage = txFwd
 			h.busy[m.Line] = tx
-			h.send(FwdGetM, m.Line, d.Owner, m.Src, false)
+			h.send(FwdGetM, m.Line, owner, m.Src, false)
 			return
 		}
 		others := d.Sharers &^ (1 << uint(m.Src))
@@ -207,7 +196,7 @@ func (h *Home) process(m Msg) {
 // grantM hands the line to a writer.
 func (h *Home) grantM(m Msg, d *DirEntry) {
 	d.Sharers = 0
-	d.Owner = m.Src
+	d.Owner = int16(m.Src)
 	d.Dirty = true
 	h.send(DataM, m.Line, m.Src, m.Src, false)
 }
@@ -228,7 +217,7 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 	if !v.State.Valid() {
 		return true
 	}
-	d := v.Payload.(*DirEntry)
+	d := &v.Payload
 	if !d.hasCopies() {
 		h.dropVictim(v.Tag, d.Dirty)
 		return true
@@ -241,7 +230,7 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 	h.Recalls++
 	if d.Owner >= 0 {
 		tx.acksLeft++
-		h.send(Inv, v.Tag, d.Owner, h.tile, false)
+		h.send(Inv, v.Tag, int(d.Owner), h.tile, false)
 	}
 	for t := 0; t < 64; t++ {
 		if d.Sharers&(1<<uint(t)) != 0 {
@@ -253,18 +242,11 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 }
 
 // dropVictim evicts a recalled or copy-free victim, writing back when
-// dirty. The directory entry returns to the pool: nothing references it
-// once the L2 line is invalid.
+// dirty.
 func (h *Home) dropVictim(line uint64, dirty bool) {
 	if dirty {
 		h.MemWrites++
 		h.send(MemWrite, line, h.mcFor(line), h.tile, true)
-	}
-	if e, ok := h.l2.Peek(line); ok {
-		if d, isDir := e.Payload.(*DirEntry); isDir {
-			h.dirFree = append(h.dirFree, d)
-			e.Payload = nil
-		}
 	}
 	h.l2.Invalidate(line)
 }
@@ -281,7 +263,7 @@ func (h *Home) fetch(tx *homeTx) {
 // GetM gets M without further blocking).
 func (h *Home) install(tx *homeTx) {
 	line := tx.req.Line
-	h.l2.Insert(line, cache.Shared, h.getDir())
+	h.l2.Insert(line, cache.Shared, DirEntry{Owner: -1})
 	req := tx.req
 	delete(h.busy, line)
 	h.process(req)
@@ -334,7 +316,7 @@ func (h *Home) handleInvAck(m Msg) {
 	case tx.stage == txInv:
 		if m.Dirty {
 			if e, ok := h.l2.Peek(m.Line); ok {
-				e.Payload.(*DirEntry).Dirty = true
+				e.Payload.Dirty = true
 			}
 		}
 		tx.acksLeft--
@@ -345,7 +327,7 @@ func (h *Home) handleInvAck(m Msg) {
 		if !ok {
 			panic("coherence: invalidation target vanished from L2")
 		}
-		d := e.Payload.(*DirEntry)
+		d := &e.Payload
 		d.Sharers = 0
 		delete(h.busy, m.Line)
 		h.grantM(tx.req, d)
@@ -365,7 +347,7 @@ func (h *Home) handleFwdResp(m Msg) {
 	if !ok {
 		panic("coherence: forwarded line vanished from L2")
 	}
-	d := e.Payload.(*DirEntry)
+	d := &e.Payload
 	oldOwner := d.Owner
 	if m.Dirty {
 		d.Dirty = true
@@ -395,8 +377,8 @@ func (h *Home) handlePutM(m Msg) {
 	// changes when the writer is still the registered owner (a racing
 	// forward may already have moved ownership).
 	if e, ok := h.l2.Peek(m.Line); ok {
-		d := e.Payload.(*DirEntry)
-		if d.Owner == m.Src {
+		d := &e.Payload
+		if int(d.Owner) == m.Src {
 			d.Owner = -1
 			d.Dirty = true
 		}
@@ -423,10 +405,10 @@ func (h *Home) drain(line uint64) {
 // Directory exposes a line's directory entry for invariant checking.
 func (h *Home) Directory(line uint64) (DirEntry, bool) {
 	if e, ok := h.l2.Peek(line); ok {
-		return *e.Payload.(*DirEntry), true
+		return e.Payload, true
 	}
 	return DirEntry{}, false
 }
 
 // L2 exposes the bank's cache array for diagnostics and tests.
-func (h *Home) L2() *cache.Cache { return h.l2 }
+func (h *Home) L2() *cache.Cache[DirEntry] { return h.l2 }

@@ -37,8 +37,10 @@ type l1MSHR struct {
 // forwards, and Inv/Fwd servicing.
 type L1 struct {
 	tile int
-	c    *cache.Cache
-	tp   Transport
+	// c's line payload is the prefetch flag: set on a speculative fill,
+	// cleared by the first demand hit.
+	c  *cache.Cache[bool]
+	tp Transport
 	// homeFor maps a line to its home tile.
 	homeFor func(line uint64) int
 	// Latency is charged on each message the L1 emits.
@@ -64,7 +66,7 @@ type L1 struct {
 }
 
 // NewL1 builds the L1 controller for a tile.
-func NewL1(tile int, c *cache.Cache, tp Transport, homeFor func(uint64) int) *L1 {
+func NewL1(tile int, c *cache.Cache[bool], tp Transport, homeFor func(uint64) int) *L1 {
 	return &L1{
 		tile: tile, c: c, tp: tp, homeFor: homeFor,
 		Latency: 2, MaxMSHR: 16,
@@ -113,9 +115,9 @@ func (l *L1) send(t MsgType, line uint64, dst int, dirty bool) {
 // on a hit, at fill time on a miss).
 func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 	if e, ok := l.c.Lookup(line); ok {
-		if e.Payload != nil {
+		if e.Payload {
 			l.PrefetchesUseful++
-			e.Payload = nil
+			e.Payload = false
 		}
 		switch {
 		case !write:
@@ -285,11 +287,7 @@ func (l *L1) fill(m Msg) {
 	if v := l.c.Victim(m.Line); v.State.Valid() {
 		l.evict(v)
 	}
-	var tag any
-	if mshr.prefetch {
-		tag = prefetchTag
-	}
-	l.c.Insert(m.Line, st, tag)
+	l.c.Insert(m.Line, st, mshr.prefetch)
 	delete(l.mshr, m.Line)
 	for _, cb := range mshr.callbacks {
 		cb()
@@ -297,12 +295,9 @@ func (l *L1) fill(m Msg) {
 	l.putMSHR(mshr)
 }
 
-// prefetchTag marks speculative lines until their first demand hit.
-var prefetchTag any = struct{ prefetched bool }{true}
-
 // evict removes a victim line: dirty lines write back through the wb
 // buffer, clean lines drop silently.
-func (l *L1) evict(v *cache.Line) {
+func (l *L1) evict(v *cache.Line[bool]) {
 	line := v.Tag
 	if v.State == cache.Modified {
 		l.wb[line]++

@@ -52,9 +52,9 @@ func newFabric(t *testing.T, n int) *fabric {
 	homeFor := func(line uint64) int { return 0 }
 	mcFor := func(line uint64) int { return f.mcT }
 	for i := 0; i < n; i++ {
-		l1c := cache.New(cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: 128})
+		l1c := cache.New[bool](cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: 128})
 		f.l1s = append(f.l1s, NewL1(i, l1c, f, homeFor))
-		l2c := cache.New(cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
+		l2c := cache.New[DirEntry](cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
 		f.homes = append(f.homes, NewHome(i, l2c, f, mcFor))
 	}
 	return f
@@ -286,7 +286,7 @@ func TestDirectoryMatchesL1s(t *testing.T) {
 		}
 		for tile, l1 := range f.l1s {
 			if _, holds := l1.HasLine(line); holds {
-				recorded := dir.Owner == tile || dir.Sharers&(1<<uint(tile)) != 0
+				recorded := int(dir.Owner) == tile || dir.Sharers&(1<<uint(tile)) != 0
 				if !recorded {
 					t.Errorf("line %#x held by tile %d but directory says %+v", line, tile, dir)
 				}
@@ -299,7 +299,7 @@ func TestL2RecallInvalidatesL1Copies(t *testing.T) {
 	f := newFabric(t, 2)
 	// Tiny L2 to force recalls: 4KB/2way/128B = 16 sets, set collisions at
 	// lines 16 apart.
-	f.homes[0] = NewHome(0, cache.New(cache.Config{SizeBytes: 4096, Ways: 2, LineBytes: 128}),
+	f.homes[0] = NewHome(0, cache.New[DirEntry](cache.Config{SizeBytes: 4096, Ways: 2, LineBytes: 128}),
 		f, func(uint64) int { return f.mcT })
 	var d bool
 	f.read(1, 0, &d)  // set 0
@@ -321,7 +321,7 @@ func TestL2RecallInvalidatesL1Copies(t *testing.T) {
 
 func TestDirtyRecallWritesToMemory(t *testing.T) {
 	f := newFabric(t, 2)
-	f.homes[0] = NewHome(0, cache.New(cache.Config{SizeBytes: 4096, Ways: 2, LineBytes: 128}),
+	f.homes[0] = NewHome(0, cache.New[DirEntry](cache.Config{SizeBytes: 4096, Ways: 2, LineBytes: 128}),
 		f, func(uint64) int { return f.mcT })
 	var d bool
 	f.write(1, 0, &d)

@@ -20,9 +20,7 @@ func (l *L1) EncodeState(w *ckpt.Writer) error {
 	if len(l.mshr) != 0 || len(l.wb) != 0 {
 		return fmt.Errorf("coherence: L1 %d not quiescent (%d MSHRs, %d write-backs)", l.tile, len(l.mshr), len(l.wb))
 	}
-	if err := l.c.EncodeState(w, encodeL1Payload); err != nil {
-		return fmt.Errorf("coherence: L1 %d: %w", l.tile, err)
-	}
+	l.c.EncodeState(w, encodePrefetch)
 	w.I64(l.PrefetchesIssued)
 	w.I64(l.PrefetchesUseful)
 	return nil
@@ -30,7 +28,7 @@ func (l *L1) EncodeState(w *ckpt.Writer) error {
 
 // DecodeState loads state written by EncodeState.
 func (l *L1) DecodeState(r *ckpt.Reader) error {
-	if err := l.c.DecodeState(r, decodeL1Payload); err != nil {
+	if err := l.c.DecodeState(r, decodePrefetch); err != nil {
 		return fmt.Errorf("coherence: L1 %d: %w", l.tile, err)
 	}
 	l.PrefetchesIssued = r.I64()
@@ -38,24 +36,23 @@ func (l *L1) DecodeState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// The only payload an L1 line ever carries is the prefetch tag (a shared
-// sentinel marking a speculative line before its first demand hit).
-func encodeL1Payload(w *ckpt.Writer, p any) error {
-	if p != prefetchTag {
-		return fmt.Errorf("unexpected L1 line payload %T", p)
+// An L1 line's prefetch flag is written as a has-payload marker followed,
+// when set, by a constant true byte.
+func encodePrefetch(w *ckpt.Writer, prefetched bool) {
+	w.Bool(prefetched)
+	if prefetched {
+		w.Bool(true)
 	}
-	w.Bool(true)
-	return nil
 }
 
-func decodeL1Payload(r *ckpt.Reader) (any, error) {
+func decodePrefetch(r *ckpt.Reader) (bool, error) {
 	if !r.Bool() {
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("malformed L1 payload marker")
+		return false, r.Err()
 	}
-	return prefetchTag, r.Err()
+	if !r.Bool() && r.Err() == nil {
+		return false, fmt.Errorf("malformed L1 payload marker")
+	}
+	return true, r.Err()
 }
 
 // EncodeState writes the home bank's L2 contents (directory entries
@@ -64,34 +61,47 @@ func (h *Home) EncodeState(w *ckpt.Writer) error {
 	if len(h.busy) != 0 || len(h.waiting) != 0 {
 		return fmt.Errorf("coherence: home %d not quiescent (%d busy, %d waiting)", h.tile, len(h.busy), len(h.waiting))
 	}
-	if err := h.l2.EncodeState(w, encodeDirPayload); err != nil {
-		return fmt.Errorf("coherence: home %d: %w", h.tile, err)
-	}
+	h.l2.EncodeState(w, encodeDir)
 	return nil
 }
 
-// DecodeState loads state written by EncodeState.
-func (h *Home) DecodeState(r *ckpt.Reader) error {
-	if err := h.l2.DecodeState(r, decodeDirPayload); err != nil {
+// DecodeState loads state written by EncodeState into the home of a
+// tiles-tile system. A directory entry naming a tile outside the system,
+// as owner or sharer, is rejected.
+func (h *Home) DecodeState(r *ckpt.Reader, tiles int) error {
+	dec := func(r *ckpt.Reader) (DirEntry, error) { return decodeDir(r, tiles) }
+	if err := h.l2.DecodeState(r, dec); err != nil {
 		return fmt.Errorf("coherence: home %d: %w", h.tile, err)
 	}
 	return r.Err()
 }
 
-func encodeDirPayload(w *ckpt.Writer, p any) error {
-	d, ok := p.(*DirEntry)
-	if !ok {
-		return fmt.Errorf("unexpected L2 line payload %T, want *DirEntry", p)
-	}
-	w.Int(d.Owner)
+// A directory entry is written as a has-payload marker (always true: every
+// L2 line carries one), then owner, sharers and the dirty bit.
+func encodeDir(w *ckpt.Writer, d DirEntry) {
+	w.Bool(true)
+	w.Int(int(d.Owner))
 	w.U64(d.Sharers)
 	w.Bool(d.Dirty)
-	return nil
 }
 
-func decodeDirPayload(r *ckpt.Reader) (any, error) {
-	d := &DirEntry{Owner: r.Int(), Sharers: r.U64(), Dirty: r.Bool()}
-	return d, r.Err()
+func decodeDir(r *ckpt.Reader, tiles int) (DirEntry, error) {
+	if !r.Bool() && r.Err() == nil {
+		return DirEntry{}, fmt.Errorf("L2 line without a directory entry")
+	}
+	owner, sharers, dirty := r.I64(), r.U64(), r.Bool()
+	if err := r.Err(); err != nil {
+		return DirEntry{}, err
+	}
+	// Range-check before narrowing, so an out-of-range owner cannot wrap
+	// into a valid tile.
+	if owner < -1 || owner >= int64(tiles) {
+		return DirEntry{}, fmt.Errorf("directory owner %d outside [-1, %d)", owner, tiles)
+	}
+	if tiles < 64 && sharers>>uint(tiles) != 0 {
+		return DirEntry{}, fmt.Errorf("directory sharers %#x name tiles at or above %d", sharers, tiles)
+	}
+	return DirEntry{Sharers: sharers, Owner: int16(owner), Dirty: dirty}, nil
 }
 
 // Quiescent reports whether the L1 has no in-flight transactions.

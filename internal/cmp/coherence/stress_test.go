@@ -26,9 +26,9 @@ func newChaosFabric(t *testing.T, n int, seed int64) *chaosFabric {
 	homeFor := func(line uint64) int { return int(line) % n }
 	mcFor := func(line uint64) int { return f.mcT }
 	for i := 0; i < n; i++ {
-		l1c := cache.New(cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
+		l1c := cache.New[bool](cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
 		f.l1s = append(f.l1s, NewL1(i, l1c, f, homeFor))
-		l2c := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
+		l2c := cache.New[DirEntry](cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
 		f.homes = append(f.homes, NewHome(i, l2c, f, mcFor))
 	}
 	return f

@@ -33,10 +33,10 @@ func (n *nullTransport) Send(m coherence.Msg, after int64) { n.out = append(n.ou
 
 func alwaysHitL1(t *testing.T) *coherence.L1 {
 	t.Helper()
-	c := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
+	c := cache.New[bool](cache.Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 128})
 	// Pre-fill lines 0..63 in Modified so loads and stores both hit.
 	for l := uint64(0); l < 64; l++ {
-		c.Insert(l, cache.Modified, nil)
+		c.Insert(l, cache.Modified, false)
 	}
 	return coherence.NewL1(0, c, &nullTransport{}, func(uint64) int { return 0 })
 }
@@ -103,7 +103,7 @@ func TestSmallVsLargeCoreConfigs(t *testing.T) {
 // stays outstanding forever, exposing the window and MSHR limits.
 func blackholeL1(t *testing.T) *coherence.L1 {
 	t.Helper()
-	c := cache.New(cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
+	c := cache.New[bool](cache.Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 128})
 	return coherence.NewL1(0, c, &nullTransport{}, func(uint64) int { return 1 })
 }
 

@@ -13,6 +13,9 @@ type Request struct {
 	Arrived int64
 	// done is the completion time once scheduled.
 	done int64
+	// row is the DRAM row, fixed at Enqueue along with the bank queue the
+	// request waits in.
+	row uint64
 	// pooled marks a controller-owned request (EnqueueLine); it returns to
 	// the free list one Tick after completion. Caller-owned requests
 	// (Enqueue) are never recycled.
@@ -37,10 +40,8 @@ type Controller struct {
 	// RowLines is the number of consecutive cache lines per DRAM row.
 	RowLines uint64
 
-	bankFree []int64  // cycle each bank frees up
-	openRow  []uint64 // row latched in each bank's row buffer
-	rowValid []bool
-	queue    []*Request
+	banks    []bank
+	queued   int // requests waiting across all bank queues
 	inFlight reqHeap
 
 	// out is the reused Tick result slice; its previous contents are
@@ -57,18 +58,21 @@ type Controller struct {
 	Completed        int64
 }
 
+// bank is one DRAM bank: its row buffer, the cycle it frees up, and the
+// FIFO of requests waiting for it in arrival order.
+type bank struct {
+	free     int64
+	openRow  uint64
+	rowValid bool
+	queue    []*Request
+}
+
 // NewController builds a controller attached to a terminal.
 func NewController(terminal int) *Controller {
 	c := &Controller{Terminal: terminal, Latency: 400, RowHitLatency: 200, Banks: 8, RowLines: 64}
-	c.bankFree = make([]int64, c.Banks)
-	c.openRow = make([]uint64, c.Banks)
-	c.rowValid = make([]bool, c.Banks)
+	c.banks = make([]bank, c.Banks)
 	return c
 }
-
-// bankOf statically maps a line to a bank; rowOf gives its DRAM row.
-func (c *Controller) bankOf(line uint64) int   { return int((line / c.RowLines) % uint64(c.Banks)) }
-func (c *Controller) rowOf(line uint64) uint64 { return line / c.RowLines / uint64(c.Banks) }
 
 // EnqueueLine accepts an access without the caller allocating a Request:
 // the controller draws one from its pool and recycles it after completion.
@@ -84,7 +88,8 @@ func (c *Controller) EnqueueLine(line uint64, home int, write bool, now int64) {
 	c.Enqueue(r, now)
 }
 
-// Enqueue accepts a request at time now.
+// Enqueue accepts a request at time now. The line statically maps to a
+// bank and a DRAM row; the request joins that bank's queue.
 func (c *Controller) Enqueue(r *Request, now int64) {
 	r.Arrived = now
 	if r.Write {
@@ -92,52 +97,47 @@ func (c *Controller) Enqueue(r *Request, now int64) {
 	} else {
 		c.Reads++
 	}
-	c.queue = append(c.queue, r)
+	rowIdx := r.Line / c.RowLines
+	r.row = rowIdx / uint64(c.Banks)
+	b := &c.banks[rowIdx%uint64(c.Banks)]
+	b.queue = append(b.queue, r)
+	c.queued++
 	c.schedule(now)
 }
 
 // schedule assigns queued requests to free banks under FR-FCFS: per free
 // bank, the oldest row-buffer-hitting request wins; if none hits, the
-// oldest request for that bank is served and re-opens the row.
+// oldest request for that bank is served and re-opens the row. Banks are
+// visited in ascending order, one grant per bank per pass, and passes
+// repeat until none grants (with a zero latency a bank frees up again
+// within the same cycle).
 func (c *Controller) schedule(now int64) {
-	if len(c.queue) == 0 {
-		return
-	}
-	for {
+	for c.queued > 0 {
 		moved := false
-		for bank := 0; bank < c.Banks; bank++ {
-			if c.bankFree[bank] > now {
+		for i := range c.banks {
+			b := &c.banks[i]
+			if len(b.queue) == 0 || b.free > now {
 				continue
 			}
-			// First ready: oldest row hit for this bank, else oldest
-			// request for this bank.
-			pick := -1
-			for i, r := range c.queue {
-				if c.bankOf(r.Line) != bank {
-					continue
-				}
-				if c.rowValid[bank] && c.rowOf(r.Line) == c.openRow[bank] {
-					pick = i
-					break // queue is FIFO: first hit is the oldest hit
-				}
-				if pick < 0 {
-					pick = i
+			// First ready: oldest row hit, else the oldest request.
+			pick, lat := 0, c.Latency
+			if b.rowValid {
+				for j, r := range b.queue {
+					if r.row == b.openRow {
+						pick, lat = j, c.RowHitLatency
+						c.RowHits++
+						break // FIFO: the first hit is the oldest hit
+					}
 				}
 			}
-			if pick < 0 {
-				continue
-			}
-			r := c.queue[pick]
-			c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-			lat := c.Latency
-			if c.rowValid[bank] && c.rowOf(r.Line) == c.openRow[bank] {
-				lat = c.RowHitLatency
-				c.RowHits++
-			}
-			c.openRow[bank] = c.rowOf(r.Line)
-			c.rowValid[bank] = true
+			r := b.queue[pick]
+			copy(b.queue[pick:], b.queue[pick+1:])
+			b.queue[len(b.queue)-1] = nil
+			b.queue = b.queue[:len(b.queue)-1]
+			c.queued--
+			b.openRow, b.rowValid = r.row, true
 			r.done = now + lat
-			c.bankFree[bank] = r.done
+			b.free = r.done
 			c.TotalQueueDelay += now - r.Arrived
 			c.inFlight.push(r)
 			moved = true
@@ -170,10 +170,10 @@ func (c *Controller) Tick(now int64) []*Request {
 }
 
 // QueueLen returns the number of requests waiting for a bank.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int { return c.queued }
 
 // Busy reports whether any request is queued or in flight.
-func (c *Controller) Busy() bool { return len(c.queue) > 0 || len(c.inFlight) > 0 }
+func (c *Controller) Busy() bool { return c.queued > 0 || len(c.inFlight) > 0 }
 
 // AvgServiceTime returns the mean arrival-to-done time in cycles.
 func (c *Controller) AvgServiceTime() float64 {
@@ -297,11 +297,4 @@ func abs64(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-// bankFreeReset re-sizes the per-bank state after a test changes Banks.
-func (c *Controller) bankFreeReset() {
-	c.bankFree = make([]int64, c.Banks)
-	c.openRow = make([]uint64, c.Banks)
-	c.rowValid = make([]bool, c.Banks)
 }

@@ -37,6 +37,12 @@ const (
 	// Version 2 appends per-reader position state; version 1 (replay-only)
 	// checkpoints are still restorable.
 	warmSnapshotVersion = 2
+
+	// maxWarmEntries bounds the per-core warmup length a checkpoint may
+	// record (26x the largest figure scale). Restore may replay that many
+	// entries per reader, so the bound keeps a forged count from turning
+	// into an unbounded replay.
+	maxWarmEntries = 1 << 20
 )
 
 // WarmSnapshot serializes the post-warmup state of the system. It fails
@@ -51,6 +57,9 @@ func (s *System) WarmSnapshot() ([]byte, error) {
 func (s *System) warmSnapshot(version uint64) ([]byte, error) {
 	if s.now != 0 {
 		return nil, fmt.Errorf("cmp: WarmSnapshot after %d timing cycles; only post-warmup snapshots are supported", s.now)
+	}
+	if s.warmedEntries > maxWarmEntries {
+		return nil, fmt.Errorf("cmp: WarmSnapshot of a %d-entry warmup; checkpoints hold at most %d", s.warmedEntries, maxWarmEntries)
 	}
 	if len(s.delayQ) != 0 || len(s.seqOut) != 0 || len(s.seqIn) != 0 || len(s.parked) != 0 {
 		return nil, fmt.Errorf("cmp: WarmSnapshot with in-flight messages")
@@ -128,14 +137,14 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if entries < 0 {
-		return fmt.Errorf("cmp: negative warmup entry count %d", entries)
+	if entries < 0 || entries > maxWarmEntries {
+		return fmt.Errorf("cmp: warmup entry count %d outside [0, %d]", entries, maxWarmEntries)
 	}
 	for _, tile := range s.Tiles {
 		if err := tile.L1.DecodeState(r); err != nil {
 			return err
 		}
-		if err := tile.Home.DecodeState(r); err != nil {
+		if err := tile.Home.DecodeState(r, len(s.Tiles)); err != nil {
 			return err
 		}
 	}

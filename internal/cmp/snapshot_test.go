@@ -2,8 +2,10 @@ package cmp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/core"
 )
 
@@ -138,5 +140,72 @@ func TestWarmSnapshotRefusesMidRunState(t *testing.T) {
 	fresh := newSystem(t, core.NewBaseline(8, 8), "SAP")
 	if err := fresh.RestoreWarmSnapshot(bad); err == nil {
 		t.Fatal("RestoreWarmSnapshot accepted a corrupted checkpoint")
+	}
+}
+
+// TestWarmSnapshotBoundsWarmupLength pins the cap on the recorded warmup
+// length: restore may replay that many entries per reader, so a forged
+// count must be refused rather than replayed, and WarmSnapshot must not
+// write a checkpoint restore would refuse.
+func TestWarmSnapshotBoundsWarmupLength(t *testing.T) {
+	s := fuzzSystem(t, false)
+	s.Warmup(10)
+	s.warmedEntries = maxWarmEntries + 1
+	if _, err := s.WarmSnapshot(); err == nil {
+		t.Error("WarmSnapshot recorded a warmup longer than restore accepts")
+	}
+
+	w := ckpt.NewWriter(ckpt.Header{Kind: KindWarmSystem, Version: 1})
+	w.Int(len(s.Tiles))
+	w.Int(s.LineBytes())
+	w.Bool(false) // prefetch
+	w.Int(maxWarmEntries + 1)
+	err := fuzzSystem(t, false).RestoreWarmSnapshot(w.Finish())
+	if err == nil || !strings.Contains(err.Error(), "warmup entry count") {
+		t.Fatalf("restore of a %d-entry warmup: err %v, want the entry count refused", maxWarmEntries+1, err)
+	}
+}
+
+// TestWarmRestoreAllocsIndependentOfFill pins the allocation profile of a
+// warm restore: cache lines and their directory entries load in place, so
+// the allocation count is the same for a nearly empty hierarchy and a
+// well-filled one.
+func TestWarmRestoreAllocsIndependentOfFill(t *testing.T) {
+	l := core.NewBaseline(4, 4)
+	restoreAllocs := func(entries int) (allocs float64, l2Lines int) {
+		src := newSystem(t, l, "SPECjbb")
+		src.Warmup(entries)
+		snap, err := src.WarmSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tile := range src.Tiles {
+			l2Lines += tile.Home.L2().Occupancy()
+		}
+		// AllocsPerRun calls f once more than runs, and every restore needs
+		// a freshly built target, so build them all up front.
+		const runs = 3
+		targets := make([]*System, runs+1)
+		for i := range targets {
+			targets[i] = newSystem(t, l, "SPECjbb")
+		}
+		next := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			if err := targets[next].RestoreWarmSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		return allocs, l2Lines
+	}
+	lowAllocs, lowLines := restoreAllocs(20)
+	highAllocs, highLines := restoreAllocs(2000)
+	t.Logf("%d L2 lines: %.0f allocations; %d lines: %.0f", lowLines, lowAllocs, highLines, highAllocs)
+	if highLines < 10*lowLines {
+		t.Fatalf("fill levels too close: %d vs %d valid L2 lines", lowLines, highLines)
+	}
+	if highAllocs > lowAllocs {
+		t.Errorf("restoring %d L2 lines took %.0f allocations, %d lines took %.0f; want no growth with fill",
+			highLines, highAllocs, lowLines, lowAllocs)
 	}
 }

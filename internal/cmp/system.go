@@ -244,8 +244,8 @@ func New(cfg Config) (*System, error) {
 
 	s.Tiles = make([]*Tile, n)
 	for i := 0; i < n; i++ {
-		l1c := cache.New(cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: cfg.LineBytes})
-		l2c := cache.New(cache.Config{
+		l1c := cache.New[bool](cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: cfg.LineBytes})
+		l2c := cache.New[coherence.DirEntry](cache.Config{
 			SizeBytes: 1 << 20, Ways: 16, LineBytes: cfg.LineBytes,
 			IndexShiftBits: bankShift(n),
 		})

@@ -9,7 +9,7 @@ import (
 )
 
 // benchTraces builds per-core trace readers for a benchmark.
-func benchTraces(t *testing.T, name string, n int) []trace.Reader {
+func benchTraces(t testing.TB, name string, n int) []trace.Reader {
 	t.Helper()
 	p, err := trace.ProfileByName(name)
 	if err != nil {
