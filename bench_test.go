@@ -473,18 +473,11 @@ func BenchmarkWarmRestore(b *testing.B) {
 // the decode throughput as trace_decode_entries_per_sec.
 const traceDecodeEntries = 1 << 16
 
-// BenchmarkTraceDecode measures trace replay three ways: the flat HNTR
-// v1 stream decoded entry-at-a-time (the old pipeline), and a chunked
-// HNTR2 trace through Next and through the bulk NextBatch path. The
-// flat/batch ratio is what the chunked pipeline buys every file-backed
-// warmup.
+// BenchmarkTraceDecode measures chunked HNTR2 trace replay two ways:
+// entry-at-a-time through Next and through the bulk NextBatch path.
 func BenchmarkTraceDecode(b *testing.B) {
 	p, err := trace.ProfileByName("SPECjbb")
 	if err != nil {
-		b.Fatal(err)
-	}
-	var flat bytes.Buffer
-	if err := trace.Record(&flat, trace.NewGenerator(p, 0, 128), traceDecodeEntries); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -499,20 +492,6 @@ func BenchmarkTraceDecode(b *testing.B) {
 		}
 		return r
 	}
-	b.Run("flat-next", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r, err := trace.NewFileReader(bytes.NewReader(flat.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < traceDecodeEntries; j++ {
-				r.Next()
-			}
-			if r.Err() != nil {
-				b.Fatal(r.Err())
-			}
-		}
-	})
 	b.Run("next", func(b *testing.B) {
 		r := open()
 		b.ResetTimer()

@@ -1,5 +1,7 @@
-// Command ckpttool inspects NOCCKPT01 checkpoint files written by noxsim
-// (-ckptout) and the experiment pipeline's persistent caches.
+// Command ckpttool inspects NOCCKPT01 containers: network checkpoints
+// written by noxsim (-ckptout), suspended runs, run-cache entries (.rc),
+// DSE frontier files (cmd/dse -frontier) and flit traces (tracetool
+// nocrec).
 //
 // Usage:
 //

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"heteronoc/internal/ckpt"
+	"heteronoc/internal/dse"
+	"heteronoc/internal/noc"
+	"heteronoc/internal/runcache"
 )
 
 // buildCheckpoint writes a small valid NOCCKPT01 container to dir and
@@ -96,5 +99,53 @@ func TestValidateFileRejectsBitFlips(t *testing.T) {
 func TestValidateFileRejectsMissingFile(t *testing.T) {
 	if err := validateFile(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
 		t.Fatal("missing file validated")
+	}
+}
+
+// TestValidateEveryPersistedKind runs validate over the files the rest of
+// the repository persists — a DSE frontier, the run-cache entries its
+// probes leave on disk, and a flit trace — and over a truncated copy of
+// each, which must fail.
+func TestValidateEveryPersistedKind(t *testing.T) {
+	dir := t.TempDir()
+	runcache.Reset()
+	if err := runcache.SetDir(filepath.Join(dir, "cache")); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		runcache.SetDir("")
+		runcache.Reset()
+	}()
+	frontier := filepath.Join(dir, "search.hndse")
+	if _, err := dse.Search(dse.SearchConfig{
+		Eval:   dse.EvalConfig{W: 4, H: 4, InjectionRate: 0.05, Packets: 200, Seed: 3},
+		MinBig: 3, MaxBig: 4, PopSize: 4, Generations: 1, Seed: 5,
+		FrontierPath: frontier,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flt := filepath.Join(dir, "run.flt")
+	if err := os.WriteFile(flt, noc.NewFlitTracer(4, noc.FlitTracerConfig{}).EncodeTrace(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "cache", "*.rc"))
+	if len(entries) == 0 {
+		t.Fatal("search left no run-cache entries on disk")
+	}
+	for _, p := range []string{frontier, flt, entries[0]} {
+		if !validate([]string{p}) {
+			t.Fatalf("%s: valid file rejected", p)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := p + ".cut"
+		if err := os.WriteFile(cut, data[:len(data)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := validateFile(cut); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Fatalf("%s: truncated copy gave %v, want ckpt.ErrCorrupt", p, err)
+		}
 	}
 }

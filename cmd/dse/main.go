@@ -53,7 +53,7 @@ func main() {
 	generations := flag.Int("generations", 20, "search: generations to run (cumulative across resumes)")
 	budget := flag.Int("budget", 0, "search: cap on cumulative candidate evaluations (0 = unlimited)")
 	seed := flag.Int64("seed", 1, "search: RNG seed")
-	frontier := flag.String("frontier", "", "search: HNDSE1 frontier file to persist/resume (empty = in-memory only)")
+	frontier := flag.String("frontier", "", "search: frontier file (NOCCKPT01 kind dse-frontier) to persist/resume (empty = in-memory only)")
 	server := flag.String("server", "", "search: nocserved base URL to evaluate batches remotely (empty = local)")
 	cacheDir := flag.String("cachedir", "", "persistent run cache directory shared across processes")
 	flag.Parse()

@@ -1,20 +1,20 @@
-// Command tracetool works with the repository's trace file format: it
-// records synthetic benchmark traces to disk (so they can be analyzed or
-// shipped), inspects trace files, and prints entries — the bridge for
-// users who want to replay their own memory traces through the CMP
-// simulator (see internal/trace.FileReader).
+// Command tracetool works with the repository's chunked memory-trace
+// format (HNTR2): it records synthetic benchmark traces to disk (so they
+// can be analyzed or shipped), inspects trace files, and prints entries —
+// the bridge for users who want to replay their own memory traces through
+// the CMP simulator (see internal/trace.ChunkReader).
 //
-// It also handles the binary flit-trace format produced by noc.FlitTracer:
-// nocrec records a traced mesh run, nocinfo summarizes a trace file, and
+// It also handles the flit-trace files produced by noc.FlitTracer: nocrec
+// records a traced mesh run, nocinfo summarizes a trace file, and
 // nocexport converts one to Chrome trace-event JSON for Perfetto
 // (ui.perfetto.dev) or chrome://tracing.
 //
 // Usage:
 //
-//	tracetool gen    -bench SPECjbb -core 0 -n 100000 -out jbb0.trc
+//	tracetool record -workload SPECjbb -core 0 -n 100000 -out jbb0.trc2
 //	tracetool record -workload mc-incast -core 0 -n 100000 -out incast0.trc2
-//	tracetool morph  -in jbb0.trc -out hot.trc2 -hotspot-frac 0.4 -hotspot-lines 16
-//	tracetool info   -in jbb0.trc
+//	tracetool morph  -in jbb0.trc2 -out hot.trc2 -hotspot-frac 0.4 -hotspot-lines 16
+//	tracetool info   -in jbb0.trc2
 //	tracetool head   -in incast0.trc2 -n 20
 //	tracetool seek-check -in incast0.trc2
 //	tracetool nocrec    -packets 2000 -rate 0.06 -out run.flt
@@ -27,12 +27,9 @@
 // (queue, vc_alloc, switch_alloc, credit, link, serialization) and can
 // export the hop stream for Perfetto.
 //
-// gen writes the flat HNTR v1 stream; record writes the chunked,
-// seekable HNTR2 format and accepts adversarial workload names
-// (hotspot, mc-incast, ...) alongside the Table 2 profiles. info, head
-// and seek-check sniff the format from the file magic; info and head
-// exit nonzero when a trace turns out to be corrupt rather than merely
-// short.
+// record accepts adversarial workload names (hotspot, mc-incast, ...)
+// alongside the Table 2 profiles. info and head exit nonzero when a trace
+// turns out to be corrupt rather than merely short.
 package main
 
 import (
@@ -55,8 +52,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
 	case "record":
 		record(os.Args[2:])
 	case "morph":
@@ -81,7 +76,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tracetool gen|record|morph|info|head|seek-check|nocrec|nocinfo|nocexport|attr [flags]")
+	fmt.Fprintln(os.Stderr, "usage: tracetool record|morph|info|head|seek-check|nocrec|nocinfo|nocexport|attr [flags]")
 	os.Exit(2)
 }
 
@@ -150,40 +145,9 @@ func attrCmd(args []string) {
 	}
 }
 
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	bench := fs.String("bench", "SPECjbb", "benchmark profile name")
-	core := fs.Int("core", 0, "core id (selects the deterministic stream)")
-	n := fs.Int("n", 100000, "entries to record")
-	lineBytes := fs.Int("line", 128, "cache line size in bytes")
-	out := fs.String("out", "", "output file (required)")
-	fs.Parse(args)
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "gen: -out is required")
-		os.Exit(2)
-	}
-	p, err := trace.ProfileByName(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := trace.Record(f, trace.NewGenerator(p, *core, *lineBytes), *n); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d entries of %s/core%d to %s\n", *n, *bench, *core, *out)
-}
-
-// open sniffs the trace format (flat v1 or chunked HNTR2) and returns a
-// replaying reader.
-func open(path string) trace.File {
-	r, err := trace.Open(path, false)
+// open returns a replaying reader for a chunked trace file.
+func open(path string) *trace.ChunkFile {
+	r, err := trace.OpenChunked(path, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -191,10 +155,10 @@ func open(path string) trace.File {
 	return r
 }
 
-// checkErr exits nonzero when replay ended in a corrupt tail — the
-// distinction FileReader/ChunkReader track via Err — so scripts can gate
-// on trace integrity.
-func checkErr(r trace.File) {
+// checkErr exits nonzero when replay ended in a corrupt chunk — the
+// distinction ChunkReader tracks via Err — so scripts can gate on trace
+// integrity.
+func checkErr(r *trace.ChunkFile) {
 	if err := r.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -238,7 +202,7 @@ func record(args []string) {
 
 func morph(args []string) {
 	fs := flag.NewFlagSet("morph", flag.ExitOnError)
-	in := fs.String("in", "", "input trace file, either format (required)")
+	in := fs.String("in", "", "input chunked trace file (required)")
 	out := fs.String("out", "", "output chunked trace file (required)")
 	hotFrac := fs.Float64("hotspot-frac", 0, "fraction of accesses redirected to the hot line set")
 	hotLines := fs.Int("hotspot-lines", 16, "hot set size in cache lines")
@@ -305,11 +269,7 @@ func info(args []string) {
 		os.Exit(2)
 	}
 	r := open(*in)
-	if cr, ok := r.(*trace.ChunkFile); ok {
-		fmt.Printf("format         chunked (HNTR2), %d entries indexed\n", cr.Len())
-	} else {
-		fmt.Printf("format         flat (HNTR v1)\n")
-	}
+	fmt.Printf("format         chunked (HNTR2), %d entries indexed\n", r.Len())
 	st := trace.Summarize(r, 0)
 	fmt.Printf("entries        %d\n", st.Entries)
 	fmt.Printf("instructions   %d (memory ops %.1f%%)\n", st.Instructions(), 100*st.MemFrac())
@@ -359,12 +319,7 @@ func seekCheck(args []string) {
 		fmt.Fprintln(os.Stderr, "seek-check: -in is required")
 		os.Exit(2)
 	}
-	seq, ok := open(*in).(*trace.ChunkFile)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "seek-check: not a chunked (HNTR2) trace; flat v1 files are not seekable")
-		os.Exit(1)
-	}
-	skr := open(*in).(*trace.ChunkFile)
+	seq, skr := open(*in), open(*in)
 	total := seq.Len()
 	stride := total / *samples
 	if stride < 1 {
@@ -432,16 +387,7 @@ func nocrec(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	err = ft.WriteBinary(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := os.WriteFile(*out, ft.EncodeTrace(), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -449,13 +395,12 @@ func nocrec(args []string) {
 }
 
 func openFlitTrace(path string) *noc.FlitTrace {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	tr, err := noc.ReadFlitTrace(f)
+	tr, err := noc.ReadFlitTrace(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,8 +1,9 @@
 // Replaytrace demonstrates the trace file path end to end: record a
-// synthetic workload to disk (standing in for a real Simics-style memory
-// trace), then replay the files through the full CMP simulator on two
-// network designs. Anything that implements trace.Reader — including
-// parsers for your own trace formats — can be plugged in the same way.
+// synthetic workload to chunked trace files (standing in for a real
+// Simics-style memory trace), then replay the files through the full CMP
+// simulator on two network designs. Anything that implements
+// trace.Reader — including parsers for your own trace formats — can be
+// plugged in the same way.
 package main
 
 import (
@@ -35,10 +36,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := trace.Record(f, trace.NewGenerator(p, c, 128), entries); err != nil {
+		err = trace.RecordChunked(f, trace.NewGenerator(p, c, 128), entries, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
-		f.Close()
 	}
 
 	// 2. Replay through the CMP on both networks.
@@ -47,18 +51,13 @@ func main() {
 		core.NewLayout(core.PlacementDiagonal, 8, 8, true),
 	} {
 		trs := make([]trace.Reader, 64)
-		files := make([]*os.File, 64)
+		files := make([]*trace.ChunkFile, 64)
 		for c := 0; c < 64; c++ {
-			f, err := os.Open(path(dir, c))
+			r, err := trace.OpenChunked(path(dir, c), false)
 			if err != nil {
 				log.Fatal(err)
 			}
-			files[c] = f
-			r, err := trace.NewFileReader(f)
-			if err != nil {
-				log.Fatal(err)
-			}
-			trs[c] = r
+			files[c], trs[c] = r, r
 		}
 		s, err := cmp.New(cmp.Config{Layout: l, Traces: trs})
 		if err != nil {
@@ -77,5 +76,5 @@ func main() {
 }
 
 func path(dir string, core int) string {
-	return filepath.Join(dir, fmt.Sprintf("sap-core%02d.trc", core))
+	return filepath.Join(dir, fmt.Sprintf("sap-core%02d.trc2", core))
 }

@@ -1,7 +1,8 @@
 // Package ckpt implements the NOCCKPT01 checkpoint container: a small,
-// versioned, CRC-protected binary format used to serialize simulator
-// state (noc.Network, noc.Reliable, cmp.System warm state) and cached
-// experiment artifacts.
+// versioned, CRC-protected binary format used for every persisted file
+// except HNTR2 memory traces — simulator state (noc.Network, noc.Reliable,
+// suspended runs, cmp.System warm state), run-cache entries, DSE frontiers
+// and flit traces.
 //
 // Layout:
 //
@@ -12,12 +13,14 @@
 //	body    kind-specific varint-coded fields
 //	crc32   IEEE, little-endian fixed32  (over everything preceding it)
 //
-// All integers are varints (zigzag for signed); strings and byte slices
-// are length-prefixed. Readers carry a sticky error: after the first
-// decode failure every subsequent call is a no-op returning zero values,
-// and Err reports the failure. Any structural problem — short buffer, bad
-// magic, CRC mismatch, truncation — yields an error wrapping ErrCorrupt,
-// which cache layers treat as a miss rather than a failure.
+// All integers are varints (zigzag for signed); strings, byte slices and
+// element counts are length-prefixed, and a reader refuses any length
+// larger than the bytes that remain, so a decoder's allocations stay
+// proportional to its input. Readers carry a sticky error: after the first decode
+// failure every subsequent call is a no-op returning zero values, and Err
+// reports the failure. Any structural problem — short buffer, bad magic,
+// CRC mismatch, truncation — yields an error wrapping ErrCorrupt, which
+// cache layers treat as a miss rather than a failure.
 package ckpt
 
 import (
@@ -26,6 +29,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 )
 
 // Magic identifies a checkpoint container. The trailing "01" is the
@@ -241,19 +246,31 @@ func (r *Reader) F64() float64 {
 	return v
 }
 
+// Count reads a length or element count, refusing any value larger than
+// the bytes that remain in the body. Every element takes at least one
+// byte, so a decoder that sizes its allocation by Count allocates in
+// proportion to its input, however large the count a corrupt file claims.
+func (r *Reader) Count() int {
+	n := r.U64()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.data)-r.pos) {
+		r.fail("count %d exceeds remaining %d bytes", n, len(r.data)-r.pos)
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes reads a length-prefixed byte slice (always a fresh copy).
 func (r *Reader) Bytes() []byte {
-	n := r.U64()
+	n := r.Count()
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail("byte slice length %d exceeds remaining %d", n, len(r.data)-r.pos)
-		return nil
-	}
 	out := make([]byte, n)
-	copy(out, r.data[r.pos:r.pos+int(n)])
-	r.pos += int(n)
+	copy(out, r.data[r.pos:r.pos+n])
+	r.pos += n
 	return out
 }
 
@@ -264,16 +281,16 @@ func (r *Reader) Str() string { return r.StrMax(1 << 20) }
 // used where a huge length would mean a corrupt stream, to avoid a large
 // bogus allocation before the CRC would have caught it.
 func (r *Reader) StrMax(max int) string {
-	n := r.U64()
+	n := r.Count()
 	if r.err != nil {
 		return ""
 	}
-	if n > uint64(max) || n > uint64(len(r.data)-r.pos) {
-		r.fail("string length %d exceeds remaining %d (max %d)", n, len(r.data)-r.pos, max)
+	if n > max {
+		r.fail("string length %d exceeds max %d", n, max)
 		return ""
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
+	s := string(r.data[r.pos : r.pos+n])
+	r.pos += n
 	return s
 }
 
@@ -287,4 +304,30 @@ func (r *Reader) Done() error {
 		return corrupt("%d trailing bytes after body", len(r.data)-r.pos)
 	}
 	return nil
+}
+
+// WriteFile stores data at path atomically: it writes a temp file in the
+// same directory and renames it into place, so a reader never observes a
+// partial file and a process that dies mid-write leaves the previous
+// contents intact. The temp file is removed on any failure. It does not
+// fsync: after a power loss the file may be empty or stale, and a reader
+// refuses the former through the CRC check.
+func WriteFile(path string, data []byte) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -1,8 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -133,5 +136,58 @@ func TestReadHeaderOnly(t *testing.T) {
 	}
 	if h.Kind != "noc-net" || h.Cycle != 500 || h.Fingerprint != 42 {
 		t.Errorf("header = %+v", h)
+	}
+}
+
+// TestCountBoundedByRemaining pins the allocation guard: a count may not
+// exceed the bytes left in the body, whatever the varint claims.
+func TestCountBoundedByRemaining(t *testing.T) {
+	w := NewWriter(Header{Kind: "test", Version: 1})
+	w.U64(3)
+	w.U64(1)
+	w.U64(2)
+	w.U64(3)
+	w.U64(1 << 40) // a count no body could back
+	r, err := NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Count(); n != 3 {
+		t.Fatalf("Count = %d, want 3", n)
+	}
+	r.U64()
+	r.U64()
+	r.U64()
+	if n := r.Count(); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("oversized count: got %d, err %v; want 0 and ErrCorrupt", n, r.Err())
+	}
+}
+
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "state.ckpt")
+	for _, data := range [][]byte{[]byte("first"), []byte("second, longer")} {
+		if err := WriteFile(p, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(p)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back %q (%v), want %q", got, err, data)
+		}
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Fatalf("directory holds %d files after two writes, want 1", len(names))
+	}
+	// A failed rename (the target is a non-empty directory) must leave no
+	// temp file behind.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(blocked, []byte("x")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 2 {
+		t.Fatalf("failed write left %d entries, want 2 (state.ckpt, blocked)", len(names))
 	}
 }

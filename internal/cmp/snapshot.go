@@ -12,12 +12,11 @@ package cmp
 // transactions hold completion closures that cannot be serialized.
 //
 // Restoring into a freshly built System loads the cache state and lands
-// the trace readers on their post-warmup position. Version 2 checkpoints
-// carry each reader's own O(1) position snapshot (trace.Stateful — RNG
-// register for generators, entry index for chunked file readers), so
-// restore cost is independent of warmup length; readers without state
-// support, and version 1 checkpoints (which predate reader state), fall
-// back to replaying the recorded entry count through Next(), which the
+// the trace readers on their post-warmup position. Checkpoints carry each
+// reader's own O(1) position snapshot (trace.Stateful — RNG register for
+// generators, entry index for chunked file readers), so restore cost is
+// independent of warmup length; readers without state support fall back
+// to replaying the recorded entry count through Next(), which the
 // deterministic readers reproduce exactly. Either way the restored
 // system is bit-identical to one that ran Warmup itself — the figure
 // pipeline relies on this to share one warmup across every layout
@@ -34,8 +33,8 @@ const (
 	// KindWarmSystem labels a post-warmup cmp.System checkpoint.
 	KindWarmSystem = "cmp-warm"
 
-	// Version 2 appends per-reader position state; version 1 (replay-only)
-	// checkpoints are still restorable.
+	// warmSnapshotVersion is the only body layout restore accepts;
+	// warm.System falls back to a direct warmup for any other.
 	warmSnapshotVersion = 2
 
 	// maxWarmEntries bounds the per-core warmup length a checkpoint may
@@ -49,12 +48,6 @@ const (
 // if the system has started timing simulation or any controller is
 // mid-transaction.
 func (s *System) WarmSnapshot() ([]byte, error) {
-	return s.warmSnapshot(warmSnapshotVersion)
-}
-
-// warmSnapshot encodes at a specific schema version — tests use it to
-// produce version-1 checkpoints and pin the compatibility path.
-func (s *System) warmSnapshot(version uint64) ([]byte, error) {
 	if s.now != 0 {
 		return nil, fmt.Errorf("cmp: WarmSnapshot after %d timing cycles; only post-warmup snapshots are supported", s.now)
 	}
@@ -71,7 +64,7 @@ func (s *System) warmSnapshot(version uint64) ([]byte, error) {
 	}
 	w := ckpt.NewWriter(ckpt.Header{
 		Kind:    KindWarmSystem,
-		Version: version,
+		Version: warmSnapshotVersion,
 	})
 	w.Int(len(s.Tiles))
 	w.Int(s.cfg.LineBytes)
@@ -85,16 +78,14 @@ func (s *System) warmSnapshot(version uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	// v2: one position blob per reader. Empty means "no state support,
-	// replay on restore", so mixed reader sets degrade per reader, not
-	// per checkpoint.
-	if version >= 2 {
-		for _, tile := range s.Tiles {
-			if st, ok := s.cfg.Traces[tile.ID].(trace.Stateful); ok {
-				w.Bytes(st.SaveState())
-			} else {
-				w.Bytes(nil)
-			}
+	// One position blob per reader. Empty means "no state support, replay
+	// on restore", so mixed reader sets degrade per reader, not per
+	// checkpoint.
+	for _, tile := range s.Tiles {
+		if st, ok := s.cfg.Traces[tile.ID].(trace.Stateful); ok {
+			w.Bytes(st.SaveState())
+		} else {
+			w.Bytes(nil)
 		}
 	}
 	return w.Finish(), nil
@@ -115,8 +106,8 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	if h.Kind != KindWarmSystem {
 		return fmt.Errorf("cmp: checkpoint kind %q, want %q", h.Kind, KindWarmSystem)
 	}
-	if h.Version != 1 && h.Version != warmSnapshotVersion {
-		return fmt.Errorf("cmp: checkpoint version %d, want <=%d", h.Version, warmSnapshotVersion)
+	if h.Version != warmSnapshotVersion {
+		return fmt.Errorf("cmp: checkpoint version %d, want %d", h.Version, warmSnapshotVersion)
 	}
 	if s.now != 0 || s.warmedEntries != 0 {
 		return fmt.Errorf("cmp: RestoreWarmSnapshot target must be freshly constructed")
@@ -148,12 +139,9 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 			return err
 		}
 	}
-	var readerState [][]byte
-	if h.Version >= 2 {
-		readerState = make([][]byte, len(s.Tiles))
-		for i := range s.Tiles {
-			readerState[i] = r.Bytes()
-		}
+	readerState := make([][]byte, len(s.Tiles))
+	for i := range s.Tiles {
+		readerState[i] = r.Bytes()
 	}
 	if err := r.Done(); err != nil {
 		return err
@@ -166,7 +154,7 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	// are per-core).
 	for _, tile := range s.Tiles {
 		tr := s.cfg.Traces[tile.ID]
-		if readerState != nil && len(readerState[tile.ID]) > 0 {
+		if len(readerState[tile.ID]) > 0 {
 			if st, ok := tr.(trace.Stateful); ok {
 				if err := st.RestoreState(readerState[tile.ID]); err != nil {
 					return fmt.Errorf("cmp: reader %d: %w", tile.ID, err)

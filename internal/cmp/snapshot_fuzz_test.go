@@ -37,15 +37,13 @@ func FuzzRestoreWarmSnapshot(f *testing.F) {
 	for _, seed := range []struct {
 		entries  int
 		prefetch bool
-		version  uint64
 	}{
-		{300, false, warmSnapshotVersion},
-		{150, true, warmSnapshotVersion},
-		{60, false, 1},
+		{300, false},
+		{150, true},
 	} {
 		s := fuzzSystem(f, seed.prefetch)
 		s.Warmup(seed.entries)
-		snap, err := s.warmSnapshot(seed.version)
+		snap, err := s.WarmSnapshot()
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -141,30 +141,3 @@ func TestWarmRestoreSeekableNoReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmRestoreAcceptsV1Checkpoints pins backward compatibility: a
-// version-1 checkpoint (no reader-state section) still restores via the
-// replay path and reproduces the direct-warmup run exactly.
-func TestWarmRestoreAcceptsV1Checkpoints(t *testing.T) {
-	const entries, cycles = 300, 1500
-	l := core.NewBaseline(4, 4)
-
-	direct := newSystem(t, l, "ferret")
-	direct.Warmup(entries)
-	v1, err := direct.warmSnapshot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runFingerprint(t, direct, cycles)
-
-	restored := newSystem(t, l, "ferret")
-	if err := restored.RestoreWarmSnapshot(v1); err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	got := runFingerprint(t, restored, cycles)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("v1 restore diverged: metric %d: got %d want %d", i, got[i], want[i])
-		}
-	}
-}

@@ -155,7 +155,7 @@ func TestWarmSnapshotBoundsWarmupLength(t *testing.T) {
 		t.Error("WarmSnapshot recorded a warmup longer than restore accepts")
 	}
 
-	w := ckpt.NewWriter(ckpt.Header{Kind: KindWarmSystem, Version: 1})
+	w := ckpt.NewWriter(ckpt.Header{Kind: KindWarmSystem, Version: warmSnapshotVersion})
 	w.Int(len(s.Tiles))
 	w.Int(s.LineBytes())
 	w.Bool(false) // prefetch

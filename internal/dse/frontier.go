@@ -1,43 +1,48 @@
 package dse
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
+
+	"heteronoc/internal/ckpt"
 )
 
-// The HNDSE1 frontier file persists a search mid-flight so a killed search
+// The frontier file persists a search mid-flight so a killed search
 // resumes exactly where it stopped and an extended search (more
-// generations, wider budget) reuses every prior evaluation. Layout,
-// following the NOCCKPT01 container discipline (magic, uvarint-framed
-// body, CRC-32/IEEE little-endian footer over everything before it):
+// generations, wider budget) reuses every prior evaluation. It is a
+// NOCCKPT01 container of kind "dse-frontier" (header fields zero) whose
+// body holds, in order:
 //
-//	"HNDSE1"                      6-byte magic
-//	uvarint version               currently 1
 //	string  config hash           canonical search-config string (see
 //	                              SearchConfig.configString); generations
 //	                              and eval budget are deliberately excluded
 //	uvarint generation            completed generations
 //	uvarint evals                 cumulative archive misses (probe requests)
-//	u64     rng state             splitmix64 stream position
+//	uvarint rng state             splitmix64 stream position
 //	population                    count, then each member as a router set
 //	archive                       count, then each evaluated candidate:
 //	                              set + 4 float64 objectives + saturated
 //	pareto                        count, then archive indices of the front
-//	u32     CRC-32 (IEEE, LE)
 //
-// Sets are stored as uvarint length plus delta-encoded sorted indices.
-// Writes go to a temp file in the same directory and rename into place,
-// so a crash mid-save leaves the previous frontier intact.
+// Sets are stored as a count plus delta-encoded, strictly ascending
+// indices. ckpt.WriteFile saves atomically, so a crash mid-save leaves the
+// previous frontier intact.
 
-const frontierMagic = "HNDSE1"
+const (
+	// frontierKind labels a search frontier container.
+	frontierKind = "dse-frontier"
 
-// ErrFrontierCorrupt wraps any structural failure loading a frontier file.
-var ErrFrontierCorrupt = errors.New("dse: corrupt frontier file")
+	frontierVersion = 1
+
+	// maxSetIndex bounds a decoded router index; it is far above any
+	// searchable mesh and keeps a corrupt delta from overflowing.
+	maxSetIndex = 1 << 16
+
+	// maxCounter bounds the decoded generation and evaluation counters so
+	// they convert to int without wrapping.
+	maxCounter = 1 << 40
+)
 
 // ErrFrontierConfig reports a frontier whose config hash does not match
 // the resuming search — resuming would silently mix incompatible
@@ -54,226 +59,121 @@ type searchState struct {
 	Pareto     []int       // archive indices
 }
 
-type frontierEncoder struct {
-	buf []byte
-}
-
-func (e *frontierEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *frontierEncoder) u64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *frontierEncoder) f64(v float64)    { e.u64(math.Float64bits(v)) }
-func (e *frontierEncoder) boolean(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-func (e *frontierEncoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *frontierEncoder) set(s []int) {
-	e.uvarint(uint64(len(s)))
+func writeSet(w *ckpt.Writer, s []int) {
+	w.U64(uint64(len(s)))
 	prev := 0
 	for _, v := range s { // sorted, so deltas are non-negative
-		e.uvarint(uint64(v - prev))
+		w.U64(uint64(v - prev))
 		prev = v
 	}
 }
 
-type frontierDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *frontierDecoder) fail(why string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrFrontierCorrupt, why, d.off)
-	}
-}
-func (d *frontierDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-func (d *frontierDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-func (d *frontierDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *frontierDecoder) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated bool")
-		return false
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v != 0
-}
-func (d *frontierDecoder) str(max int) string {
-	n := int(d.uvarint())
-	if d.err != nil {
-		return ""
-	}
-	if n > max || d.off+n > len(d.buf) {
-		d.fail("bad string length")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-func (d *frontierDecoder) set(maxLen int) []int {
-	n := int(d.uvarint())
-	if d.err != nil {
-		return nil
-	}
-	if n > maxLen {
-		d.fail("set too large")
-		return nil
-	}
-	out := make([]int, n)
+// readSet decodes a set written by writeSet, refusing indices that are
+// not strictly ascending within [0, maxSetIndex).
+func readSet(r *ckpt.Reader) ([]int, error) {
+	s := make([]int, 0, r.Count())
 	prev := 0
-	for i := range out {
-		prev += int(d.uvarint())
-		out[i] = prev
+	for i := 0; i < cap(s); i++ {
+		d := r.U64()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if (i > 0 && d == 0) || d >= uint64(maxSetIndex-prev) {
+			return nil, fmt.Errorf("%w: router set not strictly ascending below %d", ckpt.ErrCorrupt, maxSetIndex)
+		}
+		prev += int(d)
+		s = append(s, prev)
 	}
-	return out
+	return s, r.Err()
 }
 
-// encodeFrontier serializes a search state to HNDSE1 bytes.
+// encodeFrontier serializes a search state as a dse-frontier container.
 func encodeFrontier(configHash string, st *searchState) []byte {
-	e := &frontierEncoder{buf: []byte(frontierMagic)}
-	e.uvarint(1) // version
-	e.str(configHash)
-	e.uvarint(uint64(st.Generation))
-	e.uvarint(uint64(st.Evals))
-	e.u64(st.RNGState)
-	e.uvarint(uint64(len(st.Population)))
+	w := ckpt.NewWriter(ckpt.Header{Kind: frontierKind, Version: frontierVersion})
+	w.Str(configHash)
+	w.U64(uint64(st.Generation))
+	w.U64(uint64(st.Evals))
+	w.U64(st.RNGState)
+	w.U64(uint64(len(st.Population)))
 	for _, p := range st.Population {
-		e.set(p)
+		writeSet(w, p)
 	}
-	e.uvarint(uint64(len(st.Archive)))
+	w.U64(uint64(len(st.Archive)))
 	for _, c := range st.Archive {
-		e.set(c.Big)
-		e.f64(c.AvgLatency)
-		e.f64(c.LatencyNS)
-		e.f64(c.PowerW)
-		e.f64(c.AreaMM2)
-		e.boolean(c.Saturated)
+		writeSet(w, c.Big)
+		w.F64(c.AvgLatency)
+		w.F64(c.LatencyNS)
+		w.F64(c.PowerW)
+		w.F64(c.AreaMM2)
+		w.Bool(c.Saturated)
 	}
-	e.uvarint(uint64(len(st.Pareto)))
+	w.U64(uint64(len(st.Pareto)))
 	for _, i := range st.Pareto {
-		e.uvarint(uint64(i))
+		w.U64(uint64(i))
 	}
-	crc := crc32.ChecksumIEEE(e.buf)
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc)
-	return e.buf
+	return w.Finish()
 }
 
-// decodeFrontier parses HNDSE1 bytes, checking magic, version, CRC and the
-// config hash (wantHash == "" skips the config check, for inspection).
+// decodeFrontier parses a dse-frontier container, checking kind, version
+// and the config hash (wantHash == "" skips the config check, for
+// inspection). Structural damage wraps ckpt.ErrCorrupt.
 func decodeFrontier(b []byte, wantHash string) (*searchState, error) {
-	if len(b) < len(frontierMagic)+4 || string(b[:len(frontierMagic)]) != frontierMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFrontierCorrupt)
+	r, err := ckpt.NewReader(b)
+	if err != nil {
+		return nil, err
 	}
-	body, foot := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(foot) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrFrontierCorrupt)
+	if h := r.Header(); h.Kind != frontierKind || h.Version != frontierVersion {
+		return nil, fmt.Errorf("%w: %s v%d, want %s v%d", ckpt.ErrCorrupt, h.Kind, h.Version, frontierKind, frontierVersion)
 	}
-	d := &frontierDecoder{buf: body, off: len(frontierMagic)}
-	if v := d.uvarint(); d.err == nil && v != 1 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFrontierCorrupt, v)
-	}
-	hash := d.str(4096)
-	if d.err == nil && wantHash != "" && hash != wantHash {
+	hash := r.StrMax(4096)
+	if r.Err() == nil && wantHash != "" && hash != wantHash {
 		return nil, fmt.Errorf("%w: file has %q, search wants %q", ErrFrontierConfig, hash, wantHash)
 	}
-	st := &searchState{
-		Generation: int(d.uvarint()),
-		Evals:      int(d.uvarint()),
-		RNGState:   d.u64(),
+	gen, evals := r.U64(), r.U64()
+	if gen > maxCounter || evals > maxCounter {
+		return nil, fmt.Errorf("%w: generation %d / evals %d out of range", ckpt.ErrCorrupt, gen, evals)
 	}
-	const maxCount = 1 << 22 // sanity bound against corrupt counts
-	np := d.uvarint()
-	if np > maxCount {
-		d.fail("population count")
-	}
-	for i := uint64(0); i < np && d.err == nil; i++ {
-		st.Population = append(st.Population, d.set(1<<16))
-	}
-	na := d.uvarint()
-	if na > maxCount {
-		d.fail("archive count")
-	}
-	for i := uint64(0); i < na && d.err == nil; i++ {
-		c := Candidate{Big: d.set(1 << 16)}
-		c.AvgLatency = d.f64()
-		c.LatencyNS = d.f64()
-		c.PowerW = d.f64()
-		c.AreaMM2 = d.f64()
-		c.Saturated = d.boolean()
-		st.Archive = append(st.Archive, c)
-	}
-	nf := d.uvarint()
-	if nf > na {
-		d.fail("pareto count")
-	}
-	for i := uint64(0); i < nf && d.err == nil; i++ {
-		idx := int(d.uvarint())
-		if idx >= len(st.Archive) {
-			d.fail("pareto index")
-			break
+	st := &searchState{Generation: int(gen), Evals: int(evals), RNGState: r.U64()}
+	st.Population = make([][]int, 0, r.Count())
+	for i := 0; i < cap(st.Population); i++ {
+		set, err := readSet(r)
+		if err != nil {
+			return nil, err
 		}
-		st.Pareto = append(st.Pareto, idx)
+		st.Population = append(st.Population, set)
 	}
-	if d.err == nil && d.off != len(body) {
-		d.fail("trailing bytes")
+	st.Archive = make([]Candidate, 0, r.Count())
+	for i := 0; i < cap(st.Archive); i++ {
+		set, err := readSet(r)
+		if err != nil {
+			return nil, err
+		}
+		st.Archive = append(st.Archive, Candidate{
+			Big:        set,
+			AvgLatency: r.F64(),
+			LatencyNS:  r.F64(),
+			PowerW:     r.F64(),
+			AreaMM2:    r.F64(),
+			Saturated:  r.Bool(),
+		})
 	}
-	if d.err != nil {
-		return nil, d.err
+	st.Pareto = make([]int, 0, r.Count())
+	for i := 0; i < cap(st.Pareto) && r.Err() == nil; i++ {
+		idx := r.U64()
+		if idx >= uint64(len(st.Archive)) {
+			return nil, fmt.Errorf("%w: pareto index %d outside the %d-entry archive", ckpt.ErrCorrupt, idx, len(st.Archive))
+		}
+		st.Pareto = append(st.Pareto, int(idx))
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
-// saveFrontier writes the state atomically: temp file in the same
-// directory, fsync-free rename into place.
+// saveFrontier writes the state atomically.
 func saveFrontier(path, configHash string, st *searchState) error {
-	b := encodeFrontier(configHash, st)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".hndse-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return ckpt.WriteFile(path, encodeFrontier(configHash, st))
 }
 
 // loadFrontier reads a frontier file. A missing file returns (nil, nil):

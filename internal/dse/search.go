@@ -60,8 +60,9 @@ type SearchConfig struct {
 	// Seed drives the search RNG (selection, crossover, mutation). The
 	// probe seed lives in Eval.Seed.
 	Seed int64
-	// FrontierPath persists the search as an HNDSE1 file after every
-	// generation; if the file exists the search resumes from it.
+	// FrontierPath persists the search as a frontier file (see
+	// frontier.go) after every generation; if the file exists the search
+	// resumes from it.
 	FrontierPath string
 	// Evaluator scores candidate batches (default LocalEvaluator).
 	Evaluator Evaluator

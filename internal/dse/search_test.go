@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/runcache"
 )
 
@@ -129,8 +130,8 @@ func TestFrontierDetectsCorruption(t *testing.T) {
 			t.Errorf("flipped byte %d went undetected", pos)
 		}
 	}
-	if _, err := decodeFrontier(b[:len(b)-3], "cfg"); !errors.Is(err, ErrFrontierCorrupt) {
-		t.Errorf("truncation: got %v, want ErrFrontierCorrupt", err)
+	if _, err := decodeFrontier(b[:len(b)-3], "cfg"); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("truncation: got %v, want ckpt.ErrCorrupt", err)
 	}
 	if _, err := decodeFrontier(append(append([]byte(nil), b...), 0), "cfg"); err == nil {
 		t.Error("trailing garbage went undetected")

@@ -1,11 +1,12 @@
 package noc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/obs"
 )
 
@@ -72,7 +73,7 @@ func (a *flitArena) records(out []FlitRecord) []FlitRecord {
 }
 
 // FlitTracer captures flit/packet events into per-router ring arenas with a
-// bounded memory footprint, for export to the binary trace format or a
+// bounded memory footprint, for export to a flit-trace file or a
 // Perfetto-loadable Chrome trace. It implements DetailTracer, so installing
 // it via SetTracer arms the microarchitectural hooks (unless MacroOnly).
 //
@@ -160,106 +161,88 @@ func (ft *FlitTracer) Records() []FlitRecord {
 	return out
 }
 
-// Binary flit-trace file format (little-endian):
+// Flit-trace files are NOCCKPT01 containers of kind "noc-flt" (header
+// fields zero) whose body is:
 //
-//	offset  size  field
-//	0       8     magic "NOCFLT01"
-//	8       4     uint32 number of routers
-//	12      4     uint32 reserved (zero)
-//	16      8     uint64 record count
-//	24      24*N  records, in capture order:
-//	              int64 cycle, uint64 packet,
-//	              int16 router, int16 port, int16 vc,
-//	              uint8 kind, uint8 reserved (zero)
+//	varint   number of routers, in [1, 32767]
+//	uvarint  record count
+//	records  in capture order, each:
+//	         varint  cycle delta from the previous record
+//	         uvarint packet id
+//	         uvarint kind
+//	         varint  router (-1 for ejects), port, vc (-1 where not applicable)
 const (
-	flitTraceMagic      = "NOCFLT01"
-	flitTraceHeaderSize = 24
-	flitRecordSize      = 24
+	// KindFlitTrace labels a flit-trace container.
+	KindFlitTrace = "noc-flt"
+
+	flitTraceVersion = 1
 )
 
-// FlitTrace is a decoded binary flit trace.
+// FlitTrace is a decoded flit trace.
 type FlitTrace struct {
 	NumRouters int
 	Records    []FlitRecord // capture order
 }
 
-func putFlitRecord(b []byte, rec *FlitRecord) {
-	binary.LittleEndian.PutUint64(b[0:], uint64(rec.Cycle))
-	binary.LittleEndian.PutUint64(b[8:], rec.Packet)
-	binary.LittleEndian.PutUint16(b[16:], uint16(rec.Router))
-	binary.LittleEndian.PutUint16(b[18:], uint16(rec.Port))
-	binary.LittleEndian.PutUint16(b[20:], uint16(rec.VC))
-	b[22] = byte(rec.Kind)
-	b[23] = 0
-}
-
-func writeFlitTrace(w io.Writer, numRouters int, recs []FlitRecord) error {
-	hdr := make([]byte, flitTraceHeaderSize)
-	copy(hdr, flitTraceMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(numRouters))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(recs)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 64*flitRecordSize)
-	var rec [flitRecordSize]byte
+// EncodeTrace serializes the tracer's live records as a flit-trace
+// container.
+func (ft *FlitTracer) EncodeTrace() []byte {
+	recs := ft.Records()
+	w := ckpt.NewWriter(ckpt.Header{Kind: KindFlitTrace, Version: flitTraceVersion})
+	w.Int(ft.numRouters)
+	w.U64(uint64(len(recs)))
+	var prev int64
 	for i := range recs {
-		putFlitRecord(rec[:], &recs[i])
-		buf = append(buf, rec[:]...)
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+		rec := &recs[i]
+		w.I64(rec.Cycle - prev)
+		prev = rec.Cycle
+		w.U64(rec.Packet)
+		w.U64(uint64(rec.Kind))
+		w.Int(int(rec.Router))
+		w.Int(int(rec.Port))
+		w.Int(int(rec.VC))
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.Finish()
 }
 
-// WriteBinary writes the tracer's live records in the binary trace format.
-func (ft *FlitTracer) WriteBinary(w io.Writer) error {
-	return writeFlitTrace(w, ft.numRouters, ft.Records())
-}
-
-// WriteBinary re-encodes a decoded trace.
-func (tr *FlitTrace) WriteBinary(w io.Writer) error {
-	return writeFlitTrace(w, tr.NumRouters, tr.Records)
-}
-
-// ReadFlitTrace decodes a binary flit trace.
-func ReadFlitTrace(r io.Reader) (*FlitTrace, error) {
-	hdr := make([]byte, flitTraceHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("noc: flit trace header: %w", err)
+// ReadFlitTrace decodes a flit-trace file's bytes. It refuses a router
+// count outside [1, 32767] and any record whose kind is unknown, whose
+// router lies outside [-1, NumRouters), or whose port or VC lies outside
+// [-1, 32767]; structural damage wraps ckpt.ErrCorrupt.
+func ReadFlitTrace(data []byte) (*FlitTrace, error) {
+	r, err := ckpt.NewReader(data)
+	if err != nil {
+		return nil, fmt.Errorf("noc: flit trace: %w", err)
 	}
-	if string(hdr[:8]) != flitTraceMagic {
-		return nil, fmt.Errorf("noc: not a flit trace (magic %q)", hdr[:8])
+	if h := r.Header(); h.Kind != KindFlitTrace || h.Version != flitTraceVersion {
+		return nil, fmt.Errorf("noc: %s v%d is not a flit trace", h.Kind, h.Version)
 	}
-	tr := &FlitTrace{NumRouters: int(binary.LittleEndian.Uint32(hdr[8:]))}
-	count := binary.LittleEndian.Uint64(hdr[16:])
-	if count > 1<<32 {
-		return nil, fmt.Errorf("noc: flit trace claims %d records", count)
+	routers := r.I64()
+	if r.Err() == nil && (routers < 1 || routers > math.MaxInt16) {
+		return nil, fmt.Errorf("noc: flit trace router count %d outside [1, %d]", routers, math.MaxInt16)
 	}
-	tr.Records = make([]FlitRecord, count)
-	rec := make([]byte, flitRecordSize)
-	for i := range tr.Records {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			return nil, fmt.Errorf("noc: flit trace record %d: %w", i, err)
+	tr := &FlitTrace{NumRouters: int(routers)}
+	tr.Records = make([]FlitRecord, 0, r.Count())
+	var cycle int64
+	for i := 0; i < cap(tr.Records) && r.Err() == nil; i++ {
+		cycle += r.I64()
+		packet, kind := r.U64(), r.U64()
+		router, port, vc := r.I64(), r.I64(), r.I64()
+		if r.Err() != nil {
+			break
 		}
-		tr.Records[i] = FlitRecord{
-			Cycle:  int64(binary.LittleEndian.Uint64(rec[0:])),
-			Packet: binary.LittleEndian.Uint64(rec[8:]),
-			Router: int16(binary.LittleEndian.Uint16(rec[16:])),
-			Port:   int16(binary.LittleEndian.Uint16(rec[18:])),
-			VC:     int16(binary.LittleEndian.Uint16(rec[20:])),
-			Kind:   EventKind(rec[22]),
-			seq:    uint64(i),
+		if kind > uint64(EvCreditStall) || router < -1 || router >= routers ||
+			port < -1 || port > math.MaxInt16 || vc < -1 || vc > math.MaxInt16 {
+			return nil, fmt.Errorf("noc: flit trace record %d: kind %d router %d port %d vc %d out of range", i, kind, router, port, vc)
 		}
+		tr.Records = append(tr.Records, FlitRecord{
+			Cycle: cycle, Packet: packet, Kind: EventKind(kind),
+			Router: int16(router), Port: int16(port), VC: int16(vc),
+			seq: uint64(i),
+		})
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("noc: flit trace: %w", err)
 	}
 	return tr, nil
 }
@@ -334,7 +317,7 @@ func (ft *FlitTracer) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, ChromeTraceEvents(ft.numRouters, ft.Records()))
 }
 
-// WriteChromeTrace exports a decoded binary trace as Chrome trace-event JSON.
+// WriteChromeTrace exports a decoded flit trace as Chrome trace-event JSON.
 func (tr *FlitTrace) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, ChromeTraceEvents(tr.NumRouters, tr.Records))
 }

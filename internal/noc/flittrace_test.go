@@ -2,8 +2,10 @@ package noc
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/obs"
 )
 
@@ -59,7 +61,7 @@ func TestCollectingTracerPathOfAndDump(t *testing.T) {
 
 // tracedMeshRun drives a loaded mesh with ft installed and returns the
 // network.
-func tracedMeshRun(t *testing.T, ft *FlitTracer) *Network {
+func tracedMeshRun(t testing.TB, ft *FlitTracer) *Network {
 	t.Helper()
 	n := newMeshNet(t)
 	n.SetTracer(ft)
@@ -120,15 +122,8 @@ func TestFlitTracerRingBound(t *testing.T) {
 func TestFlitTraceBinaryRoundTrip(t *testing.T) {
 	ft := NewFlitTracer(64, FlitTracerConfig{})
 	tracedMeshRun(t, ft)
-	var buf bytes.Buffer
-	if err := ft.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
 	want := ft.Records()
-	if got := buf.Len(); got != flitTraceHeaderSize+flitRecordSize*len(want) {
-		t.Fatalf("encoded %d bytes for %d records", got, len(want))
-	}
-	tr, err := ReadFlitTrace(&buf)
+	tr, err := ReadFlitTrace(ft.EncodeTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +140,84 @@ func TestFlitTraceBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFlitTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadFlitTrace(bytes.NewReader([]byte("BADMAGIC\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
-		t.Fatal("bad magic accepted")
+// rawFlitRecord is one flit-trace record with fields wide enough to hold
+// values the decoder must refuse.
+type rawFlitRecord struct {
+	cycle            int64
+	packet, kind     uint64
+	router, port, vc int64
+}
+
+// flitContainer builds a noc-flt container claiming routers routers and
+// count records, followed by recs.
+func flitContainer(routers int64, count uint64, recs ...rawFlitRecord) []byte {
+	w := ckpt.NewWriter(ckpt.Header{Kind: KindFlitTrace, Version: flitTraceVersion})
+	w.I64(routers)
+	w.U64(count)
+	for _, r := range recs {
+		w.I64(r.cycle)
+		w.U64(r.packet)
+		w.U64(r.kind)
+		w.I64(r.router)
+		w.I64(r.port)
+		w.I64(r.vc)
 	}
-	if _, err := ReadFlitTrace(bytes.NewReader([]byte("NOCFLT01"))); err == nil {
-		t.Fatal("truncated header accepted")
+	return w.Finish()
+}
+
+func TestReadFlitTraceRejectsGarbage(t *testing.T) {
+	good := NewFlitTracer(4, FlitTracerConfig{}).EncodeTrace()
+	cases := map[string][]byte{
+		"empty":      nil,
+		"bad magic":  []byte("BADMAGIC\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+		"truncated":  good[:len(good)-1],
+		"wrong kind": ckpt.NewWriter(ckpt.Header{Kind: "noc-net", Version: flitTraceVersion}).Finish(),
+		"no routers": flitContainer(0, 0),
+		"short body": flitContainer(4, 2, rawFlitRecord{cycle: 1}),
+	}
+	hop := rawFlitRecord{cycle: 1, packet: 7, kind: uint64(EvHop)}
+	for name, mut := range map[string]func(r *rawFlitRecord){
+		"unknown kind":    func(r *rawFlitRecord) { r.kind = uint64(EvCreditStall) + 1 },
+		"router too high": func(r *rawFlitRecord) { r.router = 4 },
+		"router too low":  func(r *rawFlitRecord) { r.router = -2 },
+		"port too high":   func(r *rawFlitRecord) { r.port = 1 << 15 },
+		"vc too low":      func(r *rawFlitRecord) { r.vc = -2 },
+	} {
+		rec := hop
+		mut(&rec)
+		cases[name] = flitContainer(4, 1, rec)
+	}
+	for name, data := range cases {
+		if _, err := ReadFlitTrace(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, data := range [][]byte{good, flitContainer(4, 1, hop)} {
+		if _, err := ReadFlitTrace(data); err != nil {
+			t.Errorf("valid trace refused: %v", err)
+		}
+	}
+}
+
+// TestReadFlitTraceBoundsAllocation pins two forged headers that used to
+// drive huge allocations: a claim of 2^25 records over an empty body, and
+// a router count of 0xFFFFFFF0 (which sized the Chrome exporter's tables).
+// Both must be refused within the fuzz target's allocation bound.
+func TestReadFlitTraceBoundsAllocation(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"2^25 records":       flitContainer(16, 1<<25),
+		"0xFFFFFFF0 routers": flitContainer(0xFFFFFFF0, 0),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFlitTrace(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > flitAllocPerByte*uint64(len(data))+flitAllocSlack {
+			t.Errorf("%s: %d-byte input allocated %d bytes", name, len(data), grew)
+		}
 	}
 }
 

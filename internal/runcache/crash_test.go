@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"heteronoc/internal/chaos"
+	"heteronoc/internal/ckpt"
 )
 
 // TestDiskStoreCrashMidWriteLeavesNoLoadablePartial simulates a process
@@ -58,7 +59,7 @@ func TestDiskStoreCrashMidWriteLeavesNoLoadablePartial(t *testing.T) {
 	// A torn write at the final path: every strict prefix of a valid
 	// entry must miss (magic too short, missing CRC, CRC mismatch over a
 	// truncated gob payload).
-	for _, cut := range []int{0, 1, len(diskMagic), len(diskMagic) + 4, len(full) / 2, len(full) - 1} {
+	for _, cut := range []int{0, 1, len(ckpt.Magic), len(ckpt.Magic) + 4, len(full) / 2, len(full) - 1} {
 		if err := os.WriteFile(names[0], full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -10,9 +10,10 @@ package runcache
 //
 // The tier is strictly best-effort and corruption-tolerant: a missing,
 // truncated, mis-versioned or bit-flipped file — or a value that fails to
-// gob-decode — is a miss, never an error. Files carry a magic string and
-// a CRC32 of the payload; writes go to a temp file and rename into place
-// so readers never observe partial entries.
+// gob-decode — is a miss, never an error. Each file is a NOCCKPT01
+// container of kind "runcache" (version diskVersion) whose body is the
+// gob payload; ckpt.WriteFile writes it to a temp file and renames it
+// into place, so readers never observe partial entries.
 //
 // Disk lookups and stores run inside the in-memory entry's sync.Once, so
 // singleflight is preserved across tiers: concurrent callers of one key
@@ -27,11 +28,9 @@ package runcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,14 +39,17 @@ import (
 	"time"
 
 	"heteronoc/internal/chaos"
+	"heteronoc/internal/ckpt"
 )
 
 const (
-	diskMagic = "HNOCRC1\n"
-	// diskVersion is folded into every file name. Bump it whenever the
-	// envelope or any cached value's encoding changes; stale entries then
-	// hash to different names and age out via the LRU cap.
-	diskVersion = 2 // v2: traffic.RunResult gained attribution fields
+	// diskKind labels a disk-tier entry container.
+	diskKind = "runcache"
+	// diskVersion is folded into every file name and stored as the
+	// container version. Bump it whenever the envelope or any cached
+	// value's encoding changes; stale entries then hash to different
+	// names and age out via the LRU cap.
+	diskVersion = 3 // v3: NOCCKPT01 envelope; v2: traffic.RunResult gained attribution fields
 	diskExt     = ".rc"
 )
 
@@ -136,19 +138,8 @@ func diskLoad[T any](key string) (T, bool) {
 		c.Hit(chaos.PointDiskLoad)
 		data = c.Mangle(chaos.PointDiskCorrupt, data)
 	}
-	head := len(diskMagic) + 4
-	if len(data) < head || string(data[:len(diskMagic)]) != diskMagic {
-		diskMisses.Add(1)
-		return zero, false
-	}
-	want := binary.LittleEndian.Uint32(data[len(diskMagic):])
-	payload := data[head:]
-	if crc32.ChecksumIEEE(payload) != want {
-		diskMisses.Add(1)
-		return zero, false
-	}
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v); err != nil {
+	v, ok := decodeDiskEntry[T](data)
+	if !ok {
 		diskMisses.Add(1)
 		return zero, false
 	}
@@ -156,6 +147,23 @@ func diskLoad[T any](key string) (T, bool) {
 	os.Chtimes(p, now, now) // refresh LRU position; failure is harmless
 	diskHits.Add(1)
 	return v, true
+}
+
+// decodeDiskEntry unwraps one disk-tier file; any structural or gob
+// failure reports !ok.
+func decodeDiskEntry[T any](data []byte) (v T, ok bool) {
+	r, err := ckpt.NewReader(data)
+	if err != nil {
+		return v, false
+	}
+	if h := r.Header(); h.Kind != diskKind || h.Version != diskVersion {
+		return v, false
+	}
+	payload := r.Bytes()
+	if r.Done() != nil {
+		return v, false
+	}
+	return v, gob.NewDecoder(bytes.NewReader(payload)).Decode(&v) == nil
 }
 
 // diskStore writes v for key. Errors are swallowed: the disk tier never
@@ -169,29 +177,12 @@ func diskStore[T any](key string, v T) {
 		c.Hit(chaos.PointDiskStore)
 	}
 	var buf bytes.Buffer
-	buf.WriteString(diskMagic)
-	buf.Write(make([]byte, 4)) // CRC placeholder
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return // unserializable value: memory-only entry
 	}
-	b := buf.Bytes()
-	binary.LittleEndian.PutUint32(b[len(diskMagic):], crc32.ChecksumIEEE(b[len(diskMagic)+4:]))
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, diskPath(dir, key)); err != nil {
-		os.Remove(name)
+	w := ckpt.NewWriter(ckpt.Header{Kind: diskKind, Version: diskVersion})
+	w.Bytes(buf.Bytes())
+	if ckpt.WriteFile(diskPath(dir, key), w.Finish()) != nil {
 		return
 	}
 	evictOverCap(dir)

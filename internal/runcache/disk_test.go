@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"heteronoc/internal/ckpt"
 )
 
 // withDiskDir points the disk tier at a fresh directory for one test and
@@ -87,7 +89,7 @@ func TestDiskTierToleratesCorruption(t *testing.T) {
 	corruptions := map[string][]byte{
 		"empty":     {},
 		"shortmag":  []byte("HN"),
-		"badmagic":  append([]byte("XXXXXXX\n"), data[len(diskMagic):]...),
+		"badmagic":  append([]byte("XOCCKPT01"), data[len(ckpt.Magic):]...),
 		"truncated": data[:len(data)-1],
 		"bitflip": func() []byte {
 			b := append([]byte(nil), data...)

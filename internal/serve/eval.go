@@ -48,9 +48,41 @@ type EvalResponse struct {
 	FromCache bool `json:"from_cache"`
 }
 
-// maxEvalBatch bounds one request's candidate count; searches send one
-// generation at a time, far below this.
-const maxEvalBatch = 1 << 16
+const (
+	// maxEvalBatch bounds one request's candidate count; searches send
+	// one generation at a time, far below this.
+	maxEvalBatch = 1 << 16
+
+	// minEvalDim and maxEvalDim bound each mesh dimension: a probe builds
+	// W·H routers, so an unbounded mesh could exhaust memory, which panic
+	// isolation cannot recover from.
+	minEvalDim = 2
+	maxEvalDim = 32
+)
+
+// checkEvalRequest refuses a batch the simulator cannot run: an empty or
+// oversized batch, a mesh dimension outside [minEvalDim, maxEvalDim], or
+// a router index outside the mesh.
+func checkEvalRequest(req *EvalRequest) error {
+	if len(req.Sets) == 0 {
+		return errors.New("empty candidate batch")
+	}
+	if len(req.Sets) > maxEvalBatch {
+		return fmt.Errorf("batch of %d exceeds limit %d", len(req.Sets), maxEvalBatch)
+	}
+	w, h := req.Cfg.W, req.Cfg.H
+	if w < minEvalDim || w > maxEvalDim || h < minEvalDim || h > maxEvalDim {
+		return fmt.Errorf("bad mesh dims %dx%d: each must lie in [%d, %d]", w, h, minEvalDim, maxEvalDim)
+	}
+	for i, set := range req.Sets {
+		for _, r := range set {
+			if r < 0 || r >= w*h {
+				return fmt.Errorf("set %d: router %d outside the %dx%d mesh", i, r, w, h)
+			}
+		}
+	}
+	return nil
+}
 
 // handleEval admits, queues and answers one evaluation batch.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -64,18 +96,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return
 	}
-	if len(req.Sets) == 0 {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: "empty candidate batch"})
-		return
-	}
-	if len(req.Sets) > maxEvalBatch {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{
-			Error: "bad_request", Detail: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Sets), maxEvalBatch)})
-		return
-	}
-	if req.Cfg.W <= 0 || req.Cfg.H <= 0 {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{
-			Error: "bad_request", Detail: fmt.Sprintf("bad mesh dims %dx%d", req.Cfg.W, req.Cfg.H)})
+	if err := checkEvalRequest(&req); err != nil {
+		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return
 	}
 	if req.Tenant == "" {

@@ -76,9 +76,15 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 	defer ts.Close()
 	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
 
+	big := evalTestCfg()
+	big.W, big.H = 33, 33
 	cases := []EvalRequest{
 		{Cfg: evalTestCfg()}, // no sets
 		{Cfg: dse.EvalConfig{W: 0, H: 4}, Sets: [][]int{{0}}}, // bad dims
+		{Cfg: evalTestCfg(), Sets: [][]int{{0, 1000}}},        // router beyond the mesh
+		{Cfg: evalTestCfg(), Sets: [][]int{{-1, 3}}},          // negative router
+		{Cfg: dse.EvalConfig{W: 1, H: 4}, Sets: [][]int{{0}}}, // 1x4 mesh
+		{Cfg: big, Sets: [][]int{{0}}},                        // mesh above the limit
 	}
 	for i, req := range cases {
 		_, err := c.Eval(context.Background(), req)

@@ -11,10 +11,10 @@
 // and resumes from the recorded cycle — producing artifacts byte-identical
 // to an uninterrupted run (pinned by the serve acceptance tests).
 //
-// The store is a directory of content-addressed .ckpt files with atomic
-// temp+rename writes, mirroring the runcache disk tier's crash safety: a
-// reader never observes a partial checkpoint, and any corrupt file is
-// deleted and treated as absent (the run simply restarts from zero).
+// The store is a directory of content-addressed .ckpt files written with
+// ckpt.WriteFile, like the runcache disk tier: a reader never observes a
+// partial checkpoint, and any corrupt file is deleted and treated as
+// absent (the run simply restarts from zero).
 package suspend
 
 import (
@@ -87,22 +87,7 @@ func (c *Controller) Save(key string, data []byte) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, c.path(key)); err != nil {
-		os.Remove(name)
+	if err := ckpt.WriteFile(c.path(key), data); err != nil {
 		return err
 	}
 	c.saves.Add(1)

@@ -9,14 +9,14 @@ import (
 	"sort"
 )
 
-// Chunked file format (HNTR2): the streaming successor to the flat HNTR
-// v1 stream. v1 is a single delta chain — decoding entry n means decoding
-// every entry before it, which is what forced warm-checkpoint restore
-// into an O(n) Next() replay. v2 splits the stream into fixed-size
-// chunks, each integrity-checked and independently decodable, with a
-// footer index mapping entry counts to chunk offsets, so any position in
-// the trace is reachable with one index lookup + one seek + one chunk
-// decode.
+// Trace file format (HNTR2): real trace files (the paper used
+// Simics-collected memory traces with "load/stores and the number of
+// non-memory instructions between them" — exactly our Entry) can be
+// recorded and replayed through the same Reader interface the synthetic
+// generators implement. The stream is split into fixed-size chunks, each
+// integrity-checked and independently decodable, with a footer index
+// mapping entry counts to chunk offsets, so any position in the trace is
+// reachable with one index lookup + one seek + one chunk decode.
 //
 //	header:  magic "HNTR2" | version u8 | reserved [2]byte
 //	chunk:   body | crc32(body) fixed32-LE
@@ -187,10 +187,10 @@ type chunkMeta struct {
 	before  int64 // entries in all preceding chunks
 }
 
-// ChunkReader replays an HNTR2 trace from any io.ReaderAt. Like
-// FileReader it is a total Reader — after the last entry it returns the
-// final entry with an enormous gap (an idle core) — and distinguishes
-// clean exhaustion from corruption via Err. Beyond that it is a
+// ChunkReader replays an HNTR2 trace from any io.ReaderAt. It is a total
+// Reader — after the last entry it returns the final entry with an
+// enormous gap (an idle core) — and distinguishes clean exhaustion from
+// corruption or a failed read via Err. Beyond that it is a
 // BatchReader (NextBatch decodes straight out of the chunk buffer, zero
 // allocations in steady state), a Seeker (SeekTo lands on any entry with
 // one chunk decode), and Stateful (SaveState is the 9-byte position).
@@ -426,9 +426,9 @@ func (c *ChunkReader) fail(err error) {
 	c.settle()
 }
 
-// Next implements Reader with FileReader's total semantics: after the
-// last entry (or a corrupt chunk — check Err) it returns the final good
-// entry with an enormous gap.
+// Next implements Reader with total semantics: after the last entry (or
+// a corrupt chunk — check Err) it returns the final good entry with an
+// enormous gap.
 func (c *ChunkReader) Next() Entry {
 	if c.cur < len(c.buf) {
 		e := c.buf[c.cur]

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"testing"
+	"testing/quick"
 )
 
 // chunkTestTrace records n generator entries with the given chunk
@@ -41,7 +42,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		t.Fatal("exhausted before the first post-EOF read")
 	}
 	// Total-Reader semantics: past the end, the final entry repeats with an
-	// idle gap, exactly like FileReader, and Err stays nil (clean EOF).
+	// idle gap (an idle core), and Err stays nil (clean EOF).
 	for i := 0; i < 3; i++ {
 		e := r.Next()
 		if e.Gap != 1<<20 || e.Addr != want[len(want)-1].Addr {
@@ -309,5 +310,119 @@ func TestChunkWriterValidation(t *testing.T) {
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
+	}
+}
+
+// openChunked opens an in-memory HNTR2 trace.
+func openChunked(t *testing.T, data []byte) *ChunkReader {
+	t.Helper()
+	r, err := NewChunkReader(bytes.NewReader(data), int64(len(data)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestFileRoundTrip replays hand-picked edge entries — a backwards delta,
+// a multi-byte gap, a 2^44 address — through 2-entry chunks.
+func TestFileRoundTrip(t *testing.T) {
+	entries := []Entry{
+		{Gap: 0, Addr: 0x1000, Write: false},
+		{Gap: 7, Addr: 0x1080, Write: true},
+		{Gap: 3, Addr: 0x40, Write: false}, // backwards delta
+		{Gap: 1 << 18, Addr: 1 << 44, Write: true},
+		{Gap: 1, Addr: 0x80, Write: false},
+	}
+	var buf bytes.Buffer
+	w, err := NewChunkWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != int64(len(entries)) {
+		t.Errorf("count %d", w.Count())
+	}
+	r := openChunked(t, buf.Bytes())
+	for i, want := range entries {
+		if got := r.Next(); got != want {
+			t.Fatalf("entry %d: %+v, want %+v", i, got, want)
+		}
+	}
+	// Past EOF: idle entries at the final address.
+	e := r.Next()
+	if !r.Exhausted() || e.Gap != 1<<20 || e.Addr != entries[len(entries)-1].Addr {
+		t.Errorf("post-EOF entry %+v", e)
+	}
+}
+
+func TestFileRejectsGarbage(t *testing.T) {
+	good, _ := chunkTestTrace(t, 10, 4)
+	future := append([]byte(nil), good...)
+	future[len(chunkMagic)] = chunkVersion + 1
+	for name, data := range map[string][]byte{
+		"garbage":        []byte("not a trace file, just some bytes"),
+		"future version": future,
+		"empty":          nil,
+	} {
+		if _, err := NewChunkReader(bytes.NewReader(data), int64(len(data)), false); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+func TestRecordSyntheticAndReplay(t *testing.T) {
+	p, err := ProfileByName("SPECjbb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RecordChunked(&buf, NewGenerator(p, 3, 128), 5000, 0); err != nil {
+		t.Fatal(err)
+	}
+	r := openChunked(t, buf.Bytes())
+	// The replay must be identical to a fresh generator.
+	g := NewGenerator(p, 3, 128)
+	for i := 0; i < 5000; i++ {
+		if got, want := r.Next(), g.Next(); got != want {
+			t.Fatalf("entry %d: %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func TestFileRoundTripProperty(t *testing.T) {
+	f := func(gaps []uint16, deltas []int32, writes []bool, per uint8) bool {
+		n := min(len(gaps), len(deltas), len(writes))
+		if n == 0 {
+			return true
+		}
+		addr := uint64(1 << 30)
+		entries := make([]Entry, n)
+		for i := 0; i < n; i++ {
+			addr = uint64(int64(addr) + int64(deltas[i]))
+			entries[i] = Entry{Gap: int(gaps[i]), Addr: addr, Write: writes[i]}
+		}
+		var buf bytes.Buffer
+		w, err := NewChunkWriter(&buf, 1+int(per%8))
+		if err != nil || w.WriteBatch(entries) != nil || w.Close() != nil {
+			return false
+		}
+		r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)
+		if err != nil {
+			return false
+		}
+		for _, want := range entries {
+			if r.Next() != want {
+				return false
+			}
+		}
+		return r.Err() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

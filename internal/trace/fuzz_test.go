@@ -2,16 +2,20 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// FuzzFileRoundTrip drives the v1 Writer→FileReader pair with arbitrary
-// entry material — huge negative address deltas, zero-gap bursts,
-// pathological gap values — and checks the replay is exact and ends in a
+// FuzzChunkRoundTrip drives the ChunkWriter→ChunkReader pair with
+// arbitrary entry material — huge negative address deltas, zero-gap
+// bursts, pathological gap values — over 3-entry chunks, so entries
+// straddle chunk boundaries, and checks the replay is exact and ends in a
 // clean (Err-free) EOF. The byte stream the fuzzer mutates is interpreted
 // as a sequence of (gap, delta, write) triples.
-func FuzzFileRoundTrip(f *testing.F) {
+func FuzzChunkRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))         // max gaps, huge negative deltas
@@ -27,25 +31,22 @@ func FuzzFileRoundTrip(f *testing.F) {
 		for i := 0; i < n; i++ {
 			r := raw[i*rec:]
 			gap := int(uint32(r[0]) | uint32(r[1])<<8 | uint32(r[2])<<16) // keep Gap sane but allow 2^24-1
-			delta := int64(uint64(r[8]) | uint64(r[9])<<8 | uint64(r[10])<<16 | uint64(r[11])<<24 |
-				uint64(r[12])<<32 | uint64(r[13])<<40 | uint64(r[14])<<48 | uint64(r[15])<<56)
+			delta := int64(binary.LittleEndian.Uint64(r[8:]))
 			addr = uint64(int64(addr) + delta)
 			entries[i] = Entry{Gap: gap, Addr: addr, Write: r[16]&1 != 0}
 		}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+		w, err := NewChunkWriter(&buf, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if err := w.Write(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
+		if err := w.WriteBatch(entries); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewFileReader(bytes.NewReader(buf.Bytes()))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,102 +91,101 @@ func FuzzChunkOpen(f *testing.F) {
 	})
 }
 
-// TestFileTruncationEveryPrefix replays every strict prefix of a valid
-// v1 trace. Prefixes that cut mid-entry must surface through Err — the
-// bug this pins down is the old behavior of treating any read failure as
-// a clean EOF — while entry-boundary prefixes must replay their entries
-// and end Err-free.
+// TestFileTruncationEveryPrefix writes every strict prefix of a valid
+// trace to disk and opens it through OpenChunked. One entry per chunk puts
+// a chunk boundary after every entry, so some prefixes end exactly where a
+// flat stream would have ended cleanly; none may open and replay as a
+// shorter trace — the bug this pins down is a cut file passing for a clean
+// EOF. The whole file must replay exactly and end Err-free.
 func TestFileTruncationEveryPrefix(t *testing.T) {
-	var buf bytes.Buffer
 	entries := []Entry{
 		{Gap: 0, Addr: 1 << 44, Write: true}, // multi-byte delta
 		{Gap: 300, Addr: 0x80, Write: false}, // multi-byte gap, big negative delta
 		{Gap: 1, Addr: 0x81, Write: true},
 		{Gap: 0, Addr: 1 << 50, Write: false},
 	}
-	w, err := NewWriter(&buf)
+	var buf bytes.Buffer
+	w, err := NewChunkWriter(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundaries := map[int]int{8: 0} // byte offset -> entries decodable at it
-	for i, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		boundaries[buf.Len()] = i + 1
+	if err := w.WriteBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for n := 8; n <= len(data); n++ {
-		r, err := NewFileReader(bytes.NewReader(data[:n]))
-		if err != nil {
-			t.Fatalf("prefix %d: open: %v", n, err)
+	path := filepath.Join(t.TempDir(), "trace.hntr")
+	for n := 0; n < len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		decoded := 0
-		for {
-			r.Next()
-			if r.Exhausted() {
-				break
-			}
-			decoded++
-		}
-		wantEntries, clean := boundaries[n]
-		if clean {
-			if r.Err() != nil {
-				t.Fatalf("prefix %d is a clean boundary but Err = %v", n, r.Err())
-			}
-			if decoded != wantEntries {
-				t.Fatalf("prefix %d: decoded %d entries, want %d", n, decoded, wantEntries)
-			}
-		} else if r.Err() == nil {
-			t.Fatalf("prefix %d cuts mid-entry but replay reported clean EOF after %d entries", n, decoded)
+		if f, err := OpenChunked(path, n%2 == 1); err == nil {
+			f.Close()
+			t.Fatalf("prefix of %d/%d bytes opened cleanly", n, len(data))
 		}
 	}
-	// Header truncation is rejected at open.
-	for n := 0; n < 8; n++ {
-		if _, err := NewFileReader(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("header prefix %d accepted", n)
-		}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFileReaderErrOnReadFailure distinguishes an underlying I/O error
-// from EOF: it must surface through Err too.
-func TestFileReaderErrOnReadFailure(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Write(Entry{Gap: 1, Addr: 64})
-	_ = w.Flush()
-	r, err := NewFileReader(&flakyReader{data: buf.Bytes(), failAt: 9})
+	f, err := OpenChunked(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !r.Exhausted() {
-		r.Next()
+	defer f.Close()
+	for i, want := range entries {
+		if got := f.Next(); got != want {
+			t.Fatalf("entry %d: %+v != %+v", i, got, want)
+		}
 	}
-	if r.Err() == nil {
-		t.Fatal("read failure reported as clean EOF")
+	f.Next()
+	if !f.Exhausted() || f.Err() != nil {
+		t.Fatalf("full file: exhausted=%v err=%v", f.Exhausted(), f.Err())
 	}
 }
 
-// flakyReader serves data but fails with a non-EOF error at offset
-// failAt.
-type flakyReader struct {
-	data   []byte
-	off    int
-	failAt int
+// TestChunkReaderErrOnReadFailure distinguishes an underlying I/O error
+// from a clean end of trace: a read that fails mid-file must surface
+// through Err, with and without prefetch.
+func TestChunkReaderErrOnReadFailure(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RecordChunked(&buf, NewURGenerator(0, 64), 300, 32); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	size := int64(len(data))
+	idxLen := int64(binary.LittleEndian.Uint32(data[size-chunkTrailerLen:]))
+	flaky := &flakyReaderAt{data: data, failFrom: size / 2, failTo: size - chunkTrailerLen - idxLen}
+	for _, prefetch := range []bool{false, true} {
+		r, err := NewChunkReader(flaky, size, prefetch)
+		if err != nil {
+			t.Fatalf("prefetch=%t: open: %v", prefetch, err)
+		}
+		for !r.Exhausted() {
+			r.Next()
+		}
+		r.Close()
+		if r.Err() == nil {
+			t.Fatalf("prefetch=%t: read failure reported as clean EOF", prefetch)
+		}
+		if r.Pos() >= r.Len() {
+			t.Fatalf("prefetch=%t: replayed all %d entries through a failing read", prefetch, r.Len())
+		}
+	}
 }
 
-func (f *flakyReader) Read(p []byte) (int, error) {
-	if f.off >= f.failAt {
+// flakyReaderAt serves data but fails with a non-EOF error for any read
+// starting in [failFrom, failTo) — the chunk region, so the header and
+// footer index still open cleanly.
+type flakyReaderAt struct {
+	data             []byte
+	failFrom, failTo int64
+}
+
+func (f *flakyReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= f.failFrom && off < f.failTo {
 		return 0, io.ErrClosedPipe
 	}
-	n := copy(p, f.data[f.off:f.failAt])
-	f.off += n
-	if n == 0 {
-		return 0, io.EOF
-	}
-	return n, nil
+	return bytes.NewReader(f.data).ReadAt(p, off)
 }

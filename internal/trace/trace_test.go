@@ -176,10 +176,10 @@ func TestSummarizeMatchesProfile(t *testing.T) {
 func TestSummarizeFileUnbounded(t *testing.T) {
 	p, _ := ProfileByName("vips")
 	var buf bytes.Buffer
-	if err := Record(&buf, NewGenerator(p, 1, 128), 2500); err != nil {
+	if err := RecordChunked(&buf, NewGenerator(p, 1, 128), 2500, 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewFileReader(&buf)
+	r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
