@@ -12,12 +12,14 @@ test:
 	go test ./...
 
 # tier1 is the gate every PR must keep green: build, the full test suite,
-# vet, and the race detector over the packages that run worker pools
-# (experiments fan-out) or are exercised by them (the noc kernel).
+# vet, gofmt over the tracked Go files, and the race detector over the
+# packages that run worker pools (experiments fan-out) or are exercised by
+# them (the noc kernel).
 tier1:
 	go build ./...
 	go test ./...
 	go vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go test -race -timeout 30m ./internal/experiments ./internal/noc
 
 race:

@@ -160,10 +160,10 @@ func main() {
 	}
 	if *manifestOut != "" {
 		m := &obs.Manifest{
-			Tool:       "noxsim",
-			ConfigHash: configHash(l, *patternName, *selfSim, *warmup, *packets, *seed, rates),
-			Layout:     l.Name,
-			Seeds:      []int64{*seed},
+			Tool:         "noxsim",
+			ConfigHash:   configHash(l, *patternName, *selfSim, *warmup, *packets, *seed, rates),
+			Layout:       l.Name,
+			Seeds:        []int64{*seed},
 			Fingerprints: fingerprints,
 			WallTimeSec:  time.Since(start).Seconds(),
 		}

@@ -22,10 +22,11 @@
 //	tracetool nocexport -in run.flt -out run.trace.json
 //	tracetool attr      -hetero -packets 2000 -out attr.trace.json
 //
-// attr runs a mesh with the always-on latency attribution plus the
-// opt-in per-hop recorder: it prints the exact per-packet causal account
-// (queue, vc_alloc, switch_alloc, credit, link, serialization) and can
-// export the hop stream for Perfetto.
+// attr runs a mesh with the always-on latency attribution: it prints the
+// exact per-packet causal account (queue, vc_alloc, switch_alloc, credit,
+// link, serialization), and with -out it records the run with a
+// noc.FlitTracer and exports flit hops and per-router stall counters on
+// one Perfetto timeline.
 //
 // record accepts adversarial workload names (hotspot, mc-incast, ...)
 // alongside the Table 2 profiles. info and head exit nonzero when a trace
@@ -80,9 +81,9 @@ func usage() {
 	os.Exit(2)
 }
 
-// attrCmd runs a mesh with the per-hop attribution recorder on and prints
-// the causal latency account; with -out it also writes the per-router hop
-// stream as Chrome trace-event JSON for Perfetto.
+// attrCmd runs a mesh and prints the causal latency account; with -out it
+// also traces the run and writes the flit events, with their stall args
+// and the per-router stall_cycles counters, as Chrome trace-event JSON.
 func attrCmd(args []string) {
 	fs := flag.NewFlagSet("attr", flag.ExitOnError)
 	side := fs.Int("mesh", 8, "mesh side length (side x side routers)")
@@ -90,7 +91,7 @@ func attrCmd(args []string) {
 	rate := fs.Float64("rate", 0.03, "injection rate in packets/node/cycle")
 	hotFrac := fs.Float64("hotspot-frac", 0.2, "fraction of traffic aimed at the center tile (0 = uniform random)")
 	packets := fs.Int("packets", 2000, "measured packets")
-	ring := fs.Int("ring", 65536, "attribution ring capacity in hop records")
+	ring := fs.Int("ring", 4096, "per-router ring capacity in records (with -out)")
 	seed := fs.Int64("seed", 42, "traffic seed")
 	out := fs.String("out", "", "output Chrome trace-event JSON (optional)")
 	fs.Parse(args)
@@ -103,8 +104,11 @@ func attrCmd(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rec := noc.NewAttrTrace(*ring)
-	net.SetAttrRecorder(rec)
+	var ft *noc.FlitTracer
+	if *out != "" {
+		ft = noc.NewNetworkFlitTracer(net, noc.FlitTracerConfig{PerRouter: *ring})
+		net.SetTracer(ft)
+	}
 	n := l.Mesh.NumTerminals()
 	var pat traffic.Pattern = traffic.UniformRandom{N: n}
 	if *hotFrac > 0 {
@@ -133,7 +137,7 @@ func attrCmd(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		err = rec.WriteChromeTrace(f)
+		err = ft.WriteChromeTrace(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -141,7 +145,7 @@ func attrCmd(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d hop records to %s (%d overwritten in ring)\n", len(rec.Records()), *out, rec.Dropped())
+		fmt.Printf("wrote %d records to %s (%d overwritten in ring)\n", ft.Len(), *out, ft.Dropped())
 	}
 }
 

@@ -123,25 +123,36 @@ func (p *Plan) Events() []Event {
 // Len returns the number of scheduled events.
 func (p *Plan) Len() int { return len(p.events) }
 
-// Validate checks every event against a topology: link events must name a
-// live network port, router events an in-range router.
+// Validate checks every event against a topology (see Event.Validate).
 func (p *Plan) Validate(t topology.Topology) error {
 	for _, e := range p.events {
-		if e.Router < 0 || e.Router >= t.NumRouters() {
-			return fmt.Errorf("fault: event %v names router %d of %d", e, e.Router, t.NumRouters())
+		if err := e.Validate(t); err != nil {
+			return err
 		}
-		if e.Kind == RouterFail {
-			continue
-		}
-		if e.Port < 0 || e.Port >= t.Radix(e.Router) {
-			return fmt.Errorf("fault: event %v names port %d of radix %d", e, e.Port, t.Radix(e.Router))
-		}
-		if _, ok := t.Neighbor(e.Router, e.Port); !ok {
-			return fmt.Errorf("fault: event %v targets a non-network port", e)
-		}
-		if e.Kind == Transient && e.Duration < 1 {
-			return fmt.Errorf("fault: event %v has non-positive duration", e)
-		}
+	}
+	return nil
+}
+
+// Validate checks the event against a topology: its kind must be known,
+// link events must name a network port, router events an in-range router.
+func (e Event) Validate(t topology.Topology) error {
+	if e.Kind > Transient {
+		return fmt.Errorf("fault: event %v has unknown kind %d", e, e.Kind)
+	}
+	if e.Router < 0 || e.Router >= t.NumRouters() {
+		return fmt.Errorf("fault: event %v names router %d of %d", e, e.Router, t.NumRouters())
+	}
+	if e.Kind == RouterFail {
+		return nil
+	}
+	if e.Port < 0 || e.Port >= t.Radix(e.Router) {
+		return fmt.Errorf("fault: event %v names port %d of radix %d", e, e.Port, t.Radix(e.Router))
+	}
+	if _, ok := t.Neighbor(e.Router, e.Port); !ok {
+		return fmt.Errorf("fault: event %v targets a non-network port", e)
+	}
+	if e.Kind == Transient && e.Duration < 1 {
+		return fmt.Errorf("fault: event %v has non-positive duration", e)
 	}
 	return nil
 }

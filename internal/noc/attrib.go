@@ -2,7 +2,9 @@ package noc
 
 // Causal latency attribution: every cycle of a delivered packet's life is
 // accounted to exactly one cause bucket, per hop, on an always-on counter
-// path that is far cheaper than the full DetailTracer event stream.
+// path that is far cheaper than the full FlitTracer event stream. An
+// installed FlitTracer sees the same per-hop split on the detail events
+// that end each stall (FlitRecord.Arg).
 //
 // The accounting is exact by construction. For a packet with H hops the
 // head flit visits H+1 routers; its delivery timeline telescopes as
@@ -36,13 +38,6 @@ package noc
 // worker count. None of the counters feed Stats.Fingerprint or
 // Network.Fingerprint: attribution is observation-only and golden
 // fingerprints are byte-identical with it on or off.
-
-import (
-	"fmt"
-	"io"
-
-	"heteronoc/internal/obs"
-)
 
 // AttrBucket indexes the causal latency buckets of the attribution layer.
 type AttrBucket int
@@ -153,10 +148,11 @@ func (n *Network) RouterAttribution() [][NumAttrBuckets]int64 {
 }
 
 // settleAttrHop folds the per-hop scratch counters of a departing head
-// flit into the packet and the router rollup. Called from sendFlit with
-// the settling router; the switch-allocation bucket is the remainder of
-// the measured hop stall after the incrementally counted causes.
-func (n *Network) settleAttrHop(rt *router, f *Flit) {
+// flit into the packet and the router rollup, and returns the hop's
+// switch-allocation share: the remainder of the measured hop stall after
+// the incrementally counted causes. Called from sendFlit with the settling
+// router.
+func (n *Network) settleAttrHop(rt *router, f *Flit) int32 {
 	p := f.Pkt
 	stall := n.cycle - f.arrive - 1
 	sa := stall - int64(p.hopVC) - int64(p.hopCredit)
@@ -167,136 +163,6 @@ func (n *Network) settleAttrHop(rt *router, f *Flit) {
 	rt.atr[AttrCredit] += int64(p.hopCredit)
 	rt.atr[AttrSwitchAlloc] += sa
 	rt.atr[AttrLink] += 3
-	if n.attrRec != nil {
-		n.attrRec.AttrHop(AttrHopRec{
-			Cycle:  n.cycle,
-			Packet: p.ID,
-			Router: int32(rt.id),
-			VC:     int32(p.hopVC),
-			SA:     int32(sa),
-			Credit: int32(p.hopCredit),
-		})
-	}
 	p.hopVC, p.hopCredit = 0, 0
-}
-
-// AttrHopRec is one per-hop attribution record of the opt-in record mode:
-// the head flit of Packet left Router at Cycle after VC cycles of VC
-// allocation stall, SA cycles of switch-allocation stall and Credit
-// cycles of credit starvation at that router.
-type AttrHopRec struct {
-	Cycle          int64
-	Packet         uint64
-	Router         int32
-	VC, SA, Credit int32
-}
-
-// AttrRecorder receives per-hop attribution records. Implementations run
-// inside the sharded tick and must confine writes as a DetailTracer
-// would; AttrTrace below is the stock single-threaded recorder (install
-// it only on unsharded networks, like the DetailTracer).
-type AttrRecorder interface {
-	AttrHop(AttrHopRec)
-}
-
-// SetAttrRecorder installs the opt-in per-hop record mode (nil disables).
-// Records flow only while attribution itself is enabled.
-func (n *Network) SetAttrRecorder(r AttrRecorder) { n.attrRec = r }
-
-// AttrTrace is a bounded recorder of per-hop attribution records: a
-// fixed-capacity overwrite ring, convertible to a Perfetto-loadable
-// Chrome trace of per-router stall counters.
-type AttrTrace struct {
-	buf     []AttrHopRec
-	head    int
-	n       int
-	dropped uint64
-}
-
-// NewAttrTrace builds a recorder holding up to capacity records (zero
-// means 65536); the oldest records are overwritten past that.
-func NewAttrTrace(capacity int) *AttrTrace {
-	if capacity <= 0 {
-		capacity = 65536
-	}
-	return &AttrTrace{buf: make([]AttrHopRec, capacity)}
-}
-
-// AttrHop implements AttrRecorder.
-func (t *AttrTrace) AttrHop(rec AttrHopRec) {
-	if t.n < len(t.buf) {
-		t.n++
-	} else {
-		t.dropped++
-	}
-	t.buf[t.head] = rec
-	t.head++
-	if t.head == len(t.buf) {
-		t.head = 0
-	}
-}
-
-// Dropped returns how many records ring wrap-around overwrote.
-func (t *AttrTrace) Dropped() uint64 { return t.dropped }
-
-// Records returns the live records in capture order.
-func (t *AttrTrace) Records() []AttrHopRec {
-	out := make([]AttrHopRec, 0, t.n)
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		j := start + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		out = append(out, t.buf[j])
-	}
-	return out
-}
-
-// AttrChromeEvents converts hop records into Chrome trace events for
-// Perfetto (1 cycle = 1 µs): one process per router, an instant event per
-// settled hop carrying the stall split, and running cumulative stall
-// counters per router so congestion growth is visible as counter tracks.
-func AttrChromeEvents(recs []AttrHopRec) []obs.ChromeEvent {
-	out := make([]obs.ChromeEvent, 0, 2*len(recs))
-	type tally struct{ vc, sa, credit int64 }
-	seen := map[int32]*tally{}
-	for i := range recs {
-		rec := &recs[i]
-		pid := int(rec.Router)
-		tl := seen[rec.Router]
-		if tl == nil {
-			tl = &tally{}
-			seen[rec.Router] = tl
-			out = append(out, obs.ProcessName(pid, fmt.Sprintf("router %d", pid)))
-			out = append(out, obs.ThreadName(pid, 0, "hops"))
-		}
-		tl.vc += int64(rec.VC)
-		tl.sa += int64(rec.SA)
-		tl.credit += int64(rec.Credit)
-		out = append(out, obs.ChromeEvent{
-			Name: "hop", Cat: "attr", Ph: "i", S: "t",
-			TS: float64(rec.Cycle), PID: pid, TID: 0,
-			Args: map[string]any{
-				"packet": rec.Packet, "vc_stall": rec.VC,
-				"sa_stall": rec.SA, "credit_stall": rec.Credit,
-			},
-		})
-		out = append(out, obs.ChromeEvent{
-			Name: "stall_cycles", Ph: "C", TS: float64(rec.Cycle), PID: pid,
-			Args: map[string]any{
-				"vc_alloc": tl.vc, "switch_alloc": tl.sa, "credit": tl.credit,
-			},
-		})
-	}
-	return out
-}
-
-// WriteChromeTrace exports the recorder's live records as Chrome
-// trace-event JSON, loadable in Perfetto.
-func (t *AttrTrace) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteChromeTrace(w, AttrChromeEvents(t.Records()))
+	return int32(sa)
 }

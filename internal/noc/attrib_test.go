@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"heteronoc/internal/routing"
 	"heteronoc/internal/topology"
@@ -221,57 +222,155 @@ func TestAttributionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAttrTraceRecorder exercises the opt-in per-hop record mode: records
-// reconcile with the packet buckets, the ring bounds memory, and the
-// Chrome export is loadable JSON.
-func TestAttrTraceRecorder(t *testing.T) {
-	n := newMeshNet(t)
-	tr := NewAttrTrace(1 << 16)
-	n.SetAttrRecorder(tr)
-	perPacket := map[uint64][3]int64{}
-	n.SetOnPacket(func(p *Packet) {
-		a := p.Attribution()
-		perPacket[p.ID] = [3]int64{a[AttrVCAlloc], a[AttrSwitchAlloc], a[AttrCredit]}
-	})
-	injectMixedLoad(t, n, 3, 800, 0.05)
-	runUntilQuiesced(t, n, 200000)
-	if tr.Dropped() != 0 {
-		t.Fatalf("ring dropped %d records; grow the test capacity", tr.Dropped())
+// newEscapeMeshNet builds an 8x8 table-routed mesh with big routers on
+// both diagonals and a 4-cycle escape threshold, so the escape rescue
+// fires and revokes VC grants under load.
+func newEscapeMeshNet(t testing.TB) *Network {
+	t.Helper()
+	m := topology.NewMesh(8, 8)
+	big := make([]bool, 64)
+	routers := make([]RouterConfig, 64)
+	for r := range routers {
+		routers[r] = RouterConfig{VCs: 2, BufDepth: 5, SplitDatapath: true}
 	}
-	got := map[uint64][3]int64{}
-	for _, rec := range tr.Records() {
-		cur := got[rec.Packet]
-		cur[0] += int64(rec.VC)
-		cur[1] += int64(rec.SA)
-		cur[2] += int64(rec.Credit)
-		got[rec.Packet] = cur
-	}
-	for id, want := range perPacket {
-		if got[id] != want {
-			t.Fatalf("packet %d hop records sum to %v, buckets say %v", id, got[id], want)
+	for i := 0; i < 8; i++ {
+		for _, r := range []int{m.RouterAt(i, i), m.RouterAt(7-i, i)} {
+			big[r] = true
+			routers[r] = RouterConfig{VCs: 6, BufDepth: 5, Wide: true, SplitDatapath: true}
 		}
 	}
-
-	small := NewAttrTrace(8)
-	for i := 0; i < 20; i++ {
-		small.AttrHop(AttrHopRec{Cycle: int64(i)})
-	}
-	if small.Dropped() != 12 || len(small.Records()) != 8 {
-		t.Fatalf("ring kept %d records, dropped %d; want 8/12", len(small.Records()), small.Dropped())
-	}
-	if recs := small.Records(); recs[0].Cycle != 12 || recs[7].Cycle != 19 {
-		t.Fatalf("ring kept wrong window: %v..%v", recs[0].Cycle, recs[7].Cycle)
-	}
-
-	var out bytes.Buffer
-	if err := tr.WriteChromeTrace(&out); err != nil {
+	alg := routing.NewTableXY(m, routing.TableXYConfig{Flagged: []int{0, 7, 56, 63}, Big: big, EscapeThreshold: 4})
+	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, FlitWidthBits: 128, WatchdogCycles: 50000})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	for _, want := range []string{`"traceEvents"`, `"stall_cycles"`, `"process_name"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chrome trace missing %s", want)
+	return n
+}
+
+// tracedStallSplit rebuilds each packet's vc_alloc, switch_alloc and
+// credit cycles from the args of the detail records, and counts the hops
+// whose VC grant was revoked and granted again.
+func tracedStallSplit(recs []FlitRecord) (split map[uint64][3]int64, regranted int) {
+	type hop struct {
+		pkt    uint64
+		router int16
+	}
+	lastGrant := map[hop]int32{}
+	grants := map[hop]int{}
+	split = map[uint64][3]int64{}
+	for _, r := range recs {
+		s := split[r.Packet]
+		switch r.Kind {
+		case EvVCAlloc:
+			k := hop{r.Packet, r.Router}
+			lastGrant[k] = r.Arg // running total: the last grant is the hop's value
+			if grants[k]++; grants[k] == 2 {
+				regranted++
+			}
+		case EvSwitchAlloc:
+			s[1] += int64(r.Arg) // 0 on body flits
+		case EvCreditStall:
+			s[2] += int64(r.Arg)
 		}
+		split[r.Packet] = s
+	}
+	for k, v := range lastGrant {
+		s := split[k.pkt]
+		s[0] += int64(v)
+		split[k.pkt] = s
+	}
+	return split, regranted
+}
+
+// TestAttrTraceRecorder checks that the stall split carried by the
+// FlitTracer's detail events is exact: for every delivered packet the
+// args rebuild Packet.Attribution's vc_alloc, switch_alloc and credit
+// buckets, and the exporter's per-router stall_cycles counters end at
+// Network.RouterAttribution. It runs on a baseline, a hetero, a sharded
+// (an installed tracer forces the sequential kernel) and an escape-VC
+// mesh, whose rescue revokes grants that are later granted again.
+func TestAttrTraceRecorder(t *testing.T) {
+	if size := unsafe.Sizeof(FlitRecord{}); size > 32 {
+		t.Fatalf("FlitRecord is %d bytes, want <= 32", size)
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func(testing.TB) *Network
+		workers int
+		regrant bool
+		rate    float64
+	}{
+		{"baseline", func(tb testing.TB) *Network { return newMeshNet(tb) }, 0, false, 0.05},
+		{"hetero-diagonal", newHeteroMeshNet, 0, false, 0.05},
+		{"sharded", newHeteroMeshNet, 4, false, 0.05},
+		{"escape", newEscapeMeshNet, 0, true, 0.06},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.build(t)
+			if tc.workers > 0 {
+				n.SetShardWorkers(tc.workers)
+				defer n.Close()
+			}
+			ft := NewNetworkFlitTracer(n, FlitTracerConfig{PerRouter: 1 << 14})
+			n.SetTracer(ft)
+			want := map[uint64][3]int64{}
+			n.SetOnPacket(func(p *Packet) {
+				a := p.Attribution()
+				want[p.ID] = [3]int64{a[AttrVCAlloc], a[AttrSwitchAlloc], a[AttrCredit]}
+			})
+			injectMixedLoad(t, n, 3, 600, tc.rate)
+			runUntilQuiesced(t, n, 200000)
+			if ft.Dropped() != 0 {
+				t.Fatalf("rings dropped %d records; grow the test capacity", ft.Dropped())
+			}
+			recs := ft.Records()
+			got, regranted := tracedStallSplit(recs)
+			stalled := 0
+			for id, w := range want {
+				if got[id] != w {
+					t.Fatalf("packet %d: records carry vc/sa/credit %v, attribution says %v", id, got[id], w)
+				}
+				if w != [3]int64{} {
+					stalled++
+				}
+			}
+			if stalled == 0 {
+				t.Fatal("no packet stalled; the load proves nothing")
+			}
+			if tc.regrant && regranted == 0 {
+				t.Fatalf("no regranted hop among %d escapes", n.Stats().Escapes)
+			}
+			t.Logf("%d packets, %d stalled, %d regranted hops, %d escapes", len(want), stalled, regranted, n.Stats().Escapes)
+
+			// The exporter's counter tracks end at the router rollup.
+			last := map[int]map[string]any{}
+			for _, e := range ChromeTraceEvents(len(n.routers), recs) {
+				if e.Name == "stall_cycles" {
+					last[e.PID] = e.Args
+				}
+			}
+			if len(last) == 0 {
+				t.Fatal("export has no stall_cycles counters")
+			}
+			for r, ra := range n.RouterAttribution() {
+				c := last[r]
+				if c == nil {
+					c = map[string]any{"vc_alloc": int64(0), "switch_alloc": int64(0), "credit": int64(0)}
+				}
+				if c["vc_alloc"] != ra[AttrVCAlloc] || c["switch_alloc"] != ra[AttrSwitchAlloc] || c["credit"] != ra[AttrCredit] {
+					t.Fatalf("router %d: stall_cycles counter ends at %v, rollup %v", r, c, ra)
+				}
+			}
+			var out bytes.Buffer
+			if err := ft.WriteChromeTrace(&out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{`"stall_cycles"`, `"sw_alloc"`, `"stall"`} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("chrome trace missing %s", want)
+				}
+			}
+		})
 	}
 }
 

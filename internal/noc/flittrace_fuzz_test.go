@@ -1,8 +1,6 @@
 package noc
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"runtime"
 	"testing"
 )
@@ -25,11 +23,11 @@ func FuzzReadFlitTrace(f *testing.F) {
 	tracedMeshRun(f, ft)
 	f.Add(ft.EncodeTrace())
 	f.Add(flitContainer(4, 1, rawFlitRecord{cycle: 3, packet: 1, router: -1, port: -1, vc: -1}))
+	f.Add(flitContainer(4, 2,
+		rawFlitRecord{cycle: 3, packet: 1, kind: uint64(EvVCAlloc), router: 2, port: 1, vc: 0, arg: 5},
+		rawFlitRecord{cycle: 2, packet: 1, kind: uint64(EvCreditStall), router: 2, port: 1, vc: 0, arg: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n := len(data); n >= 4 {
-			data = append([]byte(nil), data...)
-			binary.LittleEndian.PutUint32(data[n-4:], crc32.ChecksumIEEE(data[:n-4]))
-		}
+		data = withCRC(data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		tr, err := ReadFlitTrace(data)

@@ -9,54 +9,16 @@ import (
 	"heteronoc/internal/obs"
 )
 
-func TestCollectingTracerFilterZero(t *testing.T) {
-	// Packet ID 0 must be filterable: the switch is explicit, not a
-	// zero-value sentinel.
-	c := &CollectingTracer{Filter: true, Only: 0}
-	c.PacketEvent(Event{Kind: EvInject, Packet: 0, Router: 1})
-	c.PacketEvent(Event{Kind: EvInject, Packet: 7, Router: 2})
-	if len(c.Events) != 1 || c.Events[0].Packet != 0 {
-		t.Fatalf("filter for packet 0 kept %v", c.Events)
-	}
-	// And the zero value (Filter false) collects everything.
-	all := &CollectingTracer{}
-	all.PacketEvent(Event{Kind: EvInject, Packet: 0})
-	all.PacketEvent(Event{Kind: EvInject, Packet: 7})
-	if len(all.Events) != 2 {
-		t.Fatalf("unfiltered tracer kept %d events, want 2", len(all.Events))
-	}
-}
-
-func TestCollectingTracerPathOfAndDump(t *testing.T) {
-	c := &CollectingTracer{}
-	for _, e := range []Event{
-		{Cycle: 1, Kind: EvInject, Packet: 5, Router: 0},
-		{Cycle: 4, Kind: EvHop, Packet: 5, Router: 1},
-		{Cycle: 5, Kind: EvHop, Packet: 9, Router: 3}, // other packet
-		{Cycle: 7, Kind: EvHop, Packet: 5, Router: 2},
-		{Cycle: 9, Kind: EvEject, Packet: 5, Router: -1},
-	} {
-		c.PacketEvent(e)
-	}
-	path := c.PathOf(5)
-	want := []int{0, 1, 2}
-	if len(path) != len(want) {
-		t.Fatalf("PathOf = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("PathOf = %v, want %v", path, want)
+// tracedPath returns the routers a packet's inject and hop records name,
+// in capture order.
+func tracedPath(recs []FlitRecord, pkt uint64) []int {
+	var out []int
+	for _, r := range recs {
+		if r.Packet == pkt && (r.Kind == EvInject || r.Kind == EvHop) {
+			out = append(out, int(r.Router))
 		}
 	}
-	dump := c.Dump(5)
-	for _, sub := range []string{"inject", "hop", "eject"} {
-		if !bytes.Contains([]byte(dump), []byte(sub)) {
-			t.Errorf("Dump missing %q:\n%s", sub, dump)
-		}
-	}
-	if c.Dump(42) != "" {
-		t.Error("Dump of unknown packet not empty")
-	}
+	return out
 }
 
 // tracedMeshRun drives a loaded mesh with ft installed and returns the
@@ -143,9 +105,9 @@ func TestFlitTraceBinaryRoundTrip(t *testing.T) {
 // rawFlitRecord is one flit-trace record with fields wide enough to hold
 // values the decoder must refuse.
 type rawFlitRecord struct {
-	cycle            int64
-	packet, kind     uint64
-	router, port, vc int64
+	cycle                 int64
+	packet, kind          uint64
+	router, port, vc, arg int64
 }
 
 // flitContainer builds a noc-flt container claiming routers routers and
@@ -161,6 +123,7 @@ func flitContainer(routers int64, count uint64, recs ...rawFlitRecord) []byte {
 		w.I64(r.router)
 		w.I64(r.port)
 		w.I64(r.vc)
+		w.I64(r.arg)
 	}
 	return w.Finish()
 }
@@ -172,18 +135,21 @@ func TestReadFlitTraceRejectsGarbage(t *testing.T) {
 		"bad magic":  []byte("BADMAGIC\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
 		"truncated":  good[:len(good)-1],
 		"wrong kind": ckpt.NewWriter(ckpt.Header{Kind: "noc-net", Version: flitTraceVersion}).Finish(),
+		"version 1":  ckpt.NewWriter(ckpt.Header{Kind: KindFlitTrace, Version: 1}).Finish(),
 		"no routers": flitContainer(0, 0),
 		"short body": flitContainer(4, 2, rawFlitRecord{cycle: 1}),
 	}
-	hop := rawFlitRecord{cycle: 1, packet: 7, kind: uint64(EvHop)}
+	base := rawFlitRecord{cycle: 1, packet: 7, kind: uint64(EvSwitchAlloc), arg: 1<<31 - 1}
 	for name, mut := range map[string]func(r *rawFlitRecord){
 		"unknown kind":    func(r *rawFlitRecord) { r.kind = uint64(EvCreditStall) + 1 },
 		"router too high": func(r *rawFlitRecord) { r.router = 4 },
 		"router too low":  func(r *rawFlitRecord) { r.router = -2 },
 		"port too high":   func(r *rawFlitRecord) { r.port = 1 << 15 },
 		"vc too low":      func(r *rawFlitRecord) { r.vc = -2 },
+		"arg negative":    func(r *rawFlitRecord) { r.arg = -1 },
+		"arg too high":    func(r *rawFlitRecord) { r.arg = 1 << 31 },
 	} {
-		rec := hop
+		rec := base
 		mut(&rec)
 		cases[name] = flitContainer(4, 1, rec)
 	}
@@ -192,7 +158,7 @@ func TestReadFlitTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	for _, data := range [][]byte{good, flitContainer(4, 1, hop)} {
+	for _, data := range [][]byte{good, flitContainer(4, 1, base)} {
 		if _, err := ReadFlitTrace(data); err != nil {
 			t.Errorf("valid trace refused: %v", err)
 		}

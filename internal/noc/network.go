@@ -10,9 +10,11 @@ import (
 	"heteronoc/internal/topology"
 )
 
-// niStream is one packet mid-injection. A stream emits at most one flit per
-// cycle: the downstream demux separates combined flits by VC ID, so two
-// flits of the same VC (same packet) can never share a wide-link cycle.
+// niStream is one packet mid-injection. The first pass of inject emits one
+// flit per stream; wide-link slots left over then carry the next flit of
+// an active stream, a same-VC combined pair. The switch allocator combines
+// same-VC pairs the same way (its repeat rounds may grant the next flit of
+// the VC that just sent).
 type niStream struct {
 	pkt     *Packet
 	nextSeq int
@@ -88,15 +90,13 @@ type Network struct {
 	onPacket func(*Packet)
 	onDrop   func(*Packet, DropReason)
 	onCycle  func(cycle int64)
-	tracer   Tracer
-	detail   DetailTracer
+	tracer   *FlitTracer
 	stats    Stats
 
 	// Causal latency attribution (attrib.go): the always-on counter path
-	// toggle, the opt-in per-hop recorder, and the terminal→router map used
-	// to charge queue/serialization cycles to endpoint routers at sink time.
+	// toggle and the terminal→router map used to charge queue/serialization
+	// cycles to endpoint routers at sink time.
 	atrOn      bool
-	attrRec    AttrRecorder
 	termRouter []int32
 
 	// Intra-cycle sharding (see shard.go). directFx is the always-present
@@ -648,9 +648,8 @@ func (n *Network) routeAndAllocate(lo, hi int, fx *tickFx) {
 						vc.waitCycles = 0
 						ip.raMask &^= 1 << vi
 						ip.saMask |= 1 << vi
-						if n.detail != nil {
-							n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvVCAlloc,
-								Packet: p.ID, Router: r, Port: vc.outPort, VC: int16(ovc)})
+						if n.tracer != nil {
+							n.tracer.record(n.cycle, EvVCAlloc, p.ID, r, vc.outPort, int16(ovc), p.hopVC)
 						}
 						continue
 					}
@@ -821,14 +820,15 @@ func (n *Network) switchAllocate(lo, hi int, fx *tickFx) {
 							// cycle exactly once, and only against a head at
 							// the buffer front (body flits stall with their
 							// head's hop accounting).
+							var arg int32
 							if n.atrOn {
 								if hf := vc.buf.peek(); hf.Kind.IsHead() {
 									hf.Pkt.hopCredit++
+									arg = 1
 								}
 							}
-							if n.detail != nil {
-								n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvCreditStall,
-									Packet: vc.cur.ID, Router: r, Port: vc.outPort, VC: vc.outVC})
+							if n.tracer != nil {
+								n.tracer.record(n.cycle, EvCreditStall, vc.cur.ID, r, vc.outPort, vc.outVC, arg)
 							}
 						}
 						continue
@@ -888,8 +888,9 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 	if vc.buf.count > 0 {
 		vc.headArrive = vc.buf.buf[vc.buf.head].arrive
 	}
+	var sa int32
 	if n.atrOn && f.Kind.IsHead() {
-		n.settleAttrHop(rt, &f)
+		sa = n.settleAttrHop(rt, &f)
 	}
 	ip := &rt.in[inPort]
 	ip.flits--
@@ -898,9 +899,8 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 	rt.xbarFlits++
 	out.flitsSent++
 	fx.progress()
-	if n.detail != nil {
-		n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvSwitchAlloc,
-			Packet: f.Pkt.ID, Router: rt.id, Port: int16(out.port), VC: vc.outVC})
+	if n.tracer != nil {
+		n.tracer.record(n.cycle, EvSwitchAlloc, f.Pkt.ID, rt.id, int16(out.port), vc.outVC, sa)
 	}
 	if up := ip.upstream; up != nil {
 		up.creditQ.push(creditEvt{vc: int(vc.idx), at: n.cycle + 1})

@@ -535,8 +535,8 @@ func TestPerClassStats(t *testing.T) {
 
 func TestTracerRecordsPath(t *testing.T) {
 	n := newMeshNet(t)
-	tr := &CollectingTracer{}
-	n.SetTracer(tr)
+	ft := NewNetworkFlitTracer(n, FlitTracerConfig{})
+	n.SetTracer(ft)
 	n.Inject(&Packet{Src: 0, Dst: 10, NumFlits: 2}) // (0,0) -> (2,1): E,E,S
 	var id uint64
 	n.SetOnPacket(func(p *Packet) { id = p.ID })
@@ -544,7 +544,8 @@ func TestTracerRecordsPath(t *testing.T) {
 	if id == 0 {
 		t.Fatal("packet not delivered")
 	}
-	path := tr.PathOf(id)
+	recs := ft.Records()
+	path := tracedPath(recs, id)
 	want := []int{0, 1, 2, 10}
 	if len(path) != len(want) {
 		t.Fatalf("traced path %v, want %v", path, want)
@@ -554,35 +555,14 @@ func TestTracerRecordsPath(t *testing.T) {
 			t.Fatalf("traced path %v, want %v", path, want)
 		}
 	}
-	// Last event must be an eject, cycles must be nondecreasing.
-	evs := tr.Events
-	if evs[len(evs)-1].Kind != EvEject {
-		t.Error("missing eject event")
+	// Last record must be the eject, cycles must be nondecreasing.
+	if recs[len(recs)-1].Kind != EvEject {
+		t.Error("missing eject record")
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Cycle < evs[i-1].Cycle {
-			t.Error("events out of order")
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Cycle < recs[i-1].Cycle {
+			t.Error("records out of order")
 		}
-	}
-	if tr.Dump(id) == "" {
-		t.Error("dump empty")
-	}
-}
-
-func TestTracerFilter(t *testing.T) {
-	n := newMeshNet(t)
-	tr := &CollectingTracer{Filter: true, Only: 2}
-	n.SetTracer(tr)
-	n.Inject(&Packet{Src: 0, Dst: 5, NumFlits: 1}) // ID 1
-	n.Inject(&Packet{Src: 8, Dst: 9, NumFlits: 1}) // ID 2
-	runUntilQuiesced(t, n, 500)
-	for _, e := range tr.Events {
-		if e.Packet != 2 {
-			t.Fatalf("filter leaked packet %d", e.Packet)
-		}
-	}
-	if len(tr.Events) == 0 {
-		t.Fatal("filtered packet has no events")
 	}
 }
 

@@ -91,8 +91,8 @@ func TestFaultPlanPathsAvoidDeadLinks(t *testing.T) {
 			MaxCycle: 1, KeepConnected: true,
 		})
 		n := faultMeshNet(t, plan)
-		tr := &CollectingTracer{}
-		n.SetTracer(tr)
+		ft := NewNetworkFlitTracer(n, FlitTracerConfig{MacroOnly: true})
+		n.SetTracer(ft)
 		rel := NewReliable(n, ReliableConfig{Timeout: 256, MaxRetries: 8})
 		delivered := map[xferKey]int{}
 		var deliveredIDs []uint64
@@ -138,9 +138,13 @@ func TestFaultPlanPathsAvoidDeadLinks(t *testing.T) {
 		// Path property: every delivered copy's traced route crosses live
 		// links only (the failures all predate injection, so "live" is
 		// unambiguous for the whole run).
+		if ft.Dropped() != 0 {
+			t.Fatalf("seed %d: tracer dropped %d records; paths would be partial", seed, ft.Dropped())
+		}
 		ls := n.LinkState()
+		recs := ft.Records()
 		for _, id := range deliveredIDs {
-			path := tr.PathOf(id)
+			path := tracedPath(recs, id)
 			for i := 1; i < len(path); i++ {
 				p := -1
 				for q := 0; q < m.Radix(path[i-1]); q++ {

@@ -19,14 +19,14 @@ type Reliable struct {
 	net *Network
 	cfg ReliableConfig
 
-	nextSeq   map[pairKey]uint64
-	recv      map[pairKey]*dedupe
-	pending   map[xferKey]*Transfer
-	timers    timerHeap
-	order     uint64
+	nextSeq map[pairKey]uint64
+	recv    map[pairKey]*dedupe
+	pending map[xferKey]*Transfer
+	timers  timerHeap
+	order   uint64
 	// pktFree recycles injection packets: a delivered copy is dead once
 	// onPacket returns (copies lost to fault purges simply fall to the GC).
-	pktFree []*Packet
+	pktFree   []*Packet
 	onDeliver func(*Transfer, *Packet)
 	onFail    func(*Transfer, error)
 	stats     ReliableStats

@@ -54,9 +54,9 @@ const (
 const (
 	opHasFault   = 1 << iota // dead, or a transient-fault window
 	opHasCredits             // consumed credits, owners or pending frees
-	opHasArb     // advanced round-robin pointers
-	opHasEvents  // queued wire or credit events
-	opHasStats   // nonzero traffic counters
+	opHasArb                 // advanced round-robin pointers
+	opHasEvents              // queued wire or credit events
+	opHasStats               // nonzero traffic counters
 	opFlagsAll   = opHasFault | opHasCredits | opHasArb | opHasEvents | opHasStats
 )
 
@@ -545,11 +545,8 @@ func decodeOutputPort(r *ckpt.Reader, op *outputPort, table []*Packet) error {
 	resetEvq(&op.wire)
 	resetEvq(&op.creditQ)
 	if flags&opHasEvents != 0 {
-		wn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < wn; i++ {
+		wn := r.IntCount()
+		for i := 0; i < wn && r.Err() == nil; i++ {
 			f, err := decodeFlit(r, table)
 			if err != nil {
 				return err
@@ -558,11 +555,8 @@ func decodeOutputPort(r *ckpt.Reader, op *outputPort, table []*Packet) error {
 			at := r.I64()
 			op.wire.push(wireEvt{flit: f, outVC: outVC, at: at})
 		}
-		cn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < cn; i++ {
+		cn := r.IntCount()
+		for i := 0; i < cn && r.Err() == nil; i++ {
 			vc := r.Int()
 			at := r.I64()
 			op.creditQ.push(creditEvt{vc: vc, at: at})
@@ -643,14 +637,11 @@ func (n *Network) decodeStats(r *ckpt.Reader) error {
 	for b := range s.attr {
 		s.attr[b] = r.I64()
 	}
-	nc := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	nc := r.IntCount()
 	s.classes = nil
 	if nc > 0 {
 		s.classes = make(map[int]*ClassStats, nc)
-		for i := 0; i < nc; i++ {
+		for i := 0; i < nc && r.Err() == nil; i++ {
 			c := r.Int()
 			s.classes[c] = &ClassStats{Packets: r.I64(), TotalLatency: r.I64()}
 		}
@@ -658,10 +649,7 @@ func (n *Network) decodeStats(r *ckpt.Reader) error {
 	s.latHist = nil
 	if r.Bool() {
 		s.ensureHist()
-		nz := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
+		nz := r.IntCount()
 		for i := 0; i < nz; i++ {
 			b := r.Int()
 			v := r.I64()
@@ -713,12 +701,12 @@ func (n *Network) decodeFaults(r *ckpt.Reader, table []*Packet) error {
 		n.niDead, n.brokenQ = nil, nil
 		return nil
 	}
-	ne := r.Int()
+	ne := r.IntCount()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	events := make([]fault.Event, ne)
-	for i := range events {
+	for i := 0; i < ne && r.Err() == nil; i++ {
 		events[i] = fault.Event{
 			Cycle:    r.I64(),
 			Kind:     fault.Kind(r.U64()),
@@ -726,6 +714,9 @@ func (n *Network) decodeFaults(r *ckpt.Reader, table []*Packet) error {
 			Port:     r.Int(),
 			Duration: r.I64(),
 			Corrupt:  r.Bool(),
+		}
+		if err := events[i].Validate(n.cfg.Topo); r.Err() == nil && err != nil {
+			return fmt.Errorf("noc: checkpoint %w", err)
 		}
 	}
 	n.faultEvents = events
@@ -741,10 +732,7 @@ func (n *Network) decodeFaults(r *ckpt.Reader, table []*Packet) error {
 	for t := range n.niDead {
 		n.niDead[t] = r.Bool()
 	}
-	nb := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	nb := r.IntCount()
 	n.brokenQ = nil
 	for i := 0; i < nb; i++ {
 		p, err := pktAt(r, table)
@@ -788,7 +776,7 @@ func (n *Network) decode(r *ckpt.Reader, codec PayloadCodec, h ckpt.Header) erro
 	n.lastMove = r.I64()
 
 	// Packet table.
-	np := r.Int()
+	np := r.IntCount()
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -847,10 +835,7 @@ func (n *Network) decode(r *ckpt.Reader, codec PayloadCodec, h ckpt.Header) erro
 	// Network interfaces.
 	for t := range n.nis {
 		q := &n.nis[t]
-		qn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
+		qn := r.IntCount()
 		q.queue = q.queue[:0]
 		q.qHead = 0
 		for i := 0; i < qn; i++ {
@@ -860,10 +845,7 @@ func (n *Network) decode(r *ckpt.Reader, codec PayloadCodec, h ckpt.Header) erro
 			}
 			q.queue = append(q.queue, p)
 		}
-		sn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
+		sn := r.IntCount()
 		q.streams = q.streams[:0]
 		for i := 0; i < sn; i++ {
 			p, err := pktAt(r, table)
@@ -1222,41 +1204,29 @@ func (rel *Reliable) RestoreSnapshot(data []byte) error {
 
 	codec := &relCodec{xfers: map[xferKey]*Transfer{}}
 
-	ns := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	ns := r.IntCount()
 	rel.nextSeq = make(map[pairKey]uint64, ns)
-	for i := 0; i < ns; i++ {
+	for i := 0; i < ns && r.Err() == nil; i++ {
 		k := pairKey{src: r.Int(), dst: r.Int()}
 		rel.nextSeq[k] = r.U64()
 	}
 
-	nr := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	nr := r.IntCount()
 	rel.recv = make(map[pairKey]*dedupe, nr)
-	for i := 0; i < nr; i++ {
+	for i := 0; i < nr && r.Err() == nil; i++ {
 		k := pairKey{src: r.Int(), dst: r.Int()}
 		d := &dedupe{next: r.U64()}
-		sn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
+		sn := r.IntCount()
 		if sn > 0 {
 			d.seen = make(map[uint64]bool, sn)
-			for j := 0; j < sn; j++ {
+			for j := 0; j < sn && r.Err() == nil; j++ {
 				d.seen[r.U64()] = true
 			}
 		}
 		rel.recv[k] = d
 	}
 
-	np := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	np := r.IntCount()
 	rel.pending = make(map[xferKey]*Transfer, np)
 	for i := 0; i < np; i++ {
 		tr, err := decodeTransfer(r)
@@ -1268,12 +1238,12 @@ func (rel *Reliable) RestoreSnapshot(data []byte) error {
 		codec.xfers[k] = tr
 	}
 
-	nt := r.Int()
+	nt := r.IntCount()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	rel.timers = make(timerHeap, nt)
-	for i := range rel.timers {
+	for i := 0; i < nt && r.Err() == nil; i++ {
 		rel.timers[i] = timerItem{
 			deadline: r.I64(),
 			order:    r.U64(),

@@ -83,9 +83,11 @@ func (s *Stats) recordPacket(p *Packet) {
 	transfer := IdealTransferCycles(p.Hops, p.NumFlits, p.MinSlots)
 	blocking := total - queuing - transfer
 	if blocking < 0 {
-		// The ideal formula is exact at zero load; tiny negative residues
-		// would indicate a formula error, so fold them into transfer and
-		// keep totals exact.
+		// The ideal formula serializes the flits behind a lone head,
+		// ceil((flits-1)/slots) cycles, but on wide paths the head already
+		// pairs with the first body flit, so even-length packets arrive one
+		// cycle sooner at zero load (DESIGN.md §8). Fold that residue into
+		// transfer so the totals stay exact.
 		transfer += blocking
 		blocking = 0
 	}

@@ -18,7 +18,7 @@ import "fmt"
 // deliberately conservative: any attached per-cycle observer (sampler,
 // tracer) or pending purge disables the jump.
 func (n *Network) fastForwardable() bool {
-	if n.queuedPackets != 0 || n.onCycle != nil || n.tracer != nil || n.detail != nil {
+	if n.queuedPackets != 0 || n.onCycle != nil || n.tracer != nil {
 		return false
 	}
 	if len(n.brokenQ) != 0 {

@@ -18,8 +18,8 @@ import (
 //	cycle 11 tail consumed at the terminal (eject event)
 func TestPipelineTimingDocumentation(t *testing.T) {
 	n := newMeshNet(t)
-	tr := &CollectingTracer{}
-	n.SetTracer(tr)
+	ft := NewNetworkFlitTracer(n, FlitTracerConfig{MacroOnly: true})
+	n.SetTracer(ft)
 	n.Inject(&Packet{Src: 0, Dst: 2, NumFlits: 1}) // routers 0 -> 1 -> 2
 	runUntilQuiesced(t, n, 100)
 	want := []struct {
@@ -31,13 +31,14 @@ func TestPipelineTimingDocumentation(t *testing.T) {
 		{EvHop, 8},
 		{EvEject, 11},
 	}
-	if len(tr.Events) != len(want) {
-		t.Fatalf("events %v", tr.Events)
+	recs := ft.Records()
+	if len(recs) != len(want) {
+		t.Fatalf("records %v", recs)
 	}
 	for i, w := range want {
-		e := tr.Events[i]
+		e := recs[i]
 		if e.Kind != w.kind || e.Cycle != w.cycle {
-			t.Fatalf("event %d = %s@%d, want %s@%d\nall: %v", i, e.Kind, e.Cycle, w.kind, w.cycle, tr.Events)
+			t.Fatalf("record %d = %s@%d, want %s@%d\nall: %v", i, e.Kind, e.Cycle, w.kind, w.cycle, recs)
 		}
 	}
 }

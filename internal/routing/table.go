@@ -140,7 +140,7 @@ func (ms *minimalScratch) buildDst(big []bool, dst int, next []int) {
 		ms.cnt[i] = 0
 	}
 	for u := 0; u < n; u++ {
-		d := absInt32(int32(u%ms.w - dx)) + absInt32(int32(u/ms.w - dy))
+		d := absInt32(int32(u%ms.w-dx)) + absInt32(int32(u/ms.w-dy))
 		ms.h[u] = d
 		ms.cnt[d]++
 	}

@@ -13,6 +13,7 @@ import (
 	"heteronoc/internal/dse"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
+	"heteronoc/internal/trace"
 )
 
 // POST /eval turns a nocserved instance into a design-space-search worker:
@@ -58,11 +59,20 @@ const (
 	// isolation cannot recover from.
 	minEvalDim = 2
 	maxEvalDim = 32
+
+	// maxEvalWarmup bounds W·H·WarmupEntries, the accesses a Bench
+	// probe's warmup replays. The warmup takes no context, so neither the
+	// deadline, a client disconnect nor drain can stop it; 2^22 accesses
+	// take about 1.4 s on a 2-vCPU Xeon VM (the full-scale experiments
+	// warm 64 × 40,000).
+	maxEvalWarmup = 1 << 22
 )
 
-// checkEvalRequest refuses a batch the simulator cannot run: an empty or
-// oversized batch, a mesh dimension outside [minEvalDim, maxEvalDim], or
-// a router index outside the mesh.
+// checkEvalRequest refuses a batch the simulator cannot run or cannot
+// stop in time: an empty or oversized batch, a mesh dimension outside
+// [minEvalDim, maxEvalDim], a router index outside the mesh, an unknown
+// probe workload or bench, a rate or fraction outside [0, 1], a negative
+// size, or a warmup above maxEvalWarmup accesses.
 func checkEvalRequest(req *EvalRequest) error {
 	if len(req.Sets) == 0 {
 		return errors.New("empty candidate batch")
@@ -80,6 +90,26 @@ func checkEvalRequest(req *EvalRequest) error {
 				return fmt.Errorf("set %d: router %d outside the %dx%d mesh", i, r, w, h)
 			}
 		}
+	}
+	cfg := &req.Cfg
+	switch cfg.Workload {
+	case "", "uniform", "hotspot", "mc-incast", "mixed":
+	default:
+		return fmt.Errorf("unknown probe workload %q", cfg.Workload)
+	}
+	if cfg.Bench != "" {
+		if _, err := trace.NewWorkloadReader(cfg.Bench, 0, 128, w*h); err != nil {
+			return err
+		}
+	}
+	if !(cfg.InjectionRate >= 0 && cfg.InjectionRate <= 1) || !(cfg.MixedAdversarialFrac >= 0 && cfg.MixedAdversarialFrac <= 1) {
+		return fmt.Errorf("injection rate %g and mixed fraction %g must lie in [0, 1]", cfg.InjectionRate, cfg.MixedAdversarialFrac)
+	}
+	if cfg.Packets < 0 || cfg.CMPCycles < 0 || cfg.WarmupEntries < 0 {
+		return fmt.Errorf("negative packets %d, CMP cycles %d or warmup entries %d", cfg.Packets, cfg.CMPCycles, cfg.WarmupEntries)
+	}
+	if warmup := int64(w*h) * int64(cfg.WarmupEntries); warmup > maxEvalWarmup {
+		return fmt.Errorf("warmup of %d accesses (%dx%d x %d) exceeds limit %d", warmup, w, h, cfg.WarmupEntries, maxEvalWarmup)
 	}
 	return nil
 }

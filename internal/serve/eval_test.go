@@ -78,6 +78,11 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 
 	big := evalTestCfg()
 	big.W, big.H = 33, 33
+	with := func(mut func(*dse.EvalConfig)) EvalRequest {
+		cfg := evalTestCfg()
+		mut(&cfg)
+		return EvalRequest{Cfg: cfg, Sets: [][]int{{0}}}
+	}
 	cases := []EvalRequest{
 		{Cfg: evalTestCfg()}, // no sets
 		{Cfg: dse.EvalConfig{W: 0, H: 4}, Sets: [][]int{{0}}}, // bad dims
@@ -85,6 +90,16 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 		{Cfg: evalTestCfg(), Sets: [][]int{{-1, 3}}},          // negative router
 		{Cfg: dse.EvalConfig{W: 1, H: 4}, Sets: [][]int{{0}}}, // 1x4 mesh
 		{Cfg: big, Sets: [][]int{{0}}},                        // mesh above the limit
+		with(func(c *dse.EvalConfig) { c.Workload = "bogus" }),
+		with(func(c *dse.EvalConfig) { c.Bench, c.CMPCycles = "NoSuchBench", 100 }),
+		with(func(c *dse.EvalConfig) { c.Bench, c.WarmupEntries = "SPECjbb", 1_000_000 }), // 16M accesses on 4x4
+		with(func(c *dse.EvalConfig) { c.InjectionRate = 1.5 }),
+		with(func(c *dse.EvalConfig) { c.InjectionRate = -0.1 }),
+		with(func(c *dse.EvalConfig) { c.Workload, c.MixedAdversarialFrac = "mixed", 2 }),
+		with(func(c *dse.EvalConfig) { c.MixedAdversarialFrac = -1 }),
+		with(func(c *dse.EvalConfig) { c.Packets = -5 }),
+		with(func(c *dse.EvalConfig) { c.Bench, c.CMPCycles = "SPECjbb", -1 }),
+		with(func(c *dse.EvalConfig) { c.Bench, c.WarmupEntries = "SPECjbb", -1 }),
 	}
 	for i, req := range cases {
 		_, err := c.Eval(context.Background(), req)
@@ -92,6 +107,14 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 		if !errors.As(err, &api) || api.Code != http.StatusBadRequest {
 			t.Errorf("case %d: got %v, want 400", i, err)
 		}
+	}
+	// The largest admitted warmup: 4x4 x 2^18 entries = 2^22 accesses.
+	if err := checkEvalRequest(&EvalRequest{Cfg: func() dse.EvalConfig {
+		c := evalTestCfg()
+		c.Bench, c.WarmupEntries = "SPECjbb", 1<<18
+		return c
+	}(), Sets: [][]int{{0}}}); err != nil {
+		t.Errorf("warmup at the limit refused: %v", err)
 	}
 }
 
