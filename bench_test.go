@@ -273,7 +273,9 @@ func BenchmarkCMPCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Warmup(8000)
+	if err := s.Warmup(context.Background(), 8000); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Step(); err != nil {
@@ -450,7 +452,9 @@ func BenchmarkWarmRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm.Warmup(8000)
+	if err := warm.Warmup(context.Background(), 8000); err != nil {
+		b.Fatal(err)
+	}
 	snap, err := warm.WarmSnapshot()
 	if err != nil {
 		b.Fatal(err)
@@ -568,7 +572,9 @@ func BenchmarkWarmRestoreSeek(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm.Warmup(8000)
+	if err := warm.Warmup(context.Background(), 8000); err != nil {
+		b.Fatal(err)
+	}
 	snap, err := warm.WarmSnapshot()
 	if err != nil {
 		b.Fatal(err)
@@ -597,16 +603,43 @@ func BenchmarkCMPWarmup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trs := make([]trace.Reader, 64)
-		for t := range trs {
-			trs[t] = trace.NewGenerator(p, t, 128)
-		}
-		s, err := cmp.New(cmp.Config{Layout: core.NewBaseline(8, 8), Traces: trs})
-		if err != nil {
+		if err := warmFresh(p); err != nil {
 			b.Fatal(err)
 		}
-		s.Warmup(8000)
 	}
+}
+
+// BenchmarkCMPWarmupBusy runs the same warmups on every P at once, so
+// the warmup's reader goroutine finds no idle core: the case of a
+// figure's par fan-out or a fully busy server.
+func BenchmarkCMPWarmupBusy(b *testing.B) {
+	p, err := trace.ProfileByName("SPECjbb")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := warmFresh(p); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// warmFresh builds an 8x8 system on fresh generators of profile p and
+// warms it for 8,000 entries per core.
+func warmFresh(p trace.Profile) error {
+	trs := make([]trace.Reader, 64)
+	for t := range trs {
+		trs[t] = trace.NewGenerator(p, t, 128)
+	}
+	s, err := cmp.New(cmp.Config{Layout: core.NewBaseline(8, 8), Traces: trs})
+	if err != nil {
+		return err
+	}
+	return s.Warmup(context.Background(), 8000)
 }
 
 // BenchmarkDSEGeneration measures the multi-objective search at its unit

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,7 +76,9 @@ func main() {
 	fmt.Printf("%-20s %12s %12s\n", "config", "libq IPC", "jbb IPC")
 	for _, c := range configs {
 		s := build(c.l, c.table)
-		s.Warmup(30000)
+		if err := s.Warmup(context.Background(), 30000); err != nil {
+			log.Fatal(err)
+		}
 		if err := s.Run(15000); err != nil {
 			log.Fatal(err)
 		}

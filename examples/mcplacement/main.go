@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,9 @@ func run(name string, l core.Layout, placement mem.Placement) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s.Warmup(30000)
+	if err := s.Warmup(context.Background(), 30000); err != nil {
+		log.Fatal(err)
+	}
 	if err := s.Run(15000); err != nil {
 		log.Fatal(err)
 	}

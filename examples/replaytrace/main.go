@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,7 +64,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.Warmup(30000)
+		if err := s.Warmup(context.Background(), 30000); err != nil {
+			log.Fatal(err)
+		}
 		if err := s.Run(15000); err != nil {
 			log.Fatal(err)
 		}

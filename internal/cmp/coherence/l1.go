@@ -52,7 +52,14 @@ type L1 struct {
 	// prefetcher ablation).
 	PrefetchNextLine bool
 
-	mshr map[uint64]*l1MSHR
+	// mshrLine and mshrs are the MSHR slot table: slot i tracks the miss
+	// on line mshrLine[i]. At most MaxMSHR slots are live and nothing
+	// depends on slot order, so lookups scan the contiguous keys and a
+	// fill swaps the last slot into the freed one. (A map here would
+	// empty after nearly every warmup fill, and Go reseeds an emptied
+	// map's hash from the runtime RNG each time.)
+	mshrLine []uint64
+	mshrs    []*l1MSHR
 	// mshrFree recycles MSHR entries (and their callback slices) between
 	// misses; the fill path returns them after callbacks run.
 	mshrFree []*l1MSHR
@@ -70,8 +77,38 @@ func NewL1(tile int, c *cache.Cache[bool], tp Transport, homeFor func(uint64) in
 	return &L1{
 		tile: tile, c: c, tp: tp, homeFor: homeFor,
 		Latency: 2, MaxMSHR: 16,
-		mshr: make(map[uint64]*l1MSHR),
-		wb:   make(map[uint64]int),
+		wb: make(map[uint64]int),
+	}
+}
+
+// findMSHR returns the outstanding miss on line, or nil.
+func (l *L1) findMSHR(line uint64) *l1MSHR {
+	for i, k := range l.mshrLine {
+		if k == line {
+			return l.mshrs[i]
+		}
+	}
+	return nil
+}
+
+// addMSHR opens a miss on a line that has none outstanding.
+func (l *L1) addMSHR(line uint64, wantM, prefetch bool) *l1MSHR {
+	m := l.getMSHR(line, wantM, prefetch)
+	l.mshrLine = append(l.mshrLine, line)
+	l.mshrs = append(l.mshrs, m)
+	return m
+}
+
+// removeMSHR frees the slot of the miss on line.
+func (l *L1) removeMSHR(line uint64) {
+	for i, k := range l.mshrLine {
+		if k == line {
+			last := len(l.mshrLine) - 1
+			l.mshrLine[i], l.mshrs[i] = l.mshrLine[last], l.mshrs[last]
+			l.mshrs[last] = nil
+			l.mshrLine, l.mshrs = l.mshrLine[:last], l.mshrs[:last]
+			return
+		}
 	}
 }
 
@@ -96,7 +133,7 @@ func (l *L1) putMSHR(m *l1MSHR) {
 }
 
 // Outstanding returns the number of in-flight misses.
-func (l *L1) Outstanding() int { return len(l.mshr) }
+func (l *L1) Outstanding() int { return len(l.mshrLine) }
 
 // HasLine reports the L1 state of a line (for invariant checks).
 func (l *L1) HasLine(line uint64) (cache.State, bool) {
@@ -136,7 +173,7 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 			done()
 			return Hit
 		default: // Shared + write: upgrade through the home.
-			if m, exists := l.mshr[line]; exists {
+			if m := l.findMSHR(line); m != nil {
 				if m.wantM {
 					m.callbacks = append(m.callbacks, done)
 					l.Coalesces++
@@ -145,14 +182,13 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 				l.Blocks++
 				return Blocked
 			}
-			if len(l.mshr) >= l.MaxMSHR {
+			if len(l.mshrLine) >= l.MaxMSHR {
 				l.Blocks++
 				return Blocked
 			}
 			l.Misses++
-			m := l.getMSHR(line, true, false)
+			m := l.addMSHR(line, true, false)
 			m.callbacks = append(m.callbacks, done)
-			l.mshr[line] = m
 			// Drop the S copy now: the home invalidates other sharers and
 			// replies DataM (it may also Inv us first, harmlessly).
 			l.c.Invalidate(line)
@@ -161,7 +197,7 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 		}
 	}
 	// Miss.
-	if m, exists := l.mshr[line]; exists {
+	if m := l.findMSHR(line); m != nil {
 		if !write || m.wantM {
 			m.callbacks = append(m.callbacks, done)
 			l.Coalesces++
@@ -171,14 +207,13 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 		l.Blocks++
 		return Blocked
 	}
-	if len(l.mshr) >= l.MaxMSHR {
+	if len(l.mshrLine) >= l.MaxMSHR {
 		l.Blocks++
 		return Blocked
 	}
 	l.Misses++
-	m := l.getMSHR(line, write, false)
+	m := l.addMSHR(line, write, false)
 	m.callbacks = append(m.callbacks, done)
-	l.mshr[line] = m
 	if write {
 		l.send(GetM, line, l.homeFor(line), false)
 	} else {
@@ -198,11 +233,11 @@ func (l *L1) maybePrefetch(line uint64) {
 	if _, ok := l.c.Peek(line); ok {
 		return
 	}
-	if l.mshr[line] != nil || len(l.mshr) >= l.MaxMSHR-1 {
+	if len(l.mshrLine) >= l.MaxMSHR-1 || l.findMSHR(line) != nil {
 		return
 	}
 	l.PrefetchesIssued++
-	l.mshr[line] = l.getMSHR(line, false, true)
+	l.addMSHR(line, false, true)
 	l.send(GetS, line, l.homeFor(line), false)
 }
 
@@ -221,7 +256,7 @@ func (l *L1) Handle(m Msg) {
 		}
 		l.send(InvAck, m.Line, m.Src, dirty)
 	case FwdGetS:
-		if l.mshr[m.Line] != nil {
+		if l.findMSHR(m.Line) != nil {
 			// With ordered per-pair delivery a forward can only find an
 			// open MSHR when our own re-request is still queued at the
 			// home (stale ownership from a silently dropped clean line):
@@ -241,7 +276,7 @@ func (l *L1) Handle(m Msg) {
 		}
 		l.send(FwdNoData, m.Line, m.Src, false)
 	case FwdGetM:
-		if l.mshr[m.Line] != nil {
+		if l.findMSHR(m.Line) != nil {
 			l.send(FwdNoData, m.Line, m.Src, false)
 			return
 		}
@@ -267,7 +302,7 @@ func (l *L1) Handle(m Msg) {
 
 // fill installs a response line and completes waiting accesses.
 func (l *L1) fill(m Msg) {
-	mshr := l.mshr[m.Line]
+	mshr := l.findMSHR(m.Line)
 	if mshr == nil {
 		panic(fmt.Sprintf("coherence: L1 %d fill without MSHR line %#x", l.tile, m.Line))
 	}
@@ -288,7 +323,7 @@ func (l *L1) fill(m Msg) {
 		l.evict(v)
 	}
 	l.c.Insert(m.Line, st, mshr.prefetch)
-	delete(l.mshr, m.Line)
+	l.removeMSHR(m.Line)
 	for _, cb := range mshr.callbacks {
 		cb()
 	}

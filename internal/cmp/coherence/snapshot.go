@@ -17,8 +17,8 @@ import (
 // EncodeState writes the L1's cache contents and sticky statistics.
 // The controller must be quiescent (no MSHRs, no in-flight write-backs).
 func (l *L1) EncodeState(w *ckpt.Writer) error {
-	if len(l.mshr) != 0 || len(l.wb) != 0 {
-		return fmt.Errorf("coherence: L1 %d not quiescent (%d MSHRs, %d write-backs)", l.tile, len(l.mshr), len(l.wb))
+	if len(l.mshrLine) != 0 || len(l.wb) != 0 {
+		return fmt.Errorf("coherence: L1 %d not quiescent (%d MSHRs, %d write-backs)", l.tile, len(l.mshrLine), len(l.wb))
 	}
 	l.c.EncodeState(w, encodePrefetch)
 	w.I64(l.PrefetchesIssued)
@@ -105,7 +105,7 @@ func decodeDir(r *ckpt.Reader, tiles int) (DirEntry, error) {
 }
 
 // Quiescent reports whether the L1 has no in-flight transactions.
-func (l *L1) Quiescent() bool { return len(l.mshr) == 0 && len(l.wb) == 0 }
+func (l *L1) Quiescent() bool { return len(l.mshrLine) == 0 && len(l.wb) == 0 }
 
 // Quiescent reports whether the home bank has no in-flight transactions.
 func (h *Home) Quiescent() bool { return len(h.busy) == 0 && len(h.waiting) == 0 }

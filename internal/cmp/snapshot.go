@@ -48,6 +48,9 @@ const (
 // if the system has started timing simulation or any controller is
 // mid-transaction.
 func (s *System) WarmSnapshot() ([]byte, error) {
+	if s.warmErr != nil {
+		return nil, s.unusable()
+	}
 	if s.now != 0 {
 		return nil, fmt.Errorf("cmp: WarmSnapshot after %d timing cycles; only post-warmup snapshots are supported", s.now)
 	}
@@ -109,7 +112,7 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	if h.Version != warmSnapshotVersion {
 		return fmt.Errorf("cmp: checkpoint version %d, want %d", h.Version, warmSnapshotVersion)
 	}
-	if s.now != 0 || s.warmedEntries != 0 {
+	if s.now != 0 || s.warmedEntries != 0 || s.warmErr != nil {
 		return fmt.Errorf("cmp: RestoreWarmSnapshot target must be freshly constructed")
 	}
 	if n := r.Int(); n != len(s.Tiles) {

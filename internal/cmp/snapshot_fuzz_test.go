@@ -42,7 +42,7 @@ func FuzzRestoreWarmSnapshot(f *testing.F) {
 		{150, true},
 	} {
 		s := fuzzSystem(f, seed.prefetch)
-		s.Warmup(seed.entries)
+		mustWarm(f, s, seed.entries)
 		snap, err := s.WarmSnapshot()
 		if err != nil {
 			f.Fatal(err)

@@ -82,7 +82,7 @@ func TestWarmRestoreSeekableNoReplay(t *testing.T) {
 
 	// Reference: direct warmup on file-backed traces.
 	direct := newSys(openChunkTraces(t, files, func(c *trace.ChunkReader) trace.Reader { return c }))
-	direct.Warmup(entries)
+	mustWarm(t, direct, entries)
 	snap, err := direct.WarmSnapshot()
 	if err != nil {
 		t.Fatal(err)

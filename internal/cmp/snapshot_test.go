@@ -34,7 +34,7 @@ func TestWarmSnapshotEquivalentToDirectWarmup(t *testing.T) {
 	l := core.NewBaseline(8, 8)
 
 	direct := newSystem(t, l, "SPECjbb")
-	direct.Warmup(entries)
+	mustWarm(t, direct, entries)
 	snap, err := direct.WarmSnapshot()
 	if err != nil {
 		t.Fatalf("WarmSnapshot: %v", err)
@@ -75,7 +75,7 @@ func TestWarmSnapshotSharedAcrossLayouts(t *testing.T) {
 
 	// Warm on the baseline layout...
 	base := newSystem(t, core.NewBaseline(8, 8), "TPC-C")
-	base.Warmup(entries)
+	mustWarm(t, base, entries)
 	snap, err := base.WarmSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestWarmSnapshotSharedAcrossLayouts(t *testing.T) {
 
 	// ...and on the target layout directly.
 	direct := newSystem(t, hetero, "TPC-C")
-	direct.Warmup(entries)
+	mustWarm(t, direct, entries)
 	directSnap, err := direct.WarmSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWarmSnapshotSharedAcrossLayouts(t *testing.T) {
 // TestWarmSnapshotRefusesMidRunState pins the quiescence restriction.
 func TestWarmSnapshotRefusesMidRunState(t *testing.T) {
 	s := newSystem(t, core.NewBaseline(8, 8), "SAP")
-	s.Warmup(50)
+	mustWarm(t, s, 50)
 	if err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWarmSnapshotRefusesMidRunState(t *testing.T) {
 	}
 
 	warmed := newSystem(t, core.NewBaseline(8, 8), "SAP")
-	warmed.Warmup(50)
+	mustWarm(t, warmed, 50)
 	snap, err := warmed.WarmSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestWarmSnapshotRefusesMidRunState(t *testing.T) {
 // write a checkpoint restore would refuse.
 func TestWarmSnapshotBoundsWarmupLength(t *testing.T) {
 	s := fuzzSystem(t, false)
-	s.Warmup(10)
+	mustWarm(t, s, 10)
 	s.warmedEntries = maxWarmEntries + 1
 	if _, err := s.WarmSnapshot(); err == nil {
 		t.Error("WarmSnapshot recorded a warmup longer than restore accepts")
@@ -174,7 +174,7 @@ func TestWarmRestoreAllocsIndependentOfFill(t *testing.T) {
 	l := core.NewBaseline(4, 4)
 	restoreAllocs := func(entries int) (allocs float64, l2Lines int) {
 		src := newSystem(t, l, "SPECjbb")
-		src.Warmup(entries)
+		mustWarm(t, src, entries)
 		snap, err := src.WarmSnapshot()
 		if err != nil {
 			t.Fatal(err)

@@ -91,6 +91,10 @@ type System struct {
 	// restored warm checkpoint) consumed, so WarmSnapshot can replay the
 	// readers to the same position on restore.
 	warmedEntries int
+
+	// warmErr is the error that stopped a warmup part way. Such a system
+	// is unusable: its readers are mid-stream and its caches partly warm.
+	warmErr error
 }
 
 type evt struct {
@@ -395,25 +399,126 @@ func (s *System) dispatch(m coherence.Msg) {
 	}
 }
 
+// Warmup pipeline sizing: the reader stage fills buffers of warmBatch
+// entries per core, and warmBuffers buffers circulate between it and the
+// protocol stage.
+const (
+	warmBatch   = 64
+	warmBuffers = 3
+)
+
 // Warmup functionally streams entriesPerCore trace records per core
 // through the cache hierarchy with an instantaneous transport, populating
 // L1s, L2 banks and the directory before timing measurement begins — the
 // standard answer to the multi-million-cycle cold-start a 400-cycle DRAM
 // would otherwise impose. Trace generators keep their state, so timing
 // simulation continues the same streams.
-func (s *System) Warmup(entriesPerCore int) {
-	s.warmup = true
-	lineBytes := uint64(s.cfg.LineBytes)
-	for i := 0; i < entriesPerCore; i++ {
-		for _, tile := range s.Tiles {
-			e := s.cfg.Traces[tile.ID].Next()
-			tile.L1.Access(e.Addr/lineBytes, e.Write, func() {})
-			s.drainWarm()
+//
+// The trace readers run on a second goroutine, at most warmBuffers
+// batches ahead of the protocol (see readWarm); the result is
+// bit-identical to reading and replaying each entry in turn. ctx is
+// checked before each batch. A
+// cancelled warmup returns ctx.Err() and leaves the system unusable, so
+// Warmup, WarmSnapshot, RestoreWarmSnapshot and RunCtx refuse it from
+// then on.
+func (s *System) Warmup(ctx context.Context, entriesPerCore int) error {
+	if s.warmErr != nil {
+		return s.unusable()
+	}
+	if entriesPerCore > 0 {
+		if err := s.warmPipelined(ctx, entriesPerCore); err != nil {
+			s.warmErr = err
+			return err
 		}
 	}
-	s.warmup = false
 	s.warmedEntries += entriesPerCore
 	s.ResetStats()
+	return nil
+}
+
+// unusable is the error every entry point returns after a failed warmup.
+func (s *System) unusable() error {
+	return fmt.Errorf("cmp: system unusable after its warmup stopped part way: %w", s.warmErr)
+}
+
+// warmPipelined runs the warmup's two stages: readWarm on its own
+// goroutine, and the message-driven protocol on this one. The reader
+// stage has finished by the time it returns, and a panic on it is
+// raised again here, where the caller's recover can see it.
+func (s *System) warmPipelined(ctx context.Context, entriesPerCore int) error {
+	tiles := len(s.Tiles)
+	free := make(chan []trace.Entry, warmBuffers)
+	full := make(chan []trace.Entry, warmBuffers)
+	for range warmBuffers {
+		free <- make([]trace.Entry, min(warmBatch, entriesPerCore)*tiles)
+	}
+	stop := make(chan struct{})
+	var readerPanic any
+	go func() {
+		defer close(full)
+		defer func() { readerPanic = recover() }()
+		readWarm(s.cfg.Traces, entriesPerCore, free, full, stop)
+	}()
+	defer func() {
+		close(stop)
+		for range full {
+		}
+		if readerPanic != nil {
+			panic(readerPanic)
+		}
+	}()
+
+	s.warmup = true
+	defer func() { s.warmup = false }()
+	lineBytes := uint64(s.cfg.LineBytes)
+	for buf := range full {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for row := 0; row < len(buf); row += tiles {
+			for t, tile := range s.Tiles {
+				e := buf[row+t]
+				tile.L1.Access(e.Addr/lineBytes, e.Write, func() {})
+				s.drainWarm()
+			}
+		}
+		free <- buf[:cap(buf)]
+	}
+	return nil
+}
+
+// readWarm is the warmup's reader stage. It takes empty buffers from free
+// and sends them filled on full, calling the readers in exactly the
+// sequential order — entry-major, tile-minor — so a reader shared by
+// two tiles still hands each the same entries. It reads exactly entries
+// per reader and no further: the timed run and WarmSnapshot continue
+// every stream from where the warmup left it. Each buffer holds whole
+// rows of len(readers) entries; full has room for every buffer, so only
+// the wait for a free one blocks, and a closed stop ends it there.
+func readWarm(readers []trace.Reader, entries int, free <-chan []trace.Entry, full chan<- []trace.Entry, stop <-chan struct{}) {
+	tiles := len(readers)
+	for left := entries; left > 0; {
+		var buf []trace.Entry
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		select {
+		case buf = <-free:
+		case <-stop:
+			return
+		}
+		rows := min(len(buf)/tiles, left)
+		buf = buf[:rows*tiles]
+		for row := 0; row < len(buf); row += tiles {
+			for t, r := range readers {
+				buf[row+t] = r.Next()
+			}
+		}
+		left -= rows
+		full <- buf
+	}
 }
 
 // drainWarm delivers warmup messages synchronously; memory requests are
@@ -502,6 +607,9 @@ func (s *System) Run(cycles int64) error {
 // suspend request simply stops them via the context alongside
 // cancellation.
 func (s *System) RunCtx(ctx context.Context, cycles int64) error {
+	if s.warmErr != nil {
+		return s.unusable()
+	}
 	const batch = 256
 	sus := suspend.FromContext(ctx)
 	since := int64(0)

@@ -110,7 +110,7 @@ func TestLocalMessagesBypassNetwork(t *testing.T) {
 
 func TestWarmupLeavesHierarchyConsistent(t *testing.T) {
 	s := newIdleSystem(t)
-	s.Warmup(8000)
+	mustWarm(t, s, 8000)
 	// After warmup: no in-flight warm messages, caches populated, stats
 	// clean, and the timing simulation starts healthy.
 	if len(s.warmQ) != 0 {
@@ -141,7 +141,7 @@ func TestWarmupImprovesHitRate(t *testing.T) {
 	run := func(warm int) float64 {
 		s := newIdleSystem(t)
 		if warm > 0 {
-			s.Warmup(warm)
+			mustWarm(t, s, warm)
 		}
 		if err := s.Run(2500); err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestWarmupImprovesHitRate(t *testing.T) {
 
 func TestSnapshotReport(t *testing.T) {
 	s := newIdleSystem(t)
-	s.Warmup(10000)
+	mustWarm(t, s, 10000)
 	if err := s.Run(1500); err != nil {
 		t.Fatal(err)
 	}

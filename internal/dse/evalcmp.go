@@ -40,7 +40,9 @@ func evaluateCMP(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, 
 	if err != nil {
 		return Candidate{}, err
 	}
-	warm.System(ctx, s, layout, cfg.Bench, cfg.WarmupEntries)
+	if err := warm.System(ctx, s, layout, cfg.Bench, cfg.WarmupEntries); err != nil {
+		return Candidate{}, err
+	}
 	if err := s.RunCtx(ctx, int64(cfg.CMPCycles)); err != nil {
 		return Candidate{}, err
 	}

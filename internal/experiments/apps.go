@@ -63,7 +63,9 @@ func runAppUncached(ctx context.Context, l core.Layout, bench string, sc Scale, 
 	if err != nil {
 		return appResult{}, err
 	}
-	warmSystem(ctx, s, l, bench, sc)
+	if err := warmSystem(ctx, s, l, bench, sc); err != nil {
+		return appResult{}, err
+	}
 	if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
 		return appResult{}, err
 	}

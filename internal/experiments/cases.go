@@ -239,7 +239,9 @@ func Fig14(ctx context.Context, sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Warmup(sc.CMPWarmupEntries)
+		if err := s.Warmup(ctx, sc.CMPWarmupEntries); err != nil {
+			return nil, err
+		}
 		if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func warmKey(bench string, n, entries, lineBytes int, prefetch bool) string {
 
 // warmSystem brings the freshly built s to its post-warmup state, via a
 // shared checkpoint when sharing is enabled and applicable. Equivalent to
-// s.Warmup(sc.CMPWarmupEntries) bit for bit.
-func warmSystem(ctx context.Context, s *cmp.System, l core.Layout, bench string, sc Scale) {
-	warm.System(ctx, s, l, bench, sc.CMPWarmupEntries)
+// s.Warmup(ctx, sc.CMPWarmupEntries) bit for bit.
+func warmSystem(ctx context.Context, s *cmp.System, l core.Layout, bench string, sc Scale) error {
+	return warm.System(ctx, s, l, bench, sc.CMPWarmupEntries)
 }

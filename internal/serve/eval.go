@@ -61,10 +61,10 @@ const (
 	maxEvalDim = 32
 
 	// maxEvalWarmup bounds W·H·WarmupEntries, the accesses a Bench
-	// probe's warmup replays. The warmup takes no context, so neither the
-	// deadline, a client disconnect nor drain can stop it; 2^22 accesses
-	// take about 1.4 s on a 2-vCPU Xeon VM (the full-scale experiments
-	// warm 64 × 40,000).
+	// probe's warmup replays. The warmup stops at the batch's deadline,
+	// but admission does not yet price a request by its cost, so this cap
+	// bounds what one probe may ask for; 2^22 accesses take about 1.4 s
+	// on a 2-vCPU Xeon VM (the full-scale experiments warm 64 × 40,000).
 	maxEvalWarmup = 1 << 22
 )
 

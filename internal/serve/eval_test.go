@@ -118,6 +118,36 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// TestEvalDeadlineStopsWarmup pins that a CMP probe's cache warmup obeys
+// the batch deadline: the largest admitted warmup (4x4 x 2^18 entries,
+// 0.85-1.2 s uncancelled on a 2-vCPU Xeon VM) stops within one warmup
+// batch of a 0.2 s deadline and the batch fails with the timeout. The
+// bound is the deadline plus set-up and one batch of 64 entries per
+// core, so that a warmup that runs to the end fails it on any host
+// less than about twice as fast as that VM.
+func TestEvalDeadlineStopsWarmup(t *testing.T) {
+	runcache.Reset()
+	defer runcache.Reset()
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := evalTestCfg()
+	cfg.Bench, cfg.WarmupEntries, cfg.CMPCycles = "SPECjbb", 1<<18, 1000
+	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
+	start := time.Now()
+	_, err := c.Eval(context.Background(), EvalRequest{Cfg: cfg, Sets: [][]int{{0, 5, 10, 15}}, TimeoutSec: 0.2})
+	elapsed := time.Since(start)
+	var api *APIError
+	if !errors.As(err, &api) || api.Code != http.StatusRequestTimeout || api.Payload.Error != "timeout" {
+		t.Fatalf("got %v, want 408 timeout", err)
+	}
+	if elapsed > 450*time.Millisecond {
+		t.Fatalf("batch with a 0.2 s deadline took %v: the warmup ignored it", elapsed)
+	}
+}
+
 // TestRemoteSearchMatchesLocal is the fan-out equivalence gate: the same
 // seeded search produces the identical Pareto front whether candidates are
 // scored in-process or POSTed to a nocserved worker.

@@ -220,10 +220,13 @@ type Server struct {
 	busy atomic.Int64
 
 	// Watchdog state for /healthz (same scheme as obs.Server, but keyed
-	// on reqstat.GlobalProgress and gated on busy workers).
+	// on reqstat.GlobalProgress and gated on busy workers). busySince is
+	// when the workers last went from all idle to busy: time spent idle
+	// is not time frozen.
 	watchMu    sync.Mutex
 	lastProg   int64
 	lastChange time.Time
+	busySince  time.Time
 
 	lat   *latencyTracker
 	spans *obs.SpanLog
@@ -323,7 +326,11 @@ func (s *Server) worker() {
 // experiment (or an injected chaos panic) becomes a structured error on
 // j.done, never a dead server.
 func (s *Server) runJob(j *job) {
-	s.busy.Add(1)
+	s.watchMu.Lock()
+	if s.busy.Add(1) == 1 {
+		s.busySince = time.Now()
+	}
+	s.watchMu.Unlock()
 	defer func() {
 		s.trackJob(j, false)
 		s.busy.Add(-1)
@@ -620,7 +627,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleHealthz reports stalled when workers are busy but global
 // simulation progress has frozen for StallAfter — the signal a chaos
-// run.stall or a wedged simulation produces.
+// run.stall or a wedged simulation produces. Frozen time runs from the
+// later of the last progress change and the workers' last idle-to-busy
+// transition.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	prog := reqstat.GlobalProgress()
 	now := time.Now()
@@ -629,7 +638,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		s.lastProg = prog
 		s.lastChange = now
 	}
-	frozen := now.Sub(s.lastChange)
+	since := s.lastChange
+	if s.busySince.After(since) {
+		since = s.busySince
+	}
+	frozen := now.Sub(since)
+	busy := s.busy.Load()
 	s.watchMu.Unlock()
 	type payload struct {
 		Status     string  `json:"status"`
@@ -638,7 +652,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Queued     int     `json:"queued"`
 		StalledSec float64 `json:"stalled_sec,omitempty"`
 	}
-	p := payload{Status: "ok", Progress: prog, Busy: s.busy.Load(), Queued: s.sched.depth()}
+	p := payload{Status: "ok", Progress: prog, Busy: busy, Queued: s.sched.depth()}
 	w.Header().Set("Content-Type", "application/json")
 	if s.draining.Load() {
 		p.Status = "draining"

@@ -456,30 +456,85 @@ func TestHealthzStallWatchdog(t *testing.T) {
 	stalled := false
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p struct {
-			Status string `json:"status"`
-		}
-		json.NewDecoder(resp.Body).Decode(&p)
-		resp.Body.Close()
+		p, code := healthz(t, ts.URL)
 		if p.Status == "stalled" {
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("stalled healthz returned %d, want 503", resp.StatusCode)
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("stalled healthz returned %d, want 503", code)
 			}
-			stalled = true
-			break
+			// Progress moves only at cancellation-batch boundaries, and
+			// a slow host (the race detector) can stretch one batch past
+			// StallAfter; only a stall after the chaos point fired is the
+			// one under test.
+			if ch.Fired(chaos.PointRunStall) > 0 {
+				stalled = true
+				break
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !stalled {
 		t.Fatal("watchdog never reported the chaos-stalled run")
 	}
-	if ch.Fired(chaos.PointRunStall) == 0 {
-		t.Fatal("stall point never fired")
+}
+
+// TestHealthzIdleTimeIsNotStall pins the watchdog's clock: time a server
+// spends idle is not time its progress is frozen, so a job that has been
+// busy for less than StallAfter reads ok however long the server idled
+// before it.
+func TestHealthzIdleTimeIsNotStall(t *testing.T) {
+	const stallAfter = 150 * time.Millisecond
+	ch := chaos.New(3)
+	// Holds the job busy, with no progress, well past StallAfter.
+	ch.Set(chaos.PointWorkerPanic, chaos.Spec{Prob: 1, Delay: 4 * stallAfter, Times: 1})
+	srv := New(Config{
+		Workers: 1, Chaos: ch, StallAfter: stallAfter,
+		Scales: map[string]experiments.Scale{"test": testScale(t, 1200)},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	if p, _ := healthz(t, ts.URL); p.Status != "ok" || p.Busy != 0 {
+		t.Fatalf("idle server: %+v, want ok with no busy workers", p)
 	}
+	time.Sleep(2 * stallAfter)
+	go postAsync(ts.URL, Request{Experiment: "fig1", Scale: "test"})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p, _ := healthz(t, ts.URL)
+		if p.Busy > 0 {
+			if p.Status != "ok" {
+				t.Fatalf("job busy for under StallAfter after an idle spell: %+v, want ok", p)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+type healthzPayload struct {
+	Status     string  `json:"status"`
+	Progress   int64   `json:"progress"`
+	Busy       int64   `json:"busy_workers"`
+	StalledSec float64 `json:"stalled_sec"`
+}
+
+// healthz polls /healthz once and returns its payload and status code.
+func healthz(t *testing.T, url string) (healthzPayload, int) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var p healthzPayload
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return p, resp.StatusCode
 }
 
 func TestLoadGenSLOReport(t *testing.T) {

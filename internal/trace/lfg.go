@@ -15,7 +15,9 @@ package trace
 //
 // lfgSource implements both rand.Source and rand.Source64, exactly like
 // the stdlib's rngSource, so rand.Rand drives it through the same Uint64
-// path and every derived draw (Float64, Intn, ...) matches.
+// path and every derived draw (Float64, Intn, ...) matches. The generators
+// skip rand.Rand altogether: float64 and intn below repeat its
+// conversions draw for draw, without the interface call per draw.
 
 import "encoding/binary"
 
@@ -103,6 +105,47 @@ func (s *lfgSource) Uint64() uint64 {
 // Int63 returns the masked 63-bit value (rand.Source).
 func (s *lfgSource) Int63() int64 {
 	return int64(s.Uint64() & lfgMask)
+}
+
+// float64 is (*rand.Rand).Float64: Int63/2^63, resampled when the
+// division rounds up to 1.
+func (s *lfgSource) float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// intn is (*rand.Rand).Intn: Int31n while n fits in an int32, Int63n
+// above. Both mask powers of two and otherwise reject draws above the
+// largest multiple of n, so the number of raw draws matches too.
+func (s *lfgSource) intn(n int) int {
+	if n <= 0 {
+		panic("trace: intn of a non-positive bound")
+	}
+	if n <= lfgInt32Max {
+		n32 := int32(n)
+		if n32&(n32-1) == 0 {
+			return int(int32(s.Int63()>>32) & (n32 - 1))
+		}
+		max := int32(1<<31 - 1 - (1<<31)%uint32(n32))
+		v := int32(s.Int63() >> 32)
+		for v > max {
+			v = int32(s.Int63() >> 32)
+		}
+		return int(v % n32)
+	}
+	n64 := int64(n)
+	if n64&(n64-1) == 0 {
+		return int(s.Int63() & (n64 - 1))
+	}
+	max := int64(1<<63 - 1 - (1<<63)%uint64(n64))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return int(v % n64)
 }
 
 // lfgStateLen is the encoded size of a register snapshot: two cursor

@@ -5,13 +5,38 @@ import (
 	"testing"
 )
 
+var lfgSeeds = []int64{0, 1, -1, 42, 1 << 40, -(1 << 40), 89482311, 7919*63 + 17}
+
 // TestLFGMatchesMathRand pins the one property everything downstream
 // depends on: lfgSource reproduces rand.NewSource bit for bit — raw words
-// and every derived draw the generators use (Float64, Intn, Int63). A
-// divergence here would silently shift every trace stream and with it
-// every golden fingerprint.
+// and every derived draw the generators use (Float64, Intn, Int63), both
+// through rand.Rand and through the direct float64/intn draws the
+// generators call. A divergence here would silently shift every trace
+// stream and with it every golden fingerprint.
 func TestLFGMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 40), 89482311, 7919*63 + 17} {
+	// Bounds cover both Intn paths (Int31n up to 2^31-1, Int63n above),
+	// powers of two (masked) and non-powers (rejection sampled); 3<<29
+	// and 3<<61 reject a quarter of their raw draws.
+	bounds := []int{1, 2, 3, 64, 1000, 5000, 1 << 20, 3 << 29, 1<<31 - 1, 1 << 31, 1<<40 + 7, 3 << 61, 1 << 62}
+	for _, seed := range lfgSeeds {
+		ref := rand.New(rand.NewSource(seed))
+		got := newLFG(seed)
+		for i := 0; i < 2000; i++ {
+			if r, g := ref.Float64(), got.float64(); r != g {
+				t.Fatalf("seed %d draw %d: float64 %g != Float64 %g", seed, i, g, r)
+			}
+			for _, n := range bounds {
+				if r, g := ref.Intn(n), got.intn(n); r != g {
+					t.Fatalf("seed %d draw %d: intn(%d) %d != Intn %d", seed, i, n, g, r)
+				}
+			}
+			// A raw word between rounds exposes a draw-count mismatch.
+			if r, g := ref.Uint64(), got.Uint64(); r != g {
+				t.Fatalf("seed %d draw %d: Uint64 %d != %d after direct draws", seed, i, g, r)
+			}
+		}
+	}
+	for _, seed := range lfgSeeds {
 		ref := rand.New(rand.NewSource(seed))
 		got := rand.New(newLFG(seed))
 		for i := 0; i < 2000; i++ {

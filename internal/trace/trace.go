@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 )
 
@@ -159,7 +158,6 @@ type Generator struct {
 	p    Profile
 	core int
 	src  *lfgSource
-	rng  *rand.Rand
 	// address regions, in line units
 	sharedBase  uint64
 	privateBase uint64
@@ -183,12 +181,10 @@ func NewGenerator(p Profile, core int, lineBytes int) *Generator {
 func NewGeneratorAt(p Profile, core int, lineBytes int, baseLine uint64) *Generator {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d", p.Name, core)
-	src := newLFG(int64(h.Sum64() & 0x7fffffffffffffff))
 	g := &Generator{
 		p:         p,
 		core:      core,
-		src:       src,
-		rng:       rand.New(src),
+		src:       newLFG(int64(h.Sum64() & 0x7fffffffffffffff)),
 		lineBytes: uint64(lineBytes),
 	}
 	g.sharedBase = baseLine
@@ -204,24 +200,24 @@ func NewGeneratorAt(p Profile, core int, lineBytes int, baseLine uint64) *Genera
 // Next produces the next trace entry.
 func (g *Generator) Next() Entry {
 	g.pos++
-	e := Entry{Write: g.rng.Float64() < g.p.WriteFrac}
-	if g.rng.Float64() >= g.p.Burst {
+	e := Entry{Write: g.src.float64() < g.p.WriteFrac}
+	if g.src.float64() >= g.p.Burst {
 		// Geometric gap with the profile's mean.
 		if g.p.MeanGap > 0 {
 			pStop := 1 / (1 + g.p.MeanGap)
-			for g.rng.Float64() > pStop {
+			for g.src.float64() > pStop {
 				e.Gap++
 			}
 		}
 	}
 	var line uint64
 	switch {
-	case g.rng.Float64() < g.p.Locality:
+	case g.src.float64() < g.p.Locality:
 		// Spatial locality: mostly the same line, sometimes the next one
 		// (streaming), wrapped so the walk stays inside its region
 		// (private footprint or shared region).
 		line = g.lastLine
-		if g.rng.Float64() < 0.35 {
+		if g.src.float64() < 0.35 {
 			line++
 		}
 		if g.lastLine >= g.privateBase {
@@ -229,14 +225,14 @@ func (g *Generator) Next() Entry {
 		} else if g.p.SharedLines > 0 {
 			line = g.sharedBase + (line-g.sharedBase)%uint64(g.p.SharedLines)
 		}
-	case g.p.SharedFrac > 0 && g.rng.Float64() < g.p.SharedFrac:
-		if g.p.HotFrac > 0 && g.rng.Float64() < g.p.HotFrac {
-			line = g.sharedBase + uint64(g.rng.Intn(g.hotLines))
+	case g.p.SharedFrac > 0 && g.src.float64() < g.p.SharedFrac:
+		if g.p.HotFrac > 0 && g.src.float64() < g.p.HotFrac {
+			line = g.sharedBase + uint64(g.src.intn(g.hotLines))
 		} else {
-			line = g.sharedBase + uint64(g.rng.Intn(g.p.SharedLines))
+			line = g.sharedBase + uint64(g.src.intn(g.p.SharedLines))
 		}
 	default:
-		line = g.privateBase + uint64(g.rng.Intn(g.p.FootprintLines))
+		line = g.privateBase + uint64(g.src.intn(g.p.FootprintLines))
 	}
 	g.lastLine = line
 	e.Addr = line * g.lineBytes
@@ -296,7 +292,6 @@ func (g *Generator) RestoreState(state []byte) error {
 // study's character.)
 type URGenerator struct {
 	src       *lfgSource
-	rng       *rand.Rand
 	next      uint64
 	core      int
 	span      uint64
@@ -307,10 +302,8 @@ type URGenerator struct {
 // walk over a per-core 2^30-line region (tagged by core in bits 40+, so
 // cores never alias each other).
 func NewURGenerator(core int, lineBytes int) *URGenerator {
-	src := newLFG(int64(core)*7919 + 17)
 	return &URGenerator{
-		src:       src,
-		rng:       rand.New(src),
+		src:       newLFG(int64(core)*7919 + 17),
 		core:      core,
 		span:      1 << 30,
 		lineBytes: uint64(lineBytes),
@@ -322,7 +315,7 @@ func NewURGenerator(core int, lineBytes int) *URGenerator {
 // (MSHR-limited) rather than literally back-to-back.
 func (g *URGenerator) Next() Entry {
 	g.next++
-	line := (uint64(g.rng.Int63()) % g.span) | (uint64(g.core) << 40)
+	line := (uint64(g.src.Int63()) % g.span) | (uint64(g.core) << 40)
 	return Entry{Gap: 2, Addr: line * g.lineBytes, Write: false}
 }
 

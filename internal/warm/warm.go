@@ -69,32 +69,37 @@ func Key(bench string, n, entries, lineBytes int, prefetch bool) string {
 
 // System brings the freshly built s to its post-warmup state, via a shared
 // checkpoint when sharing is enabled and applicable. Equivalent to
-// s.Warmup(entries) bit for bit.
-func System(ctx context.Context, s *cmp.System, l core.Layout, bench string, entries int) {
+// s.Warmup(ctx, entries) bit for bit. When ctx ends first it returns
+// ctx's error, and s must then be discarded (see cmp.System.Warmup).
+func System(ctx context.Context, s *cmp.System, l core.Layout, bench string, entries int) error {
 	if !sharing.Load() || !runcache.Enabled() || entries <= 0 {
-		s.Warmup(entries)
-		return
+		return s.Warmup(ctx, entries)
 	}
 	n := l.Mesh.NumTerminals()
 	key := Key(bench, n, entries, s.LineBytes(), s.PrefetchEnabled())
-	snap, err := runcache.ForCtx(ctx, key, func(context.Context) ([]byte, error) {
+	snap, err := runcache.ForCtx(ctx, key, func(ctx context.Context) ([]byte, error) {
 		t, err := template(l, bench, s.PrefetchEnabled())
 		if err != nil {
 			return nil, err
 		}
-		t.Warmup(entries)
+		if err := t.Warmup(ctx, entries); err != nil {
+			return nil, err
+		}
 		return t.WarmSnapshot()
 	})
 	if err == nil && len(snap) > 0 {
 		if rerr := s.RestoreWarmSnapshot(snap); rerr == nil {
 			restores.Add(1)
-			return
+			return nil
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	// Defensive: a failed restore degrades to the direct path, which
 	// produces the identical state (just slower).
 	fallbacks.Add(1)
-	s.Warmup(entries)
+	return s.Warmup(ctx, entries)
 }
 
 // template builds a minimal system to generate a warm checkpoint: the
