@@ -393,10 +393,11 @@ func BenchmarkReliableCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRestore measures deserializing a mid-run 8x8 network
-// checkpoint into a fresh simulator — the fixed cost every cache-served
-// warm start pays instead of re-simulating the prefix. scripts/bench.sh
-// records it as "ckpt_restore_ns_per_op" in BENCH_noc.json.
+// BenchmarkCheckpointRestore measures restoring a mid-run 8x8 network
+// checkpoint into a fresh simulator, acceptance check included — the
+// fixed cost a suspended run pays on resume and `noxsim -ckptcheck` pays
+// to verify its checkpoint. scripts/bench.sh records it as
+// "ckpt_restore_ns_per_op" in BENCH_noc.json.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	l := core.NewBaseline(8, 8)
 	net, err := l.Network()
@@ -416,7 +417,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	snap, err := net.Snapshot(nil)
+	snap, err := net.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := fresh.RestoreSnapshot(snap, nil); err != nil {
+		if err := fresh.RestoreSnapshot(snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -260,7 +260,7 @@ func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
 	}
 	fp := fmt.Sprintf("%016x", net.Fingerprint())
 	if ckptOut != "" || ckptCheck {
-		snap, err := net.Snapshot(nil)
+		snap, err := net.Snapshot()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -268,7 +268,7 @@ func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
 		if ckptCheck {
 			fresh, err := l.Network()
 			if err == nil {
-				err = fresh.RestoreSnapshot(snap, nil)
+				err = fresh.RestoreSnapshot(snap)
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "checkpoint self-check FAILED: %v\n", err)

@@ -1,8 +1,8 @@
 // Package ckpt implements the NOCCKPT01 checkpoint container: a small,
 // versioned, CRC-protected binary format used for every persisted file
-// except HNTR2 memory traces — simulator state (noc.Network, noc.Reliable,
-// suspended runs, cmp.System warm state), run-cache entries, DSE frontiers
-// and flit traces.
+// except HNTR2 memory traces — simulator state (noc.Network, suspended
+// runs, cmp.System warm state), run-cache entries, DSE frontiers and flit
+// traces.
 //
 // Layout:
 //
@@ -250,19 +250,8 @@ func (r *Reader) F64() float64 {
 // the bytes that remain in the body. Every element takes at least one
 // byte, so a decoder that sizes its allocation by Count allocates in
 // proportion to its input, however large the count a corrupt file claims.
-func (r *Reader) Count() int { return r.bound(r.U64()) }
-
-// IntCount is Count for a length written with Writer.Int, the encoding of
-// the noc-net and noc-rel bodies; it also refuses a negative value.
-func (r *Reader) IntCount() int {
-	n := r.I64()
-	if r.err == nil && n < 0 {
-		r.fail("negative count %d", n)
-	}
-	return r.bound(uint64(n))
-}
-
-func (r *Reader) bound(n uint64) int {
+func (r *Reader) Count() int {
+	n := r.U64()
 	if r.err != nil {
 		return 0
 	}

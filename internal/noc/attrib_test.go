@@ -202,12 +202,12 @@ func TestAttributionSnapshotRoundTrip(t *testing.T) {
 
 	n := newHeteroMeshNet(t)
 	injectMixedLoad(t, n, 53, 800, 0.05)
-	blob, err := n.Snapshot(nil)
+	blob, err := n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := newHeteroMeshNet(t)
-	if err := restored.RestoreSnapshot(blob, nil); err != nil {
+	if err := restored.RestoreSnapshot(blob); err != nil {
 		t.Fatal(err)
 	}
 	gotAttr, gotFP := finish(restored)

@@ -127,6 +127,7 @@ func (n *Network) applyFaults() {
 		}
 		n.sweepDeadVCs()
 		n.purgeBroken()
+		n.syncDerived(true) // the kills changed derived state even if no packet broke
 	}
 }
 
@@ -174,8 +175,9 @@ func (n *Network) killRouter(r int) {
 }
 
 // killPort fail-stops one directed link endpoint: queued events are
-// destroyed (flits on a dead wire are lost), all allocation is refused
-// from now on, and the downstream input port loses its credit channel.
+// destroyed (flits on a dead wire are lost) and all allocation is refused
+// from now on. The downstream input port loses its credit channel when
+// applyFaults rebuilds the derived state.
 func (n *Network) killPort(op *outputPort, why DropReason) {
 	if op.dead {
 		return
@@ -183,26 +185,14 @@ func (n *Network) killPort(op *outputPort, why DropReason) {
 	op.dead = true
 	for op.wire.n > 0 {
 		we := op.wire.pop()
-		n.flitsInNetwork--
 		n.stats.FlitsLost++
 		n.markBroken(we.flit.Pkt, why)
 	}
 	for op.creditQ.n > 0 {
 		op.creditQ.pop()
 	}
-	for v := range op.credits {
-		op.credits[v] = 0
-	}
-	op.creditMask = 0
-	for v := range op.owner {
-		op.owner[v] = nil
-	}
-	if op.router >= 0 {
-		n.evMask[op.router] &^= 1 << uint(op.port)
-	}
-	if !op.isTerm {
-		n.routers[op.link.Router].in[op.link.Port].upstream = nil
-	}
+	clear(op.credits)
+	clear(op.owner)
 }
 
 // killNI fail-stops a terminal whose router died: in-flight streams lose
@@ -213,14 +203,12 @@ func (n *Network) killNI(t int) {
 	if q.up.dead {
 		return
 	}
-	n.niDead[t] = true
 	for i := range q.streams {
 		n.markBroken(q.streams[i].pkt, DropTermDown)
 	}
 	n.killPort(&q.up, DropTermDown)
 	for q.queued() > 0 {
 		p := q.pop()
-		n.queuedPackets--
 		n.stats.PacketsUnroutable++
 		if n.onDrop != nil {
 			n.onDrop(p, DropTermDown)
@@ -250,9 +238,6 @@ func (n *Network) sweepDeadVCs() {
 					vc.cur = nil
 					vc.state = vcIdle
 					vc.waitCycles = 0
-					bit := uint32(1) << uint(vi)
-					ip.saMask &^= bit
-					ip.raMask |= bit
 					continue
 				}
 				n.markBroken(vc.cur, DropLinkFail)
@@ -271,7 +256,10 @@ func (n *Network) markBroken(p *Packet, why DropReason) {
 	n.brokenQ = append(n.brokenQ, p)
 }
 
-// purgeBroken removes every marked packet from the network.
+// purgeBroken removes every marked packet from the network, then
+// rebuilds the derived state (flit counters, candidate and event masks,
+// credit masks, severed credit channels) from a rescan, so the purge and
+// the faults before it edit primary state only.
 func (n *Network) purgeBroken() {
 	if len(n.brokenQ) == 0 {
 		return
@@ -280,6 +268,7 @@ func (n *Network) purgeBroken() {
 		n.purgePacket(n.brokenQ[i])
 	}
 	n.brokenQ = n.brokenQ[:0]
+	n.syncDerived(true)
 }
 
 // purgePacket removes every remaining trace of a broken packet: its NI
@@ -322,32 +311,20 @@ func (n *Network) purgePacket(p *Packet) {
 	}
 }
 
-// purgeInputPort removes p's flits from one input port and repairs the
-// VC states, candidate masks and flit counters.
+// purgeInputPort removes p's flits from one input port, returns their
+// buffer credits and frees the VCs routing or sending p.
 func (n *Network) purgeInputPort(rt *router, pi int, p *Packet) {
 	ip := &rt.in[pi]
 	for vi := range ip.vcs {
 		vc := &ip.vcs[vi]
-		removed := 0
 		if vc.buf.count > 0 {
-			removed = vc.buf.removePacket(p)
-		}
-		if removed == 0 && vc.cur != p {
-			continue
-		}
-		if removed > 0 {
-			ip.flits -= removed
-			n.inFlits[rt.id] -= int32(removed)
-			n.flitsInNetwork -= removed
+			removed := vc.buf.removePacket(p)
 			n.stats.FlitsLost += int64(removed)
 			// The freed buffer slots return their credits to the feeder,
 			// unless the feeding link died (its credits died with it).
 			if up := ip.upstream; up != nil && !up.dead {
 				for i := 0; i < removed; i++ {
 					up.creditQ.push(creditEvt{vc: vi, at: n.cycle + 1})
-				}
-				if up.router >= 0 {
-					n.evMask[up.router] |= 1 << uint(up.port)
 				}
 			}
 		}
@@ -360,23 +337,6 @@ func (n *Network) purgeInputPort(rt *router, pi int, p *Packet) {
 			vc.state = vcIdle
 			vc.waitCycles = 0
 		}
-		bit := uint32(1) << uint(vi)
-		if vc.buf.count > 0 {
-			vc.headArrive = vc.buf.buf[vc.buf.head].arrive
-			if vc.state == vcActive {
-				ip.saMask |= bit
-				ip.raMask &^= bit
-			} else {
-				ip.raMask |= bit
-				ip.saMask &^= bit
-			}
-		} else {
-			ip.raMask &^= bit
-			ip.saMask &^= bit
-		}
-	}
-	if ip.flits == 0 {
-		n.portMask[rt.id] &^= 1 << uint(pi)
 	}
 }
 
@@ -404,26 +364,21 @@ func (n *Network) filterWire(op *outputPort, p *Packet) {
 			keep = append(keep, we)
 			continue
 		}
-		n.flitsInNetwork--
 		n.stats.FlitsLost++
 		if op.credits != nil {
 			op.credits[we.outVC]++
-			op.creditMask |= 1 << uint(we.outVC)
 		}
 	}
 	for _, we := range keep {
 		op.wire.push(we)
 	}
-	if op.router >= 0 && op.wire.n == 0 && op.creditQ.n == 0 {
-		n.evMask[op.router] &^= 1 << uint(op.port)
-	}
 }
 
 // dropWireFlit destroys a flit at the moment of link delivery (transient
 // drop or checksum-detected corruption). The buffer slot it reserved is
-// credited back immediately; the packet is broken and will be purged.
+// credited back immediately; the packet is broken, and the purge after
+// delivery removes it and rebuilds the flit count and credit mask.
 func (n *Network) dropWireFlit(op *outputPort, we wireEvt, why DropReason) {
-	n.flitsInNetwork--
 	if why == DropCorrupt {
 		n.stats.FlitsCorrupted++
 	} else {
@@ -431,7 +386,6 @@ func (n *Network) dropWireFlit(op *outputPort, we wireEvt, why DropReason) {
 	}
 	if op.credits != nil {
 		op.credits[we.outVC]++
-		op.creditMask |= 1 << uint(we.outVC)
 	}
 	n.markBroken(we.flit.Pkt, why)
 }
@@ -453,14 +407,19 @@ func headerChecksum(f *Flit) uint16 {
 	return uint16(h ^ h>>16 ^ h>>32 ^ h>>48)
 }
 
+// flitCsum is the checksum emitFlit stamps on f: its header checksum on
+// a fault-armed network, 0 otherwise.
+func (n *Network) flitCsum(f *Flit) uint16 {
+	if n.faultsArmed {
+		return headerChecksum(f)
+	}
+	return 0
+}
+
 // StalledDump renders the state of up to maxRouters routers still holding
 // flits. It backs the deadlock watchdog's error message and the /healthz
 // stall report of the live-introspection server.
-func (n *Network) StalledDump(maxRouters int) string { return n.stalledDump(maxRouters) }
-
-// stalledDump renders the state of up to maxRouters routers still holding
-// flits, for the deadlock watchdog's error message.
-func (n *Network) stalledDump(maxRouters int) string {
+func (n *Network) StalledDump(maxRouters int) string {
 	var b []byte
 	more := 0
 	for r := range n.routers {

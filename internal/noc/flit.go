@@ -111,22 +111,17 @@ type Flit struct {
 	Csum uint16
 }
 
-// makeFlits is a helper for tests: it expands a packet into its flit
-// sequence.
-func makeFlits(p *Packet) []Flit {
-	if p.NumFlits == 1 {
-		return []Flit{{Pkt: p, Seq: 0, Kind: SingleFlit}}
+// flitKind is the kind of flit seq of a numFlits-flit packet. The NI
+// emits a packet's flits in sequence order, so the kind follows from the
+// position alone.
+func flitKind(numFlits, seq int) FlitKind {
+	switch {
+	case numFlits == 1:
+		return SingleFlit
+	case seq == 0:
+		return HeadFlit
+	case seq == numFlits-1:
+		return TailFlit
 	}
-	fs := make([]Flit, p.NumFlits)
-	for i := range fs {
-		k := BodyFlit
-		switch i {
-		case 0:
-			k = HeadFlit
-		case p.NumFlits - 1:
-			k = TailFlit
-		}
-		fs[i] = Flit{Pkt: p, Seq: int32(i), Kind: k}
-	}
-	return fs
+	return BodyFlit
 }

@@ -30,7 +30,6 @@ type ni struct {
 	queue   []*Packet
 	qHead   int
 	streams []niStream
-	waitVC  int // VA starvation counter at injection
 }
 
 func (q *ni) queued() int { return len(q.queue) - q.qHead }
@@ -105,6 +104,10 @@ type Network struct {
 	directFx tickFx
 	pool     *par.Pool
 	shards   []tickFx
+
+	// restored marks a network RestoreSnapshot has written into (whether
+	// or not the restore succeeded); it refuses a second restore.
+	restored bool
 }
 
 // New builds and validates a network.
@@ -145,9 +148,9 @@ func New(cfg Config) (*Network, error) {
 		slots := make([]Flit, radix*rt.cfg.VCs*rt.cfg.BufDepth)
 		wireArena := make([]wireEvt, radix*4)
 		creditArena := make([]creditEvt, radix*4)
-		// The downstream-VC bookkeeping (credits, owners, pending frees) of
-		// all the router's network ports shares three arenas, sliced per
-		// port below, instead of three allocations per port.
+		// The downstream-VC bookkeeping (credits, owners) of all the router's
+		// network ports shares two arenas, sliced per port below, instead of
+		// two allocations per port.
 		totalDownVCs := 0
 		for p := 0; p < radix; p++ {
 			if link, ok := topo.Neighbor(r, p); ok {
@@ -156,7 +159,6 @@ func New(cfg Config) (*Network, error) {
 		}
 		credArena := make([]int, totalDownVCs)
 		ownerArena := make([]*Packet, totalDownVCs)
-		freeArena := make([]bool, totalDownVCs)
 		credOff := 0
 		for p := 0; p < radix; p++ {
 			rt.in[p].vcs = vcs[p*rt.cfg.VCs : (p+1)*rt.cfg.VCs]
@@ -182,29 +184,16 @@ func New(cfg Config) (*Network, error) {
 				for v := range op.credits {
 					op.credits[v] = down.BufDepth
 				}
-				op.creditMask = uint32(1)<<down.VCs - 1
 				op.owner = ownerArena[credOff:end:end]
-				op.pendingFree = freeArena[credOff:end:end]
 				credOff = end
 			} else if term, ok := topo.PortTerminal(r, p); ok {
 				op.isTerm = true
 				op.term = term
 				op.downVCs = 1
-				op.creditMask = ^uint32(0) // sinks consume unconditionally
 			} else {
 				op.dead = true
-				op.creditMask = ^uint32(0) // mirror nil-credits semantics
 			}
 			rt.out[p] = op
-		}
-	}
-	// Wire credit upstreams: the input port fed by output port (r,p) is
-	// (link.Router, link.Port).
-	for r := range n.routers {
-		for _, op := range n.routers[r].out {
-			if !op.dead && !op.isTerm {
-				n.routers[op.link.Router].in[op.link.Port].upstream = op
-			}
 		}
 	}
 	// Network interfaces.
@@ -218,24 +207,22 @@ func New(cfg Config) (*Network, error) {
 		n.termRouter[t] = int32(r)
 		down := cfg.Routers[r]
 		q.up = outputPort{
-			router:      -1,
-			port:        -1,
-			link:        topology.Link{Router: r, Port: p},
-			slots:       cfg.LinkSlots(r, p),
-			downVCs:     down.VCs,
-			downDepth:   down.BufDepth,
-			credits:     make([]int, down.VCs),
-			owner:       make([]*Packet, down.VCs),
-			pendingFree: make([]bool, down.VCs),
+			router:    -1,
+			port:      -1,
+			link:      topology.Link{Router: r, Port: p},
+			slots:     cfg.LinkSlots(r, p),
+			downVCs:   down.VCs,
+			downDepth: down.BufDepth,
+			credits:   make([]int, down.VCs),
+			owner:     make([]*Packet, down.VCs),
 		}
 		for v := range q.up.credits {
 			q.up.credits[v] = down.BufDepth
 		}
-		q.up.creditMask = uint32(1)<<down.VCs - 1
 		q.up.wire.buf = make([]wireEvt, 4)
 		q.up.creditQ.buf = make([]creditEvt, 4)
-		n.routers[r].in[p].upstream = &q.up
 	}
+	n.syncDerived(true) // credit masks and upstream (credit return) pointers
 	n.directFx = tickFx{n: n, direct: true}
 	if cfg.ShardWorkers > 0 {
 		n.SetShardWorkers(cfg.ShardWorkers)
@@ -341,7 +328,7 @@ func (n *Network) Step() error {
 	}
 	if w := n.cfg.WatchdogCycles; w > 0 && n.flitsInNetwork > 0 && n.cycle-n.lastMove > int64(w) {
 		return fmt.Errorf("noc: deadlock watchdog: no flit moved for %d cycles at cycle %d (%d flits in flight)\n%s",
-			w, n.cycle, n.flitsInNetwork, n.stalledDump(4))
+			w, n.cycle, n.flitsInNetwork, n.StalledDump(4))
 	}
 	return nil
 }
@@ -516,10 +503,8 @@ func (n *Network) inject() {
 					// was sent on it yet).
 					q.up.owner[vc] = nil
 				}
-				q.waitVC++
 				break
 			}
-			q.waitVC = 0
 			p.vcClass = class
 			p.InjectCycle = n.cycle
 			n.trace(EvInject, p.ID, q.up.link.Router)
@@ -558,19 +543,9 @@ func (n *Network) inject() {
 // emitFlit sends the next flit of a stream and closes the stream on tail.
 func (n *Network) emitFlit(q *ni, st *niStream) {
 	p := st.pkt
-	kind := BodyFlit
-	switch {
-	case p.NumFlits == 1:
-		kind = SingleFlit
-	case st.nextSeq == 0:
-		kind = HeadFlit
-	case st.nextSeq == p.NumFlits-1:
-		kind = TailFlit
-	}
+	kind := flitKind(p.NumFlits, st.nextSeq)
 	f := Flit{Pkt: p, Seq: int32(st.nextSeq), Kind: kind}
-	if n.faultsArmed {
-		f.Csum = headerChecksum(&f)
-	}
+	f.Csum = n.flitCsum(&f)
 	q.up.consumeCredit(st.vc)
 	q.up.wire.push(wireEvt{flit: f, outVC: st.vc, at: n.cycle + 1})
 	n.flitsInNetwork++
@@ -863,7 +838,6 @@ func (n *Network) switchAllocate(lo, hi int, fx *tickFx) {
 		for m := outSent; m != 0; m &= m - 1 {
 			po := bits.TrailingZeros32(m)
 			out := rt.out[po]
-			out.rrOut++
 			out.busyCycles++
 			if rt.outSent[po] == 2 {
 				out.combineCycles++
@@ -929,7 +903,7 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 }
 
 // accumulate gathers per-cycle occupancy statistics from the maintained
-// flit counters (occupied() rescans the buffers and is kept for audits).
+// flit counters (CheckInvariants audits them against a rescan).
 func (n *Network) accumulate() {
 	n.stats.Cycles++
 	for r, f := range n.inFlits {

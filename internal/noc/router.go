@@ -92,14 +92,12 @@ type outputPort struct {
 	// ports, which consume flits unconditionally. creditMask mirrors it —
 	// bit v set iff VC v has a credit (all ones when credits is nil) — so
 	// the eligibility check costs one field read instead of a slice chase.
-	downVCs     int
-	downDepth   int
-	credits     []int
-	creditMask  uint32
-	owner       []*Packet
-	pendingFree []bool
-	rrVC        int // VC allocation round-robin pointer
-	rrOut       int // output-stage (p:1) arbiter round-robin pointer
+	downVCs    int
+	downDepth  int
+	credits    []int
+	creditMask uint32
+	owner      []*Packet
+	rrVC       int // VC allocation round-robin pointer
 
 	// In-flight events toward the downstream side. Both queues are strict
 	// FIFOs in maturity time (wires are enqueued at a fixed +1 or +2 delay,
@@ -148,7 +146,7 @@ func (o *outputPort) allocVC(pkt *Packet, lo, hi int) (int, bool) {
 	start := o.rrVC % n
 	for i := 0; i < n; i++ {
 		c := lo + (start+i)%n
-		if o.owner[c] == nil && !o.pendingFree[c] {
+		if o.owner[c] == nil {
 			o.owner[c] = pkt
 			o.rrVC++
 			return c, true
@@ -202,15 +200,4 @@ type router struct {
 	// contention buckets where the head stalled here, queue wait and the NI
 	// wire at the source router, serialization at the destination router.
 	atr [NumAttrBuckets]int64
-}
-
-// occupied returns the number of buffered flits across all input VCs.
-func (r *router) occupied() int {
-	n := 0
-	for pi := range r.in {
-		for vi := range r.in[pi].vcs {
-			n += r.in[pi].vcs[vi].buf.len()
-		}
-	}
-	return n
 }

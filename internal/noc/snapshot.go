@@ -1,30 +1,27 @@
 package noc
 
-// Deterministic checkpointing (the NOCCKPT01 "noc-net" and "noc-rel"
-// kinds). Snapshot serializes every piece of dynamic network state —
-// queued and in-flight packets, VC buffers and allocation state, credits,
-// wire and credit event queues, round-robin pointers, statistics, and the
-// fault overlay — such that restoring into a freshly constructed Network
-// with the same Config reproduces the golden fingerprint bit-for-bit and
-// every subsequent Step behaves exactly as the original would have,
-// including under ShardWorkers > 0 (sharding reads only committed state,
-// which the snapshot captures in full).
+// Deterministic checkpointing (the NOCCKPT01 "noc-net" kind). Snapshot
+// serializes the primary dynamic state of the network — packets, VC
+// buffers and allocation state, credits, event queues, round-robin
+// pointers, statistics and the fault overlay — so that restoring it into
+// a fresh Network built from the same Config reproduces the fingerprint
+// bit-for-bit and every later Step, at any ShardWorkers count.
 //
-// Identity-only state is deliberately not serialized: free lists and
-// arena backing stores affect allocation reuse, never behavior, so a
-// restored network simply starts with empty pools. Structure (topology,
-// VC counts, buffer depths, link widths) is rebuilt by New(cfg) and only
-// validated against a signature embedded in the checkpoint.
-//
-// Packets form a pointer graph (a packet is referenced from an NI queue,
-// VC ownership tables, buffered flits and wire events at once). They are
-// collected into a table in a deterministic walk order and all references
-// are stored as table indices, so identity — which the purge and
-// invariant machinery rely on — survives the round trip.
+// One two-way walk (walkBody) names every persisted field once: it writes
+// the field to a ckpt.Writer, reads it from a ckpt.Reader, or, with
+// neither, only collects the packets the fields reference. Packets are
+// stored once in a table in walk order and referenced by index, so
+// identity survives the round trip. Nothing the kernel derives is stored:
+// syncDerived rebuilds it from the same rescan CheckInvariants audits,
+// and a flit's kind and checksum follow from its packet and sequence
+// number. Structure is rebuilt by New(cfg) and only checked against a
+// signature, and omitted fields keep the target's construction values,
+// so the target must be fresh. A restore is accepted only if the rebuilt
+// state passes CheckInvariants, packet graph included, and reproduces the
+// recorded fingerprint.
 
 import (
 	"fmt"
-	"sort"
 
 	"heteronoc/internal/ckpt"
 	"heteronoc/internal/fault"
@@ -33,80 +30,41 @@ import (
 )
 
 const (
-	// KindNetwork labels a plain Network checkpoint.
+	// KindNetwork labels a Network checkpoint.
 	KindNetwork = "noc-net"
-	// KindReliable labels a Reliable (network + retransmission state)
-	// checkpoint.
-	KindReliable = "noc-rel"
 
-	// Format v2 compacts the steady state: an idle input VC costs one
-	// flag byte and a quiet output port one flag varint, so a quiesced
-	// 32x32 (1024-router) checkpoint stays small instead of spelling out
-	// thousands of pristine credit arrays and empty event queues.
-	netSnapshotVersion = 3
-	relSnapshotVersion = 3
+	// Format v4 stores primary state only. As since v2, an idle input VC
+	// costs one flag byte and a quiet output port one flag varint.
+	netSnapshotVersion = 4
 )
 
-// outputPort snapshot flag bits (format v2). Each bit gates a group of
-// fields that is omitted entirely when the group holds its
-// construction-time defaults; a fully quiet port costs a single zero
-// varint.
+// outputPort flag bits. Each bit gates a group of fields that is omitted
+// entirely while the group holds its construction values; a quiet port
+// costs a single zero varint.
 const (
-	opHasFault   = 1 << iota // dead, or a transient-fault window
-	opHasCredits             // consumed credits, owners or pending frees
-	opHasArb                 // advanced round-robin pointers
+	opHasFault   = 1 << iota // killed, or a transient-fault window
+	opHasCredits             // consumed credits or held VCs
+	opHasArb                 // advanced VC-allocation pointer
 	opHasEvents              // queued wire or credit events
 	opHasStats               // nonzero traffic counters
 	opFlagsAll   = opHasFault | opHasCredits | opHasArb | opHasEvents | opHasStats
 )
 
-// pristineCreditMask returns the creditMask an untouched port holds: all
-// downstream VCs credited, or the all-ones sentinel of credit-less
-// (terminal / dead-edge) ports.
-func pristineCreditMask(op *outputPort) uint32 {
-	if op.credits == nil {
-		return ^uint32(0)
-	}
-	return uint32(1)<<op.downVCs - 1
-}
+// bornDead reports a port New left unwired: no downstream router and no
+// terminal. Such a port is dead from construction.
+func (o *outputPort) bornDead() bool { return o.credits == nil && !o.isTerm }
 
-// outputPortFlags computes which v2 field groups of a port differ from
-// their construction-time defaults.
-func outputPortFlags(op *outputPort) uint64 {
-	var flags uint64
-	if op.dead || op.faultUntil != 0 || op.faultCorrupt {
-		flags |= opHasFault
+// Snapshot serializes the dynamic state of the network. Packets carrying
+// a Payload cannot be checkpointed.
+func (n *Network) Snapshot() ([]byte, error) {
+	k := &walker{index: map[*Packet]int{}}
+	n.walkBody(k)
+	for _, p := range k.table {
+		if p.Payload != nil {
+			return nil, fmt.Errorf("noc: packet %d carries a payload, which checkpoints cannot hold", p.ID)
+		}
 	}
-	dirty := op.creditMask != pristineCreditMask(op)
-	for v := 0; !dirty && v < len(op.credits); v++ {
-		dirty = op.credits[v] != op.downDepth || op.owner[v] != nil || op.pendingFree[v]
-	}
-	if dirty {
-		flags |= opHasCredits
-	}
-	if op.rrVC != 0 || op.rrOut != 0 {
-		flags |= opHasArb
-	}
-	if op.wire.len() > 0 || op.creditQ.len() > 0 {
-		flags |= opHasEvents
-	}
-	if op.flitsSent != 0 || op.busyCycles != 0 || op.combineCycles != 0 {
-		flags |= opHasStats
-	}
-	return flags
-}
-
-// PayloadCodec serializes opaque Packet payloads. A nil codec is valid
-// for payload-free traffic (synthetic patterns); Snapshot fails if it
-// meets a non-nil payload without a codec.
-type PayloadCodec interface {
-	EncodePayload(w *ckpt.Writer, payload any) error
-	DecodePayload(r *ckpt.Reader) (any, error)
-}
-
-// Snapshot serializes the complete dynamic state of the network.
-func (n *Network) Snapshot(codec PayloadCodec) ([]byte, error) {
-	w := ckpt.NewWriter(ckpt.Header{
+	k.w = ckpt.NewWriter(ckpt.Header{
 		Kind:        KindNetwork,
 		Version:     netSnapshotVersion,
 		Cycle:       n.cycle,
@@ -115,18 +73,26 @@ func (n *Network) Snapshot(codec PayloadCodec) ([]byte, error) {
 		NextPktID:   n.nextPktID,
 		Fingerprint: n.Fingerprint(),
 	})
-	if err := n.encode(w, codec); err != nil {
-		return nil, err
+	n.walkSignature(k)
+	k.count(len(k.table))
+	for _, p := range k.table {
+		walkPacket(k, p)
 	}
-	return w.Finish(), nil
+	n.walkBody(k)
+	return k.w.Finish(), nil
 }
 
-// RestoreSnapshot loads a Snapshot into n, which must be a freshly
-// constructed (never stepped) Network built from the same Config. After
-// the restore the network's fingerprint is verified against the one
-// recorded at snapshot time; a mismatch means the checkpoint and the
-// target config disagree and the restore is rejected.
-func (n *Network) RestoreSnapshot(data []byte, codec PayloadCodec) error {
+// RestoreSnapshot loads a Snapshot into n, which must be freshly
+// constructed from the same Config: never stepped, never injected into
+// and never the target of an earlier RestoreSnapshot. The rebuilt state
+// must pass CheckInvariants and reproduce the fingerprint recorded at
+// snapshot time; a mismatch means the checkpoint and the target config
+// disagree. On error n must be discarded.
+func (n *Network) RestoreSnapshot(data []byte) error {
+	if n.restored || n.cycle != 0 || n.stats.PacketsInjected != 0 || n.flitsInNetwork != 0 || n.queuedPackets != 0 {
+		return fmt.Errorf("noc: RestoreSnapshot target must be freshly constructed")
+	}
+	n.restored = true
 	r, err := ckpt.NewReader(data)
 	if err != nil {
 		return err
@@ -138,11 +104,32 @@ func (n *Network) RestoreSnapshot(data []byte, codec PayloadCodec) error {
 	if h.Version != netSnapshotVersion {
 		return fmt.Errorf("noc: checkpoint version %d, want %d", h.Version, netSnapshotVersion)
 	}
-	if err := n.decode(r, codec, h); err != nil {
-		return err
+	n.cycle, n.nextPktID = h.Cycle, h.NextPktID
+	k := &walker{r: r}
+	n.walkSignature(k)
+	k.table = make([]*Packet, k.count(0))
+	for i := range k.table {
+		if !k.ok() {
+			break
+		}
+		k.table[i] = &Packet{}
+		walkPacket(k, k.table[i])
+	}
+	n.walkBody(k)
+	if k.err != nil {
+		return k.err
 	}
 	if err := r.Done(); err != nil {
 		return err
+	}
+	n.replayFaults()
+	n.syncDerived(true)
+	if int64(n.flitsInNetwork) != h.Flits || int64(n.queuedPackets) != h.Queued {
+		return fmt.Errorf("noc: checkpoint header counts %d flits and %d queued packets, its body %d and %d",
+			h.Flits, h.Queued, n.flitsInNetwork, n.queuedPackets)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		return fmt.Errorf("noc: checkpoint state cannot run: %w", err)
 	}
 	if got := n.Fingerprint(); got != h.Fingerprint {
 		return fmt.Errorf("noc: restored fingerprint %016x != checkpoint %016x (config mismatch?)", got, h.Fingerprint)
@@ -150,604 +137,471 @@ func (n *Network) RestoreSnapshot(data []byte, codec PayloadCodec) error {
 	return nil
 }
 
-// encode writes everything after the container header.
-func (n *Network) encode(w *ckpt.Writer, codec PayloadCodec) error {
-	n.encodeSignature(w)
-	w.I64(n.lastMove)
+// walker is the two-way checkpoint walk: it writes each visited field to
+// w, reads it from r, or, with neither set, only collects the referenced
+// packets into table.
+type walker struct {
+	w     *ckpt.Writer
+	r     *ckpt.Reader
+	index map[*Packet]int // packet to table position, when not reading
+	table []*Packet
+	err   error // first semantic decode error; r.Err holds structural ones
+}
 
-	table, index, err := n.collectPackets(w, codec)
-	if err != nil {
-		return err
+func (k *walker) reading() bool { return k.r != nil }
+
+func (k *walker) ok() bool { return k.err == nil && (k.r == nil || k.r.Err() == nil) }
+
+func (k *walker) failf(format string, args ...any) {
+	if k.err == nil {
+		k.err = fmt.Errorf("noc: checkpoint "+format, args...)
 	}
-	_ = table
+}
 
-	// Network interfaces.
-	for t := range n.nis {
-		q := &n.nis[t]
-		w.Int(q.queued())
-		for i := q.qHead; i < len(q.queue); i++ {
-			w.Int(index[q.queue[i]])
+// walkInt walks a signed field as a varint; a read refuses a value the
+// field cannot hold.
+func walkInt[T ~int | ~int16 | ~int32 | ~int64](k *walker, v *T) {
+	switch {
+	case k.w != nil:
+		k.w.I64(int64(*v))
+	case k.r != nil:
+		x := k.r.I64()
+		if int64(T(x)) != x {
+			k.failf("value %d out of range", x)
 		}
-		w.Int(len(q.streams))
-		for i := range q.streams {
-			st := &q.streams[i]
-			w.Int(index[st.pkt])
-			w.Int(st.nextSeq)
-			w.Int(st.vc)
-		}
-		w.Int(q.waitVC)
-		encodeOutputPort(w, &q.up, index)
+		*v = T(x)
 	}
+}
 
-	// Routers.
-	for ri := range n.routers {
-		rt := &n.routers[ri]
-		w.Int(int(n.inFlits[ri]))
-		w.U64(uint64(n.portMask[ri]))
-		w.U64(uint64(n.evMask[ri]))
-		w.I64(rt.bufOccSum)
-		w.I64(rt.bufReads)
-		w.I64(rt.bufWrites)
-		w.I64(rt.xbarFlits)
-		w.I64(rt.arbOps)
-		for _, v := range rt.atr {
-			w.I64(v)
+// walkUint walks an unsigned field as a uvarint; a read refuses a value
+// the field cannot hold.
+func walkUint[T ~uint8 | ~uint16 | ~uint64](k *walker, v *T) {
+	switch {
+	case k.w != nil:
+		k.w.U64(uint64(*v))
+	case k.r != nil:
+		x := k.r.U64()
+		if uint64(T(x)) != x {
+			k.failf("value %d out of range", x)
 		}
-		for pi := range rt.in {
-			ip := &rt.in[pi]
-			w.Int(ip.rr)
-			w.Int(ip.flits)
-			w.U64(uint64(ip.raMask))
-			w.U64(uint64(ip.saMask))
-			for vi := range ip.vcs {
-				vc := &ip.vcs[vi]
-				// Idle-VC flag byte (format v2): a VC with no buffered
-				// flit and no allocation is fully described by one byte.
-				// Its remaining fields are stale scratch the kernel never
-				// reads in this state (outPort/class are rewritten when
-				// the next head routes, headArrive when the next flit
-				// lands), so restore canonicalizes them to zero.
-				idle := vc.state == vcIdle && vc.buf.count == 0
-				w.Bool(idle)
-				if idle {
-					continue
-				}
-				w.U64(uint64(vc.state))
-				w.Int(int(vc.outPort))
-				w.Int(int(vc.outVC))
-				w.Int(int(vc.class))
-				w.I64(int64(vc.waitCycles))
-				w.Int(index[vc.cur])
-				w.I64(vc.headArrive)
-				w.Int(vc.buf.len())
-				for i := int32(0); i < vc.buf.count; i++ {
-					encodeFlit(w, *vc.buf.at(i), index)
-				}
+		*v = T(x)
+	}
+}
+
+func (k *walker) bool(v *bool) {
+	switch {
+	case k.w != nil:
+		k.w.Bool(*v)
+	case k.r != nil:
+		*v = k.r.Bool()
+	}
+}
+
+// count walks the length of a variable-length sequence: it writes n,
+// reads a count no larger than the bytes that remain (every element takes
+// at least one), or returns n when collecting.
+func (k *walker) count(n int) int {
+	switch {
+	case k.w != nil:
+		k.w.U64(uint64(n))
+	case k.r != nil:
+		return k.r.Count()
+	}
+	return n
+}
+
+// pkt walks a packet reference as its table index. A nullable reference
+// stores nil as 0 and index i as i+1; any other reference must be set.
+func (k *walker) pkt(p **Packet, nullable bool) {
+	if k.r != nil {
+		i := k.r.U64()
+		if nullable {
+			if i == 0 {
+				*p = nil
+				return
 			}
+			i--
 		}
-		for _, op := range rt.out {
-			encodeOutputPort(w, op, index)
-		}
-	}
-
-	n.encodeStats(w)
-	n.encodeFaults(w, index)
-	return nil
-}
-
-// encodeSignature writes the structural identity of the network so a
-// restore into a differently shaped target fails loudly instead of
-// corrupting state.
-func (n *Network) encodeSignature(w *ckpt.Writer) {
-	// The topology name (e.g. "mesh8x8") pins the exact shape: fixed-radix
-	// topologies make same-count meshes (8x8 vs 4x16) indistinguishable by
-	// the per-router counts alone.
-	w.Str(n.cfg.Topo.Name())
-	w.Int(len(n.routers))
-	w.Int(len(n.nis))
-	for ri := range n.routers {
-		rt := &n.routers[ri]
-		w.Int(len(rt.in))
-		w.Int(rt.cfg.VCs)
-		w.Int(rt.cfg.BufDepth)
-		for _, op := range rt.out {
-			w.Int(op.slots)
-		}
-	}
-}
-
-func (n *Network) checkSignature(r *ckpt.Reader) error {
-	bad := func(what string, got, want int) error {
-		return fmt.Errorf("noc: checkpoint %s %d, target network has %d", what, got, want)
-	}
-	if v := r.Str(); v != n.cfg.Topo.Name() {
-		return fmt.Errorf("noc: checkpoint topology %q, target network is %q", v, n.cfg.Topo.Name())
-	}
-	if v := r.Int(); v != len(n.routers) {
-		return bad("router count", v, len(n.routers))
-	}
-	if v := r.Int(); v != len(n.nis) {
-		return bad("terminal count", v, len(n.nis))
-	}
-	for ri := range n.routers {
-		rt := &n.routers[ri]
-		if v := r.Int(); v != len(rt.in) {
-			return bad(fmt.Sprintf("router %d radix", ri), v, len(rt.in))
-		}
-		if v := r.Int(); v != rt.cfg.VCs {
-			return bad(fmt.Sprintf("router %d VCs", ri), v, rt.cfg.VCs)
-		}
-		if v := r.Int(); v != rt.cfg.BufDepth {
-			return bad(fmt.Sprintf("router %d buffer depth", ri), v, rt.cfg.BufDepth)
-		}
-		for p, op := range rt.out {
-			if v := r.Int(); v != op.slots {
-				return bad(fmt.Sprintf("router %d port %d link slots", ri, p), v, op.slots)
-			}
-		}
-	}
-	return r.Err()
-}
-
-// collectPackets walks every packet reference in deterministic order,
-// assigns table indices, and writes the packet table. index maps nil to
-// -1 so reference sites can encode unconditionally.
-func (n *Network) collectPackets(w *ckpt.Writer, codec PayloadCodec) ([]*Packet, map[*Packet]int, error) {
-	var table []*Packet
-	index := map[*Packet]int{nil: -1}
-	add := func(p *Packet) {
-		if p == nil {
+		if i >= uint64(len(k.table)) {
+			k.failf("packet reference %d outside table of %d", i, len(k.table))
 			return
 		}
-		if _, ok := index[p]; !ok {
-			index[p] = len(table)
-			table = append(table, p)
+		*p = k.table[i]
+		return
+	}
+	var i int
+	if *p != nil {
+		var seen bool
+		if i, seen = k.index[*p]; !seen {
+			i = len(k.table)
+			k.index[*p] = i
+			k.table = append(k.table, *p)
+		}
+		if nullable {
+			i++
 		}
 	}
-	for t := range n.nis {
-		q := &n.nis[t]
-		for i := q.qHead; i < len(q.queue); i++ {
-			add(q.queue[i])
+	if k.w != nil {
+		k.w.U64(uint64(i))
+	}
+}
+
+// shape walks a structural value and reports a read that differs from
+// the target's.
+func (k *walker) shape(want int) (got int, differs bool) {
+	got = want
+	walkInt(k, &got)
+	return got, got != want && k.ok()
+}
+
+// walkSignature walks the structural identity of the network, so a
+// restore into a differently shaped target fails loudly instead of
+// corrupting state. The topology name pins the exact shape: a 4x16 mesh
+// has the router and terminal counts of an 8x8 one.
+func (n *Network) walkSignature(k *walker) {
+	name := n.cfg.Topo.Name()
+	switch {
+	case k.w != nil:
+		k.w.Str(name)
+	case k.r != nil:
+		if got := k.r.Str(); k.r.Err() == nil && got != name {
+			k.failf("topology %q, target network is %q", got, name)
 		}
-		for i := range q.streams {
-			add(q.streams[i].pkt)
+	}
+	for _, c := range [...]struct {
+		what string
+		n    int
+	}{{"router count", len(n.routers)}, {"terminal count", len(n.nis)}} {
+		if got, differs := k.shape(c.n); differs {
+			k.failf("%s %d, target network has %d", c.what, got, c.n)
 		}
-		collectPortPackets(&q.up, add)
 	}
 	for ri := range n.routers {
 		rt := &n.routers[ri]
+		for j, want := range [...]int{len(rt.in), rt.cfg.VCs, rt.cfg.BufDepth} {
+			if got, differs := k.shape(want); differs {
+				k.failf("router %d %s %d, target network has %d", ri, [...]string{"radix", "VCs", "buffer depth"}[j], got, want)
+			}
+		}
+		for p, op := range rt.out {
+			if got, differs := k.shape(op.slots); differs {
+				k.failf("router %d port %d link slots %d, target network has %d", ri, p, got, op.slots)
+			}
+		}
+	}
+}
+
+// walkPacket walks one packet-table entry. RecvCycle is not stored: the
+// tail's sink sets it, after which nothing in the network references the
+// packet.
+func walkPacket(k *walker, p *Packet) {
+	walkUint(k, &p.ID)
+	for _, v := range [...]*int{&p.Src, &p.Dst, &p.NumFlits, &p.Class, &p.Hops, &p.MinSlots, &p.vcClass, &p.received} {
+		walkInt(k, v)
+	}
+	for _, v := range [...]*int64{&p.CreateCycle, &p.InjectCycle, &p.headRecv, &p.atrVC, &p.atrSA, &p.atrCredit} {
+		walkInt(k, v)
+	}
+	walkInt(k, &p.hopVC)
+	walkInt(k, &p.hopCredit)
+	k.bool(&p.escaped)
+	k.bool(&p.broken)
+	walkUint(k, &p.dropWhy)
+}
+
+// walkFlit walks a flit's packet and sequence number. Its kind and
+// checksum follow from them, as emitFlit sets them; walkBody walks the
+// fault overlay first, so a read knows whether checksums are on.
+func (n *Network) walkFlit(k *walker, f *Flit) {
+	k.pkt(&f.Pkt, false)
+	walkInt(k, &f.Seq)
+	if k.reading() && f.Pkt != nil {
+		f.Kind = flitKind(f.Pkt.NumFlits, int(f.Seq))
+		f.Csum = n.flitCsum(f)
+	}
+}
+
+// walkBody walks everything after the packet table.
+func (n *Network) walkBody(k *walker) {
+	walkInt(k, &n.lastMove)
+	n.walkFaults(k)
+	for t := range n.nis {
+		q := &n.nis[t]
+		nq := k.count(q.queued())
+		if k.reading() {
+			q.queue = make([]*Packet, nq)
+		}
+		for i := q.qHead; i < len(q.queue); i++ {
+			k.pkt(&q.queue[i], false)
+		}
+		ns := k.count(len(q.streams))
+		if k.reading() {
+			q.streams = make([]niStream, ns)
+		}
+		for i := range q.streams {
+			st := &q.streams[i]
+			k.pkt(&st.pkt, false)
+			walkInt(k, &st.nextSeq)
+			walkInt(k, &st.vc)
+		}
+		n.walkPort(k, &q.up)
+	}
+	for ri := range n.routers {
+		rt := &n.routers[ri]
+		for _, v := range [...]*int64{&rt.bufOccSum, &rt.bufReads, &rt.bufWrites, &rt.xbarFlits, &rt.arbOps} {
+			walkInt(k, v)
+		}
+		for b := range rt.atr {
+			walkInt(k, &rt.atr[b])
+		}
 		for pi := range rt.in {
 			ip := &rt.in[pi]
+			walkInt(k, &ip.rr)
 			for vi := range ip.vcs {
-				vc := &ip.vcs[vi]
-				for i := int32(0); i < vc.buf.count; i++ {
-					add(vc.buf.at(i).Pkt)
-				}
-				add(vc.cur)
+				n.walkVC(k, &ip.vcs[vi])
 			}
 		}
 		for _, op := range rt.out {
-			collectPortPackets(op, add)
+			n.walkPort(k, op)
+		}
+		if !k.ok() {
+			return
 		}
 	}
-	for _, p := range n.brokenQ {
-		add(p)
+	n.walkStats(k)
+	nb := k.count(len(n.brokenQ))
+	if k.reading() {
+		n.brokenQ = make([]*Packet, nb)
 	}
-
-	w.Int(len(table))
-	for _, p := range table {
-		w.U64(p.ID)
-		w.Int(p.Src)
-		w.Int(p.Dst)
-		w.Int(p.NumFlits)
-		w.Int(p.Class)
-		w.I64(p.CreateCycle)
-		w.I64(p.InjectCycle)
-		w.I64(p.RecvCycle)
-		w.Int(p.Hops)
-		w.Int(p.MinSlots)
-		w.Int(p.vcClass)
-		w.Bool(p.escaped)
-		w.Int(p.received)
-		w.Bool(p.broken)
-		w.U64(uint64(p.dropWhy))
-		w.I64(p.headRecv)
-		w.I64(p.atrVC)
-		w.I64(p.atrSA)
-		w.I64(p.atrCredit)
-		w.Int(int(p.hopVC))
-		w.Int(int(p.hopCredit))
-		if p.Payload == nil {
-			w.Bool(false)
-			continue
-		}
-		if codec == nil {
-			return nil, nil, fmt.Errorf("noc: packet %d carries a payload but no PayloadCodec was given", p.ID)
-		}
-		w.Bool(true)
-		if err := codec.EncodePayload(w, p.Payload); err != nil {
-			return nil, nil, fmt.Errorf("noc: encoding payload of packet %d: %w", p.ID, err)
-		}
-	}
-	return table, index, nil
-}
-
-func collectPortPackets(op *outputPort, add func(*Packet)) {
-	for i := 0; i < op.wire.len(); i++ {
-		add(op.wire.at(i).flit.Pkt)
-	}
-	for _, p := range op.owner {
-		add(p)
+	for i := range n.brokenQ {
+		k.pkt(&n.brokenQ[i], false)
 	}
 }
 
-func encodeFlit(w *ckpt.Writer, f Flit, index map[*Packet]int) {
-	w.Int(index[f.Pkt])
-	w.I64(f.arrive)
-	w.I64(int64(f.Seq))
-	w.U64(uint64(f.Kind))
-	w.U64(uint64(f.Csum))
-}
-
-func decodeFlit(r *ckpt.Reader, table []*Packet) (Flit, error) {
-	var f Flit
-	var err error
-	f.Pkt, err = pktAt(r, table)
-	if err != nil {
-		return f, err
+// walkVC walks one input VC. A VC with no buffered flit and no allocation
+// costs one flag byte; the fields a state leaves unread (everything when
+// idle, the downstream VC while waiting for one) are not stored, and the
+// kernel rewrites them before reading them again.
+func (n *Network) walkVC(k *walker, vc *inVC) {
+	idle := vc.state == vcIdle && vc.buf.count == 0
+	k.bool(&idle)
+	if idle {
+		return
 	}
-	f.arrive = r.I64()
-	f.Seq = int32(r.I64())
-	f.Kind = FlitKind(r.U64())
-	f.Csum = uint16(r.U64())
-	return f, nil
-}
-
-func pktAt(r *ckpt.Reader, table []*Packet) (*Packet, error) {
-	i := r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i == -1 {
-		return nil, nil
-	}
-	if i < 0 || i >= len(table) {
-		return nil, fmt.Errorf("noc: packet index %d outside table of %d", i, len(table))
-	}
-	return table[i], nil
-}
-
-func encodeOutputPort(w *ckpt.Writer, op *outputPort, index map[*Packet]int) {
-	flags := outputPortFlags(op)
-	w.U64(flags)
-	if flags&opHasFault != 0 {
-		w.Bool(op.dead)
-		w.I64(op.faultUntil)
-		w.Bool(op.faultCorrupt)
-	}
-	if flags&opHasCredits != 0 {
-		w.Bool(op.credits != nil)
-		if op.credits != nil {
-			w.Int(len(op.credits))
-			for _, c := range op.credits {
-				w.Int(c)
-			}
-		}
-		w.U64(uint64(op.creditMask))
-		w.Int(len(op.owner))
-		for _, p := range op.owner {
-			w.Int(index[p])
-		}
-		w.Int(len(op.pendingFree))
-		for _, b := range op.pendingFree {
-			w.Bool(b)
+	walkUint(k, &vc.state)
+	if vc.state != vcIdle {
+		walkInt(k, &vc.outPort)
+		walkInt(k, &vc.class)
+		walkInt(k, &vc.waitCycles)
+		k.pkt(&vc.cur, true)
+		if vc.state == vcActive {
+			walkInt(k, &vc.outVC)
 		}
 	}
-	if flags&opHasArb != 0 {
-		w.Int(op.rrVC)
-		w.Int(op.rrOut)
-	}
-	if flags&opHasEvents != 0 {
-		w.Int(op.wire.len())
-		for i := 0; i < op.wire.len(); i++ {
-			we := op.wire.at(i)
-			encodeFlit(w, we.flit, index)
-			w.Int(we.outVC)
-			w.I64(we.at)
+	nf := k.count(vc.buf.len())
+	if k.reading() {
+		if nf > vc.buf.cap() {
+			k.failf("%d buffered flits exceed VC depth %d", nf, vc.buf.cap())
+			return
 		}
-		w.Int(op.creditQ.len())
-		for i := 0; i < op.creditQ.len(); i++ {
-			ce := op.creditQ.at(i)
-			w.Int(ce.vc)
-			w.I64(ce.at)
-		}
+		vc.buf.count = int32(nf)
 	}
-	if flags&opHasStats != 0 {
-		w.I64(op.flitsSent)
-		w.I64(op.busyCycles)
-		w.I64(op.combineCycles)
+	for i := int32(0); i < vc.buf.count; i++ {
+		f := vc.buf.at(i)
+		n.walkFlit(k, f)
+		walkInt(k, &f.arrive)
 	}
 }
 
-func decodeOutputPort(r *ckpt.Reader, op *outputPort, table []*Packet) error {
-	flags := r.U64()
-	if r.Err() != nil {
-		return r.Err()
+// walkPort walks one output port: a flag varint naming the field groups
+// that differ from their construction values, then those groups. Credits
+// and owners are sized by the target's structure.
+func (n *Network) walkPort(k *walker, op *outputPort) {
+	var flags uint64
+	set := func(bit uint64, differs bool) {
+		if differs {
+			flags |= bit
+		}
 	}
+	set(opHasFault, op.dead != op.bornDead() || op.faultUntil != 0 || op.faultCorrupt)
+	for v := range op.credits {
+		set(opHasCredits, op.credits[v] != op.downDepth || op.owner[v] != nil)
+	}
+	set(opHasArb, op.rrVC != 0)
+	set(opHasEvents, op.wire.n > 0 || op.creditQ.n > 0)
+	set(opHasStats, op.flitsSent != 0 || op.busyCycles != 0 || op.combineCycles != 0)
+	walkUint(k, &flags)
 	if flags&^uint64(opFlagsAll) != 0 {
-		return fmt.Errorf("noc: unknown output-port flags %#x", flags)
+		k.failf("unknown output-port flags %#x", flags)
+		return
 	}
 	if flags&opHasFault != 0 {
-		op.dead = r.Bool()
-		op.faultUntil = r.I64()
-		op.faultCorrupt = r.Bool()
-	} else {
-		op.dead, op.faultUntil, op.faultCorrupt = false, 0, false
+		k.bool(&op.dead)
+		walkInt(k, &op.faultUntil)
+		k.bool(&op.faultCorrupt)
 	}
 	if flags&opHasCredits != 0 {
-		if hasCredits := r.Bool(); hasCredits {
-			cn := r.Int()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if op.credits == nil || cn != len(op.credits) {
-				return fmt.Errorf("noc: credit array length %d != target %d", cn, len(op.credits))
-			}
-			for v := range op.credits {
-				op.credits[v] = r.Int()
-			}
-		} else if op.credits != nil {
-			return fmt.Errorf("noc: checkpoint has no credits for a credited port")
-		}
-		op.creditMask = uint32(r.U64())
-		on := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if on != len(op.owner) {
-			return fmt.Errorf("noc: owner array length %d != target %d", on, len(op.owner))
-		}
-		for v := range op.owner {
-			p, err := pktAt(r, table)
-			if err != nil {
-				return err
-			}
-			op.owner[v] = p
-		}
-		pn := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if pn != len(op.pendingFree) {
-			return fmt.Errorf("noc: pendingFree length %d != target %d", pn, len(op.pendingFree))
-		}
-		for v := range op.pendingFree {
-			op.pendingFree[v] = r.Bool()
-		}
-	} else {
 		for v := range op.credits {
-			op.credits[v] = op.downDepth
+			walkInt(k, &op.credits[v])
 		}
-		op.creditMask = pristineCreditMask(op)
 		for v := range op.owner {
-			op.owner[v] = nil
-		}
-		for v := range op.pendingFree {
-			op.pendingFree[v] = false
+			k.pkt(&op.owner[v], true)
 		}
 	}
 	if flags&opHasArb != 0 {
-		op.rrVC = r.Int()
-		op.rrOut = r.Int()
-	} else {
-		op.rrVC, op.rrOut = 0, 0
+		walkInt(k, &op.rrVC)
 	}
-	resetEvq(&op.wire)
-	resetEvq(&op.creditQ)
 	if flags&opHasEvents != 0 {
-		wn := r.IntCount()
-		for i := 0; i < wn && r.Err() == nil; i++ {
-			f, err := decodeFlit(r, table)
-			if err != nil {
-				return err
-			}
-			outVC := r.Int()
-			at := r.I64()
-			op.wire.push(wireEvt{flit: f, outVC: outVC, at: at})
-		}
-		cn := r.IntCount()
-		for i := 0; i < cn && r.Err() == nil; i++ {
-			vc := r.Int()
-			at := r.I64()
-			op.creditQ.push(creditEvt{vc: vc, at: at})
-		}
+		// A wire flit's arrive cycle is rewritten on delivery, so only the
+		// buffered copies store it.
+		walkEvq(k, &op.wire, func(e *wireEvt) {
+			n.walkFlit(k, &e.flit)
+			walkInt(k, &e.outVC)
+			walkInt(k, &e.at)
+		})
+		walkEvq(k, &op.creditQ, func(e *creditEvt) {
+			walkInt(k, &e.vc)
+			walkInt(k, &e.at)
+		})
 	}
 	if flags&opHasStats != 0 {
-		op.flitsSent = r.I64()
-		op.busyCycles = r.I64()
-		op.combineCycles = r.I64()
-	} else {
-		op.flitsSent, op.busyCycles, op.combineCycles = 0, 0, 0
-	}
-	return r.Err()
-}
-
-// resetEvq empties an event queue in place, dropping any stale references
-// held by a previously used target, and rewinds it to head 0 (head
-// position is identity-only: only FIFO order is observable).
-func resetEvq[T any](q *evq[T]) {
-	var zero T
-	for i := range q.buf {
-		q.buf[i] = zero
-	}
-	q.head, q.n = 0, 0
-}
-
-func (n *Network) encodeStats(w *ckpt.Writer) {
-	s := &n.stats
-	for _, v := range []int64{
-		s.Cycles, s.PacketsInjected, s.FlitsInjected, s.FlitsReceived,
-		s.PacketsReceived, s.Escapes, s.FlitsLost, s.FlitsDroppedFault,
-		s.FlitsCorrupted, s.PacketsLost, s.PacketsUnroutable,
-		s.TotalLatency, s.QueuingLatency, s.TransferLatency,
-		s.BlockingLatency, s.HopsSum, s.measureStart,
-	} {
-		w.I64(v)
-	}
-	for _, v := range s.attr {
-		w.I64(v)
-	}
-	classes := s.Classes()
-	w.Int(len(classes))
-	for _, c := range classes {
-		cs := s.classes[c]
-		w.Int(c)
-		w.I64(cs.Packets)
-		w.I64(cs.TotalLatency)
-	}
-	w.Bool(s.latHist != nil)
-	if s.latHist != nil {
-		var nz int
-		for _, v := range s.latHist {
-			if v != 0 {
-				nz++
-			}
-		}
-		w.Int(nz)
-		for i, v := range s.latHist {
-			if v != 0 {
-				w.Int(i)
-				w.I64(v)
-			}
+		for _, v := range [...]*int64{&op.flitsSent, &op.busyCycles, &op.combineCycles} {
+			walkInt(k, v)
 		}
 	}
 }
 
-func (n *Network) decodeStats(r *ckpt.Reader) error {
+// walkEvq walks an event queue oldest first; a read pushes the decoded
+// events onto the target's empty queue.
+func walkEvq[T any](k *walker, q *evq[T], elem func(*T)) {
+	n := k.count(q.n)
+	if !k.reading() {
+		for i := 0; i < n; i++ {
+			e := q.at(i)
+			elem(&e)
+		}
+		return
+	}
+	for i := 0; i < n && k.ok(); i++ {
+		var e T
+		elem(&e)
+		q.push(e)
+	}
+}
+
+func (n *Network) walkStats(k *walker) {
 	s := &n.stats
-	for _, p := range []*int64{
+	for _, v := range []*int64{
 		&s.Cycles, &s.PacketsInjected, &s.FlitsInjected, &s.FlitsReceived,
 		&s.PacketsReceived, &s.Escapes, &s.FlitsLost, &s.FlitsDroppedFault,
 		&s.FlitsCorrupted, &s.PacketsLost, &s.PacketsUnroutable,
 		&s.TotalLatency, &s.QueuingLatency, &s.TransferLatency,
 		&s.BlockingLatency, &s.HopsSum, &s.measureStart,
 	} {
-		*p = r.I64()
+		walkInt(k, v)
 	}
 	for b := range s.attr {
-		s.attr[b] = r.I64()
+		walkInt(k, &s.attr[b])
 	}
-	nc := r.IntCount()
-	s.classes = nil
-	if nc > 0 {
-		s.classes = make(map[int]*ClassStats, nc)
-		for i := 0; i < nc && r.Err() == nil; i++ {
-			c := r.Int()
-			s.classes[c] = &ClassStats{Packets: r.I64(), TotalLatency: r.I64()}
+	classes := s.Classes()
+	nc := k.count(len(classes))
+	for i := 0; i < nc && k.ok(); i++ {
+		var c int
+		cs := &ClassStats{}
+		if !k.reading() {
+			c = classes[i]
+			cs = s.classes[c]
+		}
+		walkInt(k, &c)
+		walkInt(k, &cs.Packets)
+		walkInt(k, &cs.TotalLatency)
+		if k.reading() {
+			if s.classes == nil {
+				s.classes = make(map[int]*ClassStats)
+			}
+			s.classes[c] = cs
 		}
 	}
-	s.latHist = nil
-	if r.Bool() {
+	// The latency histogram is sparse: its nonzero buckets as (index,
+	// count) pairs. recordPacket allocates it with its first count, so it
+	// exists exactly when a bucket is nonzero.
+	nz := 0
+	for _, v := range s.latHist {
+		if v != 0 {
+			nz++
+		}
+	}
+	if nz = k.count(nz); nz > 0 && k.reading() {
 		s.ensureHist()
-		nz := r.IntCount()
-		for i := 0; i < nz; i++ {
-			b := r.Int()
-			v := r.I64()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if b < 0 || b >= len(s.latHist) {
-				return fmt.Errorf("noc: latency histogram bucket %d out of range", b)
-			}
-			s.latHist[b] = v
-		}
 	}
-	return r.Err()
+	for i, b := 0, 0; i < nz && k.ok(); i, b = i+1, b+1 {
+		if !k.reading() {
+			for s.latHist[b] == 0 {
+				b++
+			}
+		}
+		walkInt(k, &b)
+		if b < 0 || b >= len(s.latHist) {
+			k.failf("latency histogram bucket %d out of range", b)
+			return
+		}
+		walkInt(k, &s.latHist[b])
+	}
 }
 
-func (n *Network) encodeFaults(w *ckpt.Writer, index map[*Packet]int) {
-	w.Bool(n.faultsArmed)
+// walkFaults walks the fault overlay. The checkpoint defines it whole: a
+// disarmed checkpoint disarms the target.
+func (n *Network) walkFaults(k *walker) {
+	k.bool(&n.faultsArmed)
+	if !n.faultsArmed {
+		if k.reading() {
+			n.faultEvents, n.faultNext, n.niDead = nil, 0, nil
+			n.linkState, n.faultAware = nil, nil
+		}
+		return
+	}
+	ne := k.count(len(n.faultEvents))
+	if k.reading() {
+		n.faultEvents = make([]fault.Event, ne)
+	}
+	for i := range n.faultEvents {
+		e := &n.faultEvents[i]
+		walkInt(k, &e.Cycle)
+		walkUint(k, &e.Kind)
+		walkInt(k, &e.Router)
+		walkInt(k, &e.Port)
+		walkInt(k, &e.Duration)
+		k.bool(&e.Corrupt)
+		if !k.ok() {
+			return
+		}
+		if k.reading() {
+			if err := e.Validate(n.cfg.Topo); err != nil {
+				k.failf("%v", err)
+				return
+			}
+		}
+	}
+	walkInt(k, &n.faultNext)
+	if n.faultNext < 0 || n.faultNext > len(n.faultEvents) {
+		k.failf("faultNext %d outside %d events", n.faultNext, len(n.faultEvents))
+		return
+	}
+	if k.reading() {
+		n.niDead = make([]bool, len(n.nis)) // filled by syncDerived
+	}
+}
+
+// replayFaults rebuilds the liveness overlay of an armed, restored
+// network by replaying the permanent events that had already struck.
+// This reconstructs exactly the LinkState the original built
+// incrementally; the port-level kill effects (dead flags, drained queues,
+// zeroed credits) were restored with the ports, so no kill* call — which
+// would mutate statistics — runs here.
+func (n *Network) replayFaults() {
 	if !n.faultsArmed {
 		return
 	}
-	w.Int(len(n.faultEvents))
-	for _, e := range n.faultEvents {
-		w.I64(e.Cycle)
-		w.U64(uint64(e.Kind))
-		w.Int(e.Router)
-		w.Int(e.Port)
-		w.I64(e.Duration)
-		w.Bool(e.Corrupt)
-	}
-	w.Int(n.faultNext)
-	for _, d := range n.niDead {
-		w.Bool(d)
-	}
-	w.Int(len(n.brokenQ))
-	for _, p := range n.brokenQ {
-		w.Int(index[p])
-	}
-}
-
-func (n *Network) decodeFaults(r *ckpt.Reader, table []*Packet) error {
-	armed := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if !armed {
-		n.faultsArmed = false
-		n.faultEvents, n.faultNext = nil, 0
-		n.linkState, n.faultAware = nil, nil
-		n.niDead, n.brokenQ = nil, nil
-		return nil
-	}
-	ne := r.IntCount()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	events := make([]fault.Event, ne)
-	for i := 0; i < ne && r.Err() == nil; i++ {
-		events[i] = fault.Event{
-			Cycle:    r.I64(),
-			Kind:     fault.Kind(r.U64()),
-			Router:   r.Int(),
-			Port:     r.Int(),
-			Duration: r.I64(),
-			Corrupt:  r.Bool(),
-		}
-		if err := events[i].Validate(n.cfg.Topo); r.Err() == nil && err != nil {
-			return fmt.Errorf("noc: checkpoint %w", err)
-		}
-	}
-	n.faultEvents = events
-	n.faultNext = r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n.faultNext < 0 || n.faultNext > len(events) {
-		return fmt.Errorf("noc: faultNext %d outside %d events", n.faultNext, len(events))
-	}
-	n.faultsArmed = true
-	n.niDead = make([]bool, len(n.nis))
-	for t := range n.niDead {
-		n.niDead[t] = r.Bool()
-	}
-	nb := r.IntCount()
-	n.brokenQ = nil
-	for i := 0; i < nb; i++ {
-		p, err := pktAt(r, table)
-		if err != nil {
-			return err
-		}
-		n.brokenQ = append(n.brokenQ, p)
-	}
-
-	// Rebuild the liveness overlay by replaying the permanent events that
-	// had already struck. This reconstructs exactly the LinkState the
-	// original built incrementally; the port-level kill effects (dead
-	// flags, drained queues, zeroed credits) were restored directly from
-	// the per-port sections above, so no kill* calls — which would mutate
-	// statistics — run here.
 	n.linkState = topology.NewLinkState(n.cfg.Topo)
 	for _, e := range n.faultEvents[:n.faultNext] {
 		switch e.Kind {
@@ -763,512 +617,4 @@ func (n *Network) decodeFaults(r *ckpt.Reader, table []*Packet) error {
 	if n.faultAware != nil && n.linkState.NumDownLinks() > 0 {
 		n.faultAware.Rebuild(n.linkState)
 	}
-	return r.Err()
-}
-
-func (n *Network) decode(r *ckpt.Reader, codec PayloadCodec, h ckpt.Header) error {
-	if n.cycle != 0 || n.stats.PacketsInjected != 0 || n.flitsInNetwork != 0 || n.queuedPackets != 0 {
-		return fmt.Errorf("noc: RestoreSnapshot target must be freshly constructed")
-	}
-	if err := n.checkSignature(r); err != nil {
-		return err
-	}
-	n.lastMove = r.I64()
-
-	// Packet table.
-	np := r.IntCount()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	table := make([]*Packet, np)
-	for i := range table {
-		p := &Packet{}
-		p.ID = r.U64()
-		p.Src = r.Int()
-		p.Dst = r.Int()
-		p.NumFlits = r.Int()
-		p.Class = r.Int()
-		p.CreateCycle = r.I64()
-		p.InjectCycle = r.I64()
-		p.RecvCycle = r.I64()
-		p.Hops = r.Int()
-		p.MinSlots = r.Int()
-		p.vcClass = r.Int()
-		p.escaped = r.Bool()
-		p.received = r.Int()
-		p.broken = r.Bool()
-		p.dropWhy = DropReason(r.U64())
-		p.headRecv = r.I64()
-		p.atrVC = r.I64()
-		p.atrSA = r.I64()
-		p.atrCredit = r.I64()
-		p.hopVC = int32(r.Int())
-		p.hopCredit = int32(r.Int())
-		if hasPayload := r.Bool(); hasPayload {
-			if codec == nil {
-				return fmt.Errorf("noc: checkpoint packet %d carries a payload but no PayloadCodec was given", p.ID)
-			}
-			payload, err := codec.DecodePayload(r)
-			if err != nil {
-				return fmt.Errorf("noc: decoding payload of packet %d: %w", p.ID, err)
-			}
-			p.Payload = payload
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		table[i] = p
-	}
-
-	// Construction-dead ports (unwired mesh-edge stubs) keep their dead
-	// flag; ports killed by faults additionally sever the downstream
-	// input's credit channel, which is re-applied after decoding.
-	bornDead := map[*outputPort]bool{}
-	for ri := range n.routers {
-		for _, op := range n.routers[ri].out {
-			if op.dead {
-				bornDead[op] = true
-			}
-		}
-	}
-
-	// Network interfaces.
-	for t := range n.nis {
-		q := &n.nis[t]
-		qn := r.IntCount()
-		q.queue = q.queue[:0]
-		q.qHead = 0
-		for i := 0; i < qn; i++ {
-			p, err := pktAt(r, table)
-			if err != nil {
-				return err
-			}
-			q.queue = append(q.queue, p)
-		}
-		sn := r.IntCount()
-		q.streams = q.streams[:0]
-		for i := 0; i < sn; i++ {
-			p, err := pktAt(r, table)
-			if err != nil {
-				return err
-			}
-			q.streams = append(q.streams, niStream{pkt: p, nextSeq: r.Int(), vc: r.Int()})
-		}
-		q.waitVC = r.Int()
-		if err := decodeOutputPort(r, &q.up, table); err != nil {
-			return fmt.Errorf("noc: terminal %d: %w", t, err)
-		}
-	}
-
-	// Routers.
-	for ri := range n.routers {
-		rt := &n.routers[ri]
-		n.inFlits[ri] = int32(r.Int())
-		n.portMask[ri] = uint32(r.U64())
-		n.evMask[ri] = uint32(r.U64())
-		rt.bufOccSum = r.I64()
-		rt.bufReads = r.I64()
-		rt.bufWrites = r.I64()
-		rt.xbarFlits = r.I64()
-		rt.arbOps = r.I64()
-		for b := range rt.atr {
-			rt.atr[b] = r.I64()
-		}
-		for pi := range rt.in {
-			ip := &rt.in[pi]
-			ip.rr = r.Int()
-			ip.flits = r.Int()
-			ip.raMask = uint32(r.U64())
-			ip.saMask = uint32(r.U64())
-			for vi := range ip.vcs {
-				vc := &ip.vcs[vi]
-				if r.Bool() { // idle-VC flag: canonical empty state
-					vc.state = vcIdle
-					vc.outPort, vc.outVC, vc.class = 0, 0, 0
-					vc.waitCycles = 0
-					vc.cur = nil
-					vc.headArrive = 0
-					vc.buf.head, vc.buf.count = 0, 0
-					for i := range vc.buf.buf {
-						vc.buf.buf[i] = Flit{}
-					}
-					continue
-				}
-				vc.state = vcState(r.U64())
-				vc.outPort = int16(r.Int())
-				vc.outVC = int16(r.Int())
-				vc.class = int16(r.Int())
-				vc.waitCycles = int32(r.I64())
-				cur, err := pktAt(r, table)
-				if err != nil {
-					return err
-				}
-				vc.cur = cur
-				vc.headArrive = r.I64()
-				bn := r.Int()
-				if r.Err() != nil {
-					return r.Err()
-				}
-				if bn > vc.buf.cap() {
-					return fmt.Errorf("noc: router %d port %d vc %d: %d buffered flits exceed depth %d",
-						ri, pi, vi, bn, vc.buf.cap())
-				}
-				vc.buf.head, vc.buf.count = 0, 0
-				for i := range vc.buf.buf {
-					vc.buf.buf[i] = Flit{}
-				}
-				for i := 0; i < bn; i++ {
-					f, err := decodeFlit(r, table)
-					if err != nil {
-						return err
-					}
-					vc.buf.push(f)
-				}
-			}
-		}
-		for pi, op := range rt.out {
-			if err := decodeOutputPort(r, op, table); err != nil {
-				return fmt.Errorf("noc: router %d port %d: %w", ri, pi, err)
-			}
-		}
-	}
-
-	if err := n.decodeStats(r); err != nil {
-		return err
-	}
-	if err := n.decodeFaults(r, table); err != nil {
-		return err
-	}
-
-	// Fault-killed ports lose the downstream credit channel: the upstream
-	// pointer of the input port they feed is severed, exactly as killPort
-	// did in the original run.
-	for ri := range n.routers {
-		for _, op := range n.routers[ri].out {
-			if op.dead && !op.isTerm && !bornDead[op] {
-				n.routers[op.link.Router].in[op.link.Port].upstream = nil
-			}
-		}
-	}
-	for t := range n.nis {
-		up := &n.nis[t].up
-		if up.dead {
-			n.routers[up.link.Router].in[up.link.Port].upstream = nil
-		}
-	}
-
-	n.cycle = h.Cycle
-	n.flitsInNetwork = int(h.Flits)
-	n.queuedPackets = int(h.Queued)
-	n.nextPktID = h.NextPktID
-	return r.Err()
-}
-
-// sortedXferKeys orders transfer keys deterministically for encoding.
-func sortedXferKeys[V any](m map[xferKey]V) []xferKey {
-	keys := make([]xferKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		return a.seq < b.seq
-	})
-	return keys
-}
-
-func sortedPairKeys[V any](m map[pairKey]V) []pairKey {
-	keys := make([]pairKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.dst < b.dst
-	})
-	return keys
-}
-
-// encodeValue serializes the small set of payload value types the
-// reliability layer supports on Transfer.Payload.
-func encodeValue(w *ckpt.Writer, v any) error {
-	switch x := v.(type) {
-	case nil:
-		w.U64(0)
-	case bool:
-		w.U64(1)
-		w.Bool(x)
-	case int:
-		w.U64(2)
-		w.I64(int64(x))
-	case int64:
-		w.U64(3)
-		w.I64(x)
-	case uint64:
-		w.U64(4)
-		w.U64(x)
-	case float64:
-		w.U64(5)
-		w.F64(x)
-	case string:
-		w.U64(6)
-		w.Str(x)
-	case []byte:
-		w.U64(7)
-		w.Bytes(x)
-	default:
-		return fmt.Errorf("noc: unsupported transfer payload type %T", v)
-	}
-	return nil
-}
-
-func decodeValue(r *ckpt.Reader) (any, error) {
-	switch tag := r.U64(); tag {
-	case 0:
-		return nil, r.Err()
-	case 1:
-		return r.Bool(), r.Err()
-	case 2:
-		return r.Int(), r.Err()
-	case 3:
-		return r.I64(), r.Err()
-	case 4:
-		return r.U64(), r.Err()
-	case 5:
-		return r.F64(), r.Err()
-	case 6:
-		return r.Str(), r.Err()
-	case 7:
-		return r.Bytes(), r.Err()
-	default:
-		return nil, fmt.Errorf("noc: unknown transfer payload tag %d", tag)
-	}
-}
-
-// relCodec maps in-flight packet payloads (*Transfer) to serialized
-// transfer records. Every reliable packet's payload is the transfer it
-// carries; a packet can outlive its transfer's pending entry (a late
-// duplicate after delivery), so transfers are serialized in full and
-// deduplicated by key on decode.
-type relCodec struct {
-	xfers map[xferKey]*Transfer // decode: canonical transfer per key
-}
-
-func (c *relCodec) EncodePayload(w *ckpt.Writer, payload any) error {
-	tr, ok := payload.(*Transfer)
-	if !ok {
-		return fmt.Errorf("noc: reliable packet payload is %T, want *Transfer", payload)
-	}
-	return encodeTransfer(w, tr)
-}
-
-func (c *relCodec) DecodePayload(r *ckpt.Reader) (any, error) {
-	tr, err := decodeTransfer(r)
-	if err != nil {
-		return nil, err
-	}
-	k := xferKey{tr.Src, tr.Dst, tr.Seq}
-	if existing, ok := c.xfers[k]; ok {
-		return existing, nil
-	}
-	c.xfers[k] = tr
-	return tr, nil
-}
-
-func encodeTransfer(w *ckpt.Writer, tr *Transfer) error {
-	w.Int(tr.Src)
-	w.Int(tr.Dst)
-	w.U64(tr.Seq)
-	w.Int(tr.NumFlits)
-	w.Int(tr.Class)
-	w.I64(tr.Created)
-	w.Int(tr.Attempts)
-	w.I64(tr.deadline)
-	return encodeValue(w, tr.Payload)
-}
-
-func decodeTransfer(r *ckpt.Reader) (*Transfer, error) {
-	tr := &Transfer{
-		Src:      r.Int(),
-		Dst:      r.Int(),
-		Seq:      r.U64(),
-		NumFlits: r.Int(),
-		Class:    r.Int(),
-		Created:  r.I64(),
-		Attempts: r.Int(),
-		deadline: r.I64(),
-	}
-	payload, err := decodeValue(r)
-	if err != nil {
-		return nil, err
-	}
-	tr.Payload = payload
-	return tr, r.Err()
-}
-
-// Snapshot serializes the reliability layer plus its wrapped network.
-// Transfer payloads must be nil or a basic value type (bool, int, int64,
-// uint64, float64, string, []byte).
-func (rel *Reliable) Snapshot() ([]byte, error) {
-	w := ckpt.NewWriter(ckpt.Header{
-		Kind:        KindReliable,
-		Version:     relSnapshotVersion,
-		Cycle:       rel.net.cycle,
-		Flits:       int64(rel.net.flitsInNetwork),
-		Queued:      int64(rel.net.queuedPackets),
-		NextPktID:   rel.net.nextPktID,
-		Fingerprint: rel.net.Fingerprint(),
-	})
-
-	seqKeys := sortedPairKeys(rel.nextSeq)
-	w.Int(len(seqKeys))
-	for _, k := range seqKeys {
-		w.Int(k.src)
-		w.Int(k.dst)
-		w.U64(rel.nextSeq[k])
-	}
-
-	recvKeys := sortedPairKeys(rel.recv)
-	w.Int(len(recvKeys))
-	for _, k := range recvKeys {
-		d := rel.recv[k]
-		w.Int(k.src)
-		w.Int(k.dst)
-		w.U64(d.next)
-		seen := make([]uint64, 0, len(d.seen))
-		for s := range d.seen {
-			seen = append(seen, s)
-		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-		w.Int(len(seen))
-		for _, s := range seen {
-			w.U64(s)
-		}
-	}
-
-	pendKeys := sortedXferKeys(rel.pending)
-	w.Int(len(pendKeys))
-	for _, k := range pendKeys {
-		if err := encodeTransfer(w, rel.pending[k]); err != nil {
-			return nil, err
-		}
-	}
-
-	// The timer heap array is serialized verbatim: it is already a valid
-	// heap and its layout determines tie-break fire order.
-	w.Int(len(rel.timers))
-	for _, it := range rel.timers {
-		w.I64(it.deadline)
-		w.U64(it.order)
-		w.Int(it.key.src)
-		w.Int(it.key.dst)
-		w.U64(it.key.seq)
-	}
-	w.U64(rel.order)
-
-	s := &rel.stats
-	for _, v := range []int64{s.Sent, s.Delivered, s.Duplicates, s.Retransmissions,
-		s.Recovered, s.Abandoned, s.Unreachable, s.LatencySum} {
-		w.I64(v)
-	}
-
-	if err := rel.net.encode(w, &relCodec{}); err != nil {
-		return nil, err
-	}
-	return w.Finish(), nil
-}
-
-// RestoreSnapshot loads a Reliable checkpoint. rel must wrap a freshly
-// constructed Network built from the same Config as the original.
-func (rel *Reliable) RestoreSnapshot(data []byte) error {
-	r, err := ckpt.NewReader(data)
-	if err != nil {
-		return err
-	}
-	h := r.Header()
-	if h.Kind != KindReliable {
-		return fmt.Errorf("noc: checkpoint kind %q, want %q", h.Kind, KindReliable)
-	}
-	if h.Version != relSnapshotVersion {
-		return fmt.Errorf("noc: checkpoint version %d, want %d", h.Version, relSnapshotVersion)
-	}
-
-	codec := &relCodec{xfers: map[xferKey]*Transfer{}}
-
-	ns := r.IntCount()
-	rel.nextSeq = make(map[pairKey]uint64, ns)
-	for i := 0; i < ns && r.Err() == nil; i++ {
-		k := pairKey{src: r.Int(), dst: r.Int()}
-		rel.nextSeq[k] = r.U64()
-	}
-
-	nr := r.IntCount()
-	rel.recv = make(map[pairKey]*dedupe, nr)
-	for i := 0; i < nr && r.Err() == nil; i++ {
-		k := pairKey{src: r.Int(), dst: r.Int()}
-		d := &dedupe{next: r.U64()}
-		sn := r.IntCount()
-		if sn > 0 {
-			d.seen = make(map[uint64]bool, sn)
-			for j := 0; j < sn && r.Err() == nil; j++ {
-				d.seen[r.U64()] = true
-			}
-		}
-		rel.recv[k] = d
-	}
-
-	np := r.IntCount()
-	rel.pending = make(map[xferKey]*Transfer, np)
-	for i := 0; i < np; i++ {
-		tr, err := decodeTransfer(r)
-		if err != nil {
-			return err
-		}
-		k := xferKey{tr.Src, tr.Dst, tr.Seq}
-		rel.pending[k] = tr
-		codec.xfers[k] = tr
-	}
-
-	nt := r.IntCount()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	rel.timers = make(timerHeap, nt)
-	for i := 0; i < nt && r.Err() == nil; i++ {
-		rel.timers[i] = timerItem{
-			deadline: r.I64(),
-			order:    r.U64(),
-			key:      xferKey{src: r.Int(), dst: r.Int(), seq: r.U64()},
-		}
-	}
-	rel.order = r.U64()
-
-	s := &rel.stats
-	for _, p := range []*int64{&s.Sent, &s.Delivered, &s.Duplicates, &s.Retransmissions,
-		&s.Recovered, &s.Abandoned, &s.Unreachable, &s.LatencySum} {
-		*p = r.I64()
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-
-	if err := rel.net.decode(r, codec, h); err != nil {
-		return err
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if got := rel.net.Fingerprint(); got != h.Fingerprint {
-		return fmt.Errorf("noc: restored fingerprint %016x != checkpoint %016x (config mismatch?)", got, h.Fingerprint)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package noc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"testing"
@@ -25,23 +26,13 @@ const (
 	restoreAllocSlack   = 1 << 20
 )
 
-// restoreMeasured restores data into a fresh network from build (into a
-// fresh Reliable over it when data is a noc-rel checkpoint) and returns
-// the bytes allocated by the restore alone, its wall time and its error.
-func restoreMeasured(t testing.TB, build func(testing.TB) *Network, data []byte) (grew uint64, took time.Duration, err error) {
-	n := build(t)
-	var rel *Reliable
-	if h, err := ckpt.ReadHeader(data); err == nil && h.Kind == KindReliable {
-		rel = NewReliable(n, ReliableConfig{Timeout: 256, MaxRetries: 6})
-	}
+// restoreMeasured restores data into n and returns the bytes allocated by
+// the restore alone, its wall time and its error.
+func restoreMeasured(n *Network, data []byte) (grew uint64, took time.Duration, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	if rel != nil {
-		err = rel.RestoreSnapshot(data)
-	} else {
-		err = n.RestoreSnapshot(data, nil)
-	}
+	err = n.RestoreSnapshot(data)
 	took = time.Since(start)
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, took, err
@@ -56,18 +47,18 @@ func withCRC(data []byte) []byte {
 	return out
 }
 
-// spliceVarint replaces the varint at off with v and recomputes the CRC.
-func spliceVarint(data []byte, off int, v int64) []byte {
-	_, n := binary.Varint(data[off:])
+// spliceUvarint replaces the uvarint at off with v and recomputes the CRC.
+func spliceUvarint(data []byte, off int, v uint64) []byte {
+	_, n := binary.Uvarint(data[off:])
 	out := append([]byte(nil), data[:off]...)
-	out = binary.AppendVarint(out, v)
+	out = binary.AppendUvarint(out, v)
 	out = append(out, data[off+n:]...)
 	return withCRC(out)
 }
 
-// TestRestoreRefusesForgedCounts pins three forged mid-run 8x8 noc-net
-// checkpoints that used to panic, allocate gigabytes or never return:
-// a packet count whose first byte is 0xff, a packet count of 2^29, and a
+// TestRestoreRefusesForgedCounts pins forged mid-run 8x8 noc-net
+// checkpoints that used to panic, allocate gigabytes or never return: a
+// packet count whose first byte is 0xff, a packet count of 2^29, and a
 // credit-event count of 2^40 in terminal 25's injection port; a fourth
 // credit count below the remaining bytes must stop at the end of the data.
 // Each must be refused without a panic, within the allocation bound above
@@ -80,20 +71,18 @@ func TestRestoreRefusesForgedCounts(t *testing.T) {
 	for up.creditQ.n == 0 {
 		next = playSchedule(t, n, evs, next, n.Cycle()+1)
 	}
-	data, err := n.Snapshot(nil)
+	data, err := n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh := func(tb testing.TB) *Network { return newMeshNet(tb) }
-	if _, _, err := restoreMeasured(t, mesh, data); err != nil {
+	if _, _, err := restoreMeasured(newMeshNet(t), data); err != nil {
 		t.Fatalf("genuine checkpoint refused: %v", err)
 	}
 
-	// The packet count follows the structural signature and lastMove.
+	// The packet count follows the structural signature.
 	w := ckpt.NewWriter(ckpt.Header{Kind: KindNetwork, Version: netSnapshotVersion, Cycle: n.cycle,
 		Flits: int64(n.flitsInNetwork), Queued: int64(n.queuedPackets), NextPktID: n.nextPktID, Fingerprint: n.Fingerprint()})
-	n.encodeSignature(w)
-	w.I64(n.lastMove)
+	n.walkSignature(&walker{w: w})
 	pktOff := len(w.Finish()) - 4
 	if !bytes.Equal(data[:pktOff], w.Finish()[:pktOff]) {
 		t.Fatal("packet-count offset does not match the encoder")
@@ -105,7 +94,7 @@ func TestRestoreRefusesForgedCounts(t *testing.T) {
 	const marker = 0x5eed5eed5
 	saved := first.at
 	first.at = marker
-	marked, err := n.Snapshot(nil)
+	marked, err := n.Snapshot()
 	first.at = saved
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +104,8 @@ func TestRestoreRefusesForgedCounts(t *testing.T) {
 		t.Fatal("marker not unique")
 	}
 	at := bytes.Index(marked, mb)
-	credOff := at - len(binary.AppendVarint(nil, int64(first.vc))) - len(binary.AppendVarint(nil, int64(up.creditQ.n)))
-	if v, _ := binary.Varint(data[credOff:]); v != int64(up.creditQ.n) || !bytes.Equal(data[:at], marked[:at]) {
+	credOff := at - len(binary.AppendVarint(nil, int64(first.vc))) - len(binary.AppendUvarint(nil, uint64(up.creditQ.n)))
+	if v, _ := binary.Uvarint(data[credOff:]); v != uint64(up.creditQ.n) || !bytes.Equal(data[:at], marked[:at]) {
 		t.Fatal("credit-event count offset does not match the encoder")
 	}
 
@@ -124,11 +113,11 @@ func TestRestoreRefusesForgedCounts(t *testing.T) {
 	byteFF[pktOff] = 0xff
 	for name, forged := range map[string][]byte{
 		"packet count byte 0xff":    withCRC(byteFF),
-		"packet count 2^29":         spliceVarint(data, pktOff, 1<<29),
-		"terminal 25 credits 2^40":  spliceVarint(data, credOff, 1<<40),
-		"terminal 25 credits len/2": spliceVarint(data, credOff, int64(len(data)/2)),
+		"packet count 2^29":         spliceUvarint(data, pktOff, 1<<29),
+		"terminal 25 credits 2^40":  spliceUvarint(data, credOff, 1<<40),
+		"terminal 25 credits len/2": spliceUvarint(data, credOff, uint64(len(data)/2)),
 	} {
-		grew, took, err := restoreMeasured(t, mesh, forged)
+		grew, took, err := restoreMeasured(newMeshNet(t), forged)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -165,53 +154,99 @@ func snapFuzzNet(t testing.TB) *Network {
 	return n
 }
 
-// FuzzRestoreSnapshot mutates real mid-run noc-net and noc-rel
-// checkpoints, recomputing the CRC footer so the mutations reach the body
-// decoders, and runs the restore alone: no input may panic, take longer
-// than a second or allocate beyond the bound above. (An accepted mutation
-// may still describe a state Step cannot run; that needs validation of
-// the packet graph and is not checked here.)
+// FuzzRestoreSnapshot mutates real mid-run noc-net checkpoints, with the
+// CRC footer recomputed so the mutations reach the body decoder, and
+// requires refuse-or-run: no restore may panic, take longer than a second
+// or allocate beyond the bound above, and an accepted restore must step
+// 300 cycles without a panic or a watchdog error and then pass
+// CheckInvariants. The seeds are the 4x4 fault-armed mesh past its link
+// failure and a Diagonal+BL mesh mid-injection (wide links, a terminal
+// driving two NI streams, unequal VC counts); the bool selects the target.
 func FuzzRestoreSnapshot(f *testing.F) {
 	n := snapFuzzNet(f)
-	evs := makeSchedule(9, 16, 200, 0.08, 4)
-	playSchedule(f, n, evs, 0, 90)
-	net, err := n.Snapshot(nil)
+	playSchedule(f, n, makeSchedule(9, 16, 200, 0.08, 4), 0, 90)
+	faulty, err := n.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(net)
+	f.Add(faulty, false)
 
-	rel := NewReliable(snapFuzzNet(f), ReliableConfig{Timeout: 256, MaxRetries: 6})
-	sends := makeSchedule(10, 16, 80, 0.05, 4)
-	next := 0
-	for rel.net.Cycle() < 90 {
-		for next < len(sends) && sends[next].cycle <= rel.net.Cycle()+1 {
-			_, _ = rel.Send(sends[next].src, sends[next].dst, sends[next].flits, 0, int64(next))
-			next++
-		}
-		if err := rel.Step(); err != nil {
-			f.Fatal(err)
-		}
+	h := heteroDiagonalNet(f)
+	evs := makeSchedule(16, 64, 400, 0.06, 8)
+	next := playSchedule(f, h, evs, 0, 30)
+	for !twoStreams(h) {
+		next = playSchedule(f, h, evs, next, h.Cycle()+1)
 	}
-	relSnap, err := rel.Snapshot()
+	hetero, err := h.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(relSnap)
-	for _, seed := range [][]byte{net, relSnap} {
-		if _, _, err := restoreMeasured(f, snapFuzzNet, seed); err != nil {
-			f.Fatalf("genuine seed refused: %v", err)
+	f.Add(hetero, true)
+
+	// The genuine seeds must restore and run, or a validation that refused
+	// everything would pass the target vacuously.
+	for _, seed := range []struct {
+		data   []byte
+		hetero bool
+	}{{faulty, false}, {hetero, true}} {
+		n := fuzzTarget(f, seed.hetero)
+		if err := n.RestoreSnapshot(seed.data); err != nil {
+			f.Fatalf("genuine seed (hetero %v) refused: %v", seed.hetero, err)
+		}
+		if err := runRestored(n); err != nil {
+			f.Fatalf("genuine seed (hetero %v): %v", seed.hetero, err)
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, hetero bool) {
 		data = withCRC(data)
-		grew, took, _ := restoreMeasured(t, snapFuzzNet, data)
+		n := fuzzTarget(t, hetero)
+		grew, took, err := restoreMeasured(n, data)
 		if bound := restoreAllocPerByte*uint64(len(data)) + restoreAllocSlack; grew > bound {
 			t.Fatalf("restore of %d bytes allocated %d bytes (bound %d)", len(data), grew, bound)
 		}
 		if took > time.Second {
 			t.Fatalf("restore of %d bytes took %v", len(data), took)
 		}
+		if err != nil {
+			return
+		}
+		if err := runRestored(n); err != nil {
+			t.Fatalf("accepted checkpoint: %v", err)
+		}
 	})
+}
+
+// fuzzTarget builds the network FuzzRestoreSnapshot restores into.
+func fuzzTarget(t testing.TB, hetero bool) *Network {
+	if hetero {
+		return heteroDiagonalNet(t)
+	}
+	return snapFuzzNet(t)
+}
+
+// runRestored steps a restored network 300 cycles and audits it: an
+// accepted checkpoint must run without a panic or a watchdog error and
+// keep every invariant.
+func runRestored(n *Network) error {
+	for c := 0; c < 300; c++ {
+		if err := n.Step(); err != nil {
+			return fmt.Errorf("failed at step %d: %w", c, err)
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		return fmt.Errorf("broke an invariant within 300 steps: %w", err)
+	}
+	return nil
+}
+
+// twoStreams reports whether some terminal is injecting two packets at
+// once, which only a wide injection link allows.
+func twoStreams(n *Network) bool {
+	for t := range n.nis {
+		if len(n.nis[t].streams) == 2 {
+			return true
+		}
+	}
+	return false
 }

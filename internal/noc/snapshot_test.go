@@ -87,11 +87,20 @@ func snapCases() []snapCase {
 		plan.AddTransient(590, m.RouterAt(4, 1), topology.PortNorth, 80, true)
 		return faultMeshNet(t, plan)
 	}
+	hetero := func(t testing.TB) *Network {
+		n := heteroDiagonalNet(t)
+		n.SetShardWorkers(2)
+		t.Cleanup(n.Close)
+		return n
+	}
 	return []snapCase{
 		{name: "mesh_low", build: mk(0), seed: 11, rate: 0.02, flits: 6, mid: 500, end: 1500},
 		{name: "mesh_high", build: mk(0), seed: 12, rate: 0.06, flits: 6, mid: 777, end: 1600},
 		{name: "sharded2", build: mk(2), seed: 13, rate: 0.05, flits: 6, mid: 640, end: 1500, workers: 2},
 		{name: "faults_midwindow", build: faulty, seed: 14, rate: 0.04, flits: 6, mid: 600, end: 2000},
+		// Diagonal+BL: wide links, two NI streams per wide terminal and
+		// unequal VC counts, with 8-flit data packets at 128-bit flits.
+		{name: "hetero_diagonal_bl", build: hetero, seed: 15, rate: 0.04, flits: 8, mid: 555, end: 1500, workers: 2},
 	}
 }
 
@@ -111,7 +120,7 @@ func TestSnapshotRoundTripMidRun(t *testing.T) {
 			orig := tc.build(t)
 			next := playSchedule(t, orig, evs, 0, tc.mid)
 			midFP := orig.Fingerprint()
-			data, err := orig.Snapshot(nil)
+			data, err := orig.Snapshot()
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
@@ -127,7 +136,7 @@ func TestSnapshotRoundTripMidRun(t *testing.T) {
 			}
 
 			restored := tc.build(t)
-			if err := restored.RestoreSnapshot(data, nil); err != nil {
+			if err := restored.RestoreSnapshot(data); err != nil {
 				t.Fatalf("RestoreSnapshot: %v", err)
 			}
 			if err := restored.CheckInvariants(); err != nil {
@@ -161,7 +170,7 @@ func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 
 	orig := newMeshNet(t)
 	next := playSchedule(t, orig, evs, 0, mid)
-	data, err := orig.Snapshot(nil)
+	data, err := orig.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 		restored := newMeshNet(t)
 		restored.SetShardWorkers(workers)
 		t.Cleanup(restored.Close)
-		if err := restored.RestoreSnapshot(data, nil); err != nil {
+		if err := restored.RestoreSnapshot(data); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		playSchedule(t, restored, evs, next, end)
@@ -184,7 +193,7 @@ func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 // load into a differently shaped network instead of corrupting it.
 func TestSnapshotRejectsMismatchedTarget(t *testing.T) {
 	n := newMeshNet(t)
-	data, err := n.Snapshot(nil)
+	data, err := n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,7 @@ func TestSnapshotRejectsMismatchedTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = target.RestoreSnapshot(data, nil)
+		err = target.RestoreSnapshot(data)
 		if err == nil {
 			t.Fatalf("restore into a %dx%d mesh accepted an 8x8 checkpoint", tc.w, tc.h)
 		}
@@ -218,8 +227,25 @@ func TestSnapshotRejectsMismatchedTarget(t *testing.T) {
 	if err := stepped.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if err := stepped.RestoreSnapshot(data, nil); err == nil {
+	if err := stepped.RestoreSnapshot(data); err == nil {
 		t.Fatal("restore into a stepped network was accepted")
+	}
+
+	// Neither is a target an earlier restore wrote into, whether that
+	// restore succeeded or failed.
+	once := newMeshNet(t)
+	if err := once.RestoreSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := once.RestoreSnapshot(data); err == nil {
+		t.Fatal("second restore into a restored network was accepted")
+	}
+	failed := newMeshNet(t)
+	if err := failed.RestoreSnapshot(data[:len(data)-1]); err == nil {
+		t.Fatal("truncated checkpoint restored")
+	}
+	if err := failed.RestoreSnapshot(data); err == nil {
+		t.Fatal("restore into the target of a failed restore was accepted")
 	}
 }
 
@@ -247,7 +273,7 @@ func TestSnapshotCompactQuiesced(t *testing.T) {
 	evs := makeSchedule(71, 1024, 60, 0.02, 6)
 	playSchedule(t, n, evs, 0, 60)
 	runUntilQuiesced(t, n, 1<<20)
-	data, err := n.Snapshot(nil)
+	data, err := n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +284,7 @@ func TestSnapshotCompactQuiesced(t *testing.T) {
 		t.Errorf("quiesced 32x32 checkpoint is %d bytes, want <= %d", len(data), max)
 	}
 	restored := build()
-	if err := restored.RestoreSnapshot(data, nil); err != nil {
+	if err := restored.RestoreSnapshot(data); err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	if err := restored.CheckInvariants(); err != nil {
@@ -267,7 +293,7 @@ func TestSnapshotCompactQuiesced(t *testing.T) {
 	// Re-snapshotting the restored network must reproduce the checkpoint
 	// byte for byte: the compact form never encodes stale scratch fields,
 	// so canonicalization is idempotent.
-	again, err := restored.Snapshot(nil)
+	again, err := restored.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +308,7 @@ func TestSnapshotCorruptionIsRejected(t *testing.T) {
 	n := newMeshNet(t)
 	evs := makeSchedule(31, 64, 300, 0.05, 6)
 	playSchedule(t, n, evs, 0, 300)
-	data, err := n.Snapshot(nil)
+	data, err := n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,93 +316,12 @@ func TestSnapshotCorruptionIsRejected(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x20
 		target := newMeshNet(t)
-		if err := target.RestoreSnapshot(bad, nil); err == nil {
+		if err := target.RestoreSnapshot(bad); err == nil {
 			t.Fatalf("corrupted byte %d restored without error", i)
 		}
 	}
-	if err := newMeshNet(t).RestoreSnapshot(data[:len(data)/2], nil); err == nil {
+	if err := newMeshNet(t).RestoreSnapshot(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated checkpoint restored without error")
-	}
-}
-
-// TestReliableSnapshotWithPendingTimers checkpoints the reliability layer
-// while transfers are pending retransmission (a fault plan guarantees
-// losses) and requires the restored run to finish with identical network
-// and reliability fingerprints.
-func TestReliableSnapshotWithPendingTimers(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	newPlan := func() *fault.Plan {
-		plan := &fault.Plan{}
-		plan.FailLink(200, m.RouterAt(3, 3), topology.PortEast)
-		plan.AddTransient(150, m.RouterAt(4, 4), topology.PortNorth, 100, false)
-		return plan
-	}
-	build := func() *Reliable {
-		return NewReliable(faultMeshNet(t, newPlan()), ReliableConfig{Timeout: 256, MaxRetries: 6})
-	}
-
-	const terminals, end = 64, 6000
-	sends := makeSchedule(41, terminals, 400, 0.03, 6)
-
-	run := func(rel *Reliable, next int, endCycle int64, snapshotAt int64) (int, []byte) {
-		var snap []byte
-		for rel.net.Cycle() < endCycle {
-			if snapshotAt > 0 && rel.net.Cycle() == snapshotAt {
-				var err error
-				if snap, err = rel.Snapshot(); err != nil {
-					t.Fatalf("Reliable.Snapshot: %v", err)
-				}
-				if rel.Pending() == 0 {
-					t.Fatal("test expected pending transfers at the snapshot point")
-				}
-				return next, snap
-			}
-			at := rel.net.Cycle() + 1
-			for next < len(sends) && sends[next].cycle <= at {
-				e := sends[next]
-				next++
-				_, _ = rel.Send(e.src, e.dst, e.flits, 0, int64(e.src)<<32|int64(e.dst))
-			}
-			if err := rel.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if rel.Quiesced() && next >= len(sends) {
-				break
-			}
-		}
-		return next, nil
-	}
-
-	straight := build()
-	run(straight, 0, end, 0)
-	wantNet := straight.net.Fingerprint()
-	wantRel := straight.Stats().Fingerprint()
-
-	orig := build()
-	next, snap := run(orig, 0, end, 300) // mid transient window, retries pending
-	if snap == nil {
-		t.Fatal("no snapshot taken")
-	}
-
-	restored := build()
-	if err := restored.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("Reliable.RestoreSnapshot: %v", err)
-	}
-	if err := restored.net.CheckInvariants(); err != nil {
-		t.Fatalf("restored invariants: %v", err)
-	}
-	run(restored, next, end, 0)
-	if got := restored.net.Fingerprint(); got != wantNet {
-		t.Errorf("restored network fingerprint %016x != straight-through %016x", got, wantNet)
-	}
-	if got := restored.Stats().Fingerprint(); got != wantRel {
-		t.Errorf("restored reliable fingerprint %016x != straight-through %016x", got, wantRel)
-	}
-
-	// The snapshotted original finishes identically too.
-	run(orig, next, end, 0)
-	if got := orig.net.Fingerprint(); got != wantNet {
-		t.Errorf("continued network fingerprint %016x != straight-through %016x", got, wantNet)
 	}
 }
 

@@ -115,7 +115,7 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 	if cfg.SuspendKey != "" {
 		if data, ok := sus.Load(cfg.SuspendKey); ok {
 			rs := span.Child("resume")
-			p, ps, err := resumeRun(net, cfg, src, data)
+			p, ps, err := resumeRun(net, cfg, src, terms, data)
 			rs.End()
 			if err != nil {
 				// The network may be partially restored and cannot be

@@ -31,6 +31,15 @@ const (
 	// maxProcStates bounds the decoded state-slice length; anything larger
 	// in a CRC-valid container means an encoder bug, not a bigger machine.
 	maxProcStates = 1 << 22
+
+	// maxDrawsPerFire bounds the RNG draws one terminal takes in one pass
+	// of RunCtx's inject. By the draw sites in traffic.go, Process.Fire
+	// takes at most two (SelfSimilar: a Pareto period when its on/off
+	// phase runs out, then the injection coin) and Pattern.Dst at most
+	// three (Incast: the sink coin, the sink pick and the uniform
+	// fallback). Float64 and Intn resample on rejections rarer than one
+	// in a million draws; the three spare draws cover them many times over.
+	maxDrawsPerFire = 8
 )
 
 // snapshotRun serializes the complete state of an in-flight run.
@@ -39,7 +48,7 @@ func snapshotRun(net *noc.Network, cfg RunConfig, src *countingSource, phase int
 	if err != nil {
 		return nil, err
 	}
-	netSnap, err := net.Snapshot(nil)
+	netSnap, err := net.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +74,10 @@ func snapshotRun(net *noc.Network, cfg RunConfig, src *countingSource, phase int
 
 // resumeRun restores a snapshotRun checkpoint into net (which must be a
 // freshly built network of the same configuration), fast-forwards src,
-// and rewrites the process state. On error the network may be partially
+// and rewrites the process state. terms is the number of terminals
+// RunCtx's inject draws for. On error the network may be partially
 // restored and must be discarded.
-func resumeRun(net *noc.Network, cfg RunConfig, src *countingSource, data []byte) (phase int, phaseStart int64, err error) {
+func resumeRun(net *noc.Network, cfg RunConfig, src *countingSource, terms int, data []byte) (phase int, phaseStart int64, err error) {
 	r, err := ckpt.NewReader(data)
 	if err != nil {
 		return 0, 0, err
@@ -108,8 +118,14 @@ func resumeRun(net *noc.Network, cfg RunConfig, src *countingSource, data []byte
 	if err := applyProcessState(cfg.Process, tag, states); err != nil {
 		return 0, 0, err
 	}
-	if err := net.RestoreSnapshot(netSnap, nil); err != nil {
+	if err := net.RestoreSnapshot(netSnap); err != nil {
 		return 0, 0, err
+	}
+	// inject runs once per stepped cycle, and the restore has verified the
+	// cycle against the fingerprint; skip would spin for years on a
+	// forged count. Dividing instead of multiplying cannot overflow.
+	if cyc := net.Cycle(); cyc < 0 || terms < 1 || draws/maxDrawsPerFire/uint64(terms) > uint64(cyc) {
+		return 0, 0, fmt.Errorf("%w: %d RNG draws in %d cycles of %d terminals", ckpt.ErrCorrupt, draws, cyc, terms)
 	}
 	src.skip(draws)
 	return phase, phaseStart, nil

@@ -1,10 +1,17 @@
 package traffic
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/suspend"
 )
@@ -214,5 +221,103 @@ func TestResumeCorruptCheckpointStartsFresh(t *testing.T) {
 	}
 	if !resultsEqual(got, want) {
 		t.Fatalf("fresh-start result differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestResumeRefusesForgedDrawCount splices a 2^62 RNG draw count into a
+// genuine noc-run checkpoint. Replaying it would spin for a century; the
+// resume must refuse it, by the draw bound per terminal and cycle, within
+// a second, also when the nested network checkpoint claims a negative
+// cycle (which would wrap an unsigned bound).
+func TestResumeRefusesForgedDrawCount(t *testing.T) {
+	cfg := suspendRunCfg(Bernoulli{P: 0.05})
+	net, err := buildBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newCountingSource(cfg.Seed)
+	rng := rand.New(src)
+	for c := 0; c < 300; c++ {
+		for term := 0; term < 64; term++ {
+			if cfg.Process.Fire(term, net.Cycle(), rng) {
+				_ = net.TryInject(&noc.Packet{Src: term, Dst: cfg.Pattern.Dst(term, rng), NumFlits: cfg.DataFlits})
+			}
+		}
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := snapshotRun(net, cfg, src, phaseWarmup, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The draw count follows the seed, the phase and its start cycle.
+	h, err := ckpt.ReadHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ckpt.NewWriter(h)
+	w.I64(cfg.Seed)
+	w.Int(phaseWarmup)
+	w.I64(0)
+	off := len(w.Finish()) - 4
+	if v, _ := binary.Uvarint(data[off:]); v != src.draws() {
+		t.Fatalf("draw count offset holds %d, want %d", v, src.draws())
+	}
+	resume := func(data []byte) (time.Duration, error) {
+		fresh, err := buildBaseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, _, err = resumeRun(fresh, cfg, newCountingSource(cfg.Seed), 64, data)
+		return time.Since(start), err
+	}
+	if _, err := resume(data); err != nil {
+		t.Fatalf("genuine checkpoint refused: %v", err)
+	}
+
+	seal := func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
+	}
+	_, n := binary.Uvarint(data[off:])
+	forged := seal(append(binary.AppendUvarint(append([]byte(nil), data[:off]...), 1<<62), data[off+n:]...))
+	took, err := resume(forged)
+	if !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("forged draw count: err = %v, want ErrCorrupt", err)
+	}
+	if took > time.Second {
+		t.Errorf("forged draw count refused after %v", took)
+	}
+
+	// The nested network checkpoint ends the run checkpoint; rewrite its
+	// header cycle to -1.
+	netSnap, err := net.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := append(binary.AppendUvarint(nil, uint64(len(netSnap))), netSnap...)
+	body := forged[:len(forged)-4]
+	if !bytes.HasSuffix(body, tail) {
+		t.Fatal("network checkpoint is not the run checkpoint's last field")
+	}
+	nh, err := ckpt.ReadHeader(netSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrLen := len(ckpt.NewWriter(nh).Finish()) - 4
+	nh.Cycle = -1
+	neg := ckpt.NewWriter(nh).Finish()
+	neg = seal(append(neg[:len(neg)-4], netSnap[hdrLen:]...))
+	negCycle := append(body[:len(body)-len(tail):len(body)-len(tail)], binary.AppendUvarint(nil, uint64(len(neg)))...)
+	negCycle = seal(append(append(negCycle, neg...), 0, 0, 0, 0))
+	took, err = resume(negCycle)
+	if err == nil || !strings.Contains(err.Error(), "now cycle -1") {
+		t.Errorf("forged draw count with a negative cycle: err = %v, want a refused clock", err)
+	}
+	if took > time.Second {
+		t.Errorf("forged draw count with a negative cycle refused after %v", took)
 	}
 }
