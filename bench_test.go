@@ -284,8 +284,8 @@ func BenchmarkCMPCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkTableRouteBuild measures zig-zag table construction (64
-// Dijkstra passes with big-router discounts).
+// BenchmarkTableRouteBuild measures zig-zag table construction: one
+// fault-free 8x8 FaultTable, 64 BFS passes with big-router tie-breaks.
 func BenchmarkTableRouteBuild(b *testing.B) {
 	m := topology.NewMesh(8, 8)
 	l := core.NewLayout(core.PlacementDiagonal, 8, 8, true)
@@ -296,11 +296,10 @@ func BenchmarkTableRouteBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultTableRebuild measures a from-scratch rebuild of all routes
-// over a faulted 8x8 mesh — the worst-case latency a Rebuild call charges
-// the simulation. The two fault sets are not nested, so every transition
-// resurrects a link and defeats the incremental path: each iteration is a
-// genuine full rebuild.
+// BenchmarkFaultTableRebuild measures one Rebuild of all routes over a
+// faulted 8x8 mesh — the latency each permanent-fault batch charges the
+// simulation. Every Rebuild recomputes every destination from the link
+// state alone; alternating two fault sets only keeps the input changing.
 func BenchmarkFaultTableRebuild(b *testing.B) {
 	m := topology.NewMesh(8, 8)
 	l := core.NewLayout(core.PlacementDiagonal, 8, 8, true)
@@ -320,31 +319,11 @@ func BenchmarkFaultTableRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultTableIncremental isolates the incremental path: absorbing
-// one additional link death into an already-built 8x8 table. The rollback
-// to the base fault set between iterations is untimed.
-func BenchmarkFaultTableIncremental(b *testing.B) {
-	m := topology.NewMesh(8, 8)
-	l := core.NewLayout(core.PlacementDiagonal, 8, 8, true)
-	ft := routing.NewFaultTable(m, routing.FaultTableConfig{Big: l.BigSet()})
-	base := topology.NewLinkState(m)
-	base.FailLink(m.RouterAt(3, 3), topology.PortEast)
-	plus := base.Clone()
-	plus.FailLink(m.RouterAt(5, 2), topology.PortSouth)
-	ft.Rebuild(base)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ft.Rebuild(plus) // one new dead link over the stored DAG state
-		b.StopTimer()
-		ft.Rebuild(base) // untimed rollback (full rebuild)
-		b.StartTimer()
-	}
-}
-
-// BenchmarkTableBuild1024 measures the full route construction for a
-// 32x32 mesh (1024 routers, 1024 destinations): the table the scale
-// experiments build once per topology. The acceptance bar is sub-quadratic
-// scaling — faster than 16 sequential 8x8 Dijkstra builds of the heap era.
+// BenchmarkTableBuild1024 measures building a FaultTable for a 32x32 mesh
+// (1024 routers, 1024 destinations): one BFS pass per destination, so the
+// cost grows with routers times destinations. No experiment builds a table
+// this large (the scale experiments route with X-Y); it bounds the set-up
+// cost of table routing at 1024 routers.
 func BenchmarkTableBuild1024(b *testing.B) {
 	m := topology.NewMesh(32, 32)
 	l := core.NewLayout(core.PlacementDiagonal, 32, 32, true)
@@ -396,7 +375,8 @@ func BenchmarkReliableCycle(b *testing.B) {
 // BenchmarkCheckpointRestore measures restoring a mid-run 8x8 network
 // checkpoint into a fresh simulator, acceptance check included — the
 // fixed cost a suspended run pays on resume and `noxsim -ckptcheck` pays
-// to verify its checkpoint. scripts/bench.sh records it as
+// to verify its checkpoint. Each fresh network is built with the timer
+// stopped, so ns/op is the restore alone. scripts/bench.sh records it as
 // "ckpt_restore_ns_per_op" in BENCH_noc.json.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	l := core.NewBaseline(8, 8)
@@ -424,10 +404,12 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.SetBytes(int64(len(snap)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		fresh, err := l.Network()
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		if err := fresh.RestoreSnapshot(snap); err != nil {
 			b.Fatal(err)
 		}

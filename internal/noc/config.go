@@ -42,9 +42,6 @@ type Config struct {
 	// FlitWidthBits is the flit (and buffer) width; it determines packet
 	// flit counts and feeds the power model.
 	FlitWidthBits int
-	// EjectOnly limits terminals to consume at most link-slot flits per
-	// cycle (always true in this model; field reserved for extensions).
-
 	// WatchdogCycles aborts the simulation when no flit moves for this many
 	// cycles while packets are in flight (deadlock detection). Zero
 	// disables the watchdog.

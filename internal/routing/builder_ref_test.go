@@ -8,9 +8,35 @@ import (
 
 // This file keeps the original Dijkstra-per-destination builders as a
 // test-only reference implementation. The production tables are built by
-// the O(V*radix)-per-destination analytic passes in table.go and
-// faulttable.go; the equivalence tests in builder_test.go require their
+// the one O(V*radix)-per-destination BFS pass in faulttable.go, which
+// TableXY reuses; the equivalence tests in builder_test.go require its
 // output to stay bit-identical to these.
+
+const (
+	hopCost     = 10
+	bigDiscount = 4 // a hop landing on a big router costs hopCost-bigDiscount
+)
+
+func opposite(p int) int {
+	switch p {
+	case topology.PortEast:
+		return topology.PortWest
+	case topology.PortWest:
+		return topology.PortEast
+	case topology.PortNorth:
+		return topology.PortSouth
+	case topology.PortSouth:
+		return topology.PortNorth
+	}
+	panic("routing: opposite of non-direction port")
+}
+
+func abs(a int) int {
+	if a < 0 {
+		return -a
+	}
+	return a
+}
 
 type heapItem struct {
 	prio int

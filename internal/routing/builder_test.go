@@ -41,10 +41,10 @@ func bigSets(m *topology.Mesh) map[string][]bool {
 	return map[string][]bool{"none": none, "diagonal": diag, "random": rnd}
 }
 
-// TestTableXYMatchesDijkstra pins the analytic TableXY construction
-// against the original per-destination Dijkstra over minimal-direction
-// edges: every table entry must be bit-identical on every mesh shape and
-// big-router marking.
+// TestTableXYMatchesDijkstra pins the TableXY construction against the
+// original per-destination Dijkstra over minimal-direction edges: every
+// table entry must be bit-identical on every mesh shape and big-router
+// marking.
 func TestTableXYMatchesDijkstra(t *testing.T) {
 	for _, m := range testMeshes() {
 		for name, big := range bigSets(m) {
@@ -52,13 +52,23 @@ func TestTableXYMatchesDijkstra(t *testing.T) {
 			for dst := 0; dst < m.NumTerminals(); dst++ {
 				want := refTableXYDst(m, big, dst)
 				for r := range want {
-					if ta.next[dst][r] != want[r] {
-						t.Fatalf("%s/%s dst %d router %d: analytic port %d, Dijkstra port %d",
-							m.Name(), name, dst, r, ta.next[dst][r], want[r])
+					if got := int(ta.paths.next[dst][r]); got != want[r] {
+						t.Fatalf("%s/%s dst %d router %d: table port %d, Dijkstra port %d",
+							m.Name(), name, dst, r, got, want[r])
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestTableXYIsNotFaultAware guards the named paths field: TableXY routes
+// over a fault-free table and must not offer Rebuild, or the simulator
+// would rebuild it on faults and treat it as fault-aware routing.
+func TestTableXYIsNotFaultAware(t *testing.T) {
+	var alg Algorithm = NewTableXY(topology.NewMesh(4, 4), TableXYConfig{})
+	if _, ok := alg.(FaultAware); ok {
+		t.Fatal("TableXY implements FaultAware")
 	}
 }
 
@@ -87,17 +97,46 @@ func faultScenarios(m *topology.Mesh) map[string]*topology.LinkState {
 	return map[string]*topology.LinkState{"free": free, "links": links, "mixed": mixed, "corner": cut}
 }
 
-// rebuildFromScratch forces a full (non-incremental) rebuild of ft on ls.
-func rebuildFromScratch(ft *FaultTable, ls *topology.LinkState) {
-	ft.havePrev = false
-	ft.Rebuild(ls)
+// requireMatchesDijkstra fails unless every primary entry of ft equals the
+// reference Dijkstra over the live links in ls.
+func requireMatchesDijkstra(t *testing.T, m *topology.Mesh, ls *topology.LinkState, big []bool, ft *FaultTable) {
+	t.Helper()
+	for dst := 0; dst < m.NumTerminals(); dst++ {
+		want := refFaultDst(m, ls, big, dst)
+		for r := range want {
+			if ft.next[dst][r] != want[r] {
+				t.Fatalf("%s dst %d router %d: port %d, Dijkstra port %d",
+					m.Name(), dst, r, ft.next[dst][r], want[r])
+			}
+		}
+	}
 }
 
-// TestFaultTableMatchesDijkstra pins the analytic FaultTable construction
-// against the original per-destination Dijkstra over live links, on meshes
-// and tori (the 2-wide torus exercises double edges between one router
-// pair), across fault scenarios, for both the full and the incremental
-// rebuild path.
+// requireFreshEqual fails unless ft's primary and escape tables equal those
+// of a new table rebuilt once on ls: a Rebuild must depend on ls alone,
+// never on the fault history that led to it.
+func requireFreshEqual(t *testing.T, m *topology.Mesh, ls *topology.LinkState, big []bool, ft *FaultTable) {
+	t.Helper()
+	fresh := NewFaultTable(m, FaultTableConfig{Big: big})
+	fresh.Rebuild(ls)
+	for dst := 0; dst < m.NumTerminals(); dst++ {
+		for r := 0; r < m.NumRouters(); r++ {
+			if ft.next[dst][r] != fresh.next[dst][r] {
+				t.Fatalf("%s dst %d router %d: port %d, fresh table port %d",
+					m.Name(), dst, r, ft.next[dst][r], fresh.next[dst][r])
+			}
+			if ft.tree[dst][r] != fresh.tree[dst][r] {
+				t.Fatalf("%s dst %d router %d: tree port %d, fresh table tree port %d",
+					m.Name(), dst, r, ft.tree[dst][r], fresh.tree[dst][r])
+			}
+		}
+	}
+}
+
+// TestFaultTableMatchesDijkstra pins the FaultTable construction against
+// the original per-destination Dijkstra over live links, on meshes and tori
+// (the 2-wide torus exercises double edges between one router pair), across
+// fault scenarios, and holds the escape forest to the table contract.
 func TestFaultTableMatchesDijkstra(t *testing.T) {
 	topos := append(testMeshes(),
 		topology.NewTorus(2, 4),
@@ -108,29 +147,10 @@ func TestFaultTableMatchesDijkstra(t *testing.T) {
 		for name, big := range bigSets(m) {
 			for sname, ls := range faultScenarios(m) {
 				t.Run(fmt.Sprintf("%s/%s/%s", m.Name(), name, sname), func(t *testing.T) {
-					// Incremental path: faults accumulate onto the fresh table.
-					inc := NewFaultTable(m, FaultTableConfig{Big: big})
-					inc.Rebuild(ls)
-					// Full path: from-scratch rebuild on the same state.
-					full := NewFaultTable(m, FaultTableConfig{Big: big})
-					rebuildFromScratch(full, ls)
-					for dst := 0; dst < m.NumTerminals(); dst++ {
-						want := refFaultDst(m, ls, big, dst)
-						for r := range want {
-							if inc.next[dst][r] != want[r] {
-								t.Fatalf("incremental dst %d router %d: port %d, Dijkstra port %d",
-									dst, r, inc.next[dst][r], want[r])
-							}
-							if full.next[dst][r] != want[r] {
-								t.Fatalf("full dst %d router %d: port %d, Dijkstra port %d",
-									dst, r, full.next[dst][r], want[r])
-							}
-							if inc.tree[dst][r] != full.tree[dst][r] {
-								t.Fatalf("dst %d router %d: incremental tree port %d, full tree port %d",
-									dst, r, inc.tree[dst][r], full.tree[dst][r])
-							}
-						}
-					}
+					ft := NewFaultTable(m, FaultTableConfig{Big: big})
+					ft.Rebuild(ls)
+					requireMatchesDijkstra(t, m, ls, big, ft)
+					checkTableContract(t, m, ls, ft)
 				})
 			}
 		}
@@ -139,9 +159,9 @@ func TestFaultTableMatchesDijkstra(t *testing.T) {
 
 // TestFaultTableIncrementalSequences drives long random accumulating fault
 // sequences — links, routers, forest-edge deaths, partitions — through one
-// table via incremental Rebuilds (mutating one LinkState in place exactly
-// like the simulator's fault sweep does) and checks the tables after every
-// step against a from-scratch rebuild.
+// table, mutating one LinkState in place exactly like the simulator's fault
+// sweep does, and checks the tables after every step against the reference
+// Dijkstra and against a fresh table rebuilt once on the same state.
 func TestFaultTableIncrementalSequences(t *testing.T) {
 	grids := []*topology.Mesh{
 		topology.NewMesh(4, 8),
@@ -155,58 +175,36 @@ func TestFaultTableIncrementalSequences(t *testing.T) {
 				big := bigSets(m)["diagonal"]
 				rng := rand.New(rand.NewSource(seed))
 				ls := topology.NewLinkState(m)
-				inc := NewFaultTable(m, FaultTableConfig{Big: big})
+				ft := NewFaultTable(m, FaultTableConfig{Big: big})
 				for step := 0; step < 12; step++ {
 					if rng.Intn(4) == 0 {
 						ls.FailRouter(rng.Intn(n))
 					} else {
 						ls.FailLink(rng.Intn(n), rng.Intn(4))
 					}
-					inc.Rebuild(ls)
-					full := NewFaultTable(m, FaultTableConfig{Big: big})
-					rebuildFromScratch(full, ls)
-					for dst := 0; dst < m.NumTerminals(); dst++ {
-						for r := 0; r < n; r++ {
-							if inc.next[dst][r] != full.next[dst][r] {
-								t.Fatalf("step %d dst %d router %d: incremental port %d, full port %d",
-									step, dst, r, inc.next[dst][r], full.next[dst][r])
-							}
-							if inc.tree[dst][r] != full.tree[dst][r] {
-								t.Fatalf("step %d dst %d router %d: incremental tree %d, full tree %d",
-									step, dst, r, inc.tree[dst][r], full.tree[dst][r])
-							}
-						}
-					}
+					ft.Rebuild(ls)
+					requireMatchesDijkstra(t, m, ls, big, ft)
+					requireFreshEqual(t, m, ls, big, ft)
 				}
-				// Rolling back to fault-free must fall back to a full rebuild
-				// and restore the pristine tables.
-				inc.Rebuild(nil)
-				fresh := NewFaultTable(m, FaultTableConfig{Big: big})
-				for dst := 0; dst < m.NumTerminals(); dst++ {
-					for r := 0; r < n; r++ {
-						if inc.next[dst][r] != fresh.next[dst][r] {
-							t.Fatalf("after Rebuild(nil): dst %d router %d differs from fresh table", dst, r)
-						}
-					}
-				}
+				// Rolling back to fault-free restores the pristine tables.
+				ft.Rebuild(nil)
+				requireFreshEqual(t, m, topology.NewLinkState(m), big, ft)
 			})
 		}
 	}
 }
 
 // TestFaultTableRebuildNoAllocsSteadyState checks the arena design: a
-// Rebuild that changes nothing (the steady-state call the simulator makes
-// whenever its fault plan re-arms) allocates only the forest adjacency.
+// Rebuild over an existing LinkState (the call the simulator makes after
+// each permanent fault batch) reuses the table's arenas and scratch and
+// allocates nothing.
 func TestFaultTableRebuildNoAllocsSteadyState(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	ft := NewFaultTable(m, FaultTableConfig{})
 	ls := topology.NewLinkState(m)
 	ls.FailLink(m.RouterAt(3, 3), topology.PortEast)
 	ft.Rebuild(ls)
-	allocs := testing.AllocsPerRun(50, func() { ft.Rebuild(ls) })
-	// buildForest allocates the adjacency slices; everything else must be
-	// arena-backed. 8x8 has 64 routers -> ~65 small allocations.
-	if allocs > 200 {
-		t.Fatalf("steady-state Rebuild makes %.0f allocations, want <= 200", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { ft.Rebuild(ls) }); allocs > 0 {
+		t.Fatalf("steady-state Rebuild makes %.0f allocations, want 0", allocs)
 	}
 }

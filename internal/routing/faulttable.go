@@ -44,8 +44,7 @@ type FaultAware interface {
 // false; the simulator drops such packets with a stat instead of hanging.
 type FaultTable struct {
 	topo        topology.Topology
-	big         []bool
-	bigAdd      []int32
+	bigAdd      []int32 // 1 at big routers, 0 elsewhere
 	escapeAfter int
 	ls          *topology.LinkState
 	// next[dst][router] is the output port toward terminal dst on the
@@ -54,11 +53,6 @@ type FaultTable struct {
 	// tree[dst][router] is the output port toward terminal dst restricted
 	// to the escape spanning forest, -1 when unreachable.
 	tree [][]int16
-
-	// Flat arenas backing next and tree: one allocation each for the whole
-	// table instead of one per destination.
-	nextArena []int16
-	treeArena []int16
 
 	// Live-link adjacency, refreshed on every Rebuild: adj[r*maxRadix+p]
 	// is the router reached over the live link at port p of router r (-1
@@ -73,25 +67,11 @@ type FaultTable struct {
 	// number of big routers after each router over minimal-hop paths.
 	hbuf, bbuf []int32
 
-	// Previous liveness, owned copies (callers mutate the same LinkState
-	// in place between Rebuilds, so the diff needs its own snapshot).
-	prevDown []bool // flat V x maxRadix, network ports only
-	prevDead []bool
-	havePrev bool
-
-	// Escape forest adjacency as flat port lists:
-	// forestPorts[r*maxRadix : r*maxRadix+forestCnt[r]] are the forest-edge
-	// ports of router r. newForest* is the scratch the next forest is built
-	// into before comparing; when the forest is unchanged the tree tables
-	// carry over untouched.
-	forestPorts, newForestPorts []int16
-	forestCnt, newForestCnt     []int16
-
-	// Rooted view of the forest, recomputed only when the forest changes:
-	// every component is rooted at its lowest-numbered live router, and
-	// tree tables are derived from the parent pointers in O(V) per
-	// destination (the ancestors of the destination route down the
-	// destination's root path, everyone else routes to its parent).
+	// The escape forest, rooted: every component of the live-link graph is
+	// a BFS tree rooted at its lowest-numbered live router, and tree tables
+	// are derived from the parent pointers in O(V) per destination (the
+	// ancestors of the destination route down the destination's root path,
+	// everyone else routes to its parent).
 	parent     []int32 // parent router, -1 at roots
 	parentPort []int16 // port on u toward its parent
 	parentFar  []int16 // port on the parent toward u
@@ -100,17 +80,7 @@ type FaultTable struct {
 	down       []int16 // port toward the destination, valid where stamped
 	stampGen   int64
 
-	// Fault-free fast path: nonzero mesh dimensions when topo is a
-	// non-wrapping mesh, so hop layers are Manhattan distances in closed
-	// form and each router has at most one minimal candidate per dimension.
-	meshW, meshH int
-	allUp        bool
-
-	// Scratch reused across destinations (zero steady-state allocations).
-	queue    []int32
-	seen     []bool
-	newEdges [][2]int32 // newly dead directed edges as (router, port) pairs
-	newDeadR []int32    // newly fail-stopped routers
+	queue []int32 // BFS scratch reused across passes
 }
 
 // FaultTableConfig parameterizes table construction.
@@ -128,19 +98,15 @@ type FaultTableConfig struct {
 func NewFaultTable(t topology.Topology, cfg FaultTableConfig) *FaultTable {
 	ft := &FaultTable{
 		topo:        t,
-		big:         cfg.Big,
 		escapeAfter: cfg.EscapeThreshold,
 	}
 	if ft.escapeAfter <= 0 {
 		ft.escapeAfter = 64
 	}
-	if ft.big == nil {
-		ft.big = make([]bool, t.NumRouters())
-	}
 	n := t.NumRouters()
 	terms := t.NumTerminals()
 	ft.bigAdd = make([]int32, n)
-	for r, b := range ft.big {
+	for r, b := range cfg.Big {
 		if b {
 			ft.bigAdd[r] = 1
 		}
@@ -154,162 +120,59 @@ func NewFaultTable(t topology.Topology, cfg FaultTableConfig) *FaultTable {
 	ft.far = make([]int32, n*ft.maxRadix)
 	ft.hbuf = make([]int32, n)
 	ft.bbuf = make([]int32, n)
-	ft.prevDown = make([]bool, n*ft.maxRadix)
-	ft.prevDead = make([]bool, n)
-	ft.forestPorts = make([]int16, n*ft.maxRadix)
-	ft.newForestPorts = make([]int16, n*ft.maxRadix)
-	ft.forestCnt = make([]int16, n)
-	ft.newForestCnt = make([]int16, n)
 	ft.parent = make([]int32, n)
 	ft.parentPort = make([]int16, n)
 	ft.parentFar = make([]int16, n)
 	ft.comp = make([]int32, n)
 	ft.stamp = make([]int64, n)
 	ft.down = make([]int16, n)
-	ft.seen = make([]bool, n)
 	ft.queue = make([]int32, 0, n)
-	if m, ok := t.(*topology.Mesh); ok && !m.Wrap() {
-		ft.meshW, ft.meshH = m.Dims()
-	}
-	ft.nextArena = make([]int16, terms*n)
-	ft.treeArena = make([]int16, terms*n)
+	// One arena each for the whole next and tree tables.
+	nextArena := make([]int16, terms*n)
+	treeArena := make([]int16, terms*n)
 	ft.next = make([][]int16, terms)
 	ft.tree = make([][]int16, terms)
 	for dst := 0; dst < terms; dst++ {
-		ft.next[dst] = ft.nextArena[dst*n : (dst+1)*n : (dst+1)*n]
-		ft.tree[dst] = ft.treeArena[dst*n : (dst+1)*n : (dst+1)*n]
+		ft.next[dst] = nextArena[dst*n : (dst+1)*n : (dst+1)*n]
+		ft.tree[dst] = treeArena[dst*n : (dst+1)*n : (dst+1)*n]
 	}
 	ft.Rebuild(nil)
 	return ft
 }
 
 // Rebuild recomputes the primary tables and the escape forest over the
-// live links in ls (nil = all links up), deterministic in both iteration
-// order and tie-breaking, so identical failure histories yield identical
-// tables.
-//
-// When failures strictly accumulate since the previous Rebuild — the
-// common case, faults are permanent — the rebuild is incremental: a newly
-// dead link changes a destination's routes only when some router's chosen
-// output port for that destination died (see dstAffected for why the test
-// is exact). Only the affected destinations are recomputed, each with one
-// O(V*radix) pass; tree tables are refreshed only when the escape forest
-// changed. Any rollback (a link coming back up, e.g. Rebuild(nil) after
-// faults) falls back to a full rebuild.
+// live links in ls (nil = all links up). The result depends on ls alone,
+// not on earlier Rebuilds, and is deterministic in both iteration order and
+// tie-breaking: every destination is rebuilt with one O(V*radix) pass.
 func (ft *FaultTable) Rebuild(ls *topology.LinkState) {
 	if ls == nil {
 		ls = topology.NewLinkState(ft.topo)
 	}
 	ft.ls = ls
 	n := ft.topo.NumRouters()
-	terms := ft.topo.NumTerminals()
-
-	// Diff the new liveness against the previous snapshot while refreshing
-	// both the snapshot and the flat adjacency.
-	incremental := ft.havePrev
-	ft.newEdges = ft.newEdges[:0]
-	ft.newDeadR = ft.newDeadR[:0]
-	ft.allUp = true
 	for r := 0; r < n; r++ {
 		base := r * ft.maxRadix
 		rad := ft.topo.Radix(r)
 		for p := 0; p < ft.maxRadix; p++ {
-			if p >= rad {
-				ft.adj[base+p] = -1
+			ft.adj[base+p] = -1
+			if p >= rad || !ls.Up(r, p) {
 				continue
 			}
-			link, isNet := ft.topo.Neighbor(r, p)
-			if !isNet {
-				ft.adj[base+p] = -1
-				continue
-			}
-			downNow := !ls.Up(r, p)
-			if downNow {
-				ft.adj[base+p] = -1
-				ft.allUp = false
-			} else {
-				ft.adj[base+p] = int32(link.Router)
-				ft.far[base+p] = int32(link.Port)
-			}
-			if was := ft.prevDown[base+p]; was != downNow {
-				if was {
-					incremental = false // resurrection: full rebuild
-				} else {
-					ft.newEdges = append(ft.newEdges, [2]int32{int32(r), int32(p)})
-				}
-				ft.prevDown[base+p] = downNow
-			}
-		}
-		deadNow := ls.RouterFailed(r)
-		if deadNow {
-			ft.allUp = false
-		}
-		if was := ft.prevDead[r]; was != deadNow {
-			if was {
-				incremental = false
-			} else {
-				ft.newDeadR = append(ft.newDeadR, int32(r))
-			}
-			ft.prevDead[r] = deadNow
+			link, _ := ft.topo.Neighbor(r, p)
+			ft.adj[base+p] = int32(link.Router)
+			ft.far[base+p] = int32(link.Port)
 		}
 	}
-	ft.havePrev = true
-
-	forestChanged := ft.refreshForest()
-	if forestChanged {
-		ft.rebuildForestParents()
-	}
-
-	if !incremental {
-		for dst := 0; dst < terms; dst++ {
-			ft.rebuildDst(dst)
-			ft.rebuildTree(dst)
-		}
-		return
-	}
-	for dst := 0; dst < terms; dst++ {
-		if !ft.dstAffected(dst) {
-			if forestChanged {
-				ft.rebuildTree(dst)
-			}
-			continue
-		}
-		// An affected destination's chosen edges overlap the dead set by
-		// definition, so the pristine-table shortcut inside rebuildDst
-		// would be wasted work here: go straight to the general build.
-		ft.rebuildDstGeneral(dst)
+	ft.buildForest()
+	for dst := range ft.next {
+		ft.rebuildDst(dst)
 		ft.rebuildTree(dst)
 	}
 }
 
-// dstAffected reports whether any newly dead edge or router invalidates
-// the stored primary table for dst. The test is exact: a destination's
-// routes change if and only if its router fail-stopped or some router's
-// chosen output port died. When every chosen edge survives, an induction
-// over hop layers shows nothing moves — each router's hop count is still
-// realized by its surviving chosen edge (removals never shorten paths),
-// its maximal big count is still realized by that same edge, and the
-// deterministic winner keeps its key while losing only lower-ranked
-// competitors, so the argmax port is unchanged everywhere.
-func (ft *FaultTable) dstAffected(dst int) bool {
-	dstR, _ := ft.topo.TerminalRouter(dst)
-	for _, r := range ft.newDeadR {
-		if int(r) == dstR {
-			return true
-		}
-	}
-	next := ft.next[dst]
-	for _, e := range ft.newEdges {
-		if int32(next[e[0]]) == e[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// rebuildDst recomputes next[dst] (and the hop/big characterization) over
-// the live links with one fused O(V*radix) pass, bit-identical to one
-// backwards Dijkstra with cost n-big[r] per hop into r:
+// rebuildDst recomputes next[dst] over the live links with one fused
+// O(V*radix) pass, bit-identical to one backwards Dijkstra with cost
+// n-big[r] per hop into r:
 //
 //   - BFS from the destination router assigns hop layers h. Because every
 //     simple path has fewer than n hops, big-router discounts of 1 against
@@ -322,18 +185,8 @@ func (ft *FaultTable) dstAffected(dst int) bool {
 //     u's minimal-hop out-edges, b(u) = max b(r)+big(r), and records the
 //     port toward the argmax — ties broken by larger b(r), then smaller
 //     router ID, then smaller far-side port, which is exactly the order the
-//     replaced heap popped equal-distance entries.
+//     heap pops equal-distance entries.
 func (ft *FaultTable) rebuildDst(dst int) {
-	if ft.allUp && ft.meshW > 0 {
-		ft.rebuildDstMesh(dst)
-		return
-	}
-	ft.rebuildDstGeneral(dst)
-}
-
-// rebuildDstGeneral is the any-topology, any-fault-set build for one
-// destination.
-func (ft *FaultTable) rebuildDstGeneral(dst int) {
 	n := ft.topo.NumRouters()
 	next := ft.next[dst]
 	h := ft.hbuf
@@ -385,160 +238,12 @@ func (ft *FaultTable) rebuildDstGeneral(dst int) {
 	ft.queue = q[:0]
 }
 
-// rebuildDstMesh is rebuildDst specialized to a fault-free non-wrapping
-// mesh: every hop layer is the Manhattan distance in closed form (no BFS,
-// no adjacency loads) and each router has at most two minimal candidates —
-// one per dimension still unresolved — at arithmetic offsets. Rows are
-// processed outward from the destination row and, within a row, outward
-// from the destination column, which is a topological order of the minimal
-// DAG, so the b recurrence and the deterministic winner key (larger
-// b(r)+big(r), then larger b(r), then smaller router ID) match the general
-// path bit for bit. The far-side-port tie-break never engages because the
-// two candidates are distinct routers.
-func (ft *FaultTable) rebuildDstMesh(dst int) {
-	next := ft.next[dst]
-	b := ft.bbuf
-	w, ht := ft.meshW, ft.meshH
-	dstR, _ := ft.topo.TerminalRouter(dst)
-	dx, dy := dstR%w, dstR/w
-	bigAdd := ft.bigAdd
-	fillRow := func(y int) {
-		rowBase := y * w
-		vstep, vport := 0, int16(-1)
-		vWins := false // vertical candidate has the smaller router ID
-		if y < dy {
-			vstep, vport = w, int16(topology.PortSouth)
-		} else if y > dy {
-			vstep, vport, vWins = -w, int16(topology.PortNorth), true
-		}
-		// Sweep left of (and including) the destination column, then right:
-		// the horizontal candidate is always the router one step back.
-		for x := dx; x >= 0; x-- {
-			u := rowBase + x
-			if x == dx {
-				if vstep == 0 { // the destination router itself
-					next[u] = -1
-					b[u] = 0
-					continue
-				}
-				r := u + vstep
-				b[u] = b[r] + bigAdd[r]
-				next[u] = vport
-				continue
-			}
-			rh := u + 1
-			bb, port := b[rh]+bigAdd[rh], int16(topology.PortEast)
-			if vstep != 0 {
-				rv := u + vstep
-				kb := b[rv] + bigAdd[rv]
-				if kb > bb || (kb == bb && (b[rv] > b[rh] || (b[rv] == b[rh] && vWins))) {
-					bb, port = kb, vport
-				}
-			}
-			b[u] = bb
-			next[u] = port
-		}
-		for x := dx + 1; x < w; x++ {
-			u := rowBase + x
-			rh := u - 1
-			bb, port := b[rh]+bigAdd[rh], int16(topology.PortWest)
-			if vstep != 0 {
-				rv := u + vstep
-				kb := b[rv] + bigAdd[rv]
-				if kb > bb || (kb == bb && (b[rv] > b[rh] || (b[rv] == b[rh] && vWins))) {
-					bb, port = kb, vport
-				}
-			}
-			b[u] = bb
-			next[u] = port
-		}
-	}
-	fillRow(dy)
-	for i := 1; ; i++ {
-		any := false
-		if y := dy - i; y >= 0 {
-			fillRow(y)
-			any = true
-		}
-		if y := dy + i; y < ht {
-			fillRow(y)
-			any = true
-		}
-		if !any {
-			break
-		}
-	}
-}
-
-// refreshForest constructs a BFS spanning forest of the live-link graph as
-// flat per-router port lists (every component rooted at its lowest-numbered
-// live router) and reports whether it differs from the previous forest.
-// When it is unchanged the tree tables of unaffected destinations carry
-// over untouched.
-func (ft *FaultTable) refreshForest() (changed bool) {
-	n := ft.topo.NumRouters()
-	ports, cnt := ft.newForestPorts, ft.newForestCnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	seen := ft.seen
-	for i := range seen {
-		seen[i] = false
-	}
-	queue := ft.queue[:0]
-	for root := 0; root < n; root++ {
-		if seen[root] || ft.ls.RouterFailed(root) {
-			continue
-		}
-		seen[root] = true
-		queue = append(queue[:0], int32(root))
-		for qi := 0; qi < len(queue); qi++ {
-			r := int(queue[qi])
-			base := r * ft.maxRadix
-			for p := 0; p < ft.maxRadix; p++ {
-				u := ft.adj[base+p]
-				if u < 0 || seen[int(u)] {
-					continue
-				}
-				seen[u] = true
-				ports[base+int(cnt[r])] = int16(p)
-				cnt[r]++
-				ub := int(u) * ft.maxRadix
-				ports[ub+int(cnt[u])] = int16(ft.far[base+p])
-				cnt[u]++
-				queue = append(queue, u)
-			}
-		}
-	}
-	ft.queue = queue[:0]
-	for r := 0; r < n; r++ {
-		if cnt[r] != ft.forestCnt[r] {
-			changed = true
-			break
-		}
-		base := r * ft.maxRadix
-		for i := 0; i < int(cnt[r]); i++ {
-			if ports[base+i] != ft.forestPorts[base+i] {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			break
-		}
-	}
-	if changed {
-		ft.forestPorts, ft.newForestPorts = ft.newForestPorts, ft.forestPorts
-		ft.forestCnt, ft.newForestCnt = ft.newForestCnt, ft.forestCnt
-	}
-	return changed
-}
-
-// rebuildForestParents roots every forest component at its lowest-numbered
-// live router and records parent pointers, the ports on both ends of each
-// parent edge, and component membership. Called only when the forest
-// changed; rebuildTree derives all tree tables from this rooted view.
-func (ft *FaultTable) rebuildForestParents() {
+// buildForest roots a BFS spanning forest of the live-link graph at the
+// lowest-numbered live router of each component. A router's discoverer is
+// its parent, so one BFS records parent pointers, the ports on both ends of
+// each parent edge and component membership; rebuildTree derives all tree
+// tables from this rooted view.
+func (ft *FaultTable) buildForest() {
 	n := ft.topo.NumRouters()
 	for i := 0; i < n; i++ {
 		ft.comp[i] = -1
@@ -555,10 +260,7 @@ func (ft *FaultTable) rebuildForestParents() {
 		for qi := 0; qi < len(q); qi++ {
 			r := int(q[qi])
 			base := r * ft.maxRadix
-			pend := base + int(ft.forestCnt[r])
-			for pi := base; pi < pend; pi++ {
-				p := int(ft.forestPorts[pi])
-				u := ft.adj[base+p]
+			for p, u := range ft.adj[base : base+ft.maxRadix] {
 				if u < 0 || ft.comp[u] >= 0 {
 					continue
 				}

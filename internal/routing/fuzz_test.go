@@ -10,16 +10,16 @@ import (
 
 // FuzzFaultTableRebuild drives table reconstruction with arbitrary
 // dead-link (and dead-router) sets on 8x8, non-square 4x8, and 16x16
-// meshes. Faults are applied one at a time through the incremental Rebuild
-// path — exactly how the simulator's fault sweep uses the table — and the
-// result must be bit-identical to a from-scratch rebuild on the final
-// state. Whatever the failure pattern — including partitions and fully
-// dead networks — the rebuilt tables must also be finite and consistent:
-// every next-hop chain either reaches its destination within NumRouters
-// steps over live links only, or the pair is reported unreachable via
-// Reachable/RouteError. The escape-forest table is held to the same
-// contract. Panics and non-terminating walks are the failure modes under
-// test.
+// meshes. Faults are applied one at a time with a Rebuild after each —
+// exactly how the simulator's fault sweep uses the table — and the result
+// must be bit-identical to the reference Dijkstra and to a fresh table
+// rebuilt once on the final state. Whatever the failure pattern — including
+// partitions and fully dead networks — the rebuilt tables must also be
+// finite and consistent: every next-hop chain either reaches its
+// destination within NumRouters steps over live links only, or the pair is
+// reported unreachable via Reachable/RouteError. The escape-forest table is
+// held to the same contract. Panics and non-terminating walks are the
+// failure modes under test.
 func FuzzFaultTableRebuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01})
@@ -33,8 +33,9 @@ func FuzzFaultTableRebuild(f *testing.F) {
 			topology.NewMesh(16, 16),
 		}
 		for _, m := range grids {
+			big := diagonalBig(m)
 			ls := topology.NewLinkState(m)
-			inc := NewFaultTable(m, FaultTableConfig{Big: diagonalBig(m)})
+			ft := NewFaultTable(m, FaultTableConfig{Big: big})
 			for i := 0; i+1 < len(data); i += 2 {
 				r := int(data[i]) % m.NumRouters()
 				if data[i+1]&0x80 != 0 {
@@ -42,25 +43,11 @@ func FuzzFaultTableRebuild(f *testing.F) {
 				} else {
 					ls.FailLink(r, int(data[i+1])%m.Radix(r))
 				}
-				inc.Rebuild(ls) // absorb each fault incrementally
+				ft.Rebuild(ls)
 			}
-			full := NewFaultTable(m, FaultTableConfig{Big: diagonalBig(m)})
-			full.havePrev = false
-			full.Rebuild(ls)
-			n := m.NumRouters()
-			for dst := 0; dst < m.NumTerminals(); dst++ {
-				for r := 0; r < n; r++ {
-					if inc.next[dst][r] != full.next[dst][r] {
-						t.Fatalf("%s dst %d router %d: incremental port %d, from-scratch port %d",
-							m.Name(), dst, r, inc.next[dst][r], full.next[dst][r])
-					}
-					if inc.tree[dst][r] != full.tree[dst][r] {
-						t.Fatalf("%s dst %d router %d: incremental tree %d, from-scratch tree %d",
-							m.Name(), dst, r, inc.tree[dst][r], full.tree[dst][r])
-					}
-				}
-			}
-			checkTableContract(t, m, ls, inc)
+			requireMatchesDijkstra(t, m, ls, big, ft)
+			requireFreshEqual(t, m, ls, big, ft)
+			checkTableContract(t, m, ls, ft)
 		}
 	})
 }

@@ -102,10 +102,7 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 	}
 	src := newCountingSource(cfg.Seed)
 	rng := rand.New(src)
-	terms := numTerminals(cfg.Pattern)
-	if terms == 0 {
-		terms = 64
-	}
+	terms := net.Config().Topo.NumTerminals()
 	sus := suspend.FromContext(ctx)
 	cha := chaos.FromContext(ctx)
 	span := obs.SpanFrom(ctx)
@@ -232,25 +229,6 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 	res.Saturated = s.PacketsReceived < int64(cfg.MeasurePackets) ||
 		(res.OfferedRate > 0 && res.AcceptedRate < 0.85*res.OfferedRate)
 	return res, nil
-}
-
-// numTerminals extracts the terminal count from the known pattern types.
-func numTerminals(p Pattern) int {
-	switch v := p.(type) {
-	case UniformRandom:
-		return v.N
-	case BitComplement:
-		return v.N
-	case NearestNeighbor:
-		return v.Grid.NumTerminals()
-	case Transpose:
-		return v.Grid.NumTerminals()
-	case Hotspot:
-		return v.N
-	case Incast:
-		return v.N
-	}
-	return 0
 }
 
 // Sweep runs a load sweep over injection rates and returns one result per

@@ -74,8 +74,8 @@ func snapshotRun(net *noc.Network, cfg RunConfig, src *countingSource, phase int
 
 // resumeRun restores a snapshotRun checkpoint into net (which must be a
 // freshly built network of the same configuration), fast-forwards src,
-// and rewrites the process state. terms is the number of terminals
-// RunCtx's inject draws for. On error the network may be partially
+// and rewrites the process state. terms is the network's terminal count,
+// the number RunCtx's inject draws for. On error the network may be partially
 // restored and must be discarded.
 func resumeRun(net *noc.Network, cfg RunConfig, src *countingSource, terms int, data []byte) (phase int, phaseStart int64, err error) {
 	r, err := ckpt.NewReader(data)

@@ -283,3 +283,66 @@ func TestHotspotConcentration(t *testing.T) {
 		t.Errorf("hot fraction %.3f, want ~0.31", frac)
 	}
 }
+
+// wrappedPattern hides a Pattern's concrete type, as a caller-side
+// decorator (a timing or logging wrapper) does, and records the sources it
+// is asked to serve.
+type wrappedPattern struct {
+	Pattern
+	srcs map[int]bool
+}
+
+func (p wrappedPattern) Dst(src int, rng *rand.Rand) int {
+	p.srcs[src] = true
+	return p.Pattern.Dst(src, rng)
+}
+
+// TestWrappedPatternInjectsAtEveryTerminal runs uniform random traffic
+// twice on meshes that do not have 64 terminals, once with the plain
+// pattern and once wrapped in another type. The injection loop takes its
+// terminal count from the network, so the wrapper must not change which
+// terminals inject: both runs must end with the same fingerprint, and the
+// wrapped run must draw for the network's terminals only and for most of
+// them (each fires about four times).
+func TestWrappedPatternInjectsAtEveryTerminal(t *testing.T) {
+	for _, w := range []int{4, 16} {
+		n := w * w
+		run := func(p Pattern) uint64 {
+			m := topology.NewMesh(w, w)
+			net, err := noc.New(noc.Config{
+				Topo:           m,
+				Routing:        routing.NewXY(m),
+				Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
+				FlitWidthBits:  192,
+				WatchdogCycles: 20000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(net, RunConfig{
+				Pattern:        p,
+				Process:        Bernoulli{P: 0.01},
+				DataFlits:      6,
+				WarmupPackets:  n / 4,
+				MeasurePackets: 4 * n,
+				Seed:           1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return net.Stats().Fingerprint()
+		}
+		ur := UniformRandom{N: n}
+		wrapped := wrappedPattern{ur, map[int]bool{}}
+		if a, b := run(ur), run(wrapped); a != b {
+			t.Errorf("%dx%d: wrapped UR fingerprint %016x, plain UR %016x", w, w, b, a)
+		}
+		for src := range wrapped.srcs {
+			if src >= n {
+				t.Fatalf("%dx%d: injected at terminal %d of %d", w, w, src, n)
+			}
+		}
+		if len(wrapped.srcs) < 3*n/4 {
+			t.Errorf("%dx%d: %d of %d terminals injected", w, w, len(wrapped.srcs), n)
+		}
+	}
+}
