@@ -4,7 +4,7 @@
 //
 //	experiments [-exp all|fig1|fig2|table1|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|dse]
 //	            [-scale quick|full] [-out results.md] [-nocache]
-//	            [-cachedir ~/.cache/heteronoc] [-cachesize bytes] [-nowarmshare]
+//	            [-cachedir ~/.cache/heteronoc] [-cachesize bytes]
 //	            [-manifest run.manifest.json] [-obs :6060]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -55,13 +55,11 @@ func main() {
 	noCache := flag.Bool("nocache", false, "disable the run cache entirely, memory and disk (every probe re-simulates)")
 	cacheDir := flag.String("cachedir", defaultCacheDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
 	cacheSize := flag.Int64("cachesize", 256<<20, "disk cache byte cap, LRU-evicted (0 = unlimited)")
-	noWarmShare := flag.Bool("nowarmshare", false, "disable shared CMP warmups (every run replays its own warmup trace)")
 	manifestOut := flag.String("manifest", "", "run-manifest path (default: <out>.manifest.json, or experiments.manifest.json; 'none' disables)")
 	obsAddr := flag.String("obs", "", "serve live introspection (/metrics, /healthz, pprof) on this address, e.g. :6060")
 	flag.Parse()
 
 	runcache.SetEnabled(!*noCache)
-	experiments.SetWarmupSharing(!*noWarmShare)
 	if *cacheDir != "" && *cacheDir != "none" && !*noCache {
 		if err := runcache.SetDir(*cacheDir); err != nil {
 			// The disk tier is an optimization; an unusable directory must

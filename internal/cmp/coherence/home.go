@@ -282,9 +282,6 @@ func (h *Home) handleMemData(m Msg) {
 		// progress (or the request was re-queued entirely — in that case
 		// the fetched data is dropped and refetched later, a rare and
 		// harmless inefficiency).
-		if h.busy[m.Line] != tx {
-			return
-		}
 		return
 	}
 	h.install(tx)

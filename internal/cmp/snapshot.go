@@ -15,12 +15,12 @@ package cmp
 // the trace readers on their post-warmup position. Checkpoints carry each
 // reader's own O(1) position snapshot (trace.Stateful — RNG register for
 // generators, entry index for chunked file readers), so restore cost is
-// independent of warmup length; readers without state support fall back
-// to replaying the recorded entry count through Next(), which the
-// deterministic readers reproduce exactly. Either way the restored
-// system is bit-identical to one that ran Warmup itself — the figure
-// pipeline relies on this to share one warmup across every layout
-// variant of a benchmark.
+// independent of warmup length. A reader without position state can be
+// neither snapshotted nor restored: WarmSnapshot refuses it, and restore
+// refuses it before writing anything, so the caller can still warm that
+// system directly. The restored system is bit-identical to one that ran
+// Warmup itself — the figure pipeline relies on this to share one warmup
+// across every layout variant of a benchmark.
 
 import (
 	"fmt"
@@ -38,15 +38,15 @@ const (
 	warmSnapshotVersion = 2
 
 	// maxWarmEntries bounds the per-core warmup length a checkpoint may
-	// record (26x the largest figure scale). Restore may replay that many
-	// entries per reader, so the bound keeps a forged count from turning
-	// into an unbounded replay.
+	// record (26x the largest figure scale). The count is bookkeeping —
+	// restore positions each reader from its own state — and restore
+	// refuses a count outside [0, maxWarmEntries].
 	maxWarmEntries = 1 << 20
 )
 
 // WarmSnapshot serializes the post-warmup state of the system. It fails
-// if the system has started timing simulation or any controller is
-// mid-transaction.
+// if the system has started timing simulation, any controller is
+// mid-transaction or any trace reader has no position state.
 func (s *System) WarmSnapshot() ([]byte, error) {
 	if s.warmErr != nil {
 		return nil, s.unusable()
@@ -81,25 +81,30 @@ func (s *System) WarmSnapshot() ([]byte, error) {
 			return nil, err
 		}
 	}
-	// One position blob per reader. Empty means "no state support, replay
-	// on restore", so mixed reader sets degrade per reader, not per
-	// checkpoint.
 	for _, tile := range s.Tiles {
+		var state []byte
 		if st, ok := s.cfg.Traces[tile.ID].(trace.Stateful); ok {
-			w.Bytes(st.SaveState())
-		} else {
-			w.Bytes(nil)
+			state = st.SaveState()
 		}
+		if state == nil {
+			return nil, fmt.Errorf("cmp: WarmSnapshot: reader %d has no position state", tile.ID)
+		}
+		w.Bytes(state)
 	}
 	return w.Finish(), nil
 }
 
 // RestoreWarmSnapshot loads a WarmSnapshot into a freshly built System
 // (same tile count, line size and cache geometry; the layout and memory
-// placement may differ — warmup state does not depend on them). The
-// system's trace readers are advanced by the warmup's consumption so the
-// measured phase reads the exact entries it would have after a direct
-// Warmup call. Equivalent to Warmup(entriesPerCore), bit for bit.
+// placement may differ — warmup state does not depend on them) and
+// repositions every trace reader from its saved state, so the measured
+// phase reads the exact entries it would have after a direct Warmup.
+// Equivalent to Warmup(entriesPerCore), bit for bit.
+//
+// A checkpoint or target refused before the first cache write (wrong
+// kind, version or shape, or a reader without position state) leaves the
+// system as built. A failure after it leaves the system unusable, as a
+// warmup stopped part way does.
 func (s *System) RestoreWarmSnapshot(data []byte) error {
 	r, err := ckpt.NewReader(data)
 	if err != nil {
@@ -114,6 +119,11 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	}
 	if s.now != 0 || s.warmedEntries != 0 || s.warmErr != nil {
 		return fmt.Errorf("cmp: RestoreWarmSnapshot target must be freshly constructed")
+	}
+	for _, tile := range s.Tiles {
+		if _, ok := s.cfg.Traces[tile.ID].(trace.Stateful); !ok {
+			return fmt.Errorf("cmp: reader %d has no position state to restore", tile.ID)
+		}
 	}
 	if n := r.Int(); n != len(s.Tiles) {
 		if r.Err() != nil {
@@ -134,6 +144,17 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	if entries < 0 || entries > maxWarmEntries {
 		return fmt.Errorf("cmp: warmup entry count %d outside [0, %d]", entries, maxWarmEntries)
 	}
+	if err := s.restoreWarm(r); err != nil {
+		s.warmErr = err
+		return err
+	}
+	s.warmedEntries = entries
+	return nil
+}
+
+// restoreWarm decodes the cache and directory state into the tiles, then
+// lands every reader on its saved position.
+func (s *System) restoreWarm(r *ckpt.Reader) error {
 	for _, tile := range s.Tiles {
 		if err := tile.L1.DecodeState(r); err != nil {
 			return err
@@ -149,26 +170,11 @@ func (s *System) RestoreWarmSnapshot(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// Land the trace readers on the post-warmup position: O(1) state
-	// restore when the checkpoint carries a blob and the reader supports
-	// it, otherwise replay the recorded entry count through Next() (the
-	// readers are deterministic, so N reads reproduce the position
-	// exactly; interleaving across cores does not matter because readers
-	// are per-core).
 	for _, tile := range s.Tiles {
-		tr := s.cfg.Traces[tile.ID]
-		if len(readerState[tile.ID]) > 0 {
-			if st, ok := tr.(trace.Stateful); ok {
-				if err := st.RestoreState(readerState[tile.ID]); err != nil {
-					return fmt.Errorf("cmp: reader %d: %w", tile.ID, err)
-				}
-				continue
-			}
-		}
-		for k := 0; k < entries; k++ {
-			tr.Next()
+		st := s.cfg.Traces[tile.ID].(trace.Stateful)
+		if err := st.RestoreState(readerState[tile.ID]); err != nil {
+			return fmt.Errorf("cmp: reader %d: %w", tile.ID, err)
 		}
 	}
-	s.warmedEntries = entries
 	return nil
 }

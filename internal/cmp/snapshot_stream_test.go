@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -22,9 +23,8 @@ func (c *countingChunkReader) Next() trace.Entry {
 	return c.ChunkReader.Next()
 }
 
-// statelessReader hides every capability except Next, forcing the
-// restore path that replays the recorded entry count — the control the
-// state-restore path must match bit for bit.
+// statelessReader hides every capability except Next, so the reader has
+// no position state to save or restore.
 type statelessReader struct{ r trace.Reader }
 
 func (s statelessReader) Next() trace.Entry { return s.r.Next() }
@@ -65,8 +65,10 @@ func openChunkTraces(t *testing.T, files [][]byte, wrap func(*trace.ChunkReader)
 // test: with file-backed chunked traces, warm-checkpoint restore must
 // reach the post-warmup position with zero Next() calls (one Seek per
 // reader, not an O(warmup) replay), and the restored system must produce
-// fingerprints bit-identical to a direct warmup AND to the forced-replay
-// control, with sharded ticking at 0, 1 and GOMAXPROCS workers.
+// fingerprints bit-identical to a direct warmup, with sharded ticking at
+// 0, 1 and GOMAXPROCS workers. Readers without position state are
+// refused by both restore and WarmSnapshot; the refused restore leaves
+// the system as built, so a direct warmup of it matches too.
 func TestWarmRestoreSeekableNoReplay(t *testing.T) {
 	const entries, cycles = 400, 2000
 	l := core.NewBaseline(8, 8)
@@ -120,24 +122,59 @@ func TestWarmRestoreSeekableNoReplay(t *testing.T) {
 				t.Fatalf("workers=%d: state-restore run diverged: metric %d: got %d want %d", workers, i, got[i], want[i])
 			}
 		}
+	}
 
-		// Forced-replay control: same checkpoint, readers stripped to bare
-		// Next. Must land on the identical stream position and fingerprint.
-		control := newSys(openChunkTraces(t, files, func(c *trace.ChunkReader) trace.Reader {
-			return statelessReader{r: c}
-		}))
-		if err := control.RestoreWarmSnapshot(snap); err != nil {
-			t.Fatalf("workers=%d control: %v", workers, err)
+	stateless := newSys(openChunkTraces(t, files, func(c *trace.ChunkReader) trace.Reader {
+		return statelessReader{r: c}
+	}))
+	if err := stateless.RestoreWarmSnapshot(snap); err == nil {
+		t.Fatal("RestoreWarmSnapshot into stateless readers accepted")
+	}
+	mustWarm(t, stateless, entries)
+	if _, err := stateless.WarmSnapshot(); err == nil {
+		t.Fatal("WarmSnapshot of stateless readers accepted")
+	}
+	got := runFingerprint(t, stateless, cycles)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("direct warmup after a refused restore diverged: metric %d: got %d want %d", i, got[i], want[i])
 		}
-		if workers > 0 {
-			control.Net.SetShardWorkers(workers)
-		}
-		cgot := runFingerprint(t, control, cycles)
-		control.Net.Close()
-		for i := range want {
-			if cgot[i] != want[i] {
-				t.Fatalf("workers=%d: replay-control run diverged: metric %d: got %d want %d", workers, i, cgot[i], want[i])
-			}
-		}
+	}
+}
+
+// TestWarmRestoreFailureAfterWriteIsUnusable: tile 3 reads a chunked file
+// of its generator's entries, so it refuses the generator position the
+// checkpoint holds — but only after the caches are loaded. The system
+// must then refuse every later use instead of running half restored.
+func TestWarmRestoreFailureAfterWriteIsUnusable(t *testing.T) {
+	l := core.NewBaseline(4, 4)
+	src := newSystem(t, l, "SPECjbb")
+	mustWarm(t, src, 300)
+	snap, err := src.WarmSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	traces := benchTraces(t, "SPECjbb", l.Mesh.NumTerminals())
+	files := chunkBenchFiles(t, "SPECjbb", 4, 1200)
+	traces[3] = openChunkTraces(t, files[3:], func(c *trace.ChunkReader) trace.Reader { return c })[0]
+	s, err := New(Config{Layout: l, Traces: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestoreWarmSnapshot(snap); err == nil {
+		t.Fatal("restore accepted a generator position for a chunked-file reader")
+	}
+	if err := s.Warmup(context.Background(), 300); err == nil {
+		t.Error("Warmup accepted a half-restored system")
+	}
+	if err := s.Run(10); err == nil {
+		t.Error("Run accepted a half-restored system")
+	}
+	if _, err := s.WarmSnapshot(); err == nil {
+		t.Error("WarmSnapshot accepted a half-restored system")
+	}
+	if err := s.RestoreWarmSnapshot(snap); err == nil {
+		t.Error("a second restore accepted a half-restored system")
 	}
 }

@@ -144,8 +144,7 @@ func TestWarmSnapshotRefusesMidRunState(t *testing.T) {
 }
 
 // TestWarmSnapshotBoundsWarmupLength pins the cap on the recorded warmup
-// length: restore may replay that many entries per reader, so a forged
-// count must be refused rather than replayed, and WarmSnapshot must not
+// length: restore refuses a count above it, and WarmSnapshot must not
 // write a checkpoint restore would refuse.
 func TestWarmSnapshotBoundsWarmupLength(t *testing.T) {
 	s := fuzzSystem(t, false)

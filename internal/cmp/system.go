@@ -88,12 +88,12 @@ type System struct {
 	msgPool []*netMsg
 
 	// warmedEntries records how many trace entries per core Warmup (or a
-	// restored warm checkpoint) consumed, so WarmSnapshot can replay the
-	// readers to the same position on restore.
+	// restored warm checkpoint) consumed; WarmSnapshot records it.
 	warmedEntries int
 
-	// warmErr is the error that stopped a warmup part way. Such a system
-	// is unusable: its readers are mid-stream and its caches partly warm.
+	// warmErr is the error that stopped a warmup or a warm restore part
+	// way. Such a system is unusable: its readers are mid-stream and its
+	// caches partly warm.
 	warmErr error
 }
 
@@ -438,7 +438,7 @@ func (s *System) Warmup(ctx context.Context, entriesPerCore int) error {
 
 // unusable is the error every entry point returns after a failed warmup.
 func (s *System) unusable() error {
-	return fmt.Errorf("cmp: system unusable after its warmup stopped part way: %w", s.warmErr)
+	return fmt.Errorf("cmp: system unusable after its warmup or warm restore stopped part way: %w", s.warmErr)
 }
 
 // warmPipelined runs the warmup's two stages: readWarm on its own

@@ -248,17 +248,13 @@ func ExploreCtx(ctx context.Context, cfg EvalConfig) ([]Candidate, error) {
 	return out, nil
 }
 
-// Evaluate scores a single placement with a short uniform-random probe.
-// Probes are deterministic (fixed seed, fixed configuration), so scores
-// are memoized in runcache: Anneal revisiting a placement, or an Explore
-// re-run in the same process, reuses the first probe.
-func Evaluate(cfg EvalConfig, bigSet []int) (Candidate, error) {
-	return EvaluateCtx(context.Background(), cfg, bigSet)
-}
-
-// EvaluateCtx is Evaluate with a context; the probe's step loop observes
-// it at cycle-batch granularity, and the probe checkpoint-suspends under
-// its cache key like any other network run.
+// EvaluateCtx scores a single placement with a short probe (uniform
+// random unless cfg names another workload or a CMP benchmark). Probes are
+// deterministic (fixed seed, fixed configuration), so scores are memoized
+// in runcache: Anneal revisiting a placement, or an Explore re-run in the
+// same process, reuses the first probe. The probe's step loop observes ctx
+// at cycle-batch granularity, and the probe checkpoint-suspends under its
+// cache key like any other network run.
 func EvaluateCtx(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, error) {
 	if cfg.Bench != "" {
 		return evaluateCMPCached(ctx, cfg, bigSet)

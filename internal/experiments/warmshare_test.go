@@ -15,14 +15,15 @@ func resetWarmShareStats() {
 
 // TestFigureOutputIdenticalWithWarmupSharing is the warmup-sharing
 // transparency gate: a CMP figure renders byte-identical markdown whether
-// its runs restore a shared warm checkpoint or replay their own warmups —
-// and the sharing path must actually engage, not silently fall back.
+// its runs restore a shared warm checkpoint or, with the run cache
+// disabled (-nocache), warm their own caches directly — and the sharing
+// path must actually engage, not silently fall back.
 func TestFigureOutputIdenticalWithWarmupSharing(t *testing.T) {
 	sc := cacheTestScale("warmshare-fig")
 	runcache.Reset()
 	resetWarmShareStats()
 	defer func() {
-		SetWarmupSharing(true)
+		runcache.SetEnabled(true)
 		runcache.Reset()
 	}()
 
@@ -39,13 +40,17 @@ func TestFigureOutputIdenticalWithWarmupSharing(t *testing.T) {
 	}
 
 	runcache.Reset()
-	SetWarmupSharing(false)
+	resetWarmShareStats()
+	runcache.SetEnabled(false)
 	direct, err := Fig10(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if restored, fellBack := WarmupSharingStats(); restored != 0 || fellBack != 0 {
+		t.Fatalf("with the run cache disabled, %d runs restored and %d fell back; want direct warmups only", restored, fellBack)
+	}
 	if shared.Markdown() != direct.Markdown() {
-		t.Fatal("figure output differs with warmup sharing on vs off")
+		t.Fatal("figure output differs between shared and direct warmups")
 	}
 }
 

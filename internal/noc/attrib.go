@@ -99,9 +99,6 @@ func AttrBucketNames() []string {
 // simulated behavior or fingerprints.
 func (n *Network) SetAttribution(on bool) { n.atrOn = on }
 
-// AttributionEnabled reports whether the counter path is armed.
-func (n *Network) AttributionEnabled() bool { return n.atrOn }
-
 // Attribution returns the packet's causal latency decomposition in
 // cycles. It is meaningful once the packet has been delivered (observed
 // via SetOnPacket or after RecvCycle is set) on a network with

@@ -39,23 +39,14 @@ type Config struct {
 	// Routers holds one entry per router. A single-element slice is
 	// broadcast to all routers.
 	Routers []RouterConfig
-	// FlitWidthBits is the flit (and buffer) width; it determines packet
-	// flit counts and feeds the power model.
+	// FlitWidthBits is the flit (and buffer) width. The kernel moves whole
+	// flits and only checks that it is positive; callers size packets in
+	// flits (core.Layout.DataPacketFlits).
 	FlitWidthBits int
 	// WatchdogCycles aborts the simulation when no flit moves for this many
 	// cycles while packets are in flight (deadlock detection). Zero
 	// disables the watchdog.
 	WatchdogCycles int
-
-	// ShardWorkers enables deterministic intra-cycle sharding: the
-	// allocation stages of every eligible Step run over contiguous router
-	// spans on a persistent pool of this many workers, with cross-router
-	// effects committed sequentially in shard order (see shard.go). Results
-	// are bit-identical to the sequential kernel for every worker count.
-	// Zero (the default) keeps the plain sequential kernel. Networks built
-	// with ShardWorkers > 0 own a worker pool; call Network.Close to
-	// release it.
-	ShardWorkers int
 }
 
 // normalize validates the configuration and expands broadcast fields.
@@ -101,14 +92,4 @@ func (c *Config) LinkSlots(r, p int) int {
 		return 2
 	}
 	return 1
-}
-
-// DataPacketFlits returns the flit count of a payload of payloadBits at this
-// network's flit width (ceiling division).
-func (c *Config) DataPacketFlits(payloadBits int) int {
-	n := (payloadBits + c.FlitWidthBits - 1) / c.FlitWidthBits
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -100,7 +100,7 @@ type Network struct {
 
 	// Intra-cycle sharding (see shard.go). directFx is the always-present
 	// sequential effect sink; pool and shards exist only when sharding is
-	// enabled via Config.ShardWorkers or SetShardWorkers.
+	// enabled via SetShardWorkers.
 	directFx tickFx
 	pool     *par.Pool
 	shards   []tickFx
@@ -224,9 +224,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.syncDerived(true) // credit masks and upstream (credit return) pointers
 	n.directFx = tickFx{n: n, direct: true}
-	if cfg.ShardWorkers > 0 {
-		n.SetShardWorkers(cfg.ShardWorkers)
-	}
 	return n, nil
 }
 
@@ -235,8 +232,9 @@ func New(cfg Config) (*Network, error) {
 func (n *Network) SetOnPacket(fn func(*Packet)) { n.onPacket = fn }
 
 // SetOnDrop registers a callback invoked when a packet is purged from the
-// network after a fault destroyed one of its flits or severed its route.
-// The reliability layer uses it for accounting; recovery is timer driven.
+// network after a fault destroyed one of its flits or severed its route,
+// with the reason. Stats only counts the losses; the callback names each
+// packet and its DropReason.
 func (n *Network) SetOnDrop(fn func(*Packet, DropReason)) { n.onDrop = fn }
 
 // SetOnCycle registers a callback invoked at the end of every successful

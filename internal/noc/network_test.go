@@ -26,14 +26,17 @@ func newMeshNet(t testing.TB) *Network {
 	return n
 }
 
-// runUntilQuiesced steps the network until no traffic remains, using the
-// idle fast-forward (StepUntilQuiesced) instead of a bare Step spin; the
-// two are behaviorally identical (gated by the golden fingerprints and
-// TestStepUntilQuiescedMatchesStepLoop).
+// runUntilQuiesced steps the network until no traffic remains, failing
+// the test if that takes more than maxCycles cycles.
 func runUntilQuiesced(t testing.TB, n *Network, maxCycles int) {
 	t.Helper()
-	if _, err := n.StepUntilQuiesced(int64(maxCycles)); err != nil {
-		t.Fatal(err)
+	for start := n.Cycle(); !n.Quiesced(); {
+		if n.Cycle()-start >= int64(maxCycles) {
+			t.Fatalf("network did not quiesce within %d cycles (%d flits in flight, %d queued)", maxCycles, n.flitsInNetwork, n.queuedPackets)
+		}
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -470,20 +473,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(c); err == nil {
 			t.Errorf("config %d accepted, want error", i)
 		}
-	}
-}
-
-func TestDataPacketFlits(t *testing.T) {
-	c := Config{FlitWidthBits: 192}
-	if got := c.DataPacketFlits(1024); got != 6 {
-		t.Errorf("1024b at 192b = %d flits, want 6", got)
-	}
-	c.FlitWidthBits = 128
-	if got := c.DataPacketFlits(1024); got != 8 {
-		t.Errorf("1024b at 128b = %d flits, want 8", got)
-	}
-	if got := c.DataPacketFlits(64); got != 1 {
-		t.Errorf("64b at 128b = %d flits, want 1", got)
 	}
 }
 

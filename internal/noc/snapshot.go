@@ -5,7 +5,7 @@ package noc
 // buffers and allocation state, credits, event queues, round-robin
 // pointers, statistics and the fault overlay — so that restoring it into
 // a fresh Network built from the same Config reproduces the fingerprint
-// bit-for-bit and every later Step, at any ShardWorkers count.
+// bit-for-bit and every later Step, at any shard worker count.
 //
 // One two-way walk (walkBody) names every persisted field once: it writes
 // the field to a ckpt.Writer, reads it from a ckpt.Reader, or, with

@@ -324,92 +324,3 @@ func TestSnapshotCorruptionIsRejected(t *testing.T) {
 		t.Fatal("truncated checkpoint restored without error")
 	}
 }
-
-// TestStepUntilQuiescedMatchesStepLoop pins the idle fast-forward against
-// the plain Step spin: identical fingerprints (cycle count included) on a
-// drain from a loaded state.
-func TestStepUntilQuiescedMatchesStepLoop(t *testing.T) {
-	load := func(n *Network) {
-		rng := rand.New(rand.NewSource(51))
-		for c := 0; c < 200; c++ {
-			for s := 0; s < 64; s++ {
-				if rng.Float64() < 0.05 {
-					n.Inject(&Packet{Src: s, Dst: rng.Intn(64), NumFlits: 6})
-				}
-			}
-			if err := n.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	spin := newMeshNet(t)
-	load(spin)
-	for !spin.Quiesced() {
-		if err := spin.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fast := newMeshNet(t)
-	load(fast)
-	if _, err := fast.StepUntilQuiesced(100000); err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := spin.Fingerprint(), fast.Fingerprint(); a != b {
-		t.Errorf("fast-forward fingerprint %016x != spin %016x", b, a)
-	}
-	if spin.Cycle() != fast.Cycle() {
-		t.Errorf("fast-forward stopped at cycle %d, spin at %d", fast.Cycle(), spin.Cycle())
-	}
-}
-
-// TestReliableStepUntilQuiescedMatchesStepLoop pins the timer-aware
-// fast-forward: a lossy run whose tail is dominated by retransmission
-// timeouts must finish at the same cycle with the same fingerprints.
-func TestReliableStepUntilQuiescedMatchesStepLoop(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	newPlan := func() *fault.Plan {
-		plan := &fault.Plan{}
-		plan.AddTransient(50, m.RouterAt(3, 3), topology.PortEast, 200, false)
-		return plan
-	}
-	load := func(rel *Reliable) {
-		rng := rand.New(rand.NewSource(61))
-		for c := 0; c < 120; c++ {
-			for s := 0; s < 64; s++ {
-				if rng.Float64() < 0.02 {
-					_, _ = rel.Send(s, rng.Intn(64), 6, 0, nil)
-				}
-			}
-			if err := rel.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	spin := NewReliable(faultMeshNet(t, newPlan()), ReliableConfig{Timeout: 512})
-	load(spin)
-	for !spin.Quiesced() {
-		if err := spin.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fast := NewReliable(faultMeshNet(t, newPlan()), ReliableConfig{Timeout: 512})
-	load(fast)
-	if _, err := fast.StepUntilQuiesced(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := spin.net.Fingerprint(), fast.net.Fingerprint(); a != b {
-		t.Errorf("fast-forward net fingerprint %016x != spin %016x", b, a)
-	}
-	if a, b := spin.Stats().Fingerprint(), fast.Stats().Fingerprint(); a != b {
-		t.Errorf("fast-forward reliable fingerprint %016x != spin %016x", b, a)
-	}
-	if spin.net.Cycle() != fast.net.Cycle() {
-		t.Errorf("fast-forward stopped at cycle %d, spin at %d", fast.net.Cycle(), spin.net.Cycle())
-	}
-}

@@ -19,11 +19,11 @@ func TestTimeSeriesRoundTrip(t *testing.T) {
 	if err := ts.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTimeSeriesJSON(&buf)
-	if err != nil {
+	var got timeSeriesJSON
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Columns[1] != "util_r0" || got.Rows[1][0] != 7 || got.Cycles[0] != 1000 {
+	if len(got.Rows) != 2 || len(got.Cycles) != 2 || got.Columns[1] != "util_r0" || got.Rows[1][0] != 7 || got.Cycles[0] != 1000 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

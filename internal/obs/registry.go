@@ -8,8 +8,8 @@
 // counters they already maintain (noc router activity, runcache hit/miss,
 // shard-pool balance), so registration adds zero work to simulation hot
 // paths — cost is only paid when an exposition is actually rendered. The
-// few push-style instruments (Counter, Gauge) gate their writes on the
-// registry's enabled flag, one atomic load when disabled.
+// one push-style instrument, Counter, is for paths with no counter of
+// their own to read; its Add is one atomic add.
 package obs
 
 import (
@@ -82,23 +82,12 @@ type Registry struct {
 	mu       sync.RWMutex
 	families []*family
 	byName   map[string]*family
-	enabled  atomic.Bool
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{byName: map[string]*family{}}
-	r.enabled.Store(true)
-	return r
+	return &Registry{byName: map[string]*family{}}
 }
-
-// SetEnabled toggles push-style instruments (Counter.Add, Gauge.Set)
-// created from this registry. Pull-based closures are unaffected: they run
-// only during exposition.
-func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether push-style recording is active.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
 // validName matches the Prometheus metric/label name grammar.
 func validName(s string) bool {
@@ -184,54 +173,26 @@ func (r *Registry) RegisterHistogram(name, help string, labels []Label, bounds [
 }
 
 // Counter is a push-style monotonic counter for paths without an existing
-// counter to scrape. Add is gated on the owning registry's enabled flag.
+// counter to scrape.
 type Counter struct {
-	v   atomic.Int64
-	reg *Registry
+	v atomic.Int64
 }
 
 // NewCounter creates and registers a push-style counter.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	c := &Counter{reg: r}
+	c := &Counter{}
 	r.RegisterCounter(name, help, labels, func() float64 { return float64(c.v.Load()) })
 	return c
 }
 
-// Add increments the counter by n (no-op when the registry is disabled).
-func (c *Counter) Add(n int64) {
-	if c.reg.enabled.Load() {
-		c.v.Add(n)
-	}
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a push-style point-in-time value.
-type Gauge struct {
-	bits atomic.Uint64
-	reg  *Registry
-}
-
-// NewGauge creates and registers a push-style gauge.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{reg: r}
-	r.RegisterGauge(name, help, labels, g.Value)
-	return g
-}
-
-// Set stores v (no-op when the registry is disabled).
-func (g *Gauge) Set(v float64) {
-	if g.reg.enabled.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // escapeLabel escapes a label value per the Prometheus text format.
 func escapeLabel(v string) string {

@@ -76,28 +76,6 @@ func TestValidatePrometheusTextRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPushInstrumentsGateOnEnabled(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("pushed_total", "pushed")
-	g := r.NewGauge("level", "level")
-	c.Inc()
-	g.Set(7)
-	r.SetEnabled(false)
-	c.Add(100)
-	g.Set(100)
-	if c.Value() != 1 {
-		t.Errorf("disabled counter recorded: %d", c.Value())
-	}
-	if g.Value() != 7 {
-		t.Errorf("disabled gauge recorded: %g", g.Value())
-	}
-	r.SetEnabled(true)
-	c.Inc()
-	if c.Value() != 2 {
-		t.Errorf("re-enabled counter = %d", c.Value())
-	}
-}
-
 func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterGauge("ok", "", nil, func() float64 { return 0 })

@@ -116,16 +116,8 @@ func TestTimeSeriesWindowEdgeDeterministic(t *testing.T) {
 	if ts.Rows[1][0] != 3 {
 		t.Fatalf("edge sample not replaced: %v", ts.Rows)
 	}
-
-	// Half-open windows (prev, cur]: the edge cycle belongs to the window
-	// it closes, never the one it opens.
-	for _, tc := range []struct {
-		cycle int64
-		want  int
-	}{{50, 0}, {100, 0}, {101, 1}, {200, 1}, {201, -1}} {
-		if got := ts.WindowAt(tc.cycle); got != tc.want {
-			t.Errorf("WindowAt(%d) = %d, want %d", tc.cycle, got, tc.want)
-		}
+	if len(ts.Cycles) != 2 || ts.Cycles[0] != 100 || ts.Cycles[1] != 200 {
+		t.Fatalf("cycles = %v, want [100 200]", ts.Cycles)
 	}
 
 	defer func() {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // TimeSeries is a cycle-indexed table of sampled metrics: one row per
@@ -45,36 +44,8 @@ func (ts *TimeSeries) Append(cycle int64, row []float64) {
 	ts.Rows = append(ts.Rows, append([]float64(nil), row...))
 }
 
-// WindowAt returns the index of the sample window containing cycle under
-// the half-open convention (prev, cur]: window i spans (Cycles[i-1],
-// Cycles[i]], and window 0 everything up to and including Cycles[0]. A
-// cycle landing exactly on a window edge therefore always belongs to the
-// window it closes, never the one it opens. Returns -1 for cycles past the
-// last sample.
-func (ts *TimeSeries) WindowAt(cycle int64) int {
-	i := sort.Search(len(ts.Cycles), func(i int) bool { return ts.Cycles[i] >= cycle })
-	if i == len(ts.Cycles) {
-		return -1
-	}
-	return i
-}
-
 // Len returns the number of sample rows.
 func (ts *TimeSeries) Len() int { return len(ts.Rows) }
-
-// Clone returns a deep copy, safe to hand to another goroutine while the
-// sampler keeps appending to the original.
-func (ts *TimeSeries) Clone() *TimeSeries {
-	out := &TimeSeries{
-		Columns: append([]string(nil), ts.Columns...),
-		Cycles:  append([]int64(nil), ts.Cycles...),
-		Rows:    make([][]float64, len(ts.Rows)),
-	}
-	for i, r := range ts.Rows {
-		out.Rows[i] = append([]float64(nil), r...)
-	}
-	return out
-}
 
 // timeSeriesJSON is the stable wire form of a TimeSeries.
 type timeSeriesJSON struct {
@@ -91,24 +62,6 @@ func (ts *TimeSeries) WriteJSON(w io.Writer) error {
 		Cycles:  ts.Cycles,
 		Rows:    ts.Rows,
 	})
-}
-
-// ReadTimeSeriesJSON parses the WriteJSON form.
-func ReadTimeSeriesJSON(r io.Reader) (*TimeSeries, error) {
-	var raw timeSeriesJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("obs: bad timeseries JSON: %w", err)
-	}
-	ts := &TimeSeries{Columns: raw.Columns, Cycles: raw.Cycles, Rows: raw.Rows}
-	for i, row := range ts.Rows {
-		if len(row) != len(ts.Columns) {
-			return nil, fmt.Errorf("obs: timeseries row %d has %d values for %d columns", i, len(row), len(ts.Columns))
-		}
-	}
-	if len(ts.Cycles) != len(ts.Rows) {
-		return nil, fmt.Errorf("obs: timeseries has %d cycles for %d rows", len(ts.Cycles), len(ts.Rows))
-	}
-	return ts, nil
 }
 
 // WriteCSV renders the table with a "cycle" first column and one header

@@ -197,7 +197,7 @@ func TestFaultTableIncrementalSequences(t *testing.T) {
 // TestFaultTableRebuildNoAllocsSteadyState checks the arena design: a
 // Rebuild over an existing LinkState (the call the simulator makes after
 // each permanent fault batch) reuses the table's arenas and scratch and
-// allocates nothing.
+// allocates nothing, and so does the fault-free Rebuild(nil).
 func TestFaultTableRebuildNoAllocsSteadyState(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	ft := NewFaultTable(m, FaultTableConfig{})
@@ -206,5 +206,8 @@ func TestFaultTableRebuildNoAllocsSteadyState(t *testing.T) {
 	ft.Rebuild(ls)
 	if allocs := testing.AllocsPerRun(50, func() { ft.Rebuild(ls) }); allocs > 0 {
 		t.Fatalf("steady-state Rebuild makes %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { ft.Rebuild(nil) }); allocs > 0 {
+		t.Fatalf("Rebuild(nil) makes %.0f allocations, want 0", allocs)
 	}
 }

@@ -43,29 +43,14 @@ type FaultAware interface {
 // decision with OutPort < 0 for severed destinations and Reachable reports
 // false; the simulator drops such packets with a stat instead of hanging.
 type FaultTable struct {
-	topo        topology.Topology
-	bigAdd      []int32 // 1 at big routers, 0 elsewhere
+	minimalPaths
 	escapeAfter int
 	ls          *topology.LinkState
-	// next[dst][router] is the output port toward terminal dst on the
-	// primary network, -1 when dst is unreachable from router.
-	next [][]int16
+	// allUp is the fault-free link state Rebuild(nil) routes over.
+	allUp *topology.LinkState
 	// tree[dst][router] is the output port toward terminal dst restricted
 	// to the escape spanning forest, -1 when unreachable.
 	tree [][]int16
-
-	// Live-link adjacency, refreshed on every Rebuild: adj[r*maxRadix+p]
-	// is the router reached over the live link at port p of router r (-1
-	// for terminal ports, edge ports and dead links) and far[.] is the
-	// far-side port on that router. The per-destination passes read these
-	// flat arrays instead of calling Neighbor/Up per edge.
-	maxRadix int
-	adj, far []int32
-
-	// hbuf/bbuf are the per-destination build scratch: hop layer toward the
-	// destination over the live links (-1 when unreachable) and the maximum
-	// number of big routers after each router over minimal-hop paths.
-	hbuf, bbuf []int32
 
 	// The escape forest, rooted: every component of the live-link graph is
 	// a BFS tree rooted at its lowest-numbered live router, and tree tables
@@ -79,8 +64,6 @@ type FaultTable struct {
 	stamp      []int64 // generation stamp marking the current root path
 	down       []int16 // port toward the destination, valid where stamped
 	stampGen   int64
-
-	queue []int32 // BFS scratch reused across passes
 }
 
 // FaultTableConfig parameterizes table construction.
@@ -96,48 +79,29 @@ type FaultTableConfig struct {
 // NewFaultTable builds fault-free routes for t; call Rebuild as failures
 // accumulate.
 func NewFaultTable(t topology.Topology, cfg FaultTableConfig) *FaultTable {
-	ft := &FaultTable{
-		topo:        t,
-		escapeAfter: cfg.EscapeThreshold,
-	}
-	if ft.escapeAfter <= 0 {
-		ft.escapeAfter = 64
-	}
 	n := t.NumRouters()
-	terms := t.NumTerminals()
-	ft.bigAdd = make([]int32, n)
-	for r, b := range cfg.Big {
-		if b {
-			ft.bigAdd[r] = 1
-		}
-	}
-	for r := 0; r < n; r++ {
-		if rad := t.Radix(r); rad > ft.maxRadix {
-			ft.maxRadix = rad
-		}
-	}
-	ft.adj = make([]int32, n*ft.maxRadix)
-	ft.far = make([]int32, n*ft.maxRadix)
-	ft.hbuf = make([]int32, n)
-	ft.bbuf = make([]int32, n)
-	ft.parent = make([]int32, n)
-	ft.parentPort = make([]int16, n)
-	ft.parentFar = make([]int16, n)
-	ft.comp = make([]int32, n)
-	ft.stamp = make([]int64, n)
-	ft.down = make([]int16, n)
-	ft.queue = make([]int32, 0, n)
-	// One arena each for the whole next and tree tables.
-	nextArena := make([]int16, terms*n)
-	treeArena := make([]int16, terms*n)
-	ft.next = make([][]int16, terms)
-	ft.tree = make([][]int16, terms)
-	for dst := 0; dst < terms; dst++ {
-		ft.next[dst] = nextArena[dst*n : (dst+1)*n : (dst+1)*n]
-		ft.tree[dst] = treeArena[dst*n : (dst+1)*n : (dst+1)*n]
+	ft := &FaultTable{
+		minimalPaths: newMinimalPaths(t, cfg.Big),
+		escapeAfter:  escapeThreshold(cfg.EscapeThreshold),
+		allUp:        topology.NewLinkState(t),
+		tree:         arenaTable(t.NumTerminals(), n),
+		parent:       make([]int32, n),
+		parentPort:   make([]int16, n),
+		parentFar:    make([]int16, n),
+		comp:         make([]int32, n),
+		stamp:        make([]int64, n),
+		down:         make([]int16, n),
 	}
 	ft.Rebuild(nil)
 	return ft
+}
+
+// escapeThreshold applies the default VA starvation limit of 64 cycles.
+func escapeThreshold(cycles int) int {
+	if cycles <= 0 {
+		return 64
+	}
+	return cycles
 }
 
 // Rebuild recomputes the primary tables and the escape forest over the
@@ -146,27 +110,98 @@ func NewFaultTable(t topology.Topology, cfg FaultTableConfig) *FaultTable {
 // tie-breaking: every destination is rebuilt with one O(V*radix) pass.
 func (ft *FaultTable) Rebuild(ls *topology.LinkState) {
 	if ls == nil {
-		ls = topology.NewLinkState(ft.topo)
+		ls = ft.allUp
 	}
 	ft.ls = ls
-	n := ft.topo.NumRouters()
-	for r := 0; r < n; r++ {
-		base := r * ft.maxRadix
-		rad := ft.topo.Radix(r)
-		for p := 0; p < ft.maxRadix; p++ {
-			ft.adj[base+p] = -1
-			if p >= rad || !ls.Up(r, p) {
-				continue
-			}
-			link, _ := ft.topo.Neighbor(r, p)
-			ft.adj[base+p] = int32(link.Router)
-			ft.far[base+p] = int32(link.Port)
+	ft.build(ls)
+	ft.buildForest()
+	for dst := range ft.tree {
+		ft.rebuildTree(dst)
+	}
+}
+
+// minimalPaths is the primary routing table that FaultTable and TableXY
+// share: next[dst][router] is the output port toward terminal dst on a
+// shortest path over the links in the adjacency, ties broken toward big
+// routers, and -1 where dst is unreachable. TableXY builds it once over
+// the fault-free mesh; FaultTable rebuilds it over the live links after
+// every permanent fault.
+type minimalPaths struct {
+	topo   topology.Topology
+	bigAdd []int32 // 1 at big routers, 0 elsewhere
+	next   [][]int16
+
+	// Link adjacency, refreshed by build: adj[r*maxRadix+p] is the
+	// router reached over the live link at port p of router r (-1 for
+	// terminal ports, edge ports and dead links) and far[.] is the
+	// far-side port on that router. The per-destination passes read these
+	// flat arrays instead of calling Neighbor/Up per edge.
+	maxRadix int
+	adj, far []int32
+
+	// hbuf/bbuf are the per-destination build scratch: hop layer toward the
+	// destination over the live links (-1 when unreachable) and the maximum
+	// number of big routers after each router over minimal-hop paths.
+	hbuf, bbuf []int32
+
+	queue []int32 // BFS scratch reused across passes
+}
+
+// newMinimalPaths allocates the tables and scratch for t; call build to
+// fill them.
+func newMinimalPaths(t topology.Topology, big []bool) minimalPaths {
+	n := t.NumRouters()
+	terms := t.NumTerminals()
+	mp := minimalPaths{topo: t, bigAdd: make([]int32, n)}
+	for r, b := range big {
+		if b {
+			mp.bigAdd[r] = 1
 		}
 	}
-	ft.buildForest()
-	for dst := range ft.next {
-		ft.rebuildDst(dst)
-		ft.rebuildTree(dst)
+	for r := 0; r < n; r++ {
+		if rad := t.Radix(r); rad > mp.maxRadix {
+			mp.maxRadix = rad
+		}
+	}
+	mp.adj = make([]int32, n*mp.maxRadix)
+	mp.far = make([]int32, n*mp.maxRadix)
+	mp.hbuf = make([]int32, n)
+	mp.bbuf = make([]int32, n)
+	mp.queue = make([]int32, 0, n)
+	mp.next = arenaTable(terms, n)
+	return mp
+}
+
+// arenaTable returns a terms x n table whose rows share one arena.
+func arenaTable(terms, n int) [][]int16 {
+	arena := make([]int16, terms*n)
+	tab := make([][]int16, terms)
+	for dst := range tab {
+		tab[dst] = arena[dst*n : (dst+1)*n : (dst+1)*n]
+	}
+	return tab
+}
+
+// build refreshes the adjacency from the links up in ls (nil = every link
+// of the topology) and rebuilds every destination's table.
+func (mp *minimalPaths) build(ls *topology.LinkState) {
+	n := mp.topo.NumRouters()
+	for r := 0; r < n; r++ {
+		base := r * mp.maxRadix
+		rad := mp.topo.Radix(r)
+		for p := 0; p < mp.maxRadix; p++ {
+			mp.adj[base+p] = -1
+			if p >= rad || (ls != nil && !ls.Up(r, p)) {
+				continue
+			}
+			if link, ok := mp.topo.Neighbor(r, p); ok {
+				mp.adj[base+p] = int32(link.Router)
+				mp.far[base+p] = int32(link.Port)
+			}
+		}
+	}
+	for dst := range mp.next {
+		mp.rebuildDst(dst)
 	}
 }
 
@@ -186,29 +221,29 @@ func (ft *FaultTable) Rebuild(ls *topology.LinkState) {
 //     port toward the argmax — ties broken by larger b(r), then smaller
 //     router ID, then smaller far-side port, which is exactly the order the
 //     heap pops equal-distance entries.
-func (ft *FaultTable) rebuildDst(dst int) {
-	n := ft.topo.NumRouters()
-	next := ft.next[dst]
-	h := ft.hbuf
-	b := ft.bbuf
+//
+// A fail-stopped destination router has no live links, so its pass finds
+// no path and leaves the column at -1.
+func (mp *minimalPaths) rebuildDst(dst int) {
+	n := mp.topo.NumRouters()
+	next := mp.next[dst]
+	h := mp.hbuf
+	b := mp.bbuf
 	for i := 0; i < n; i++ {
 		next[i] = -1
 		h[i] = -1
 		b[i] = 0
 	}
-	dstR, _ := ft.topo.TerminalRouter(dst)
-	if ft.ls.RouterFailed(dstR) {
-		return
-	}
+	dstR, _ := mp.topo.TerminalRouter(dst)
 	h[dstR] = 0
-	q := append(ft.queue[:0], int32(dstR))
+	q := append(mp.queue[:0], int32(dstR))
 	for qi := 0; qi < len(q); qi++ {
 		u := int(q[qi])
-		base := u * ft.maxRadix
-		adjRow := ft.adj[base : base+ft.maxRadix]
+		base := u * mp.maxRadix
+		adjRow := mp.adj[base : base+mp.maxRadix]
 		hu := h[u]
 		bestKey, bestB := int32(-1), int32(-1)
-		bestR, bestFar := int32(n), int32(ft.maxRadix)
+		bestR, bestFar := int32(n), int32(mp.maxRadix)
 		port := int16(-1)
 		for p, r := range adjRow {
 			if r < 0 {
@@ -223,10 +258,10 @@ func (ft *FaultTable) rebuildDst(dst int) {
 			if hr != hu-1 {
 				continue
 			}
-			kb := b[r] + ft.bigAdd[r]
+			kb := b[r] + mp.bigAdd[r]
 			if kb > bestKey || (kb == bestKey && (b[r] > bestB ||
-				(b[r] == bestB && (r < bestR || (r == bestR && ft.far[base+p] < bestFar))))) {
-				bestKey, bestB, bestR, bestFar = kb, b[r], r, ft.far[base+p]
+				(b[r] == bestB && (r < bestR || (r == bestR && mp.far[base+p] < bestFar))))) {
+				bestKey, bestB, bestR, bestFar = kb, b[r], r, mp.far[base+p]
 				port = int16(p)
 			}
 		}
@@ -235,7 +270,40 @@ func (ft *FaultTable) rebuildDst(dst int) {
 			next[u] = port
 		}
 	}
-	ft.queue = q[:0]
+	mp.queue = q[:0]
+}
+
+// hop returns the primary output port at router r toward terminal dst: the
+// ejection port at dst's router, -1 where dst is unreachable.
+func (mp *minimalPaths) hop(r, dst int) int {
+	dstR, dstP := mp.topo.TerminalRouter(dst)
+	if r == dstR {
+		return dstP
+	}
+	return int(mp.next[dst][r])
+}
+
+// pathRouters returns the primary-path router sequence from terminal src
+// to terminal dst, or nil when dst is unreachable from src.
+func (mp *minimalPaths) pathRouters(src, dst int) []int {
+	r, _ := mp.topo.TerminalRouter(src)
+	dstR, _ := mp.topo.TerminalRouter(dst)
+	if r != dstR && mp.next[dst][r] < 0 {
+		return nil
+	}
+	path := []int{r}
+	for r != dstR {
+		link, ok := mp.topo.Neighbor(r, mp.hop(r, dst))
+		if !ok {
+			break
+		}
+		r = link.Router
+		path = append(path, r)
+		if len(path) > mp.topo.NumRouters() {
+			break // defensive: malformed table
+		}
+	}
+	return path
 }
 
 // buildForest roots a BFS spanning forest of the live-link graph at the
@@ -335,14 +403,11 @@ func (ft *FaultTable) NextHop(r, src, dst, class int) Decision {
 	if class == classEscape {
 		return ft.EscapeHop(r, src, dst)
 	}
-	dstR, dstP := ft.topo.TerminalRouter(dst)
+	dstR, _ := ft.topo.TerminalRouter(dst)
 	if ft.ls.RouterFailed(dstR) {
 		return Decision{OutPort: -1, VCClass: classTable}
 	}
-	if r == dstR {
-		return Decision{OutPort: dstP, VCClass: classTable}
-	}
-	return Decision{OutPort: int(ft.next[dst][r]), VCClass: classTable}
+	return Decision{OutPort: ft.hop(r, dst), VCClass: classTable}
 }
 
 // EscapeHop diverts a starved packet to the spanning-forest escape VC.
@@ -384,23 +449,8 @@ func (ft *FaultTable) RouteError(src, dst int) error {
 // to terminal dst, or nil when dst is unreachable. Tests use it to check
 // rebuilt paths avoid dead links.
 func (ft *FaultTable) PathRouters(src, dst int) []int {
-	r, _ := ft.topo.TerminalRouter(src)
-	dstR, _ := ft.topo.TerminalRouter(dst)
 	if !ft.Reachable(src, dst) {
 		return nil
 	}
-	path := []int{r}
-	for r != dstR {
-		d := ft.NextHop(r, src, dst, classTable)
-		link, ok := ft.topo.Neighbor(r, d.OutPort)
-		if !ok {
-			break
-		}
-		r = link.Router
-		path = append(path, r)
-		if len(path) > ft.topo.NumRouters() {
-			break // defensive: malformed table
-		}
-	}
-	return path
+	return ft.pathRouters(src, dst)
 }

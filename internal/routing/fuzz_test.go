@@ -52,52 +52,85 @@ func FuzzFaultTableRebuild(f *testing.F) {
 	})
 }
 
-// checkTableContract walks every terminal pair over both the primary and
-// the escape tables, requiring termination over live links or an explicit
-// unreachable report.
+// Chain marks for checkTableContract: a router's chain in one table column
+// is still unknown, on the walk under way, reaches the destination over
+// live links, or stops at a -1 entry.
+const (
+	chainUnknown uint8 = iota
+	chainOnPath
+	chainReaches
+	chainStops
+)
+
+// checkTableContract checks the primary and escape tables one destination
+// at a time. markChains walks each next and tree column once, memoized, and
+// fails on a cycle or on a hop over a dead port; every terminal pair the
+// table reports reachable must then start at a router whose chain reaches
+// the destination in both tables, and Reachable and RouteError must agree
+// on every pair.
 func checkTableContract(t *testing.T, m *topology.Mesh, ls *topology.LinkState, ft *FaultTable) {
 	t.Helper()
 	n := m.NumRouters()
-	for src := 0; src < m.NumTerminals(); src++ {
-		srcR, _ := m.TerminalRouter(src)
-		for dst := 0; dst < m.NumTerminals(); dst++ {
-			dstR, _ := m.TerminalRouter(dst)
-			if !ft.Reachable(src, dst) {
-				if err := ft.RouteError(src, dst); !errors.Is(err, ErrUnreachable) {
-					t.Fatalf("%s %d->%d: Reachable false but RouteError = %v", m.Name(), src, dst, err)
-				}
-				continue
+	marks := [2][]uint8{make([]uint8, n), make([]uint8, n)}
+	path := make([]int, 0, n)
+	for dst := 0; dst < m.NumTerminals(); dst++ {
+		dstR, _ := m.TerminalRouter(dst)
+		for k, col := range [2][]int16{ft.next[dst], ft.tree[dst]} {
+			if err := markChains(m, ls, col, dstR, marks[k], path); err != nil {
+				t.Fatalf("%s ->%d: %s table: %v", m.Name(), dst, [2]string{"primary", "escape"}[k], err)
 			}
-			if err := ft.RouteError(src, dst); err != nil {
-				t.Fatalf("%s %d->%d: Reachable true but RouteError = %v", m.Name(), src, dst, err)
+		}
+		for src := 0; src < m.NumTerminals(); src++ {
+			reachable, err := ft.Reachable(src, dst), ft.RouteError(src, dst)
+			if reachable != (err == nil) || (err != nil && !errors.Is(err, ErrUnreachable)) {
+				t.Fatalf("%s %d->%d: Reachable %t but RouteError = %v", m.Name(), src, dst, reachable, err)
 			}
-			// Primary table: the chain terminates at dstR over live links.
-			walkChain(t, m, ls, src, dst, srcR, dstR, n, "primary", func(at int) int {
-				return ft.NextHop(at, src, dst, classTable).OutPort
-			})
-			// Escape forest: same termination contract.
-			walkChain(t, m, ls, src, dst, srcR, dstR, n, "escape", func(at int) int {
-				return ft.EscapeHop(at, src, dst).OutPort
-			})
+			srcR, _ := m.TerminalRouter(src)
+			if reachable && (marks[0][srcR] != chainReaches || marks[1][srcR] != chainReaches) {
+				t.Fatalf("%s %d->%d: reachable, but a chain from router %d dead-ends (primary %d, escape %d)",
+					m.Name(), src, dst, srcR, marks[0][srcR], marks[1][srcR])
+			}
 		}
 	}
 }
 
-func walkChain(t *testing.T, m *topology.Mesh, ls *topology.LinkState, src, dst, srcR, dstR, n int, kind string, hop func(at int) int) {
-	t.Helper()
-	at := srcR
-	for steps := 0; at != dstR; steps++ {
-		if steps > n {
-			t.Fatalf("%s %d->%d: %s chain does not terminate", m.Name(), src, dst, kind)
-		}
-		port := hop(at)
-		if port < 0 {
-			t.Fatalf("%s %d->%d: %s chain dead-ends at router %d", m.Name(), src, dst, kind, at)
-		}
-		link, ok := m.Neighbor(at, port)
-		if !ok || !ls.Up(at, port) {
-			t.Fatalf("%s %d->%d: %s chain crosses dead port %s", m.Name(), src, dst, kind, fmt.Sprintf("%d.%d", at, port))
-		}
-		at = link.Router
+// markChains sets mark[r] to chainReaches for every router whose chain of
+// ports in col reaches dstR over live links and to chainStops for every
+// other router. Each router is walked once: a walk ends at the first
+// router already marked. It returns an error on a cycle or on a hop over a
+// port with no live link; path is scratch.
+func markChains(m *topology.Mesh, ls *topology.LinkState, col []int16, dstR int, mark []uint8, path []int) error {
+	clear(mark)
+	if !ls.RouterFailed(dstR) {
+		mark[dstR] = chainReaches
 	}
+	for r := range mark {
+		at, end := r, chainUnknown
+		path = path[:0]
+		for end == chainUnknown {
+			switch mark[at] {
+			case chainOnPath:
+				return fmt.Errorf("chain from router %d cycles through router %d", r, at)
+			case chainReaches, chainStops:
+				end = mark[at]
+				continue
+			}
+			mark[at] = chainOnPath
+			path = append(path, at)
+			port := int(col[at])
+			if port < 0 {
+				end = chainStops
+				continue
+			}
+			link, ok := m.Neighbor(at, port)
+			if !ok || !ls.Up(at, port) {
+				return fmt.Errorf("chain from router %d crosses dead port %d.%d", r, at, port)
+			}
+			at = link.Router
+		}
+		for _, v := range path {
+			mark[v] = end
+		}
+	}
+	return nil
 }

@@ -23,13 +23,13 @@ const (
 // deadlock-free drain required by the paper's "reserved escape VCs in the
 // big routers".
 type TableXY struct {
-	xy      *XY
-	flagged []bool
-	// paths holds the zig-zag tables: on a fault-free mesh the FaultTable's
-	// shortest paths are exactly the minimal-direction paths, with ties
-	// resolved toward big routers. It is a named field so that TableXY does
-	// not pick up Rebuild and become FaultAware.
-	paths *FaultTable
+	xy          *XY
+	flagged     []bool
+	escapeAfter int
+	// paths holds the zig-zag tables: on a fault-free mesh shortest paths
+	// are exactly the minimal-direction paths, with ties resolved toward
+	// big routers.
+	paths minimalPaths
 }
 
 // TableXYConfig parameterizes table construction.
@@ -44,18 +44,20 @@ type TableXYConfig struct {
 	EscapeThreshold int
 }
 
-// NewTableXY builds the routing tables: one fault-free FaultTable over the
-// mesh, whose minimal paths resolve ties toward big routers and yield the
-// X-Y-X-Y staircases of the paper's Figure 14(a).
+// NewTableXY builds the routing tables: fault-free shortest paths over the
+// mesh, which resolve ties toward big routers and yield the X-Y-X-Y
+// staircases of the paper's Figure 14(a).
 func NewTableXY(t *topology.Mesh, cfg TableXYConfig) *TableXY {
 	if t.Wrap() {
 		panic("routing: TableXY requires a mesh, not a torus")
 	}
 	ta := &TableXY{
-		xy:      NewXY(t),
-		flagged: make([]bool, t.NumTerminals()),
-		paths:   NewFaultTable(t, FaultTableConfig{Big: cfg.Big, EscapeThreshold: cfg.EscapeThreshold}),
+		xy:          NewXY(t),
+		flagged:     make([]bool, t.NumTerminals()),
+		escapeAfter: escapeThreshold(cfg.EscapeThreshold),
+		paths:       newMinimalPaths(t, cfg.Big),
 	}
+	ta.paths.build(nil)
 	for _, f := range cfg.Flagged {
 		ta.flagged[f] = true
 	}
@@ -88,7 +90,7 @@ func (ta *TableXY) ClassVCs(class, numVCs int) (int, int) {
 
 func (ta *TableXY) NextHop(r, src, dst, class int) Decision {
 	if class == classTable {
-		return ta.paths.NextHop(r, src, dst, classTable)
+		return Decision{OutPort: ta.paths.hop(r, dst), VCClass: classTable}
 	}
 	d := ta.xy.NextHop(r, src, dst, 0)
 	d.VCClass = class
@@ -103,8 +105,8 @@ func (ta *TableXY) EscapeHop(r, src, dst int) Decision {
 }
 
 // EscapeThreshold returns the VA starvation limit in cycles.
-func (ta *TableXY) EscapeThreshold() int { return ta.paths.EscapeThreshold() }
+func (ta *TableXY) EscapeThreshold() int { return ta.escapeAfter }
 
 // PathRouters returns the sequence of routers a table-routed packet visits
 // from terminal src to terminal dst, for tests and path diagnostics.
-func (ta *TableXY) PathRouters(src, dst int) []int { return ta.paths.PathRouters(src, dst) }
+func (ta *TableXY) PathRouters(src, dst int) []int { return ta.paths.pathRouters(src, dst) }

@@ -27,7 +27,6 @@ func (m *CMesh) Radix(r int) int        { return 4 + m.c }
 func (m *CMesh) Dims() (int, int)       { return m.mesh.Dims() }
 func (m *CMesh) Coord(r int) (int, int) { return m.mesh.Coord(r) }
 func (m *CMesh) RouterAt(x, y int) int  { return m.mesh.RouterAt(x, y) }
-func (m *CMesh) Concentration() int     { return m.c }
 
 func (m *CMesh) Neighbor(r, p int) (Link, bool) {
 	if p >= PortLocal {

@@ -34,7 +34,6 @@ func (f *FBfly) Radix(r int) int        { return (f.w - 1) + (f.h - 1) + f.c }
 func (f *FBfly) Dims() (int, int)       { return f.w, f.h }
 func (f *FBfly) Coord(r int) (int, int) { return r % f.w, r / f.w }
 func (f *FBfly) RouterAt(x, y int) int  { return y*f.w + x }
-func (f *FBfly) Concentration() int     { return f.c }
 
 // RowPort returns the output port at router r that reaches column dstX in
 // the same row. It panics when dstX is the router's own column.

@@ -1,7 +1,5 @@
 package topology
 
-import "sort"
-
 // LinkState overlays a Topology with per-link and per-router liveness.
 // Links are bidirectional for failure purposes: failing either direction
 // marks both down, matching a fail-stop physical link. The zero state is
@@ -75,30 +73,6 @@ func (ls *LinkState) RouterFailed(r int) bool { return ls.deadRouter[r] }
 // NumDownLinks returns the number of failed bidirectional links (a failed
 // router contributes each of its links once).
 func (ls *LinkState) NumDownLinks() int { return ls.downLinks }
-
-// DownDirected lists every dead directed network port as (router, port)
-// pairs in ascending order. Each failed bidirectional link appears twice,
-// once per direction.
-func (ls *LinkState) DownDirected() [][2]int {
-	var out [][2]int
-	for r := range ls.down {
-		for p, d := range ls.down[r] {
-			if !d {
-				continue
-			}
-			if _, ok := ls.topo.Neighbor(r, p); ok {
-				out = append(out, [2]int{r, p})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
 
 // Clone returns an independent copy.
 func (ls *LinkState) Clone() *LinkState {

@@ -201,10 +201,9 @@ func (m *Morph) Pos() int64 { return m.pos }
 // morphStateVersion tags Morph state snapshots.
 const morphStateVersion = 1
 
-// SaveState captures the morph RNG word plus the source's snapshot.
-// Returns nil — "state not supported, replay instead" — when the source
-// is not Stateful, so wrapping never silently breaks O(1) restore
-// detection (see cmp.WarmSnapshot).
+// SaveState captures the morph RNG word plus the source's snapshot. It
+// returns nil when the source is not Stateful: such a morph has no
+// position state, and cmp.WarmSnapshot refuses it.
 func (m *Morph) SaveState() []byte {
 	st, ok := m.src.(Stateful)
 	if !ok {

@@ -161,8 +161,8 @@ func TestMorphStateful(t *testing.T) {
 		t.Error("short state accepted")
 	}
 
-	// A non-stateful source degrades to the replay contract: SaveState
-	// returns nil (cmp falls back to Next replay), RestoreState errors.
+	// A non-stateful source leaves the morph without position state:
+	// SaveState returns nil and RestoreState errors.
 	bare := NewMorph(&bareReader{r: NewGenerator(p, 0, 128)}, spec, 16, 128, 42)
 	if st := bare.SaveState(); st != nil {
 		t.Fatalf("SaveState on bare source: %v", st)

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // Entry is one trace record: Gap non-memory instructions followed by one
@@ -38,9 +37,9 @@ type BatchReader interface {
 
 // Stateful is a Reader whose complete position — RNG register, address
 // walk, file offset — can be captured and restored in O(1), without
-// replaying the stream. cmp warm-checkpoint restore uses this to land
-// readers on their post-warmup position directly instead of calling
-// Next() in an O(warmup-length) replay loop.
+// replaying the stream. cmp warm checkpoints store every reader's
+// position this way; a reader that is not Stateful cannot be
+// checkpointed, and warms directly instead.
 type Stateful interface {
 	Reader
 	// SaveState returns an opaque snapshot of the reader's position.
@@ -353,12 +352,4 @@ func (g *URGenerator) RestoreState(state []byte) error {
 	}
 	g.next = next
 	return nil
-}
-
-// SortedProfileNames returns all names sorted (for stable iteration in
-// diagnostics).
-func SortedProfileNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

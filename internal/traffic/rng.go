@@ -2,22 +2,14 @@ package traffic
 
 import "math/rand"
 
-// newRNG returns a deterministic source for a given seed so every
-// experiment is reproducible run to run.
-func newRNG(seed int64) *rand.Rand {
-	if seed == 0 {
-		seed = 42
-	}
-	return rand.New(rand.NewSource(seed))
-}
-
 // countingSource wraps the standard source and counts Int63 draws, so a
 // suspended run can record its RNG position and a resume can replay to
 // it. It deliberately does NOT implement rand.Source64: rand.Rand then
 // derives every variate (Float64, Intn, Uint64, ...) from Int63 alone,
 // which makes "number of Int63 calls" a complete description of the
 // stream position — and keeps the sequence bit-identical to the plain
-// newRNG source used before suspension existed.
+// rand.NewSource source the runs used before suspension existed. Seed 0
+// means 42.
 type countingSource struct {
 	src rand.Source
 	n   uint64

@@ -72,8 +72,9 @@ type RunResult struct {
 	RouterAttr [][noc.NumAttrBuckets]int64
 }
 
-// Run drives net with the configured traffic until the measurement quota is
-// met, then drains in-flight measured packets.
+// Run drives net with the configured traffic: warmup packets first, then
+// measurement until MeasurePackets have been received or MaxCycles pass.
+// It does not drain: packets still in flight at the end are not counted.
 func Run(net *noc.Network, cfg RunConfig) (RunResult, error) {
 	return RunCtx(context.Background(), net, cfg)
 }
@@ -231,41 +232,9 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 	return res, nil
 }
 
-// Sweep runs a load sweep over injection rates and returns one result per
-// rate. buildNet must return a fresh network for each point.
+// SweepPoint is one measured point of a load sweep: the injection rate
+// and the run's result.
 type SweepPoint struct {
 	Rate   float64
 	Result RunResult
-}
-
-// Sweep measures the network across the given injection rates. selfSimilar
-// selects the Pareto on/off process instead of Bernoulli.
-func Sweep(buildNet func() (*noc.Network, error), pattern func(n *noc.Network) Pattern,
-	rates []float64, dataFlits, warmup, measure int, selfSimilar bool, seed int64) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, r := range rates {
-		net, err := buildNet()
-		if err != nil {
-			return nil, err
-		}
-		var proc Process
-		if selfSimilar {
-			proc = NewSelfSimilar(net.Config().Topo.NumTerminals(), r)
-		} else {
-			proc = Bernoulli{P: r}
-		}
-		res, err := Run(net, RunConfig{
-			Pattern:        pattern(net),
-			Process:        proc,
-			DataFlits:      dataFlits,
-			WarmupPackets:  warmup,
-			MeasurePackets: measure,
-			Seed:           seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Rate: r, Result: res})
-	}
-	return out, nil
 }

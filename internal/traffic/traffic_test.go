@@ -215,18 +215,30 @@ func TestRunDetectsSaturation(t *testing.T) {
 	}
 }
 
+// TestSweepMonotoneLatency runs two points of a load sweep, each on a
+// fresh network, and requires latency to grow with load.
 func TestSweepMonotoneLatency(t *testing.T) {
-	pts, err := Sweep(buildBaseline, func(n *noc.Network) Pattern { return UniformRandom{N: 64} },
-		[]float64{0.005, 0.03}, 6, 100, 1500, false, 1)
-	if err != nil {
-		t.Fatal(err)
+	var lat []float64
+	for _, rate := range []float64{0.005, 0.03} {
+		net, err := buildBaseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(net, RunConfig{
+			Pattern:        UniformRandom{N: 64},
+			Process:        Bernoulli{P: rate},
+			DataFlits:      6,
+			WarmupPackets:  100,
+			MeasurePackets: 1500,
+			Seed:           1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat = append(lat, res.AvgLatency)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[1].Result.AvgLatency <= pts[0].Result.AvgLatency {
-		t.Errorf("latency did not grow with load: %.2f -> %.2f",
-			pts[0].Result.AvgLatency, pts[1].Result.AvgLatency)
+	if lat[1] <= lat[0] {
+		t.Errorf("latency did not grow with load: %.2f -> %.2f", lat[0], lat[1])
 	}
 }
 

@@ -17,7 +17,8 @@
 //
 // Restored and directly-warmed systems are bit-identical (pinned by the
 // cmp snapshot tests and TestFigureOutputIdenticalWithWarmupSharing), so
-// run output cannot depend on the sharing toggle.
+// run output cannot depend on whether the run cache, and with it sharing,
+// is enabled (-nocache warms every run directly).
 package warm
 
 import (
@@ -31,21 +32,9 @@ import (
 	"heteronoc/internal/trace"
 )
 
-var (
-	sharing atomic.Bool
-
-	// restores / fallbacks let tests assert the sharing path actually ran
-	// rather than silently falling back.
-	restores  atomic.Int64
-	fallbacks atomic.Int64
-)
-
-func init() { sharing.Store(true) }
-
-// SetSharing toggles checkpoint-based warmup sharing (the -nowarmshare
-// flag of cmd/experiments). Output is identical either way; off means
-// every run replays its own warmup trace.
-func SetSharing(on bool) { sharing.Store(on) }
+// restores / fallbacks let tests assert the sharing path actually ran
+// rather than silently falling back.
+var restores, fallbacks atomic.Int64
 
 // Stats returns how many runs restored a shared warm checkpoint and how
 // many fell back to a direct warmup.
@@ -68,11 +57,11 @@ func Key(bench string, n, entries, lineBytes int, prefetch bool) string {
 }
 
 // System brings the freshly built s to its post-warmup state, via a shared
-// checkpoint when sharing is enabled and applicable. Equivalent to
+// checkpoint when the run cache is enabled. Equivalent to
 // s.Warmup(ctx, entries) bit for bit. When ctx ends first it returns
 // ctx's error, and s must then be discarded (see cmp.System.Warmup).
 func System(ctx context.Context, s *cmp.System, l core.Layout, bench string, entries int) error {
-	if !sharing.Load() || !runcache.Enabled() || entries <= 0 {
+	if !runcache.Enabled() || entries <= 0 {
 		return s.Warmup(ctx, entries)
 	}
 	n := l.Mesh.NumTerminals()
@@ -96,10 +85,15 @@ func System(ctx context.Context, s *cmp.System, l core.Layout, bench string, ent
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Defensive: a failed restore degrades to the direct path, which
-	// produces the identical state (just slower).
+	// A restore refused before its first write (no checkpoint, a version
+	// or shape mismatch, a reader without position state) left s as
+	// built, so a direct warmup reaches the identical state. A restore
+	// that failed later left s unusable, and Warmup returns that error.
+	if err := s.Warmup(ctx, entries); err != nil {
+		return err
+	}
 	fallbacks.Add(1)
-	return s.Warmup(ctx, entries)
+	return nil
 }
 
 // template builds a minimal system to generate a warm checkpoint: the
