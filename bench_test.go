@@ -237,7 +237,7 @@ func BenchmarkNetworkCycleSampled(b *testing.B) {
 	}
 	reg := obs.NewRegistry()
 	net.RegisterMetrics(reg)
-	noc.NewSampler(net, noc.SampleConfig{PerRouter: true}).Attach()
+	noc.NewSampler(net, 0).Attach()
 	gen := traffic.UniformRandom{N: 64}
 	proc := traffic.Bernoulli{P: 0.03}
 	rng := newBenchRng()

@@ -1,11 +1,10 @@
 // Command dse explores the big-router design space.
 //
-// Three modes:
+// Two modes:
 //
 //   - Default: the 4x4 exhaustive sweep of Section 2 (footnote 4) —
 //     enumerate placements, score each with a short uniform-random probe,
 //     report the best layouts and where the diagonal ranks.
-//   - -anneal N: simulated annealing on the 8x8/16-big space.
 //   - -search: the NSGA-II multi-objective search over {latency, power,
 //     area} with a resumable frontier file (-frontier). Killed searches
 //     resume exactly; finished searches extend when -generations grows.
@@ -15,7 +14,6 @@
 // Usage:
 //
 //	dse [-big 4] [-max 100] [-packets 1500] [-rate 0.06] [-bl] [-workload hotspot]
-//	dse -anneal 400
 //	dse -search -w 8 -h 8 -minbig 12 -maxbig 16 -pop 24 -generations 20 \
 //	    -budget 900 -frontier search.hndse [-server http://host:8080]
 //
@@ -41,7 +39,6 @@ func main() {
 	packets := flag.Int("packets", 1500, "measured packets per probe")
 	rate := flag.Float64("rate", 0.06, "probe injection rate")
 	bl := flag.Bool("bl", true, "evaluate +BL (links redistributed) instead of +B")
-	anneal := flag.Int("anneal", 0, "instead of the 4x4 sweep, run N simulated-annealing steps on the 8x8/16-big space")
 	workload := flag.String("workload", "", "probe traffic shape: uniform (default), hotspot, mc-incast, or mixed")
 
 	search := flag.Bool("search", false, "run the multi-objective evolutionary search instead of the exhaustive sweep")
@@ -76,38 +73,17 @@ func main() {
 		return
 	}
 
-	if *anneal > 0 {
-		res, err := dse.Anneal(dse.AnnealConfig{
-			Eval: dse.EvalConfig{
-				W: 8, H: 8, BigCount: 16, LinkRedist: *bl,
-				InjectionRate: *rate, Packets: *packets, Seed: 7,
-				Workload: *workload,
-			},
-			Steps: *anneal,
-			Seed:  11,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("8x8 anneal over %d steps (%d accepted)\n", res.Steps, res.Accepted)
-		fmt.Printf("random start: %.1f cycles\n", res.Initial.AvgLatency)
-		fmt.Printf("best found:   %.1f cycles at %v\n", res.Best.AvgLatency, res.Best.Big)
-		return
-	}
-
 	fmt.Printf("placements of %d big routers on 4x4: %s total (paper footnote 4)\n",
 		*bigCount, dse.Combinations(16, *bigCount))
 	res, err := dse.Explore(dse.EvalConfig{
 		W: 4, H: 4,
-		BigCount:       *bigCount,
-		LinkRedist:     *bl,
-		InjectionRate:  *rate,
-		Packets:        *packets,
-		ReduceSymmetry: true,
-		MaxCandidates:  *maxCand,
-		Seed:           7,
-		Workload:       *workload,
+		BigCount:      *bigCount,
+		LinkRedist:    *bl,
+		InjectionRate: *rate,
+		Packets:       *packets,
+		MaxCandidates: *maxCand,
+		Seed:          7,
+		Workload:      *workload,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -55,7 +55,6 @@ func main() {
 		Topo:           topo,
 		Routing:        alg,
 		Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 100000,
 	})
 	if err != nil {
@@ -64,7 +63,7 @@ func main() {
 	}
 	var sampler *noc.Sampler
 	if *tsPath != "" {
-		sampler = noc.NewSampler(net, noc.SampleConfig{Stride: *stride, PerRouter: true})
+		sampler = noc.NewSampler(net, *stride)
 		sampler.Attach()
 	}
 	res, err := traffic.Run(net, traffic.RunConfig{

@@ -209,7 +209,7 @@ func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
 		ob.net.Store(net)
 		reg := obs.NewRegistry()
 		net.RegisterMetrics(reg)
-		sampler := noc.NewSampler(net, noc.SampleConfig{Stride: ob.stride, PerRouter: true})
+		sampler := noc.NewSampler(net, ob.stride)
 		net.SetOnCycle(func(c int64) {
 			sampler.Tick(c)
 			if c%ob.stride == 0 {

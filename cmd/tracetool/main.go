@@ -371,7 +371,6 @@ func nocrec(args []string) {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 100000,
 	})
 	if err != nil {

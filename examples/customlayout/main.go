@@ -1,7 +1,7 @@
 // Customlayout shows the programmable side of the library: define a
 // heterogeneous layout from a JSON spec, check the paper's Section 2
-// resource constraints against it, measure it, and then let the simulated
-// annealer search for a better placement with the same budget.
+// resource constraints against it, measure it, and then let a short
+// placement search look for a better layout with the same budget.
 package main
 
 import (
@@ -54,23 +54,27 @@ func main() {
 	fmt.Printf("UR @0.048: %-10s %.1f cycles\n", l.Name, custom)
 	fmt.Printf("UR @0.048: %-10s %.1f cycles\n\n", "Diagonal+BL", diag)
 
-	fmt.Println("annealing 40 steps over the 8x8 placement space...")
-	ann, err := dse.Anneal(dse.AnnealConfig{
+	fmt.Println("searching 8x8 placements of 16 big routers (5 generations of 8)...")
+	found, err := dse.Search(dse.SearchConfig{
 		Eval: dse.EvalConfig{
-			W: 8, H: 8, BigCount: 16, LinkRedist: true,
+			W: 8, H: 8, LinkRedist: true,
 			InjectionRate: 0.048, Packets: 2000, Seed: 7,
 		},
-		Steps: 40,
-		Seed:  3,
+		MinBig: 16, MaxBig: 16,
+		PopSize: 8, Generations: 5,
+		Seed: 3,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("best found: %.1f cycles at %v\n", ann.Best.AvgLatency, ann.Best.Big)
-	best := core.NewCustom("annealed", 8, 8, ann.Best.Big, true)
-	data, err := core.LayoutJSON(best)
+	if len(found.Front) == 0 {
+		log.Fatalf("every one of the %d probed placements saturated", found.ArchiveSize)
+	}
+	best := found.Front[0]
+	fmt.Printf("best found: %.1f cycles at %v (%d placements probed)\n", best.AvgLatency, best.Big, found.Evals)
+	data, err := core.LayoutJSON(core.NewCustom("searched", 8, 8, best.Big, true))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nspec of the annealed layout:\n%s\n", data)
+	fmt.Printf("\nspec of the latency-best layout:\n%s\n", data)
 }

@@ -82,14 +82,11 @@ func (s *System) WarmSnapshot() ([]byte, error) {
 		}
 	}
 	for _, tile := range s.Tiles {
-		var state []byte
-		if st, ok := s.cfg.Traces[tile.ID].(trace.Stateful); ok {
-			state = st.SaveState()
-		}
-		if state == nil {
+		st, ok := s.cfg.Traces[tile.ID].(trace.Stateful)
+		if !ok {
 			return nil, fmt.Errorf("cmp: WarmSnapshot: reader %d has no position state", tile.ID)
 		}
-		w.Bytes(state)
+		w.Bytes(st.SaveState())
 	}
 	return w.Finish(), nil
 }

@@ -230,15 +230,6 @@ func (l Layout) Counts() (baseline, small, big int) {
 	return
 }
 
-// FlitWidthBits returns the network flit width: 192 bits for the baseline
-// and the buffer-only (+B) designs, 128 bits when links are redistributed.
-func (l Layout) FlitWidthBits() int {
-	if l.IsHetero() && l.LinkRedist {
-		return 128
-	}
-	return 192
-}
-
 // FreqGHz returns the network clock: the paper runs heterogeneous networks
 // at the worst-case (big router) frequency.
 func (l Layout) FreqGHz() float64 {
@@ -305,7 +296,6 @@ func (l Layout) NetworkWith(alg routing.Algorithm) (*noc.Network, error) {
 		Topo:           l.Mesh,
 		Routing:        alg,
 		Routers:        l.RouterConfigs(),
-		FlitWidthBits:  l.FlitWidthBits(),
 		WatchdogCycles: 100000,
 	})
 }

@@ -135,16 +135,22 @@ func TestPowerInequality(t *testing.T) {
 	}
 }
 
+// bufferWidth is the layout's flit buffer width in bits.
+func bufferWidth(l Layout) int {
+	res := l.Accounting()
+	return res.BufferBits / res.BufferCnt
+}
+
 func TestFlitWidthAndFrequency(t *testing.T) {
 	base := NewBaseline(8, 8)
-	if base.FlitWidthBits() != 192 || base.DataPacketFlits() != 6 {
+	if bufferWidth(base) != 192 || base.DataPacketFlits() != 6 {
 		t.Error("baseline flit geometry wrong")
 	}
 	if base.FreqGHz() != 2.20 {
 		t.Error("baseline frequency wrong")
 	}
 	bl := NewLayout(PlacementDiagonal, 8, 8, true)
-	if bl.FlitWidthBits() != 128 {
+	if bufferWidth(bl) != 128 {
 		t.Error("+BL datapath width must be 128 bits")
 	}
 	if bl.DataPacketFlits() != 6 {
@@ -154,7 +160,7 @@ func TestFlitWidthAndFrequency(t *testing.T) {
 		t.Error("+BL frequency wrong")
 	}
 	b := NewLayout(PlacementDiagonal, 8, 8, false)
-	if b.FlitWidthBits() != 192 || b.DataPacketFlits() != 6 {
+	if bufferWidth(b) != 192 || b.DataPacketFlits() != 6 {
 		t.Error("+B must keep 192-bit flits")
 	}
 	if b.FreqGHz() != 2.07 {

@@ -71,7 +71,7 @@ func TestSpecBaselineWhenNoBig(t *testing.T) {
 	if l.IsHetero() {
 		t.Error("empty big set should build the homogeneous baseline")
 	}
-	if l.FlitWidthBits() != 192 {
+	if bufferWidth(l) != 192 {
 		t.Error("baseline width wrong")
 	}
 }

@@ -7,9 +7,7 @@ package dse
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
-	"math/rand"
 	"sort"
 
 	"heteronoc/internal/core"
@@ -165,8 +163,6 @@ type EvalConfig struct {
 	// Packets to measure per candidate (short probes; the paper ran
 	// thousands of these).
 	Packets int
-	// ReduceSymmetry prunes dihedral-equivalent placements.
-	ReduceSymmetry bool
 	// MaxCandidates bounds the sweep (0 = all).
 	MaxCandidates int
 	Seed          int64
@@ -175,27 +171,11 @@ type EvalConfig struct {
 	// "mc-incast" for corner incast — so the search can optimize a
 	// placement for the adversarial classes, not just UR. "mixed" scores
 	// the mean of a uniform probe at InjectionRate plus hotspot and
-	// mc-incast probes at MixedAdversarialFrac times that rate, mirroring
-	// how the paper judges layouts across its uniform, hotspot and
-	// memory-traffic classes: a placement has to serve the bulk load, the
-	// hot center and the converging MC traffic at once.
+	// mc-incast probes at 0.3 times that rate, mirroring how the paper
+	// judges layouts across its uniform, hotspot and memory-traffic
+	// classes: a placement has to serve the bulk load, the hot center and
+	// the converging MC traffic at once.
 	Workload string
-	// MixedAdversarialFrac scales the hotspot and incast components of a
-	// "mixed" probe relative to InjectionRate (default 0.3 — both
-	// patterns saturate far earlier than UR).
-	MixedAdversarialFrac float64
-	// Bench switches the probe from synthetic traffic to a full CMP run
-	// of the named workload (trace.WorkloadTraces). The injection-rate,
-	// packet and workload knobs above are ignored; CMPCycles and
-	// WarmupEntries govern the run instead. Each candidate restores the
-	// layout-independent shared warm checkpoint (internal/warm), so a
-	// cold evaluation costs one network simulation, not a warmup replay.
-	Bench string
-	// CMPCycles is the measured run length of a Bench evaluation.
-	CMPCycles int
-	// WarmupEntries is the per-core warmup budget of a Bench evaluation;
-	// all candidates of one search share a single warm checkpoint.
-	WarmupEntries int
 }
 
 // probePattern maps the Workload knob to a traffic pattern.
@@ -216,11 +196,11 @@ func probePattern(cfg EvalConfig) (traffic.Pattern, error) {
 	}
 }
 
-// Explore scores placements and returns them sorted best first. The
-// enumeration order is deterministic, so the candidate list is fixed before
-// any simulation runs; the probe simulations are then independent
-// (fixed-seed, one network each) and fan out on the par worker pool without
-// affecting any score.
+// Explore scores the symmetry-reduced placements and returns them sorted
+// best first. The enumeration order is deterministic, so the candidate
+// list is fixed before any simulation runs; the probe simulations are then
+// independent (fixed-seed, one network each) and fan out on the par worker
+// pool without affecting any score.
 func Explore(cfg EvalConfig) ([]Candidate, error) {
 	return ExploreCtx(context.Background(), cfg)
 }
@@ -229,7 +209,7 @@ func Explore(cfg EvalConfig) ([]Candidate, error) {
 // candidate probes (dispatch stops) and inside each probe's step loop.
 func ExploreCtx(ctx context.Context, cfg EvalConfig) ([]Candidate, error) {
 	var sets [][]int
-	Enumerate(cfg.W, cfg.H, cfg.BigCount, cfg.ReduceSymmetry, func(big []int) bool {
+	Enumerate(cfg.W, cfg.H, cfg.BigCount, true, func(big []int) bool {
 		sets = append(sets, big)
 		return cfg.MaxCandidates == 0 || len(sets) < cfg.MaxCandidates
 	})
@@ -249,16 +229,13 @@ func ExploreCtx(ctx context.Context, cfg EvalConfig) ([]Candidate, error) {
 }
 
 // EvaluateCtx scores a single placement with a short probe (uniform
-// random unless cfg names another workload or a CMP benchmark). Probes are
-// deterministic (fixed seed, fixed configuration), so scores are memoized
-// in runcache: Anneal revisiting a placement, or an Explore re-run in the
-// same process, reuses the first probe. The probe's step loop observes ctx
-// at cycle-batch granularity, and the probe checkpoint-suspends under its
+// random unless cfg names another workload). Probes are deterministic
+// (fixed seed, fixed configuration), so scores are memoized in runcache: a
+// search revisiting a placement, or an Explore re-run in the same process,
+// reuses the first probe. The probe's step loop observes ctx at
+// cycle-batch granularity, and the probe checkpoint-suspends under its
 // cache key like any other network run.
 func EvaluateCtx(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, error) {
-	if cfg.Bench != "" {
-		return evaluateCMPCached(ctx, cfg, bigSet)
-	}
 	if cfg.Workload == "mixed" {
 		return evaluateMixed(ctx, cfg, bigSet)
 	}
@@ -284,17 +261,15 @@ func EvaluateCtx(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, 
 // search shares probes with pure-workload searches and re-runs cost zero
 // simulation.
 func evaluateMixed(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, error) {
-	frac := cfg.MixedAdversarialFrac
-	if frac <= 0 {
-		frac = 0.3
-	}
+	// Both adversarial patterns saturate far earlier than UR, so they run
+	// at this fraction of InjectionRate.
+	const mixedAdversarialFrac = 0.3
 	parts := make([]Candidate, 3)
 	for i, wl := range []string{"uniform", "hotspot", "mc-incast"} {
 		sub := cfg
 		sub.Workload = wl
-		sub.MixedAdversarialFrac = 0
 		if wl != "uniform" {
-			sub.InjectionRate = cfg.InjectionRate * frac
+			sub.InjectionRate = cfg.InjectionRate * mixedAdversarialFrac
 		}
 		c, err := EvaluateCtx(ctx, sub, bigSet)
 		if err != nil {
@@ -369,93 +344,4 @@ func DiagonalScore(results []Candidate, w, h int) (rank int, found bool) {
 		}
 	}
 	return 0, false
-}
-
-// Anneal searches the 8x8 placement space the paper calls infeasible to
-// sweep (C(64,16) = 4.89e14 candidates) with simulated annealing: start
-// from a random placement of BigCount big routers, propose single-router
-// swaps, and accept uphill moves with a falling temperature. The returned
-// history lets callers check convergence; the final candidate is the best
-// placement seen.
-type AnnealConfig struct {
-	Eval  EvalConfig
-	Steps int
-	// Seed drives both the proposal chain and the acceptance draws.
-	Seed int64
-	// StartTemp is the initial acceptance temperature in latency cycles.
-	StartTemp float64
-}
-
-// AnnealResult reports the search outcome.
-type AnnealResult struct {
-	Best     Candidate
-	Initial  Candidate
-	Accepted int
-	Steps    int
-}
-
-// Anneal runs the search. It is deterministic for a given configuration.
-func Anneal(cfg AnnealConfig) (AnnealResult, error) {
-	return AnnealCtx(context.Background(), cfg)
-}
-
-// AnnealCtx is Anneal with cooperative cancellation between (and inside)
-// the chain's probe evaluations.
-func AnnealCtx(ctx context.Context, cfg AnnealConfig) (AnnealResult, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.Eval.W * cfg.Eval.H
-	k := cfg.Eval.BigCount
-	if cfg.Steps <= 0 {
-		cfg.Steps = 50
-	}
-	if cfg.StartTemp <= 0 {
-		cfg.StartTemp = 5
-	}
-	// Random initial placement.
-	perm := rng.Perm(n)
-	cur := append([]int(nil), perm[:k]...)
-	sort.Ints(cur)
-	curCand, err := EvaluateCtx(ctx, cfg.Eval, cur)
-	if err != nil {
-		return AnnealResult{}, err
-	}
-	res := AnnealResult{Best: curCand, Initial: curCand, Steps: cfg.Steps}
-	for step := 0; step < cfg.Steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return AnnealResult{}, err
-		}
-		temp := cfg.StartTemp * (1 - float64(step)/float64(cfg.Steps))
-		// Propose: swap one big router with one small position.
-		next := append([]int(nil), cur...)
-		inSet := map[int]bool{}
-		for _, r := range next {
-			inSet[r] = true
-		}
-		out := rng.Intn(k)
-		var repl int
-		for {
-			repl = rng.Intn(n)
-			if !inSet[repl] {
-				break
-			}
-		}
-		next[out] = repl
-		sort.Ints(next)
-		cand, err := EvaluateCtx(ctx, cfg.Eval, next)
-		if err != nil {
-			return AnnealResult{}, err
-		}
-		delta := cand.AvgLatency - curCand.AvgLatency
-		if cand.Saturated && !curCand.Saturated {
-			delta += 1000 // saturation is always a big step backwards
-		}
-		if delta <= 0 || (temp > 0 && rng.Float64() < math.Exp(-delta/temp)) {
-			cur, curCand = next, cand
-			res.Accepted++
-		}
-		if !curCand.Saturated && (res.Best.Saturated || curCand.AvgLatency < res.Best.AvgLatency) {
-			res.Best = curCand
-		}
-	}
-	return res, nil
 }

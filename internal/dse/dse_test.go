@@ -1,9 +1,6 @@
 package dse
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestCombinationsMatchPaper(t *testing.T) {
 	// Footnote 4: 1820, 8008 and 12870 candidate placements on a 4x4 mesh.
@@ -75,7 +72,7 @@ func TestExploreRanksCandidates(t *testing.T) {
 	res, err := Explore(EvalConfig{
 		W: 4, H: 4, BigCount: 4, LinkRedist: true,
 		InjectionRate: 0.05, Packets: 400,
-		ReduceSymmetry: true, MaxCandidates: 12, Seed: 1,
+		MaxCandidates: 12, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,49 +97,3 @@ func TestDiagonalScore(t *testing.T) {
 		t.Errorf("diagonal rank = %d found=%v, want 2 true", rank, found)
 	}
 }
-
-func TestAnnealImprovesOrMatchesRandomStart(t *testing.T) {
-	cfg := AnnealConfig{
-		Eval: EvalConfig{
-			W: 4, H: 4, BigCount: 4, LinkRedist: true,
-			InjectionRate: 0.05, Packets: 300, Seed: 3,
-		},
-		Steps: 12,
-		Seed:  9,
-	}
-	res, err := Anneal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Best.Big) != 4 {
-		t.Fatalf("best placement %v", res.Best.Big)
-	}
-	if res.Best.AvgLatency > res.Initial.AvgLatency {
-		t.Errorf("anneal ended worse than it started: %.1f vs %.1f",
-			res.Best.AvgLatency, res.Initial.AvgLatency)
-	}
-	if res.Accepted == 0 {
-		t.Error("no moves accepted")
-	}
-}
-
-func TestAnnealDeterministic(t *testing.T) {
-	cfg := AnnealConfig{
-		Eval:  EvalConfig{W: 4, H: 4, BigCount: 3, LinkRedist: true, InjectionRate: 0.04, Packets: 200, Seed: 1},
-		Steps: 6,
-		Seed:  2,
-	}
-	a, err := Anneal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Anneal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Best.AvgLatency != b.Best.AvgLatency || fmtInts(a.Best.Big) != fmtInts(b.Best.Big) {
-		t.Errorf("anneal not deterministic: %+v vs %+v", a.Best, b.Best)
-	}
-}
-
-func fmtInts(xs []int) string { return fmt.Sprint(xs) }

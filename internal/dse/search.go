@@ -137,16 +137,9 @@ func (cfg SearchConfig) configString() string {
 	if wl == "" {
 		wl = "uniform"
 	}
-	s := fmt.Sprintf("dse-search|v1|%dx%d|bl=%t|r=%g|p=%d|probeseed=%d|wl=%s|big=%d..%d|pop=%d|seed=%d|area=%.6f",
+	return fmt.Sprintf("dse-search|v1|%dx%d|bl=%t|r=%g|p=%d|probeseed=%d|wl=%s|big=%d..%d|pop=%d|seed=%d|area=%.6f",
 		e.W, e.H, e.LinkRedist, e.InjectionRate, e.Packets, e.Seed, wl,
 		cfg.MinBig, cfg.MaxBig, cfg.PopSize, cfg.Seed, cfg.AreaBudget)
-	if e.Workload == "mixed" && e.MixedAdversarialFrac > 0 {
-		s += fmt.Sprintf("|mf=%g", e.MixedAdversarialFrac)
-	}
-	if e.Bench != "" {
-		s += fmt.Sprintf("|bench=%s|cyc=%d|warm=%d", e.Bench, e.CMPCycles, e.WarmupEntries)
-	}
-	return s
 }
 
 // Search runs the search to completion (see SearchCtx).

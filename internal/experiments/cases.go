@@ -317,11 +317,10 @@ func DSE(ctx context.Context, sc Scale) (*Report, error) {
 	r.Printf("| 8x8: (48, 16) | %s (infeasible to sweep) |\n\n", dse.Combinations(64, 16).String())
 	res, err := dse.ExploreCtx(ctx, dse.EvalConfig{
 		W: 4, H: 4, BigCount: 4, LinkRedist: true,
-		InjectionRate:  0.06,
-		Packets:        sc.DSEPackets,
-		ReduceSymmetry: true,
-		MaxCandidates:  sc.DSECandidates,
-		Seed:           7,
+		InjectionRate: 0.06,
+		Packets:       sc.DSEPackets,
+		MaxCandidates: sc.DSECandidates,
+		Seed:          7,
 	})
 	if err != nil {
 		return nil, err

@@ -68,7 +68,6 @@ func DSESearch(ctx context.Context, sc Scale) (*Report, error) {
 		exh, err := dse.ExploreCtx(ctx, dse.EvalConfig{
 			W: 4, H: 4, BigCount: 8, LinkRedist: true,
 			InjectionRate: 0.06, Packets: sc.DSEPackets, Seed: 7,
-			ReduceSymmetry: true,
 		})
 		if err != nil {
 			return nil, err

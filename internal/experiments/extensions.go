@@ -6,7 +6,6 @@ import (
 	"heteronoc/internal/analytic"
 	"heteronoc/internal/cmp"
 	"heteronoc/internal/core"
-	"heteronoc/internal/dse"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/power"
 	"heteronoc/internal/routing"
@@ -27,7 +26,6 @@ func Extensions() []Runner {
 		{"patterns", "All synthetic traffic patterns", Patterns},
 		{"generality", "HeteroNoC on other non-edge-symmetric topologies", Generality},
 		{"adaptive", "X-Y vs west-first adaptive routing", Adaptive},
-		{"anneal", "Simulated annealing over 8x8 placements", Anneal8x8},
 		{"prefetch", "L1 next-line prefetcher", Prefetch},
 		{"tails", "Latency tail behavior", Tails},
 		{"model", "Analytical cross-validation", Model},
@@ -61,7 +59,6 @@ func ablationNetwork(l core.Layout, wide, split, vcs bool) (*noc.Network, error)
 		Topo:           l.Mesh,
 		Routing:        routing.NewXY(l.Mesh),
 		Routers:        cfgs,
-		FlitWidthBits:  l.FlitWidthBits(),
 		WatchdogCycles: 100000,
 	})
 }
@@ -269,7 +266,7 @@ func Generality(ctx context.Context, sc Scale) (*Report, error) {
 		run := func(cfgs []noc.RouterConfig) (float64, error) {
 			net, err := noc.New(noc.Config{
 				Topo: c.topo, Routing: c.alg, Routers: cfgs,
-				FlitWidthBits: 128, WatchdogCycles: 100000,
+				WatchdogCycles: 100000,
 			})
 			if err != nil {
 				return 0, err
@@ -381,42 +378,6 @@ func Adaptive(ctx context.Context, sc Scale) (*Report, error) {
 	r.Metrics["wf_hetero_reduction_pct"] = stats.PctReduction(het.wf, base.wf)
 	r.Printf("\nThe heterogeneous layout keeps its advantage under adaptive routing (%.1f%% vs %.1f%% with X-Y), supporting the placement-not-routing claim.\n",
 		r.Metrics["wf_hetero_reduction_pct"], r.Metrics["xy_hetero_reduction_pct"])
-	return r, nil
-}
-
-// Anneal8x8 attacks the placement problem the paper declares infeasible to
-// sweep exhaustively (C(64,16) = 4.89e14): simulated annealing over 8x8
-// placements of 16 big routers, compared against the paper's hand-designed
-// diagonal layout.
-func Anneal8x8(ctx context.Context, sc Scale) (*Report, error) {
-	r := newReport("anneal", "Simulated annealing over 8x8 placements (extension)")
-	eval := dse.EvalConfig{
-		W: 8, H: 8, BigCount: 16, LinkRedist: true,
-		InjectionRate: 0.05,
-		Packets:       sc.DSEPackets,
-		Seed:          5,
-	}
-	steps := sc.DSECandidates
-	if steps < 8 {
-		steps = 8
-	}
-	res, err := dse.AnnealCtx(ctx, dse.AnnealConfig{Eval: eval, Steps: steps, Seed: 11})
-	if err != nil {
-		return nil, err
-	}
-	diag, err := dse.EvaluateCtx(ctx, eval, core.BigRouters(core.PlacementDiagonal, 8, 8))
-	if err != nil {
-		return nil, err
-	}
-	r.Printf("| placement | avg latency (cycles) |\n|---|---|\n")
-	r.Printf("| random start | %.1f |\n", res.Initial.AvgLatency)
-	r.Printf("| annealed (%d steps, %d accepted) | %.1f |\n", res.Steps, res.Accepted, res.Best.AvgLatency)
-	r.Printf("| paper diagonal | %.1f |\n\n", diag.AvgLatency)
-	r.Printf("annealed big routers: %v\n", res.Best.Big)
-	r.Metrics["random_latency"] = res.Initial.AvgLatency
-	r.Metrics["annealed_latency"] = res.Best.AvgLatency
-	r.Metrics["diagonal_latency"] = diag.AvgLatency
-	r.Printf("\nThe search improves on random placements; the hand-designed diagonal stays competitive with (or ahead of) what a short automated search finds, supporting the paper's placement analysis.\n")
 	return r, nil
 }
 

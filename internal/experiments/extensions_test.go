@@ -47,7 +47,7 @@ func TestPatternsAllRun(t *testing.T) {
 			t.Errorf("missing pattern %s", p)
 		}
 	}
-	if len(AllWithExtensions()) != 26 {
+	if len(AllWithExtensions()) != 25 {
 		t.Errorf("extensions list wrong: %d", len(AllWithExtensions()))
 	}
 }
@@ -83,19 +83,6 @@ func TestAdaptiveKeepsHeteroAdvantage(t *testing.T) {
 	}
 	if v := r.Metrics["xy_hetero_reduction_pct"]; v <= 0 {
 		t.Errorf("hetero advantage under X-Y = %.1f%%, want positive", v)
-	}
-}
-
-func TestAnneal8x8Runs(t *testing.T) {
-	r, err := Anneal8x8(context.Background(), tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Metrics["annealed_latency"] > r.Metrics["random_latency"] {
-		t.Error("annealing ended worse than the random start")
-	}
-	if r.Metrics["diagonal_latency"] <= 0 {
-		t.Error("diagonal reference missing")
 	}
 }
 

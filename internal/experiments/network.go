@@ -105,7 +105,6 @@ func Fig2(ctx context.Context, sc Scale) (*Report, error) {
 			Topo:           c.topo,
 			Routing:        c.alg,
 			Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-			FlitWidthBits:  192,
 			WatchdogCycles: 100000,
 		})
 		if err != nil {

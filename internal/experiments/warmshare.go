@@ -1,7 +1,6 @@
 package experiments
 
-// Shared cache warmups. The mechanism lives in internal/warm (it is also
-// the design-space search's per-candidate warm-restore path); these
+// Shared cache warmups. The mechanism lives in internal/warm; these
 // wrappers keep the experiments-facing names and wire the Scale's warmup
 // budget through. See the warm package comment for the sharing contract.
 

@@ -21,7 +21,6 @@ func runContention(t *testing.T, improved bool) int64 {
 		Routers: []RouterConfig{{
 			VCs: 3, BufDepth: 5, ImprovedSA: improved,
 		}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 50000,
 	})
 	if err != nil {
@@ -66,7 +65,6 @@ func TestSplitDatapathMovesTwoFlitsPerInput(t *testing.T) {
 			Topo:           m,
 			Routing:        routing.NewXY(m),
 			Routers:        cfgs,
-			FlitWidthBits:  128,
 			WatchdogCycles: 10000,
 		})
 		if err != nil {
@@ -94,7 +92,6 @@ func TestWideOutputNeverExceedsTwoFlitsPerCycle(t *testing.T) {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        []RouterConfig{{VCs: 4, BufDepth: 5, Wide: true, SplitDatapath: true}},
-		FlitWidthBits:  128,
 		WatchdogCycles: 20000,
 	})
 	if err != nil {

@@ -28,7 +28,6 @@ func newHeteroMeshNet(t testing.TB) *Network {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        routers,
-		FlitWidthBits:  128,
 		WatchdogCycles: 10000,
 	})
 	if err != nil {
@@ -240,7 +239,7 @@ func newEscapeMeshNet(t testing.TB) *Network {
 		}
 	}
 	alg := routing.NewTableXY(m, routing.TableXYConfig{Flagged: []int{0, 7, 56, 63}, Big: big, EscapeThreshold: 4})
-	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, FlitWidthBits: 128, WatchdogCycles: 50000})
+	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, WatchdogCycles: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}

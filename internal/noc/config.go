@@ -39,10 +39,6 @@ type Config struct {
 	// Routers holds one entry per router. A single-element slice is
 	// broadcast to all routers.
 	Routers []RouterConfig
-	// FlitWidthBits is the flit (and buffer) width. The kernel moves whole
-	// flits and only checks that it is positive; callers size packets in
-	// flits (core.Layout.DataPacketFlits).
-	FlitWidthBits int
 	// WatchdogCycles aborts the simulation when no flit moves for this many
 	// cycles while packets are in flight (deadlock detection). Zero
 	// disables the watchdog.
@@ -73,9 +69,6 @@ func (c *Config) normalize() error {
 		if rc.VCs < 1 || rc.BufDepth < 1 {
 			return fmt.Errorf("noc: router %d has invalid VCs=%d depth=%d", i, rc.VCs, rc.BufDepth)
 		}
-	}
-	if c.FlitWidthBits <= 0 {
-		return fmt.Errorf("noc: flit width must be positive")
 	}
 	return topology.Validate(c.Topo)
 }

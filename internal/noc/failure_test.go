@@ -64,7 +64,6 @@ func TestWatchdogDetectsInjectedDeadlock(t *testing.T) {
 		Topo:           m,
 		Routing:        cyclicRouting{m},
 		Routers:        []RouterConfig{{VCs: 1, BufDepth: 2}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 300,
 	})
 	if err != nil {
@@ -114,7 +113,7 @@ func TestEscapeVCsEngageUnderTablePressure(t *testing.T) {
 		Big:             big,
 		EscapeThreshold: 4, // aggressive, to force escapes
 	})
-	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, FlitWidthBits: 128, WatchdogCycles: 50000})
+	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, WatchdogCycles: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ func faultMeshNet(t testing.TB, plan *fault.Plan) *Network {
 		Topo:           m,
 		Routing:        routing.NewFaultTable(m, routing.FaultTableConfig{EscapeThreshold: 32}),
 		Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 20000,
 	})
 	if err != nil {
@@ -58,7 +57,6 @@ func TestEmptyPlanMatchesUnarmedRun(t *testing.T) {
 			Topo:           m,
 			Routing:        routing.NewFaultTable(m, routing.FaultTableConfig{}),
 			Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-			FlitWidthBits:  192,
 			WatchdogCycles: 20000,
 		})
 		if err != nil {
@@ -323,7 +321,6 @@ func TestWatchdogErrorDumpsStalledRouters(t *testing.T) {
 		Topo:           m,
 		Routing:        cyclicRouting{m},
 		Routers:        []RouterConfig{{VCs: 1, BufDepth: 2}},
-		FlitWidthBits:  128,
 		WatchdogCycles: 200,
 	})
 	if err != nil {

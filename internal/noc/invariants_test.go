@@ -42,7 +42,6 @@ func TestCreditConservationOnTorus(t *testing.T) {
 		Topo:           m,
 		Routing:        routing.NewTorusXY(m),
 		Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 50000,
 	})
 	if err != nil {

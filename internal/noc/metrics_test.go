@@ -49,7 +49,7 @@ func TestRegisterMetricsLabelsDisambiguate(t *testing.T) {
 
 func TestSamplerWindows(t *testing.T) {
 	n := newMeshNet(t)
-	s := NewSampler(n, SampleConfig{Stride: 50, PerRouter: true})
+	s := NewSampler(n, 50)
 	s.Attach()
 	for cycle := 0; cycle < 400; cycle++ {
 		if cycle%3 == 0 {
@@ -91,7 +91,7 @@ func TestSamplerWindows(t *testing.T) {
 
 func TestSamplerDefaultStride(t *testing.T) {
 	n := newMeshNet(t)
-	s := NewSampler(n, SampleConfig{})
+	s := NewSampler(n, 0)
 	s.Attach()
 	for cycle := 0; cycle < 2500; cycle++ {
 		if err := n.Step(); err != nil {

@@ -17,7 +17,6 @@ func newMeshNet(t testing.TB) *Network {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 10000,
 	})
 	if err != nil {
@@ -174,7 +173,6 @@ func heteroDiagonalNet(t testing.TB) *Network {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        routers,
-		FlitWidthBits:  128,
 		WatchdogCycles: 10000,
 	})
 	if err != nil {
@@ -272,7 +270,6 @@ func TestTorusDatelineNoDeadlock(t *testing.T) {
 		Topo:           m,
 		Routing:        routing.NewTorusXY(m),
 		Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 20000,
 	})
 	if err != nil {
@@ -303,8 +300,8 @@ func TestCMeshAndFBflyDelivery(t *testing.T) {
 	fb := topology.NewFBfly(4, 4, 4)
 	nets := []*Network{}
 	for _, c := range []Config{
-		{Topo: cm, Routing: routing.NewXY(cm), Routers: []RouterConfig{{VCs: 3, BufDepth: 5}}, FlitWidthBits: 192, WatchdogCycles: 10000},
-		{Topo: fb, Routing: routing.NewFBflyRC(fb), Routers: []RouterConfig{{VCs: 3, BufDepth: 5}}, FlitWidthBits: 192, WatchdogCycles: 10000},
+		{Topo: cm, Routing: routing.NewXY(cm), Routers: []RouterConfig{{VCs: 3, BufDepth: 5}}, WatchdogCycles: 10000},
+		{Topo: fb, Routing: routing.NewFBflyRC(fb), Routers: []RouterConfig{{VCs: 3, BufDepth: 5}}, WatchdogCycles: 10000},
 	} {
 		n, err := New(c)
 		if err != nil {
@@ -348,7 +345,7 @@ func TestTableRoutingWithEscapeDelivers(t *testing.T) {
 		}
 	}
 	alg := routing.NewTableXY(m, routing.TableXYConfig{Flagged: []int{0, 7, 56, 63}, Big: big, EscapeThreshold: 32})
-	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, FlitWidthBits: 128, WatchdogCycles: 30000})
+	n, err := New(Config{Topo: m, Routing: alg, Routers: routers, WatchdogCycles: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +428,7 @@ func TestUtilizationHotCenter(t *testing.T) {
 
 func TestWatchdogDisabledByDefault(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	n, err := New(Config{Topo: m, Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 2, BufDepth: 2}}, FlitWidthBits: 128})
+	n, err := New(Config{Topo: m, Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 2, BufDepth: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +460,10 @@ func TestInjectValidation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	bad := []Config{
-		{Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 1, BufDepth: 1}}, FlitWidthBits: 64},
-		{Topo: m, Routers: []RouterConfig{{VCs: 1, BufDepth: 1}}, FlitWidthBits: 64},
-		{Topo: m, Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 0, BufDepth: 1}}, FlitWidthBits: 64},
-		{Topo: m, Routing: routing.NewXY(m), Routers: make([]RouterConfig, 3), FlitWidthBits: 64},
-		{Topo: m, Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 1, BufDepth: 1}}},
+		{Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 1, BufDepth: 1}}},
+		{Topo: m, Routers: []RouterConfig{{VCs: 1, BufDepth: 1}}},
+		{Topo: m, Routing: routing.NewXY(m), Routers: []RouterConfig{{VCs: 0, BufDepth: 1}}},
+		{Topo: m, Routing: routing.NewXY(m), Routers: make([]RouterConfig, 3)},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {

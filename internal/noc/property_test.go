@@ -22,7 +22,6 @@ func TestZeroLoadLatencyProperty(t *testing.T) {
 			Topo:           m,
 			Routing:        routing.NewXY(m),
 			Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-			FlitWidthBits:  192,
 			WatchdogCycles: 5000,
 		})
 		if err != nil {

@@ -6,22 +6,12 @@ import (
 	"heteronoc/internal/obs"
 )
 
-// SampleConfig configures the time-series sampler.
-type SampleConfig struct {
-	// Stride is the sampling period in cycles (default 1000). A sample is
-	// captured on every cycle divisible by Stride.
-	Stride int64
-	// PerRouter adds per-router buffer-occupancy and link-utilization
-	// columns (buf_occ_r<i>, link_util_r<i>) to the global columns.
-	PerRouter bool
-}
-
 // Sampler captures a cycle-windowed time series from a running network:
 // each sample is the state (in-flight flits, queued packets) and windowed
 // rates (flit injection/delivery, wide-link combining, per-router occupancy
-// and utilization) since the previous sample. Wire its Tick into the
-// network's per-cycle hook (Attach does this), then export Series as JSON
-// or CSV for heat-map animation.
+// and utilization in columns buf_occ_r<i> and link_util_r<i>) since the
+// previous sample. Wire its Tick into the network's per-cycle hook (Attach
+// does this), then export Series as JSON or CSV for heat-map animation.
 //
 // Window deltas are computed against the cumulative simulator counters and
 // survive ResetStats: a counter that moved backwards is treated as freshly
@@ -30,7 +20,6 @@ type SampleConfig struct {
 type Sampler struct {
 	n      *Network
 	stride int64
-	perR   bool
 	series *obs.TimeSeries
 
 	lastCycle    int64
@@ -43,24 +32,25 @@ type Sampler struct {
 	row          []float64
 }
 
-// NewSampler builds a sampler for n. Call Attach (or wire Tick into
-// SetOnCycle yourself, composing with other per-cycle work).
-func NewSampler(n *Network, cfg SampleConfig) *Sampler {
-	stride := cfg.Stride
+// NewSampler builds a sampler for n that captures a sample on every cycle
+// divisible by stride (default 1000 when stride <= 0). Call Attach (or
+// wire Tick into SetOnCycle yourself, composing with other per-cycle
+// work).
+func NewSampler(n *Network, stride int64) *Sampler {
 	if stride <= 0 {
 		stride = 1000
 	}
-	s := &Sampler{n: n, stride: stride, perR: cfg.PerRouter, lastCycle: n.cycle}
+	s := &Sampler{
+		n: n, stride: stride, lastCycle: n.cycle,
+		prevBufOcc: make([]int64, len(n.routers)),
+		prevBusy:   make([]int64, len(n.routers)),
+	}
 	cols := []string{"inflight_flits", "queued_packets", "flits_injected", "flits_received", "combine_rate"}
-	if cfg.PerRouter {
-		for r := range n.routers {
-			cols = append(cols, fmt.Sprintf("buf_occ_r%d", r))
-		}
-		for r := range n.routers {
-			cols = append(cols, fmt.Sprintf("link_util_r%d", r))
-		}
-		s.prevBufOcc = make([]int64, len(n.routers))
-		s.prevBusy = make([]int64, len(n.routers))
+	for r := range n.routers {
+		cols = append(cols, fmt.Sprintf("buf_occ_r%d", r))
+	}
+	for r := range n.routers {
+		cols = append(cols, fmt.Sprintf("link_util_r%d", r))
 	}
 	s.series = obs.NewTimeSeries(cols...)
 	s.row = make([]float64, len(cols))
@@ -91,12 +81,10 @@ func (s *Sampler) resync() {
 	s.prevInjected = n.stats.FlitsInjected
 	s.prevReceived = n.stats.FlitsReceived
 	s.prevWideBusy, s.prevCombined = n.wideLinkCounters()
-	if s.perR {
-		for r := range n.routers {
-			rt := &n.routers[r]
-			s.prevBufOcc[r] = rt.bufOccSum
-			s.prevBusy[r] = liveBusySum(rt)
-		}
+	for r := range n.routers {
+		rt := &n.routers[r]
+		s.prevBufOcc[r] = rt.bufOccSum
+		s.prevBusy[r] = liveBusySum(rt)
 	}
 }
 
@@ -166,26 +154,24 @@ func (s *Sampler) Tick(cycle int64) {
 	if dBusy > 0 {
 		row[4] = float64(dComb) / float64(dBusy)
 	}
-	if s.perR {
-		nr := len(n.routers)
-		for r := range n.routers {
-			rt := &n.routers[r]
-			dOcc := delta(rt.bufOccSum, s.prevBufOcc[r])
-			s.prevBufOcc[r] = rt.bufOccSum
-			occ := 0.0
-			if rt.bufSlots > 0 {
-				occ = float64(dOcc) / float64(window) / float64(rt.bufSlots)
-			}
-			row[5+r] = occ
-			busy := liveBusySum(rt)
-			dB := delta(busy, s.prevBusy[r])
-			s.prevBusy[r] = busy
-			util := 0.0
-			if live := liveLinkCount(rt); live > 0 {
-				util = float64(dB) / float64(window) / float64(live)
-			}
-			row[5+nr+r] = util
+	nr := len(n.routers)
+	for r := range n.routers {
+		rt := &n.routers[r]
+		dOcc := delta(rt.bufOccSum, s.prevBufOcc[r])
+		s.prevBufOcc[r] = rt.bufOccSum
+		occ := 0.0
+		if rt.bufSlots > 0 {
+			occ = float64(dOcc) / float64(window) / float64(rt.bufSlots)
 		}
+		row[5+r] = occ
+		busy := liveBusySum(rt)
+		dB := delta(busy, s.prevBusy[r])
+		s.prevBusy[r] = busy
+		util := 0.0
+		if live := liveLinkCount(rt); live > 0 {
+			util = float64(dB) / float64(window) / float64(live)
+		}
+		row[5+nr+r] = util
 	}
 	s.series.Append(cycle, row)
 }

@@ -139,7 +139,6 @@ func snapFuzzNet(t testing.TB) *Network {
 		Topo:           m,
 		Routing:        routing.NewFaultTable(m, routing.FaultTableConfig{EscapeThreshold: 32}),
 		Routers:        []RouterConfig{{VCs: 3, BufDepth: 4}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 20000,
 	})
 	if err != nil {

@@ -205,10 +205,9 @@ func TestSnapshotRejectsMismatchedTarget(t *testing.T) {
 	for _, tc := range []struct{ w, h int }{{4, 4}, {4, 16}} {
 		m := topology.NewMesh(tc.w, tc.h)
 		target, err := New(Config{
-			Topo:          m,
-			Routing:       routing.NewXY(m),
-			Routers:       []RouterConfig{{VCs: 3, BufDepth: 5}},
-			FlitWidthBits: 192,
+			Topo:    m,
+			Routing: routing.NewXY(m),
+			Routers: []RouterConfig{{VCs: 3, BufDepth: 5}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +260,6 @@ func TestSnapshotCompactQuiesced(t *testing.T) {
 			Topo:           m,
 			Routing:        routing.NewXY(m),
 			Routers:        []RouterConfig{{VCs: 3, BufDepth: 5}},
-			FlitWidthBits:  192,
 			WatchdogCycles: 20000,
 		})
 		if err != nil {

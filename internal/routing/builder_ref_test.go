@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"container/heap"
-
-	"heteronoc/internal/topology"
-)
+import "heteronoc/internal/topology"
 
 // This file keeps the original Dijkstra-per-destination builders as a
 // test-only reference implementation. The production tables are built by
@@ -43,20 +39,51 @@ type heapItem struct {
 	v    int
 }
 
-type intHeap []heapItem
-
-func (h intHeap) Len() int { return len(h) }
-func (h intHeap) Less(i, j int) bool {
-	return h[i].prio < h[j].prio || (h[i].prio == h[j].prio && h[i].v < h[j].v)
+func (a heapItem) less(b heapItem) bool {
+	return a.prio < b.prio || (a.prio == b.prio && a.v < b.v)
 }
-func (h intHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// refHeap is a typed binary min-heap on (prio, v). That order is total
+// and Dijkstra never pushes one (prio, v) pair twice, so it pops entries
+// in the one order any correct heap does, without boxing each entry into
+// an interface value.
+type refHeap []heapItem
+
+func (h *refHeap) push(it heapItem) {
+	a := append(*h, it)
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !a[j].less(a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+	*h = a
+}
+
+func (h *refHeap) pop() heapItem {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].less(a[j]) {
+			j = j2
+		}
+		if !a[j].less(a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a
+	return top
 }
 
 // refMinimalToward reports whether moving from router u to adjacent router
@@ -81,9 +108,9 @@ func refTableXYDst(t *topology.Mesh, big []bool, dst int) []int {
 		next[i] = -1
 	}
 	dist[dstR] = 0
-	pq := &intHeap{{0, dstR}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+	pq := refHeap{{0, dstR}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.prio > dist[it.v] {
 			continue
 		}
@@ -104,7 +131,7 @@ func refTableXYDst(t *topology.Mesh, big []bool, dst int) []int {
 			if nd := dist[r] + c; nd < dist[u] {
 				dist[u] = nd
 				next[u] = opposite(p)
-				heap.Push(pq, heapItem{nd, u})
+				pq.push(heapItem{nd, u})
 			}
 		}
 	}
@@ -128,9 +155,9 @@ func refFaultDst(t topology.Topology, ls *topology.LinkState, big []bool, dst in
 		return next
 	}
 	dist[dstR] = 0
-	pq := &intHeap{{0, dstR}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+	pq := refHeap{{0, dstR}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.prio > dist[it.v] {
 			continue
 		}
@@ -148,7 +175,7 @@ func refFaultDst(t topology.Topology, ls *topology.LinkState, big []bool, dst in
 			if nd := dist[r] + c; nd < dist[u] {
 				dist[u] = nd
 				next[u] = int16(link.Port)
-				heap.Push(pq, heapItem{nd, u})
+				pq.push(heapItem{nd, u})
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"heteronoc/internal/dse"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/trace"
 )
 
 // POST /eval turns a nocserved instance into a design-space-search worker:
@@ -59,20 +58,12 @@ const (
 	// isolation cannot recover from.
 	minEvalDim = 2
 	maxEvalDim = 32
-
-	// maxEvalWarmup bounds W·H·WarmupEntries, the accesses a Bench
-	// probe's warmup replays. The warmup stops at the batch's deadline,
-	// but admission does not yet price a request by its cost, so this cap
-	// bounds what one probe may ask for; 2^22 accesses take about 1.4 s
-	// on a 2-vCPU Xeon VM (the full-scale experiments warm 64 × 40,000).
-	maxEvalWarmup = 1 << 22
 )
 
-// checkEvalRequest refuses a batch the simulator cannot run or cannot
-// stop in time: an empty or oversized batch, a mesh dimension outside
-// [minEvalDim, maxEvalDim], a router index outside the mesh, an unknown
-// probe workload or bench, a rate or fraction outside [0, 1], a negative
-// size, or a warmup above maxEvalWarmup accesses.
+// checkEvalRequest refuses a batch the simulator cannot run: an empty or
+// oversized batch, a mesh dimension outside [minEvalDim, maxEvalDim], a
+// router index outside the mesh, an unknown probe workload, a rate outside
+// [0, 1] or a negative packet count.
 func checkEvalRequest(req *EvalRequest) error {
 	if len(req.Sets) == 0 {
 		return errors.New("empty candidate batch")
@@ -97,19 +88,11 @@ func checkEvalRequest(req *EvalRequest) error {
 	default:
 		return fmt.Errorf("unknown probe workload %q", cfg.Workload)
 	}
-	if cfg.Bench != "" {
-		if _, err := trace.NewWorkloadReader(cfg.Bench, 0, 128, w*h); err != nil {
-			return err
-		}
+	if !(cfg.InjectionRate >= 0 && cfg.InjectionRate <= 1) {
+		return fmt.Errorf("injection rate %g must lie in [0, 1]", cfg.InjectionRate)
 	}
-	if !(cfg.InjectionRate >= 0 && cfg.InjectionRate <= 1) || !(cfg.MixedAdversarialFrac >= 0 && cfg.MixedAdversarialFrac <= 1) {
-		return fmt.Errorf("injection rate %g and mixed fraction %g must lie in [0, 1]", cfg.InjectionRate, cfg.MixedAdversarialFrac)
-	}
-	if cfg.Packets < 0 || cfg.CMPCycles < 0 || cfg.WarmupEntries < 0 {
-		return fmt.Errorf("negative packets %d, CMP cycles %d or warmup entries %d", cfg.Packets, cfg.CMPCycles, cfg.WarmupEntries)
-	}
-	if warmup := int64(w*h) * int64(cfg.WarmupEntries); warmup > maxEvalWarmup {
-		return fmt.Errorf("warmup of %d accesses (%dx%d x %d) exceeds limit %d", warmup, w, h, cfg.WarmupEntries, maxEvalWarmup)
+	if cfg.Packets < 0 {
+		return fmt.Errorf("negative packet count %d", cfg.Packets)
 	}
 	return nil
 }
@@ -122,6 +105,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	var req EvalRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+	// A field this server does not know (one a newer or older client
+	// sets) would otherwise be dropped, silently scoring another probe.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return

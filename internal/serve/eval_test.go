@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,8 +68,9 @@ func TestEvalEndpointScoresBatch(t *testing.T) {
 	}
 }
 
-// TestEvalRejectsBadBatches pins the 400 surface: empty batches and absurd
-// mesh dims are refused before touching the queue.
+// TestEvalRejectsBadBatches pins the 400 surface: empty batches, absurd
+// mesh dims and bodies naming a field the server does not know are
+// refused before touching the queue.
 func TestEvalRejectsBadBatches(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
@@ -91,15 +93,9 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 		{Cfg: dse.EvalConfig{W: 1, H: 4}, Sets: [][]int{{0}}}, // 1x4 mesh
 		{Cfg: big, Sets: [][]int{{0}}},                        // mesh above the limit
 		with(func(c *dse.EvalConfig) { c.Workload = "bogus" }),
-		with(func(c *dse.EvalConfig) { c.Bench, c.CMPCycles = "NoSuchBench", 100 }),
-		with(func(c *dse.EvalConfig) { c.Bench, c.WarmupEntries = "SPECjbb", 1_000_000 }), // 16M accesses on 4x4
 		with(func(c *dse.EvalConfig) { c.InjectionRate = 1.5 }),
 		with(func(c *dse.EvalConfig) { c.InjectionRate = -0.1 }),
-		with(func(c *dse.EvalConfig) { c.Workload, c.MixedAdversarialFrac = "mixed", 2 }),
-		with(func(c *dse.EvalConfig) { c.MixedAdversarialFrac = -1 }),
 		with(func(c *dse.EvalConfig) { c.Packets = -5 }),
-		with(func(c *dse.EvalConfig) { c.Bench, c.CMPCycles = "SPECjbb", -1 }),
-		with(func(c *dse.EvalConfig) { c.Bench, c.WarmupEntries = "SPECjbb", -1 }),
 	}
 	for i, req := range cases {
 		_, err := c.Eval(context.Background(), req)
@@ -108,23 +104,26 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 			t.Errorf("case %d: got %v, want 400", i, err)
 		}
 	}
-	// The largest admitted warmup: 4x4 x 2^18 entries = 2^22 accesses.
-	if err := checkEvalRequest(&EvalRequest{Cfg: func() dse.EvalConfig {
-		c := evalTestCfg()
-		c.Bench, c.WarmupEntries = "SPECjbb", 1<<18
-		return c
-	}(), Sets: [][]int{{0}}}); err != nil {
-		t.Errorf("warmup at the limit refused: %v", err)
+	// A field the probe recipe does not have would otherwise be dropped,
+	// scoring another probe than the one asked for.
+	for _, field := range []string{`"Bench":"SPECjbb"`, `"MixedAdversarialFrac":0.5`, `"ReduceSymmetry":true`} {
+		body := `{"cfg":{"W":4,"H":4,"InjectionRate":0.05,"Packets":200,` + field + `},"sets":[[0]]}`
+		resp, err := http.Post(ts.URL+"/eval", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body naming %s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 }
 
-// TestEvalDeadlineStopsWarmup pins that a CMP probe's cache warmup obeys
-// the batch deadline: the largest admitted warmup (4x4 x 2^18 entries,
-// 0.85-1.2 s uncancelled on a 2-vCPU Xeon VM) stops within one warmup
-// batch of a 0.2 s deadline and the batch fails with the timeout. The
-// bound is the deadline plus set-up and one batch of 64 entries per
-// core, so that a warmup that runs to the end fails it on any host
-// less than about twice as fast as that VM.
+// TestEvalDeadlineStopsWarmup pins that a probe obeys the batch deadline:
+// a 50M-packet probe (its warmup phase alone is 5M packets, minutes of
+// simulation) stops within one cycle batch of a 0.2 s deadline and the
+// batch fails with the timeout. The bound is the deadline plus set-up,
+// so a probe that ignored the deadline fails it on any host.
 func TestEvalDeadlineStopsWarmup(t *testing.T) {
 	runcache.Reset()
 	defer runcache.Reset()
@@ -134,7 +133,7 @@ func TestEvalDeadlineStopsWarmup(t *testing.T) {
 	defer ts.Close()
 
 	cfg := evalTestCfg()
-	cfg.Bench, cfg.WarmupEntries, cfg.CMPCycles = "SPECjbb", 1<<18, 1000
+	cfg.Packets = 50_000_000
 	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
 	start := time.Now()
 	_, err := c.Eval(context.Background(), EvalRequest{Cfg: cfg, Sets: [][]int{{0, 5, 10, 15}}, TimeoutSec: 0.2})
@@ -144,7 +143,7 @@ func TestEvalDeadlineStopsWarmup(t *testing.T) {
 		t.Fatalf("got %v, want 408 timeout", err)
 	}
 	if elapsed > 450*time.Millisecond {
-		t.Fatalf("batch with a 0.2 s deadline took %v: the warmup ignored it", elapsed)
+		t.Fatalf("batch with a 0.2 s deadline took %v: the probe ignored it", elapsed)
 	}
 }
 

@@ -124,9 +124,7 @@ func (m MorphSpec) isZero() bool {
 }
 
 // Morph rewrites the entries of an underlying Reader per a MorphSpec.
-// It passes BatchReader through (morphing in place on the batch) and is
-// Stateful whenever the source is: its own state is the single splitmix64
-// word, concatenated with the source's snapshot.
+// It passes BatchReader through (morphing in place on the batch).
 type Morph struct {
 	src       Reader
 	spec      MorphSpec
@@ -136,17 +134,31 @@ type Morph struct {
 	pos       int64
 }
 
+// statefulMorph is a Morph over a Stateful source, and the only morph that
+// is Stateful: its state is the splitmix64 word and the position,
+// concatenated with the source's snapshot.
+type statefulMorph struct {
+	*Morph
+	st Stateful
+}
+
 // NewMorph wraps src. tiles is the home-tile modulus of the target CMP
 // (the line→tile mapping is line % tiles); lineBytes must match the
-// source's address granularity; seed fixes the rewrite decisions.
-func NewMorph(src Reader, spec MorphSpec, tiles, lineBytes int, seed uint64) *Morph {
-	return &Morph{
+// source's address granularity; seed fixes the rewrite decisions. The
+// result is Stateful exactly when src is, so a capability check on it
+// answers for the whole stream.
+func NewMorph(src Reader, spec MorphSpec, tiles, lineBytes int, seed uint64) Reader {
+	m := &Morph{
 		src:       src,
 		spec:      spec,
 		rng:       splitmix64{s: seed},
 		tiles:     uint64(tiles),
 		lineBytes: uint64(lineBytes),
 	}
+	if st, ok := src.(Stateful); ok {
+		return &statefulMorph{Morph: m, st: st}
+	}
+	return m
 }
 
 // morph rewrites one entry, consuming exactly one uniform draw for the
@@ -201,31 +213,22 @@ func (m *Morph) Pos() int64 { return m.pos }
 // morphStateVersion tags Morph state snapshots.
 const morphStateVersion = 1
 
-// SaveState captures the morph RNG word plus the source's snapshot. It
-// returns nil when the source is not Stateful: such a morph has no
-// position state, and cmp.WarmSnapshot refuses it.
-func (m *Morph) SaveState() []byte {
-	st, ok := m.src.(Stateful)
-	if !ok {
-		return nil
-	}
+// SaveState captures the morph RNG word and position plus the source's
+// snapshot.
+func (m *statefulMorph) SaveState() []byte {
 	dst := make([]byte, 0, 1+8+8)
 	dst = append(dst, morphStateVersion)
 	dst = appendU64(dst, m.rng.s)
 	dst = appendU64(dst, uint64(m.pos))
-	return append(dst, st.SaveState()...)
+	return append(dst, m.st.SaveState()...)
 }
 
 // RestoreState repositions the morph and its source.
-func (m *Morph) RestoreState(state []byte) error {
-	st, ok := m.src.(Stateful)
-	if !ok {
-		return fmt.Errorf("trace: morph source is not stateful")
-	}
+func (m *statefulMorph) RestoreState(state []byte) error {
 	if len(state) < 1+8+8 || state[0] != morphStateVersion {
 		return fmt.Errorf("trace: bad morph state (len %d)", len(state))
 	}
-	if err := st.RestoreState(state[17:]); err != nil {
+	if err := m.st.RestoreState(state[17:]); err != nil {
 		return err
 	}
 	m.rng.s = readU64(state[1:9])

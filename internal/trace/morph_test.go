@@ -11,6 +11,9 @@ type bareReader struct{ r Reader }
 
 func (b *bareReader) Next() Entry { return b.r.Next() }
 
+// morphPos is the entry count of a NewMorph result.
+func morphPos(r Reader) int64 { return r.(interface{ Pos() int64 }).Pos() }
+
 func TestMorphProfileScaling(t *testing.T) {
 	p := Profile{Name: "x", FootprintLines: 1000, SharedLines: 100, SharedFrac: 0.3, Burst: 0.5, MeanGap: 20}
 	got := MorphProfile(p, ProfileMorph{FootprintScale: 2, SharedScale: 2, BurstScale: 3, GapScale: 0.5})
@@ -50,7 +53,7 @@ func TestMorphDeterminism(t *testing.T) {
 	bare := NewMorph(&bareReader{r: NewGenerator(p, 2, 128)}, spec, 16, 128, 99)
 	buf := make([]Entry, 64)
 	for off := 0; off < 512; off += len(buf) {
-		if n := batch.NextBatch(buf); n != len(buf) {
+		if n := batch.(BatchReader).NextBatch(buf); n != len(buf) {
 			t.Fatalf("short batch %d", n)
 		}
 		for i, e := range buf {
@@ -62,8 +65,8 @@ func TestMorphDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if one.Pos() != 512 || batch.Pos() != 512 {
-		t.Fatalf("Pos %d/%d, want 512", one.Pos(), batch.Pos())
+	if morphPos(one) != 512 || morphPos(batch) != 512 {
+		t.Fatalf("Pos %d/%d, want 512", morphPos(one), morphPos(batch))
 	}
 }
 
@@ -132,26 +135,23 @@ func TestMorphStateful(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := MorphSpec{HotspotFrac: 0.5, HotspotLines: 4, HotTile: 3, GapScale: 0.9}
-	m := NewMorph(NewGenerator(p, 0, 128), spec, 16, 128, 42)
+	m := NewMorph(NewGenerator(p, 0, 128), spec, 16, 128, 42).(Stateful)
 	for i := 0; i < 333; i++ {
 		m.Next()
 	}
 	state := m.SaveState()
-	if state == nil {
-		t.Fatal("SaveState nil for stateful source")
-	}
 	want := make([]Entry, 200)
-	m.NextBatch(want)
+	m.(BatchReader).NextBatch(want)
 
-	fresh := NewMorph(NewGenerator(p, 0, 128), spec, 16, 128, 0) // seed overwritten by restore
+	fresh := NewMorph(NewGenerator(p, 0, 128), spec, 16, 128, 0).(Stateful) // seed overwritten by restore
 	if err := fresh.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Pos() != 333 {
-		t.Fatalf("Pos %d after restore, want 333", fresh.Pos())
+	if morphPos(fresh) != 333 {
+		t.Fatalf("Pos %d after restore, want 333", morphPos(fresh))
 	}
 	got := make([]Entry, 200)
-	fresh.NextBatch(got)
+	fresh.(BatchReader).NextBatch(got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entry %d after restore: %+v != %+v", i, got[i], want[i])
@@ -161,14 +161,11 @@ func TestMorphStateful(t *testing.T) {
 		t.Error("short state accepted")
 	}
 
-	// A non-stateful source leaves the morph without position state:
-	// SaveState returns nil and RestoreState errors.
+	// A morph over a source without position state has none either, so
+	// a capability check refuses it before reading anything.
 	bare := NewMorph(&bareReader{r: NewGenerator(p, 0, 128)}, spec, 16, 128, 42)
-	if st := bare.SaveState(); st != nil {
-		t.Fatalf("SaveState on bare source: %v", st)
-	}
-	if err := bare.RestoreState(state); err == nil {
-		t.Error("RestoreState on bare source accepted")
+	if _, ok := bare.(Stateful); ok {
+		t.Fatal("morph over a stateless source claims to be Stateful")
 	}
 }
 

@@ -154,7 +154,6 @@ func buildBaseline() (*noc.Network, error) {
 		Topo:           m,
 		Routing:        routing.NewXY(m),
 		Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-		FlitWidthBits:  192,
 		WatchdogCycles: 20000,
 	})
 }
@@ -325,7 +324,6 @@ func TestWrappedPatternInjectsAtEveryTerminal(t *testing.T) {
 				Topo:           m,
 				Routing:        routing.NewXY(m),
 				Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-				FlitWidthBits:  192,
 				WatchdogCycles: 20000,
 			})
 			if err != nil {

@@ -10,10 +10,8 @@
 // restores the checkpoint. The checkpoint rides the runcache, so with a
 // disk tier configured, a later process skips warmup replay entirely.
 //
-// This began as experiments-internal machinery (PR 5); it lives in its own
-// package so the design-space search can give each CMP-mode candidate
-// evaluation an O(1) warm restore — one network simulation per candidate
-// instead of a full warmup replay — without importing experiments.
+// It lives in its own package, not in experiments, so a benchmark or tool
+// can warm a CMP the way the figures do without importing the figures.
 //
 // Restored and directly-warmed systems are bit-identical (pinned by the
 // cmp snapshot tests and TestFigureOutputIdenticalWithWarmupSharing), so
