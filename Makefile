@@ -12,15 +12,18 @@ test:
 	go test ./...
 
 # tier1 is the gate every PR must keep green: build, the full test suite,
-# vet, gofmt over the tracked Go files, and the race detector over the
+# vet, gofmt over the tracked Go files, the race detector over the
 # packages that run worker pools (experiments fan-out) or are exercised by
-# them (the noc kernel).
+# them (the noc kernel), and vet plus tests of the perfbench module. That
+# module is separate, so the root `go build ./...` never compiles it: an
+# API change that breaks the benchmark would otherwise pass.
 tier1:
 	go build ./...
 	go test ./...
 	go vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go test -race -timeout 30m ./internal/experiments ./internal/noc
+	cd perfbench && go vet ./... && go test ./...
 
 race:
 	go test -race ./...

@@ -460,8 +460,8 @@ func BenchmarkWarmRestore(b *testing.B) {
 // the decode throughput as trace_decode_entries_per_sec.
 const traceDecodeEntries = 1 << 16
 
-// BenchmarkTraceDecode measures chunked HNTR2 trace replay two ways:
-// entry-at-a-time through Next and through the bulk NextBatch path.
+// BenchmarkTraceDecode measures chunked HNTR2 trace replay through Next,
+// with and without the background chunk prefetcher.
 func BenchmarkTraceDecode(b *testing.B) {
 	p, err := trace.ProfileByName("SPECjbb")
 	if err != nil {
@@ -472,15 +472,12 @@ func BenchmarkTraceDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	open := func() *trace.ChunkReader {
-		r, err := trace.NewChunkReader(bytes.NewReader(data), int64(len(data)), false)
+	replay := func(b *testing.B, prefetch bool) {
+		r, err := trace.NewChunkReader(bytes.NewReader(data), int64(len(data)), prefetch)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return r
-	}
-	b.Run("next", func(b *testing.B) {
-		r := open()
+		defer r.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := r.SeekTo(0); err != nil {
@@ -490,35 +487,9 @@ func BenchmarkTraceDecode(b *testing.B) {
 				r.Next()
 			}
 		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		r := open()
-		out := make([]trace.Entry, 1024)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := r.SeekTo(0); err != nil {
-				b.Fatal(err)
-			}
-			for r.NextBatch(out) > 0 {
-			}
-		}
-	})
-	b.Run("batch-prefetch", func(b *testing.B) {
-		r, err := trace.NewChunkReader(bytes.NewReader(data), int64(len(data)), true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		out := make([]trace.Entry, trace.DefaultChunkEntries)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := r.SeekTo(0); err != nil {
-				b.Fatal(err)
-			}
-			for r.NextBatch(out) > 0 {
-			}
-		}
-	})
+	}
+	b.Run("next", func(b *testing.B) { replay(b, false) })
+	b.Run("next-prefetch", func(b *testing.B) { replay(b, true) })
 }
 
 // BenchmarkWarmRestoreSeek is BenchmarkWarmRestore on file-backed chunked

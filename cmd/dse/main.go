@@ -52,14 +52,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "search: RNG seed")
 	frontier := flag.String("frontier", "", "search: frontier file (NOCCKPT01 kind dse-frontier) to persist/resume (empty = in-memory only)")
 	server := flag.String("server", "", "search: nocserved base URL to evaluate batches remotely (empty = local)")
-	cacheDir := flag.String("cachedir", "", "persistent run cache directory shared across processes")
+	cacheDir := flag.String("cachedir", "", "persistent run cache directory shared across processes ('' or 'none' disables the disk tier)")
 	flag.Parse()
 
-	if *cacheDir != "" {
-		if err := runcache.SetDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := runcache.SetDir(*cacheDir); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if *search {

@@ -34,15 +34,6 @@ import (
 	"heteronoc/internal/runcache"
 )
 
-// defaultCacheDir resolves the persistent cache location following the
-// XDG convention; "" (disk tier off) when no home directory is known.
-func defaultCacheDir() string {
-	if d, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(d, "heteronoc")
-	}
-	return ""
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment id, comma list, 'all' (paper), or 'everything' (paper + extensions)")
 	scale := flag.String("scale", "quick", "simulation scale: quick or full")
@@ -53,14 +44,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	noCache := flag.Bool("nocache", false, "disable the run cache entirely, memory and disk (every probe re-simulates)")
-	cacheDir := flag.String("cachedir", defaultCacheDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
+	cacheDir := flag.String("cachedir", runcache.DefaultDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
 	cacheSize := flag.Int64("cachesize", 256<<20, "disk cache byte cap, LRU-evicted (0 = unlimited)")
 	manifestOut := flag.String("manifest", "", "run-manifest path (default: <out>.manifest.json, or experiments.manifest.json; 'none' disables)")
 	obsAddr := flag.String("obs", "", "serve live introspection (/metrics, /healthz, pprof) on this address, e.g. :6060")
 	flag.Parse()
 
 	runcache.SetEnabled(!*noCache)
-	if *cacheDir != "" && *cacheDir != "none" && !*noCache {
+	if !*noCache {
 		if err := runcache.SetDir(*cacheDir); err != nil {
 			// The disk tier is an optimization; an unusable directory must
 			// not stop a regeneration.

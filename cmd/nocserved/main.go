@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -36,20 +35,13 @@ import (
 	"heteronoc/internal/serve"
 )
 
-func defaultCacheDir() string {
-	if d, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(d, "heteronoc")
-	}
-	return ""
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queuePerTenant := flag.Int("queue-per-tenant", 4, "queued jobs allowed per tenant")
 	maxQueued := flag.Int("max-queued", 0, "global queued-job cap (0 = 8x workers)")
 	timeout := flag.Duration("timeout", 0, "default per-run wall-time cap (0 = none)")
-	cacheDir := flag.String("cachedir", defaultCacheDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
+	cacheDir := flag.String("cachedir", runcache.DefaultDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
 	cacheSize := flag.Int64("cachesize", 256<<20, "disk cache byte cap, LRU-evicted (0 = unlimited)")
 	suspendDir := flag.String("suspenddir", "", "checkpoint directory for suspend-on-shutdown ('' disables)")
 	drainGrace := flag.Duration("drain-grace", 2*time.Second, "shutdown: wait this long for runs to finish before suspending")
@@ -58,12 +50,10 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos RNG seed")
 	flag.Parse()
 
-	if *cacheDir != "" && *cacheDir != "none" {
-		if err := runcache.SetDir(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: disk cache disabled: %v\n", err)
-		}
-		runcache.SetMaxBytes(*cacheSize)
+	if err := runcache.SetDir(*cacheDir); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: disk cache disabled: %v\n", err)
 	}
+	runcache.SetMaxBytes(*cacheSize)
 
 	var ch *chaos.Chaos
 	if *chaosSpec != "" {

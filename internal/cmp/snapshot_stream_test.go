@@ -11,7 +11,7 @@ import (
 )
 
 // countingChunkReader counts Next() calls while keeping the embedded
-// reader's Stateful/Seeker capabilities visible — the probe that proves
+// reader's Stateful and SeekTo methods visible — the probe that proves
 // restore landed by state, not by replay.
 type countingChunkReader struct {
 	*trace.ChunkReader

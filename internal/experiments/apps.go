@@ -10,7 +10,6 @@ import (
 	"heteronoc/internal/par"
 	"heteronoc/internal/plot"
 	"heteronoc/internal/power"
-	"heteronoc/internal/routing"
 	"heteronoc/internal/runcache"
 	"heteronoc/internal/stats"
 	"heteronoc/internal/trace"
@@ -31,22 +30,19 @@ type appResult struct {
 	Classes map[int]noc.ClassStats
 }
 
-// runApp executes one benchmark on one layout. Default-configuration runs
-// (no per-core overrides, default routing) are memoized in runcache: the
+// runApp executes one benchmark on one layout, memoized in runcache: the
 // same (layout, bench, MC placement, budget) recipe appears across Fig10,
-// Fig11/12 and Fig13, and every run is deterministic. Runs with custom
-// cores or a custom routing algorithm bypass the cache — those inputs
-// have no canonical key.
-func runApp(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int, cores []cmp.CoreConfig, alg routing.Algorithm) (appResult, error) {
-	if cores == nil && alg == nil {
-		return runcache.ForCtx(ctx, appKey(l, bench, sc, mcTiles), func(ctx context.Context) (appResult, error) {
-			return runAppUncached(ctx, l, bench, sc, mcTiles, nil, nil)
-		})
-	}
-	return runAppUncached(ctx, l, bench, sc, mcTiles, cores, alg)
+// Fig11/12 and Fig13, and every run is deterministic.
+func runApp(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int) (appResult, error) {
+	return runcache.ForCtx(ctx, appKey(l, bench, sc, mcTiles), func(ctx context.Context) (appResult, error) {
+		return runAppUncached(ctx, l, bench, sc, mcTiles, false)
+	})
 }
 
-func runAppUncached(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int, cores []cmp.CoreConfig, alg routing.Algorithm) (appResult, error) {
+// runAppUncached is runApp without the cache, with the L1 next-line
+// prefetcher on every core when prefetch is set (appKey has no prefetch
+// field, so the Prefetch extension calls this directly).
+func runAppUncached(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int, prefetch bool) (appResult, error) {
 	// bench resolves through the workload registry, so adversarial names
 	// ("hotspot", "mc-incast", ...) work anywhere a profile name does.
 	trs, err := trace.WorkloadTraces(bench, l.Mesh.NumTerminals(), 128)
@@ -54,11 +50,10 @@ func runAppUncached(ctx context.Context, l core.Layout, bench string, sc Scale, 
 		return appResult{}, err
 	}
 	s, err := cmp.New(cmp.Config{
-		Layout:  l,
-		Traces:  trs,
-		MCTiles: mcTiles,
-		Cores:   cores,
-		Routing: alg,
+		Layout:   l,
+		Traces:   trs,
+		MCTiles:  mcTiles,
+		Prefetch: prefetch,
 	})
 	if err != nil {
 		return appResult{}, err
@@ -118,7 +113,7 @@ func Fig10(ctx context.Context, sc Scale) (*Report, error) {
 	for _, b := range benches {
 		for _, l := range layouts10 {
 			b, l := b, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil, nil, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)
@@ -174,7 +169,7 @@ func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
 	for _, b := range benches {
 		for _, l := range layouts {
 			b, l := b, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil, nil, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)

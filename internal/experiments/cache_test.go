@@ -80,13 +80,13 @@ func TestRunAppCached(t *testing.T) {
 	sc := cacheTestScale("cachetest-app")
 	l := core.NewBaseline(4, 4)
 
-	first, err := runApp(context.Background(), l, "SPECjbb", sc, nil, nil, nil)
+	first, err := runApp(context.Background(), l, "SPECjbb", sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, h := l.Mesh.Dims()
 	corners := mem.Tiles(mem.PlacementCorners, w, h)
-	again, err := runApp(context.Background(), l, "SPECjbb", sc, corners, nil, nil)
+	again, err := runApp(context.Background(), l, "SPECjbb", sc, corners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRunAppCached(t *testing.T) {
 	// Cached result equals a fresh simulation.
 	runcache.SetEnabled(false)
 	defer runcache.SetEnabled(true)
-	fresh, err := runApp(context.Background(), l, "SPECjbb", sc, nil, nil, nil)
+	fresh, err := runApp(context.Background(), l, "SPECjbb", sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

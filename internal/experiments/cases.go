@@ -68,7 +68,7 @@ func Fig13(ctx context.Context, sc Scale) (*Report, error) {
 				if b == "UR" {
 					return runURApp(ctx, cfgc.layout, sc, mcTiles)
 				}
-				return runApp(ctx, cfgc.layout, b, sc, mcTiles, nil, nil)
+				return runApp(ctx, cfgc.layout, b, sc, mcTiles)
 			})
 		}
 	}

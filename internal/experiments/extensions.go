@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"heteronoc/internal/analytic"
-	"heteronoc/internal/cmp"
 	"heteronoc/internal/core"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/power"
@@ -398,7 +397,7 @@ func Prefetch(ctx context.Context, sc Scale) (*Report, error) {
 		rows[b] = map[string]cell{}
 		for _, l := range layouts {
 			for _, pf := range []bool{false, true} {
-				res, err := runAppPrefetch(ctx, l, b, sc, pf)
+				res, err := runAppUncached(ctx, l, b, sc, nil, pf)
 				if err != nil {
 					return nil, err
 				}
@@ -429,25 +428,6 @@ func Prefetch(ctx context.Context, sc Scale) (*Report, error) {
 	return r, nil
 }
 
-// runAppPrefetch is runApp with the prefetcher toggle.
-func runAppPrefetch(ctx context.Context, l core.Layout, bench string, sc Scale, prefetch bool) (appResult, error) {
-	trs, err := trace.WorkloadTraces(bench, l.Mesh.NumTerminals(), 128)
-	if err != nil {
-		return appResult{}, err
-	}
-	s, err := cmp.New(cmp.Config{Layout: l, Traces: trs, Prefetch: prefetch})
-	if err != nil {
-		return appResult{}, err
-	}
-	if err := warmSystem(ctx, s, l, bench, sc); err != nil {
-		return appResult{}, err
-	}
-	if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
-		return appResult{}, err
-	}
-	return collect(s, l), nil
-}
-
 // Adversarial runs the trace-morphing stress workloads — a directory
 // hotspot, memory-controller incast, a coherence storm and a capacity
 // thrash (trace.AdversarialWorkloads) — on the baseline and Diagonal+BL.
@@ -466,7 +446,7 @@ func Adversarial(ctx context.Context, sc Scale) (*Report, error) {
 	for _, w := range names {
 		for _, l := range []core.Layout{base, diag} {
 			w, l := w, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, w, sc, nil, nil, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, w, sc, nil) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)

@@ -127,7 +127,7 @@ func TestWarmCheckpointPersistsAcrossProcessBoundary(t *testing.T) {
 		runcache.Reset()
 	}()
 
-	first, err := runApp(context.Background(), appLayouts()[0], "SPECjbb", sc, nil, nil, nil)
+	first, err := runApp(context.Background(), appLayouts()[0], "SPECjbb", sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestWarmCheckpointPersistsAcrossProcessBoundary(t *testing.T) {
 	resetWarmShareStats()
 	// A different layout of the same benchmark: the app-level key misses,
 	// but the warm checkpoint comes from disk.
-	second, err := runApp(context.Background(), appLayouts()[5], "SPECjbb", sc, nil, nil, nil)
+	second, err := runApp(context.Background(), appLayouts()[5], "SPECjbb", sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

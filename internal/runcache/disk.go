@@ -72,9 +72,23 @@ var (
 // SetChaos arms (or, with nil, disarms) fault injection on the disk tier.
 func SetChaos(c *chaos.Chaos) { diskChaos.Store(c) }
 
+// DefaultDir is the disk tier's conventional directory, heteronoc under
+// the user cache directory (~/.cache/heteronoc on Linux); "" (no disk
+// tier) when no home directory is known.
+func DefaultDir() string {
+	if d, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(d, "heteronoc")
+	}
+	return ""
+}
+
 // SetDir configures the disk tier's directory, creating it if needed.
-// An empty dir disables the tier.
+// "" and "none" both turn the tier off: every command's -cachedir flag
+// takes either to mean "no disk tier".
 func SetDir(dir string) error {
+	if dir == "none" {
+		dir = ""
+	}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err

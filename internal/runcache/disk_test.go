@@ -27,6 +27,31 @@ func withDiskDir(t *testing.T) string {
 	return dir
 }
 
+// TestSetDirNoneDisablesTier pins the one -cachedir rule every command
+// shares: "none", like "", means no disk tier, not a directory named
+// "none" in the working directory.
+func TestSetDirNoneDisablesTier(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := t.TempDir()
+	if err := os.Chdir(work); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	withDiskDir(t) // a configured tier that "none" must switch off
+	if err := SetDir("none"); err != nil {
+		t.Fatal(err)
+	}
+	if d := Dir(); d != "" {
+		t.Fatalf(`SetDir("none") left Dir() = %q`, d)
+	}
+	if ents, err := os.ReadDir(work); err != nil || len(ents) != 0 {
+		t.Fatalf(`SetDir("none") created %d entries in the working directory (%v)`, len(ents), err)
+	}
+}
+
 type diskVal struct {
 	Name string
 	Xs   []int

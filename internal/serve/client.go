@@ -83,21 +83,22 @@ func (c *Client) fill() {
 
 // Run posts req and returns the response, retrying retryable refusals.
 func (c *Client) Run(ctx context.Context, req Request) (*Response, error) {
-	c.fill()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	var out Response
-	if err := c.retry(ctx, "/run", body, &out); err != nil {
+	if err := c.post(ctx, "/run", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// retry drives the attempt loop for one POST: retryable refusals back
-// off and go again, everything else surfaces immediately.
-func (c *Client) retry(ctx context.Context, path string, body []byte, out any) error {
+// post sends req as JSON to path and decodes a 200 body into out:
+// retryable refusals back off and go again, everything else surfaces
+// immediately.
+func (c *Client) post(ctx context.Context, path string, req, out any) error {
+	c.fill()
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
 		if attempt > 0 {

@@ -2,23 +2,19 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
-	"time"
 
-	"heteronoc/internal/chaos"
 	"heteronoc/internal/dse"
 	"heteronoc/internal/obs"
-	"heteronoc/internal/reqstat"
 )
 
 // POST /eval turns a nocserved instance into a design-space-search worker:
 // a search process (cmd/dse -server) ships each generation's deduplicated
-// candidate batch here instead of probing locally. Batches ride the same
-// admission pipeline as /run — bounded per-tenant queues, fair dispatch,
+// candidate batch here instead of probing locally. Batches ride /run's
+// admission path (admit) — bounded per-tenant queues, fair dispatch,
 // cancellation to cycle-batch granularity, panic isolation — and every
 // probe lands in the server's shared runcache, so concurrent searches (or
 // a search resumed on another machine) dedupe against each other's work.
@@ -38,14 +34,12 @@ type EvalRequest struct {
 }
 
 // EvalResponse is the POST /eval success payload. Candidates are
-// index-aligned with the request's Sets.
+// index-aligned with the request's Sets; FromCache means the whole batch
+// was answered without running a single simulation — the cross-search
+// dedup case.
 type EvalResponse struct {
 	Candidates []dse.Candidate `json:"candidates"`
-	Cache      CacheStats      `json:"cache"`
-	ElapsedMS  float64         `json:"elapsed_ms"`
-	// FromCache is true when the whole batch was answered without running
-	// a single simulation — the cross-search dedup case.
-	FromCache bool `json:"from_cache"`
+	accounting
 }
 
 const (
@@ -97,133 +91,35 @@ func checkEvalRequest(req *EvalRequest) error {
 	return nil
 }
 
-// handleEval admits, queues and answers one evaluation batch.
+// handleEval validates one evaluation batch and hands it to admit. It
+// runs without the suspend controller: a shutdown cancels its probes.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, ErrorPayload{Error: "method_not_allowed"})
-		return
-	}
 	var req EvalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	// A field this server does not know (one a newer or older client
-	// sets) would otherwise be dropped, silently scoring another probe.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+	if !s.decode(w, r, 16<<20, &req) {
 		return
 	}
 	if err := checkEvalRequest(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	if s.draining.Load() {
-		s.shed(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
-	}
-	var cancelTimeout context.CancelFunc = func() {}
-	if timeout > 0 {
-		ctx, cancelTimeout = context.WithTimeout(ctx, timeout)
-	}
-	defer cancelTimeout()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	col := &reqstat.Collector{}
-	ctx = reqstat.WithCollector(ctx, col)
-	ctx = chaos.WithContext(ctx, s.cfg.Chaos)
-	span := obs.NewSpan("request")
-	span.SetAttr("kind", "eval")
-	span.SetAttr("tenant", req.Tenant)
-	span.SetAttr("batch", fmt.Sprint(len(req.Sets)))
-	ctx = obs.ContextWithSpan(ctx, span)
-
-	j := &job{
-		tenant: req.Tenant,
-		eval:   &req,
-		ctx:    ctx,
-		cancel: cancel,
-		col:    col,
-		span:   span,
-		qspan:  span.Child("queue"),
-		done:   make(chan jobResult, 1),
-	}
-	s.trackJob(j, true)
-	if err := s.sched.enqueue(j); err != nil {
-		s.trackJob(j, false)
-		switch {
-		case errors.Is(err, ErrDraining):
-			s.shed(w, http.StatusServiceUnavailable, "draining")
-		case errors.Is(err, ErrTenantQueueFull):
-			s.shed(w, http.StatusTooManyRequests, "tenant_queue_full")
-		default:
-			s.shed(w, http.StatusTooManyRequests, "overloaded")
+	attrs := map[string]string{"kind": "eval", "batch": fmt.Sprint(len(req.Sets))}
+	s.admit(w, r, req.Tenant, req.TimeoutSec, attrs, func(ctx context.Context) (any, *accounting, error) {
+		run := obs.SpanFrom(ctx).Child("eval")
+		cands, err := dse.LocalEvaluator{}.EvaluateBatch(obs.ContextWithSpan(ctx, run), req.Cfg, req.Sets)
+		run.End()
+		if err != nil {
+			return nil, nil, err
 		}
-		return
-	}
-	select {
-	case res := <-j.done:
-		s.writeResult(w, res)
-	case <-r.Context().Done():
-		cancel()
-		res := <-j.done
-		s.writeResult(w, res)
-	}
-}
-
-// runEvalJob is the worker half of /eval; runJob dispatches here for
-// batch jobs (panic isolation and busy accounting live in runJob).
-func (s *Server) runEvalJob(j *job) {
-	start := time.Now()
-	run := j.span.Child("eval")
-	cands, err := dse.LocalEvaluator{}.EvaluateBatch(obs.ContextWithSpan(j.ctx, run), j.eval.Cfg, j.eval.Sets)
-	run.End()
-	if err != nil {
-		j.finish(s, "error")
-		j.done <- jobResult{err: err}
-		return
-	}
-	resp := &EvalResponse{
-		Candidates: cands,
-		Cache: CacheStats{
-			Hits:       j.col.CacheHits.Load(),
-			Misses:     j.col.CacheMisses.Load(),
-			Executions: j.col.Executions.Load(),
-			Cycles:     j.col.Cycles.Load(),
-		},
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	resp.FromCache = resp.Cache.Executions == 0 && resp.Cache.Cycles == 0
-	s.mHits.Add(resp.Cache.Hits)
-	if resp.FromCache {
-		s.mWarm.Inc()
-	}
-	outcome := "ok"
-	if resp.FromCache {
-		outcome = "ok_cached"
-	}
-	j.finish(s, outcome)
-	s.lat.record(resp.ElapsedMS)
-	j.done <- jobResult{eval: resp}
+		resp := &EvalResponse{Candidates: cands}
+		return resp, &resp.accounting, nil
+	})
 }
 
 // Eval posts one candidate batch, retrying retryable refusals with the
 // same backoff policy as Run.
 func (c *Client) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, error) {
-	c.fill()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	var out EvalResponse
-	if err := c.retry(ctx, "/eval", body, &out); err != nil {
+	if err := c.post(ctx, "/eval", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -12,6 +12,7 @@ import (
 
 	"heteronoc/internal/dse"
 	"heteronoc/internal/runcache"
+	"heteronoc/internal/suspend"
 )
 
 func evalTestCfg() dse.EvalConfig {
@@ -144,6 +145,44 @@ func TestEvalDeadlineStopsWarmup(t *testing.T) {
 	}
 	if elapsed > 450*time.Millisecond {
 		t.Fatalf("batch with a 0.2 s deadline took %v: the probe ignored it", elapsed)
+	}
+}
+
+// TestShutdownCancelsEval pins that /eval runs without the suspend
+// controller: a shutdown cancels an in-flight batch in its last phase,
+// answering 408 cancelled, instead of checkpointing its probes the way it
+// suspends /run's runs.
+func TestShutdownCancelsEval(t *testing.T) {
+	runcache.Reset()
+	defer runcache.Reset()
+	dir := t.TempDir()
+	srv := New(Config{
+		Workers: 1, SuspendDir: dir,
+		DrainGrace: 50 * time.Millisecond, SuspendGrace: 200 * time.Millisecond,
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := evalTestCfg()
+	cfg.Packets = 50_000_000 // minutes of simulation if left alone
+	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Eval(context.Background(), EvalRequest{Cfg: cfg, Sets: [][]int{{0, 5, 10, 15}}})
+		errc <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return srv.busy.Load() == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	var api *APIError
+	if err := <-errc; !errors.As(err, &api) || api.Code != http.StatusRequestTimeout || api.Payload.Error != "cancelled" {
+		t.Fatalf("in-flight batch at shutdown: got %v, want 408 cancelled", err)
+	}
+	if n := suspend.Pending(dir); n != 0 {
+		t.Fatalf("shutdown checkpointed %d /eval probes", n)
 	}
 }
 

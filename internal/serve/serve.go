@@ -64,6 +64,17 @@ type CacheStats struct {
 	Cycles     int64 `json:"cycles"`
 }
 
+// accounting is the bookkeeping every success payload carries. Response
+// and EvalResponse embed it, so encoding/json reads and writes its fields
+// inline; runJob fills it.
+type accounting struct {
+	Cache     CacheStats `json:"cache"`
+	ElapsedMS float64    `json:"elapsed_ms"`
+	// FromCache is true when the request ran zero simulation cycles and
+	// zero recipe executions — answered entirely from memoized results.
+	FromCache bool `json:"from_cache"`
+}
+
 // Response is the POST /run success payload.
 type Response struct {
 	Experiment  string             `json:"experiment"`
@@ -72,16 +83,12 @@ type Response struct {
 	Markdown    string             `json:"markdown"`
 	Metrics     map[string]float64 `json:"metrics"`
 	Fingerprint string             `json:"fingerprint"`
-	Cache       CacheStats         `json:"cache"`
-	ElapsedMS   float64            `json:"elapsed_ms"`
+	accounting
 	// Timing decomposes the request's wall time into span phases
 	// (milliseconds, dotted paths like "queue", "run.execute"): the data a
 	// nocload SLO report uses to split p99 into queue wait vs cache miss vs
 	// simulation time.
 	Timing map[string]float64 `json:"timing_ms,omitempty"`
-	// FromCache is true when the request ran zero simulation cycles and
-	// zero recipe executions — answered entirely from memoized results.
-	FromCache bool `json:"from_cache"`
 }
 
 // ErrorPayload is the JSON body of every non-200 response.
@@ -165,15 +172,15 @@ func (c *Config) fill() {
 	}
 }
 
+// work is an endpoint's part of a job: it runs on a worker under the
+// job's context (deadline, collector, chaos, request span) and returns the
+// success payload together with the accounting embedded in it.
+type work func(ctx context.Context) (payload any, acct *accounting, err error)
+
 // job is one admitted request moving through the queue to a worker.
 type job struct {
 	tenant string
-	req    Request
-	runner experiments.Runner
-	scale  experiments.Scale
-	// eval marks a design-space evaluation batch (POST /eval) instead of
-	// an experiment run; runner and scale are unused for those.
-	eval   *EvalRequest
+	work   work
 	ctx    context.Context
 	cancel context.CancelFunc
 	col    *reqstat.Collector
@@ -196,9 +203,8 @@ func (j *job) finish(s *Server, outcome string) {
 }
 
 type jobResult struct {
-	resp *Response
-	eval *EvalResponse
-	err  error
+	payload any
+	err     error
 }
 
 // Server is the service core. Create with New, mount Handler, stop with
@@ -349,52 +355,35 @@ func (s *Server) runJob(j *job) {
 	}
 	j.qspan.End()
 	s.cfg.Chaos.Hit(chaos.PointWorkerPanic)
-	if j.eval != nil {
-		s.runEvalJob(j)
-		return
-	}
-	_, resumes0 := s.sus.Stats()
 	start := time.Now()
-	run := j.span.Child("run")
-	rep, err := j.runner.Run(obs.ContextWithSpan(j.ctx, run), j.scale)
-	run.End()
+	payload, acct, err := j.work(j.ctx)
 	if err != nil {
 		j.finish(s, "error")
 		j.done <- jobResult{err: err}
 		return
 	}
-	elapsed := time.Since(start)
-	if _, resumes1 := s.sus.Stats(); resumes1 > resumes0 {
-		s.mResumed.Add(resumes1 - resumes0)
+	acct.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	acct.Cache = CacheStats{
+		Hits:       j.col.CacheHits.Load(),
+		Misses:     j.col.CacheMisses.Load(),
+		Executions: j.col.Executions.Load(),
+		Cycles:     j.col.Cycles.Load(),
 	}
-	resp := &Response{
-		Experiment:  j.req.Experiment,
-		Scale:       j.req.Scale,
-		Title:       rep.Title,
-		Markdown:    rep.Markdown(),
-		Metrics:     rep.Metrics,
-		Fingerprint: rep.Fingerprint(),
-		Cache: CacheStats{
-			Hits:       j.col.CacheHits.Load(),
-			Misses:     j.col.CacheMisses.Load(),
-			Executions: j.col.Executions.Load(),
-			Cycles:     j.col.Cycles.Load(),
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-	}
-	resp.FromCache = resp.Cache.Executions == 0 && resp.Cache.Cycles == 0
-	s.mHits.Add(resp.Cache.Hits)
-	if resp.FromCache {
-		s.mWarm.Inc()
-	}
+	acct.FromCache = acct.Cache.Executions == 0 && acct.Cache.Cycles == 0
+	s.mHits.Add(acct.Cache.Hits)
 	outcome := "ok"
-	if resp.FromCache {
+	if acct.FromCache {
+		s.mWarm.Inc()
 		outcome = "ok_cached"
 	}
 	j.finish(s, outcome)
-	resp.Timing = j.span.Timing()
-	s.lat.record(resp.ElapsedMS)
-	j.done <- jobResult{resp: resp}
+	if resp, ok := payload.(*Response); ok {
+		// Only /run's wire format carries the phase split, and only a
+		// finished span has its total.
+		resp.Timing = j.span.Timing()
+	}
+	s.lat.record(acct.ElapsedMS)
+	j.done <- jobResult{payload: payload}
 }
 
 // trackJob registers/unregisters a dispatched job for hard cancellation.
@@ -468,16 +457,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handleRun admits, queues and answers one run request.
+// handleRun validates one run request and hands it to admit.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, ErrorPayload{Error: "method_not_allowed"})
-		return
-	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+	if !s.decode(w, r, 1<<20, &req) {
 		return
 	}
 	runner, err := experiments.ByID(req.Experiment)
@@ -493,8 +476,62 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "unknown_scale", Detail: req.Scale})
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
+	attrs := map[string]string{"experiment": req.Experiment, "scale": req.Scale}
+	s.admit(w, r, req.Tenant, req.TimeoutSec, attrs, func(ctx context.Context) (any, *accounting, error) {
+		// Only /run's runs suspend at shutdown: dse probes set a
+		// traffic SuspendKey too, so under the controller a shutdown
+		// would checkpoint /eval's probes instead of cancelling them.
+		ctx = suspend.WithController(ctx, s.sus)
+		_, resumes0 := s.sus.Stats()
+		run := obs.SpanFrom(ctx).Child("run")
+		rep, err := runner.Run(obs.ContextWithSpan(ctx, run), sc)
+		run.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, resumes1 := s.sus.Stats(); resumes1 > resumes0 {
+			s.mResumed.Add(resumes1 - resumes0)
+		}
+		resp := &Response{
+			Experiment:  req.Experiment,
+			Scale:       req.Scale,
+			Title:       rep.Title,
+			Markdown:    rep.Markdown(),
+			Metrics:     rep.Metrics,
+			Fingerprint: rep.Fingerprint(),
+		}
+		return resp, &resp.accounting, nil
+	})
+}
+
+// decode refuses anything but a POST whose body, at most limit bytes,
+// decodes into v. A field v does not declare (one a newer or older client
+// sets) is refused too: dropping it would silently run another request
+// than the one asked for. decode answers a refusal itself and reports
+// whether the handler may go on.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.Method != http.MethodPost {
+		s.writeError(w, http.StatusMethodNotAllowed, ErrorPayload{Error: "method_not_allowed"})
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+		return false
+	}
+	return true
+}
+
+// admit is the one admission path of /run and /eval: it applies the
+// tenant default, refuses work while draining, sets the deadline
+// (timeoutSec, else the server default), installs the request's cost
+// collector, chaos and span (labelled with attrs and the tenant), queues
+// the job (429/503 on refusal) and answers with its result, cancelling
+// the work if the client goes away first.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tenant string, timeoutSec float64, attrs map[string]string, fn work) {
+	if tenant == "" {
+		tenant = "default"
 	}
 	if s.draining.Load() {
 		s.shed(w, http.StatusServiceUnavailable, "draining")
@@ -503,31 +540,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
+	if timeoutSec > 0 {
+		timeout = time.Duration(timeoutSec * float64(time.Second))
 	}
-	var cancelTimeout context.CancelFunc = func() {}
 	if timeout > 0 {
+		var cancelTimeout context.CancelFunc
 		ctx, cancelTimeout = context.WithTimeout(ctx, timeout)
+		defer cancelTimeout()
 	}
-	defer cancelTimeout()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	col := &reqstat.Collector{}
 	ctx = reqstat.WithCollector(ctx, col)
-	ctx = suspend.WithController(ctx, s.sus)
 	ctx = chaos.WithContext(ctx, s.cfg.Chaos)
 	span := obs.NewSpan("request")
-	span.SetAttr("experiment", req.Experiment)
-	span.SetAttr("scale", req.Scale)
-	span.SetAttr("tenant", req.Tenant)
+	for k, v := range attrs {
+		span.SetAttr(k, v)
+	}
+	span.SetAttr("tenant", tenant)
 	ctx = obs.ContextWithSpan(ctx, span)
 
 	j := &job{
-		tenant: req.Tenant,
-		req:    req,
-		runner: runner,
-		scale:  sc,
+		tenant: tenant,
+		work:   fn,
 		ctx:    ctx,
 		cancel: cancel,
 		col:    col,
@@ -576,11 +611,7 @@ func (s *Server) writeResult(w http.ResponseWriter, res jobResult) {
 	case res.err == nil:
 		s.mRequests[http.StatusOK].Inc()
 		w.Header().Set("Content-Type", "application/json")
-		if res.eval != nil {
-			json.NewEncoder(w).Encode(res.eval)
-		} else {
-			json.NewEncoder(w).Encode(res.resp)
-		}
+		json.NewEncoder(w).Encode(res.payload)
 	case errors.Is(res.err, suspend.ErrSuspended):
 		// The run checkpointed itself; the same request against a
 		// restarted server resumes it.

@@ -435,8 +435,43 @@ func TestDrainingRejectsNewWork(t *testing.T) {
 		json.Unmarshal(body, &p)
 		return p.Error == "draining" && hdr.Get("Retry-After") != ""
 	})
+	// /eval shares the admission path, so a batch is refused the same way
+	// instead of queueing behind the drain.
+	body, _ := json.Marshal(EvalRequest{Cfg: evalTestCfg(), Sets: [][]int{{0, 5, 10, 15}}})
+	resp, err := http.Post(ts.URL+"/eval", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /eval: %v", err)
+	}
+	var p ErrorPayload
+	json.NewDecoder(resp.Body).Decode(&p)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || p.Error != "draining" {
+		t.Errorf("/eval while draining: %d %q, want 503 draining", resp.StatusCode, p.Error)
+	}
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestRunRejectsUnknownFields pins /run's share of the decode step: a
+// body naming a field the server does not know (here "timeout" for
+// "timeout_sec") is refused instead of running with the field dropped.
+func TestRunRejectsUnknownFields(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"experiment":"fig1","scale":"quick","timeout":5}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var p ErrorPayload
+	json.NewDecoder(resp.Body).Decode(&p)
+	if resp.StatusCode != http.StatusBadRequest || p.Error != "bad_request" {
+		t.Fatalf("unknown field: %d %q, want 400 bad_request", resp.StatusCode, p.Error)
 	}
 }
 

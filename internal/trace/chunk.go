@@ -118,16 +118,6 @@ func (c *ChunkWriter) Write(e Entry) error {
 	return nil
 }
 
-// WriteBatch appends every entry of es.
-func (c *ChunkWriter) WriteBatch(es []Entry) error {
-	for _, e := range es {
-		if err := c.Write(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Count returns the number of entries written.
 func (c *ChunkWriter) Count() int64 { return c.count }
 
@@ -190,10 +180,10 @@ type chunkMeta struct {
 // ChunkReader replays an HNTR2 trace from any io.ReaderAt. It is a total
 // Reader — after the last entry it returns the final entry with an
 // enormous gap (an idle core) — and distinguishes clean exhaustion from
-// corruption or a failed read via Err. Beyond that it is a
-// BatchReader (NextBatch decodes straight out of the chunk buffer, zero
-// allocations in steady state), a Seeker (SeekTo lands on any entry with
-// one chunk decode), and Stateful (SaveState is the 9-byte position).
+// corruption or a failed read via Err. Next reads straight out of the
+// decoded chunk buffer (zero allocations in steady state), SeekTo lands
+// on any entry with one chunk decode, and it is Stateful (SaveState is
+// the 9-byte position).
 //
 // With prefetch enabled, a background goroutine reads and decodes the
 // next chunk while the caller drains the current one (double buffering).
@@ -452,36 +442,6 @@ func (c *ChunkReader) Next() Entry {
 	return e
 }
 
-// NextBatch copies up to len(out) entries straight out of the decoded
-// chunk buffer. Unlike Next it does not pad with idle entries: it returns
-// how many real entries were produced, 0 at end of trace (or on a corrupt
-// chunk — check Err).
-func (c *ChunkReader) NextBatch(out []Entry) int {
-	n := 0
-	for n < len(out) {
-		if c.cur < len(c.buf) {
-			k := copy(out[n:], c.buf[c.cur:])
-			c.cur += k
-			c.pos += int64(k)
-			n += k
-			continue
-		}
-		if c.done {
-			break
-		}
-		ni := c.ci + 1
-		if ni >= len(c.chunks) {
-			c.settle()
-			break
-		}
-		if err := c.fill(ni); err != nil {
-			c.fail(err)
-			break
-		}
-	}
-	return n
-}
-
 // Pos returns the number of entries consumed so far.
 func (c *ChunkReader) Pos() int64 { return c.pos }
 
@@ -665,35 +625,16 @@ func (cf *ChunkFile) Close() error {
 	return cf.f.Close()
 }
 
-// RecordChunked captures n entries from any Reader into an HNTR2 stream,
-// using the bulk path when src supports it. entriesPerChunk 0 selects the
-// default.
+// RecordChunked captures the next n entries of src into an HNTR2 stream.
+// entriesPerChunk 0 selects the default.
 func RecordChunked(w io.Writer, src Reader, n int, entriesPerChunk int) error {
 	cw, err := NewChunkWriter(w, entriesPerChunk)
 	if err != nil {
 		return err
 	}
-	if br, ok := src.(BatchReader); ok {
-		batch := make([]Entry, 1024)
-		for n > 0 {
-			want := len(batch)
-			if n < want {
-				want = n
-			}
-			got := br.NextBatch(batch[:want])
-			if got == 0 {
-				break
-			}
-			if err := cw.WriteBatch(batch[:got]); err != nil {
-				return err
-			}
-			n -= got
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if err := cw.Write(src.Next()); err != nil {
-				return err
-			}
+	for i := 0; i < n; i++ {
+		if err := cw.Write(src.Next()); err != nil {
+			return err
 		}
 	}
 	return cw.Close()

@@ -18,9 +18,26 @@ func chunkTestTrace(t *testing.T, n, per int) ([]byte, []Entry) {
 	if err := RecordChunked(&buf, NewGenerator(p, 3, 128), n, per); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]Entry, n)
-	NewGenerator(p, 3, 128).NextBatch(want)
-	return buf.Bytes(), want
+	return buf.Bytes(), nextN(NewGenerator(p, 3, 128), n)
+}
+
+// nextN reads the next n entries of r.
+func nextN(r Reader, n int) []Entry {
+	out := make([]Entry, n)
+	for i := range out {
+		out[i] = r.Next()
+	}
+	return out
+}
+
+// writeAll appends every entry of es to w.
+func writeAll(w *ChunkWriter, es []Entry) error {
+	for _, e := range es {
+		if err := w.Write(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestChunkRoundTrip(t *testing.T) {
@@ -57,7 +74,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkSeekMatchesSequential pins the Seeker contract: for any n —
+// TestChunkSeekMatchesSequential pins the SeekTo contract: for any n —
 // including positions straddling chunk boundaries — SeekTo(n) must leave
 // the reader in exactly the state n sequential Next() calls would, both
 // seeking forward and backward.
@@ -94,7 +111,8 @@ func TestChunkSeekMatchesSequential(t *testing.T) {
 	// Backward seeks on one reader: consume everything, rewind to each
 	// position, spot-check the next entry.
 	r := open()
-	for r.NextBatch(make([]Entry, 64)) > 0 {
+	for !r.Exhausted() {
+		r.Next()
 	}
 	for _, n := range positions {
 		if n == total {
@@ -159,8 +177,9 @@ func TestChunkCorruptionEveryByte(t *testing.T) {
 }
 
 // TestChunkPrefetchEquivalence runs the same trace with and without the
-// background prefetch goroutine, interleaving batches and seeks: the
-// streams must match entry for entry (prefetch is a pure read-ahead).
+// background prefetch goroutine, reading 100 entries per step and
+// interleaving seeks: the streams must match entry for entry (prefetch is
+// a pure read-ahead).
 func TestChunkPrefetchEquivalence(t *testing.T) {
 	data, _ := chunkTestTrace(t, 5000, 256)
 	plain, err := NewChunkReader(bytes.NewReader(data), int64(len(data)), false)
@@ -172,22 +191,10 @@ func TestChunkPrefetchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pre.Close()
-	bufA, bufB := make([]Entry, 100), make([]Entry, 100)
-	step := 0
-	for {
-		na, nb := plain.NextBatch(bufA), pre.NextBatch(bufB)
-		if na != nb {
-			t.Fatalf("step %d: batch sizes %d != %d", step, na, nb)
+	for step := 0; !plain.Exhausted(); step++ {
+		if step > 400 {
+			t.Fatal("stream did not terminate")
 		}
-		for i := 0; i < na; i++ {
-			if bufA[i] != bufB[i] {
-				t.Fatalf("step %d entry %d: %+v != %+v", step, i, bufA[i], bufB[i])
-			}
-		}
-		if na == 0 {
-			break
-		}
-		step++
 		if step%7 == 3 { // throw seeks at the prefetcher mid-stream
 			n := (int64(step) * 131) % plain.Len()
 			if err := plain.SeekTo(n); err != nil {
@@ -197,8 +204,14 @@ func TestChunkPrefetchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if step > 400 {
-			t.Fatal("stream did not terminate")
+		for i := 0; i < 100; i++ {
+			if a, b := plain.Next(), pre.Next(); a != b {
+				t.Fatalf("step %d entry %d: %+v != %+v", step, i, a, b)
+			}
+		}
+		if plain.Pos() != pre.Pos() || plain.Exhausted() != pre.Exhausted() {
+			t.Fatalf("step %d: pos %d/%d exhausted %t/%t", step,
+				plain.Pos(), pre.Pos(), plain.Exhausted(), pre.Exhausted())
 		}
 	}
 	if plain.Err() != nil || pre.Err() != nil {
@@ -246,17 +259,17 @@ func TestChunkStateful(t *testing.T) {
 	}
 }
 
-// TestChunkNextBatchZeroAlloc pins the zero-allocation steady state of
-// the bulk decode path: with batch size == chunk size, every NextBatch
+// TestChunkNextZeroAlloc pins the zero-allocation steady state of the
+// decode path: each run reads one chunk's 512 entries through Next, which
 // decodes exactly one chunk into reused buffers.
-func TestChunkNextBatchZeroAlloc(t *testing.T) {
-	data, _ := chunkTestTrace(t, 8192, 512)
+func TestChunkNextZeroAlloc(t *testing.T) {
+	const per = 512
+	data, _ := chunkTestTrace(t, 16*per, per)
 	r, err := NewChunkReader(bytes.NewReader(data), int64(len(data)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Entry, 512)
-	r.NextBatch(out) // warm up: first fill sizes the raw buffer
+	r.Next() // warm up: first fill sizes the raw buffer
 	if err := r.SeekTo(0); err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +279,12 @@ func TestChunkNextBatchZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := r.NextBatch(out); n != len(out) {
-			t.Fatalf("short batch %d", n)
+		for i := 0; i < per; i++ {
+			r.Next()
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("NextBatch allocates %.1f per call in steady state", allocs)
+		t.Fatalf("Next allocates %.1f per %d-entry chunk in steady state", allocs, per)
 	}
 }
 
@@ -338,7 +351,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBatch(entries); err != nil {
+	if err := writeAll(w, entries); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -408,7 +421,7 @@ func TestFileRoundTripProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		w, err := NewChunkWriter(&buf, 1+int(per%8))
-		if err != nil || w.WriteBatch(entries) != nil || w.Close() != nil {
+		if err != nil || writeAll(w, entries) != nil || w.Close() != nil {
 			return false
 		}
 		r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)

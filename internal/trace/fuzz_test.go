@@ -40,7 +40,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteBatch(entries); err != nil {
+		if err := writeAll(w, entries); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -109,7 +109,7 @@ func TestFileTruncationEveryPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBatch(entries); err != nil {
+	if err := writeAll(w, entries); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

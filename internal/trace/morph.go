@@ -124,7 +124,6 @@ func (m MorphSpec) isZero() bool {
 }
 
 // Morph rewrites the entries of an underlying Reader per a MorphSpec.
-// It passes BatchReader through (morphing in place on the batch).
 type Morph struct {
 	src       Reader
 	spec      MorphSpec
@@ -186,25 +185,6 @@ func (m *Morph) morph(e Entry) Entry {
 func (m *Morph) Next() Entry {
 	m.pos++
 	return m.morph(m.src.Next())
-}
-
-// NextBatch implements BatchReader: the source fills the batch (bulk
-// path when it supports one), then the rewrite runs in place.
-func (m *Morph) NextBatch(out []Entry) int {
-	var n int
-	if br, ok := m.src.(BatchReader); ok {
-		n = br.NextBatch(out)
-	} else {
-		for i := range out {
-			out[i] = m.src.Next()
-		}
-		n = len(out)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = m.morph(out[i])
-	}
-	m.pos += int64(n)
-	return n
 }
 
 // Pos returns the number of entries produced so far.

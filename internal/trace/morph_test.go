@@ -6,7 +6,7 @@ import (
 )
 
 // bareReader hides every optional capability of a Reader, forcing Morph
-// down its non-batch, non-stateful paths.
+// down its non-stateful path.
 type bareReader struct{ r Reader }
 
 func (b *bareReader) Next() Entry { return b.r.Next() }
@@ -46,27 +46,18 @@ func TestMorphDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := MorphSpec{HotspotFrac: 0.3, HotspotLines: 8, HotTile: 5, IncastFrac: 0.2, IncastMC: 1, IncastMCs: 4, GapScale: 0.7}
-	// Entry-at-a-time and batched reads of the same seeded morph must
-	// produce the identical stream (one class draw per entry either way).
+	// The same seeded morph over a Stateful source and over a bare one
+	// must produce the identical stream (one class draw per entry either
+	// way): the rewrite depends on the entries, never on the source type.
 	one := NewMorph(NewGenerator(p, 2, 128), spec, 16, 128, 99)
-	batch := NewMorph(NewGenerator(p, 2, 128), spec, 16, 128, 99)
 	bare := NewMorph(&bareReader{r: NewGenerator(p, 2, 128)}, spec, 16, 128, 99)
-	buf := make([]Entry, 64)
-	for off := 0; off < 512; off += len(buf) {
-		if n := batch.(BatchReader).NextBatch(buf); n != len(buf) {
-			t.Fatalf("short batch %d", n)
-		}
-		for i, e := range buf {
-			if got := one.Next(); got != e {
-				t.Fatalf("entry %d: Next %+v != NextBatch %+v", off+i, got, e)
-			}
-			if got := bare.Next(); got != e {
-				t.Fatalf("entry %d: bare-source %+v != batch-source %+v", off+i, got, e)
-			}
+	for i := 0; i < 512; i++ {
+		if got, want := bare.Next(), one.Next(); got != want {
+			t.Fatalf("entry %d: bare-source %+v != stateful-source %+v", i, got, want)
 		}
 	}
-	if morphPos(one) != 512 || morphPos(batch) != 512 {
-		t.Fatalf("Pos %d/%d, want 512", morphPos(one), morphPos(batch))
+	if morphPos(one) != 512 || morphPos(bare) != 512 {
+		t.Fatalf("Pos %d/%d, want 512", morphPos(one), morphPos(bare))
 	}
 }
 
@@ -140,8 +131,7 @@ func TestMorphStateful(t *testing.T) {
 		m.Next()
 	}
 	state := m.SaveState()
-	want := make([]Entry, 200)
-	m.(BatchReader).NextBatch(want)
+	want := nextN(m, 200)
 
 	fresh := NewMorph(NewGenerator(p, 0, 128), spec, 16, 128, 0).(Stateful) // seed overwritten by restore
 	if err := fresh.RestoreState(state); err != nil {
@@ -150,8 +140,7 @@ func TestMorphStateful(t *testing.T) {
 	if morphPos(fresh) != 333 {
 		t.Fatalf("Pos %d after restore, want 333", morphPos(fresh))
 	}
-	got := make([]Entry, 200)
-	fresh.(BatchReader).NextBatch(got)
+	got := nextN(fresh, 200)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entry %d after restore: %+v != %+v", i, got[i], want[i])

@@ -25,16 +25,6 @@ type Reader interface {
 	Next() Entry
 }
 
-// BatchReader is a Reader that can decode many entries per call. NextBatch
-// fills out and returns how many entries were produced — always len(out)
-// for generators (endless streams), possibly fewer at the end of a file.
-// The caller owns out; implementations must not retain it, so steady-state
-// consumption is allocation-free on both sides.
-type BatchReader interface {
-	Reader
-	NextBatch(out []Entry) int
-}
-
 // Stateful is a Reader whose complete position — RNG register, address
 // walk, file offset — can be captured and restored in O(1), without
 // replaying the stream. cmp warm checkpoints store every reader's
@@ -48,19 +38,6 @@ type Stateful interface {
 	// successful restore the stream continues exactly as it would have on
 	// the original reader.
 	RestoreState(state []byte) error
-}
-
-// Seeker is a Reader addressable by entry index: SeekTo(n) leaves the
-// reader positioned as if n entries had been consumed since the start.
-// File-backed readers implement this with one index lookup + one chunk
-// decode (see ChunkReader); generators generally cannot (their position
-// is RNG state, not an index) and implement Stateful instead.
-type Seeker interface {
-	Reader
-	// Pos returns the number of entries consumed so far.
-	Pos() int64
-	// Seek repositions to just after entry n-1 (SeekTo(0) rewinds).
-	SeekTo(n int64) error
 }
 
 // Profile parameterizes a synthetic benchmark.
@@ -238,16 +215,6 @@ func (g *Generator) Next() Entry {
 	return e
 }
 
-// NextBatch fills out with the next len(out) entries (generators never
-// run dry) — the bulk API that amortizes per-entry interface dispatch for
-// recording and morphing pipelines.
-func (g *Generator) NextBatch(out []Entry) int {
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return len(out)
-}
-
 // Pos returns the number of entries generated so far.
 func (g *Generator) Pos() int64 { return g.pos }
 
@@ -316,14 +283,6 @@ func (g *URGenerator) Next() Entry {
 	g.next++
 	line := (uint64(g.src.Int63()) % g.span) | (uint64(g.core) << 40)
 	return Entry{Gap: 2, Addr: line * g.lineBytes, Write: false}
-}
-
-// NextBatch fills out (generators never run dry).
-func (g *URGenerator) NextBatch(out []Entry) int {
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return len(out)
 }
 
 // Pos returns the number of entries generated so far.

@@ -32,8 +32,8 @@
 # path are supposed to keep healthy.
 #
 # The streaming trace pipeline lands as two per-entry fields:
-# "trace_decode_entries_per_sec" (BenchmarkTraceDecode/batch: bulk HNTR2
-# chunk decode throughput — the benchmark decodes 65536 entries per op,
+# "trace_decode_entries_per_sec" (BenchmarkTraceDecode/next: HNTR2 replay
+# throughput through Next — the benchmark decodes 65536 entries per op,
 # so the rate is 65536e9/ns_per_op) and "warm_restore_seek_ns_per_op"
 # (BenchmarkWarmRestoreSeek: restoring a CMP warm checkpoint whose trace
 # readers are file-backed chunked traces, repositioned by SeekTo instead
@@ -220,8 +220,8 @@ END {
 		printf "\"ckpt_restore_ns_per_op\": %g, ", median(ns["BenchmarkCheckpointRestore"])
 	if ("BenchmarkFaultSweep" in ns)
 		printf "\"fault_sweep_ns_per_op\": %g, ", median(ns["BenchmarkFaultSweep"])
-	if ("BenchmarkTraceDecode/batch" in ns)
-		printf "\"trace_decode_entries_per_sec\": %g, ", 65536 * 1e9 / median(ns["BenchmarkTraceDecode/batch"])
+	if ("BenchmarkTraceDecode/next" in ns)
+		printf "\"trace_decode_entries_per_sec\": %g, ", 65536 * 1e9 / median(ns["BenchmarkTraceDecode/next"])
 	if ("BenchmarkWarmRestoreSeek" in ns)
 		printf "\"warm_restore_seek_ns_per_op\": %g, ", median(ns["BenchmarkWarmRestoreSeek"])
 	if ("BenchmarkTableBuild1024" in ns)
