@@ -178,7 +178,7 @@ func main() {
 			}
 			for _, fig := range rep.Figures {
 				path := filepath.Join(*figdir, fig.Name+".svg")
-				if err := os.WriteFile(path, []byte(fig.SVG), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(fig.SVG()), 0o644); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}

@@ -212,7 +212,7 @@ func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
 		}
 		latBars.Groups = append(latBars.Groups, g)
 	}
-	r11.AddFigure("fig11a_latency_reduction", latBars.SVG())
+	r11.AddFigure("fig11a_latency_reduction", latBars)
 	// Figure 11 (b): latency breakdown for the Fig11 benchmarks.
 	r11.Printf("\n### (b) Latency breakdown (cycles) — Diagonal+BL vs Baseline\n\n| benchmark | base q/b/t | diag+BL q/b/t |\n|---|---|---|\n")
 	diagIdx := 5 // Diagonal+BL in appLayouts
@@ -304,7 +304,7 @@ func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
 			}
 			bars.Groups = append(bars.Groups, g)
 		}
-		r12.AddFigure("fig12_"+suiteKey+"_ipc", bars.SVG())
+		r12.AddFigure("fig12_"+suiteKey+"_ipc", bars)
 	}
 	appStudyCache[sc.Name] = [2]*Report{r11, r12}
 	return r11, r12, nil

@@ -104,7 +104,7 @@ func LatencyBreakdown(ctx context.Context, sc Scale) (*Report, error) {
 		r.Metrics[key+"_attr_residual"] = res.AttrResidual
 		fig.Groups = append(fig.Groups, plot.BarGroup{Label: l.Name, Values: vals})
 	}
-	r.AddFigure("latency_breakdown_attr", fig.SVG())
+	r.AddFigure("latency_breakdown_attr", fig)
 
 	// Per-router-class rollup: where in the mesh the contention cycles are
 	// absorbed. Per-router means, because the classes differ in size.

@@ -76,3 +76,18 @@ func urAppKey(l core.Layout, sc Scale, mcTiles []int) string {
 	return fmt.Sprintf("urapp|%s|mc=%s|sc=%s/%d",
 		layoutKey(l), mcKey(l, mcTiles), sc.Name, sc.CMPCycles)
 }
+
+// asymKey addresses one Fig14 run: the layout, whether the large tiles'
+// flows use table routing, the large-tile set and which of the 64 tiles
+// run a trace (the rest idle).
+func asymKey(l core.Layout, table bool, largeTiles []int, active func(int) bool, sc Scale) string {
+	var mask uint64
+	for t := 0; t < 64; t++ {
+		if active(t) {
+			mask |= 1 << t
+		}
+	}
+	return fmt.Sprintf("asym|%s|table=%t|large=%v|active=%016x|sc=%s/%d/%d",
+		layoutKey(l), table, largeTiles, mask,
+		sc.Name, sc.CMPWarmupEntries, sc.CMPCycles)
+}

@@ -115,40 +115,49 @@ func TestRunAppCached(t *testing.T) {
 // TestFigureOutputIdenticalWithAndWithoutCache is the end-to-end
 // transparency gate of the acceptance criteria: a full figure regeneration
 // renders byte-identical markdown whether its runs come from the cache or
-// from fresh simulations.
+// from fresh simulations. Fig1 covers the network runs, Fig14 the
+// asymmetric-CMP runs.
 func TestFigureOutputIdenticalWithAndWithoutCache(t *testing.T) {
-	runcache.Reset()
 	defer func() {
 		runcache.SetEnabled(true)
 		runcache.Reset()
 	}()
-	sc := cacheTestScale("cachetest-fig")
+	for _, fig := range []struct {
+		name string
+		run  func(context.Context, Scale) (*Report, error)
+	}{{"fig1", Fig1}, {"fig14", Fig14}} {
+		t.Run(fig.name, func(t *testing.T) {
+			runcache.SetEnabled(true)
+			runcache.Reset()
+			sc := cacheTestScale("cachetest-" + fig.name)
 
-	cold, err := Fig1(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, missCold := runcache.Stats()
-	if missCold == 0 {
-		t.Fatal("cold figure run recorded no cache misses; runNet is not routed through runcache")
-	}
-	warm, err := Fig1(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitWarm, missWarm := runcache.Stats()
-	if hitWarm == 0 || missWarm != missCold {
-		t.Fatalf("warm figure run: stats = %d hits / %d misses, want hits > 0 and no new misses", hitWarm, missWarm)
-	}
-	runcache.SetEnabled(false)
-	uncached, err := Fig1(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Markdown() != cold.Markdown() {
-		t.Fatal("cache-served figure differs from the run that populated the cache")
-	}
-	if uncached.Markdown() != cold.Markdown() {
-		t.Fatal("figure output with cache disabled differs from cached output")
+			cold, err := fig.run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, missCold := runcache.Stats()
+			if missCold == 0 {
+				t.Fatal("cold figure run recorded no cache misses; its runs are not routed through runcache")
+			}
+			warm, err := fig.run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hitWarm, missWarm := runcache.Stats()
+			if hitWarm == 0 || missWarm != missCold {
+				t.Fatalf("warm figure run: stats = %d hits / %d misses, want hits > 0 and no new misses", hitWarm, missWarm)
+			}
+			runcache.SetEnabled(false)
+			uncached, err := fig.run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Markdown() != cold.Markdown() {
+				t.Fatal("cache-served figure differs from the run that populated the cache")
+			}
+			if uncached.Markdown() != cold.Markdown() {
+				t.Fatal("figure output with cache disabled differs from cached output")
+			}
+		})
 	}
 }

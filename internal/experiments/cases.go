@@ -124,7 +124,7 @@ func Fig13(ctx context.Context, sc Scale) (*Report, error) {
 			sc13.Points = append(sc13.Points, plot.ScatterPoint{Label: b, X: mc.StdDev(), Y: mc.Mean(), Series: i})
 		}
 	}
-	r.AddFigure("fig13b_jitter", sc13.SVG())
+	r.AddFigure("fig13b_jitter", sc13)
 	return r, nil
 }
 
@@ -219,33 +219,18 @@ func Fig14(ctx context.Context, sc Scale) (*Report, error) {
 	small := func(t int) bool { return !isLarge(t) }
 	// Each config needs three independent runs (libquantum alone, SPECjbb
 	// alone, together); the 3x3 grid is one flat batch on the worker pool.
-	// Each job builds its own System — and its own routing table, since an
-	// Algorithm must not be shared across concurrently stepping networks.
+	// Each run is memoized as its per-tile IPC vector, the only thing the
+	// speedups read. An uncached job builds its own System — and its own
+	// routing table, since an Algorithm must not be shared across
+	// concurrently stepping networks.
 	actives := []func(int) bool{isLarge, small, func(int) bool { return true }}
-	systems, err := par.MapCtx(ctx, len(configs)*len(actives), func(ctx context.Context, k int) (*cmp.System, error) {
+	ipcs, err := par.MapCtx(ctx, len(configs)*len(actives), func(ctx context.Context, k int) ([]float64, error) {
 		c := configs[k/len(actives)]
-		var alg routing.Algorithm
-		if c.table {
-			alg = routing.NewTableXY(c.layout.Mesh, routing.TableXYConfig{
-				Flagged: largeTiles,
-				Big:     c.layout.BigSet(),
-			})
-		}
-		trs, cores, err := asymTraces(largeTiles, actives[k%len(actives)])
-		if err != nil {
-			return nil, err
-		}
-		s, err := cmp.New(cmp.Config{Layout: c.layout, Traces: trs, Cores: cores, Routing: alg})
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Warmup(ctx, sc.CMPWarmupEntries); err != nil {
-			return nil, err
-		}
-		if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
-			return nil, err
-		}
-		return s, nil
+		active := actives[k%len(actives)]
+		key := asymKey(c.layout, c.table, largeTiles, active, sc)
+		return runcache.ForCtx(ctx, key, func(ctx context.Context) ([]float64, error) {
+			return runAsym(ctx, c, largeTiles, active, sc)
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +238,7 @@ func Fig14(ctx context.Context, sc Scale) (*Report, error) {
 	var outs []speedups
 	r.Printf("| config | weighted speedup | harmonic speedup |\n|---|---|---|\n")
 	for ci, c := range configs {
-		aloneLibq, aloneJbb, together := systems[ci*3], systems[ci*3+1], systems[ci*3+2]
+		aloneLibq, aloneJbb, together := ipcs[ci*3], ipcs[ci*3+1], ipcs[ci*3+2]
 		libqRatio := avgIPCOf(together, isLarge) / avgIPCOf(aloneLibq, isLarge)
 		jbbRatio := avgIPCOf(together, small) / avgIPCOf(aloneJbb, small)
 		// Harmonic speedup uses the slowest SPECjbb thread (Section 7).
@@ -271,17 +256,49 @@ func Fig14(ctx context.Context, sc Scale) (*Report, error) {
 	for i, c := range configs {
 		wsBars.Groups = append(wsBars.Groups, plot.BarGroup{Label: c.name, Values: []float64{outs[i].weighted, outs[i].harmonic}})
 	}
-	r.AddFigure("fig14b_speedup", wsBars.SVG())
+	r.AddFigure("fig14b_speedup", wsBars)
 	r.Printf("\nTable-based routing expedites libquantum packets through the big routers while decongesting the small routers for SPECjbb (paper: +6%% and +11%% weighted speedup).\n")
 	return r, nil
 }
 
-func avgIPCOf(s *cmp.System, sel func(int) bool) float64 {
+// runAsym runs one Figure 14 system — libquantum on the active large
+// tiles, SPECjbb on the other active tiles — and returns every tile's IPC,
+// indexed by tile.
+func runAsym(ctx context.Context, c asymConfig, largeTiles []int, active func(int) bool, sc Scale) ([]float64, error) {
+	var alg routing.Algorithm
+	if c.table {
+		alg = routing.NewTableXY(c.layout.Mesh, routing.TableXYConfig{
+			Flagged: largeTiles,
+			Big:     c.layout.BigSet(),
+		})
+	}
+	trs, cores, err := asymTraces(largeTiles, active)
+	if err != nil {
+		return nil, err
+	}
+	s, err := cmp.New(cmp.Config{Layout: c.layout, Traces: trs, Cores: cores, Routing: alg})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Warmup(ctx, sc.CMPWarmupEntries); err != nil {
+		return nil, err
+	}
+	if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
+		return nil, err
+	}
+	ipc := make([]float64, len(s.Tiles))
+	for _, t := range s.Tiles {
+		ipc[t.ID] = t.Core.IPC()
+	}
+	return ipc, nil
+}
+
+func avgIPCOf(ipc []float64, sel func(int) bool) float64 {
 	var sum float64
 	var n int
-	for _, t := range s.Tiles {
-		if sel(t.ID) {
-			sum += t.Core.IPC()
+	for t, v := range ipc {
+		if sel(t) {
+			sum += v
 			n++
 		}
 	}
@@ -291,13 +308,11 @@ func avgIPCOf(s *cmp.System, sel func(int) bool) float64 {
 	return sum / float64(n)
 }
 
-func minIPCOf(s *cmp.System, sel func(int) bool) float64 {
+func minIPCOf(ipc []float64, sel func(int) bool) float64 {
 	min := -1.0
-	for _, t := range s.Tiles {
-		if sel(t.ID) {
-			if ipc := t.Core.IPC(); min < 0 || ipc < min {
-				min = ipc
-			}
+	for t, v := range ipc {
+		if sel(t) && (min < 0 || v < min) {
+			min = v
 		}
 	}
 	return min

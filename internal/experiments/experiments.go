@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"heteronoc/internal/plot"
 )
 
 // Scale sizes the simulations.
@@ -68,13 +70,17 @@ func Full() Scale {
 	}
 }
 
-// Figure is one SVG rendering attached to a report.
+// Figure is one chart attached to a report. It renders only when asked:
+// most readers of a report (the markdown, the fingerprint, nocserved's
+// /run) never look at its figures.
 type Figure struct {
 	// Name is the file stem, e.g. "fig7a_latency".
-	Name string
-	// SVG is the document contents.
-	SVG string
+	Name  string
+	chart plot.Chart
 }
+
+// SVG renders the figure as a standalone SVG document.
+func (f Figure) SVG() string { return f.chart.SVG() }
 
 // Report is the outcome of one experiment.
 type Report struct {
@@ -84,14 +90,15 @@ type Report struct {
 	// Metrics holds the headline numbers, keyed by stable names used in
 	// tests and EXPERIMENTS.md.
 	Metrics map[string]float64
-	// Figures holds the regenerated paper figures as SVG documents
-	// (written by cmd/experiments -figdir).
+	// Figures holds the regenerated paper figures (rendered and written
+	// by cmd/experiments -figdir).
 	Figures []Figure
 }
 
-// AddFigure attaches an SVG figure.
-func (r *Report) AddFigure(name, svg string) {
-	r.Figures = append(r.Figures, Figure{Name: name, SVG: svg})
+// AddFigure attaches a chart under a file stem. The chart keeps
+// referencing its data, which the caller must leave untouched.
+func (r *Report) AddFigure(name string, c plot.Chart) {
+	r.Figures = append(r.Figures, Figure{Name: name, chart: c})
 }
 
 func newReport(id, title string) *Report {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -151,15 +153,34 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// countingChart is a plot.Chart that counts its renderings.
+type countingChart struct{ renders int }
+
+func (c *countingChart) SVG() string {
+	c.renders++
+	return "<svg></svg>\n"
+}
+
 func TestReportMarkdown(t *testing.T) {
 	r := newReport("x", "Test")
 	r.Printf("hello %d\n", 42)
 	r.Metrics["m"] = 1.5
+	c := &countingChart{}
+	r.AddFigure("x_chart", c)
 	md := r.Markdown()
 	for _, want := range []string{"## x — Test", "hello 42", "`m` = 1.5"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)
 		}
+	}
+	// The markdown and the fingerprint, all nocserved's /run reads of a
+	// report, render no figure; only Figure.SVG does.
+	r.Fingerprint()
+	if c.renders != 0 {
+		t.Fatalf("Markdown and Fingerprint rendered the figure %d times, want 0", c.renders)
+	}
+	if svg := r.Figures[0].SVG(); svg != "<svg></svg>\n" || c.renders != 1 {
+		t.Fatalf("Figure.SVG returned %q after %d renders, want the chart's document after 1", svg, c.renders)
 	}
 }
 
@@ -172,7 +193,7 @@ func TestFiguresAttached(t *testing.T) {
 		t.Fatalf("fig1 has %d figures, want 2", len(r.Figures))
 	}
 	for _, f := range r.Figures {
-		if !strings.Contains(f.SVG, "<svg") || !strings.Contains(f.SVG, "</svg>") {
+		if svg := f.SVG(); !strings.Contains(svg, "<svg") || !strings.Contains(svg, "</svg>") {
 			t.Errorf("figure %s is not an SVG document", f.Name)
 		}
 	}
@@ -182,6 +203,38 @@ func TestFiguresAttached(t *testing.T) {
 	}
 	if len(r7.Figures) != 3 {
 		t.Fatalf("fig7 has %d figures, want 3 (latency, power, summary)", len(r7.Figures))
+	}
+}
+
+// figureSVGDigest is the SHA-256 TestFigureSVGDigest computes. It was
+// taken while reports still held their figures as rendered strings, and
+// must never change: a difference means a figure's bytes moved, say
+// because an experiment changed a chart's data after attaching it.
+const figureSVGDigest = "bafb9973d0591dbfbed8bc4e0bbd7e66baad758e20cc7f60306b667ea40ed406"
+
+// TestFigureSVGDigest pins the name and SVG bytes of every figure Fig1,
+// Fig2, Fig7 and Fig8 attach at tiny scale.
+func TestFigureSVGDigest(t *testing.T) {
+	h := sha256.New()
+	n := 0
+	for _, run := range []func(context.Context, Scale) (*Report, error){Fig1, Fig2, Fig7, Fig8} {
+		r, err := run(context.Background(), tiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range r.Figures {
+			h.Write([]byte(f.Name))
+			h.Write([]byte{0})
+			h.Write([]byte(f.SVG()))
+			h.Write([]byte{0})
+			n++
+		}
+	}
+	if n != 9 {
+		t.Fatalf("%d figures, want 9", n)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != figureSVGDigest {
+		t.Fatalf("figure digest %s, want %s", got, figureSVGDigest)
 	}
 }
 

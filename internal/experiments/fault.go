@@ -225,8 +225,8 @@ func Degradation(ctx context.Context, sc Scale) (*Report, error) {
 		satFig.Series = append(satFig.Series, series[li].sat)
 		latFig.Series = append(latFig.Series, series[li].lat)
 	}
-	r.AddFigure("degradation_throughput", satFig.SVG())
-	r.AddFigure("degradation_latency", latFig.SVG())
+	r.AddFigure("degradation_throughput", satFig)
+	r.AddFigure("degradation_latency", latFig)
 	r.Printf("\nWith connected failure sets and retransmission, both designs deliver every accepted transfer; the capacity numbers carry the signal. Fault-free, the homogeneous mesh has the edge (the escape-VC reservation costs the 2-VC small routers half their lanes), but it sheds capacity quickly as links die. The heterogeneous mesh degrades gracefully: rerouted traffic concentrates on the surviving paths through the diagonal, and the wide, deeply-buffered big routers absorb exactly that pressure, so from two failed links on it retains strictly more of its saturation throughput than the baseline retains of its own.\n")
 	return r, nil
 }

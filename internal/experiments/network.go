@@ -77,8 +77,8 @@ func Fig1(ctx context.Context, sc Scale) (*Report, error) {
 	r.Metrics["buffer_util_min"] = lo
 	r.Metrics["buffer_util_max"] = hi
 	r.Printf("\nThe center of the mesh is far more utilized than the periphery (paper: ~75%% vs ~35%% relative occupancy), the non-uniformity HeteroNoC exploits.\n")
-	r.AddFigure("fig1a_buffer_util", (&plot.HeatChart{Title: "Fig 1(a): buffer utilization", W: 8, H: 8, Values: buf}).SVG())
-	r.AddFigure("fig1b_link_util", (&plot.HeatChart{Title: "Fig 1(b): link utilization", W: 8, H: 8, Values: link}).SVG())
+	r.AddFigure("fig1a_buffer_util", &plot.HeatChart{Title: "Fig 1(a): buffer utilization", W: 8, H: 8, Values: buf})
+	r.AddFigure("fig1b_link_util", &plot.HeatChart{Title: "Fig 1(b): link utilization", W: 8, H: 8, Values: link})
 	return r, nil
 }
 
@@ -133,7 +133,7 @@ func Fig2(ctx context.Context, sc Scale) (*Report, error) {
 			key = "fbfly"
 		}
 		r.Metrics[key+"_center_periphery_ratio"] = h.CenterPeripheryRatio()
-		r.AddFigure("fig2_"+key+"_buffer_util", (&plot.HeatChart{Title: "Fig 2: " + key + " buffer utilization", W: c.w, H: c.h, Values: buf}).SVG())
+		r.AddFigure("fig2_"+key+"_buffer_util", &plot.HeatChart{Title: "Fig 2: " + key + " buffer utilization", W: c.w, H: c.h, Values: buf})
 	}
 	r.Printf("Both non-edge-symmetric topologies show the hot-center pattern under deterministic routing.\n")
 	return r, nil
@@ -378,8 +378,8 @@ func loadSweepReport(ctx context.Context, sc Scale, id, title string, nn bool) (
 		lat.Series = append(lat.Series, ls)
 		pow.Series = append(pow.Series, ps)
 	}
-	r.AddFigure(id+"a_latency", lat.SVG())
-	r.AddFigure(id+"c_power", pow.SVG())
+	r.AddFigure(id+"a_latency", lat)
+	r.AddFigure(id+"c_power", pow)
 	bars := &plot.BarChart{Title: title + ": improvement over baseline", YLabel: "%", Series: []string{"throughput", "avg latency", "zero load"}}
 	for _, s := range sums[1:] {
 		bars.Groups = append(bars.Groups, plot.BarGroup{Label: s.layout.Name, Values: []float64{
@@ -388,7 +388,7 @@ func loadSweepReport(ctx context.Context, sc Scale, id, title string, nn bool) (
 			stats.PctReduction(s.zeroLoad, base.zeroLoad),
 		}})
 	}
-	r.AddFigure(id+"b_summary", bars.SVG())
+	r.AddFigure(id+"b_summary", bars)
 	return r, nil
 }
 
@@ -479,7 +479,7 @@ func Fig8(ctx context.Context, sc Scale) (*Report, error) {
 		powFig.Groups = append(powFig.Groups, plot.BarGroup{Label: l.Name,
 			Values: []float64{pows[i].Links, pows[i].Xbar, pows[i].Arbiters, pows[i].Buffers}})
 	}
-	r.AddFigure("fig8a_latency_breakdown", latFig.SVG())
-	r.AddFigure("fig8b_power_breakdown", powFig.SVG())
+	r.AddFigure("fig8a_latency_breakdown", latFig)
+	r.AddFigure("fig8b_power_breakdown", powFig)
 	return r, nil
 }

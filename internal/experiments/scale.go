@@ -137,7 +137,7 @@ func scaleSweep(ctx context.Context, r *Report, w int, sc Scale) error {
 		}
 		fig.Series = append(fig.Series, ls)
 	}
-	r.AddFigure(fmt.Sprintf("scale_%dx%d_latency", w, w), fig.SVG())
+	r.AddFigure(fmt.Sprintf("scale_%dx%d_latency", w, w), fig)
 	return nil
 }
 

@@ -1,9 +1,9 @@
 // Package plot renders the paper's figure types — load-latency line
 // charts, improvement bar charts, utilization heat maps and
 // latency-vs-jitter scatter plots — as standalone SVG documents using only
-// the standard library. The experiments harness attaches these to its
-// reports so `cmd/experiments -figdir` regenerates the paper's figures as
-// image files.
+// the standard library. The experiments harness attaches the charts to its
+// reports unrendered, and `cmd/experiments -figdir` renders each one when
+// it writes the paper's figures as image files.
 package plot
 
 import (
@@ -11,6 +11,13 @@ import (
 	"math"
 	"strings"
 )
+
+// Chart is a figure that renders itself as a standalone SVG document.
+// Rendering reads the chart's data, so that data must not change between
+// building the chart and rendering it.
+type Chart interface {
+	SVG() string
+}
 
 // palette holds the categorical series colors (colorblind-safe).
 var palette = []string{

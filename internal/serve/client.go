@@ -16,11 +16,11 @@ import (
 )
 
 // Client is the Go client for a nocserved instance. It retries the
-// retryable outcomes — shed (429), draining/suspended (503), worker
-// panics (500 "panic") and transport errors — with capped exponential
-// backoff and full jitter, honoring Retry-After when the server sends
-// one. Non-retryable outcomes (bad request, unknown experiment, timeout
-// of the run itself) surface immediately.
+// retryable outcomes — shed (429), draining, suspended and shutting_down
+// (503), worker panics (500 "panic") and transport errors — with capped
+// exponential backoff and full jitter, honoring Retry-After when the
+// server sends one. Non-retryable outcomes (bad request, unknown
+// experiment, timeout of the run itself) surface immediately.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string

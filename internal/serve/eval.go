@@ -99,7 +99,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := checkEvalRequest(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+		s.writeError(w, r, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return
 	}
 	attrs := map[string]string{"kind": "eval", "batch": fmt.Sprint(len(req.Sets))}

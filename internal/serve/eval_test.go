@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,8 +24,9 @@ func evalTestCfg() dse.EvalConfig {
 }
 
 // TestEvalEndpointScoresBatch drives the /eval round trip: a batch comes
-// back index-aligned with real objectives, and repeating it is answered
-// entirely from the server's shared cache.
+// back index-aligned with real objectives, repeating it is answered
+// entirely from the server's shared cache, and neither batch enters
+// /run's metrics.
 func TestEvalEndpointScoresBatch(t *testing.T) {
 	runcache.Reset()
 	defer runcache.Reset()
@@ -65,6 +67,19 @@ func TestEvalEndpointScoresBatch(t *testing.T) {
 	for i := range sets {
 		if fmt.Sprintf("%+v", again.Candidates[i]) != fmt.Sprintf("%+v", resp.Candidates[i]) {
 			t.Errorf("cached candidate %d differs: %+v vs %+v", i, again.Candidates[i], resp.Candidates[i])
+		}
+	}
+	// Both batches count under endpoint="eval" and stay out of /run's
+	// latency window and request series.
+	m := string(srv.Registry().Exposition())
+	for _, line := range []string{
+		"serve_latency_p50_ms 0\n",
+		"serve_latency_p99_ms 0\n",
+		`serve_requests_total{code="200",endpoint="run"} 0` + "\n",
+		`serve_requests_total{code="200",endpoint="eval"} 2` + "\n",
+	} {
+		if !strings.Contains(m, line) {
+			t.Errorf("metrics after two /eval batches lack %q:\n%s", strings.TrimSpace(line), m)
 		}
 	}
 }
@@ -149,9 +164,10 @@ func TestEvalDeadlineStopsWarmup(t *testing.T) {
 }
 
 // TestShutdownCancelsEval pins that /eval runs without the suspend
-// controller: a shutdown cancels an in-flight batch in its last phase,
-// answering 408 cancelled, instead of checkpointing its probes the way it
-// suspends /run's runs.
+// controller: a shutdown cancels an in-flight batch in its last phase
+// instead of checkpointing its probes the way it suspends /run's runs,
+// and answers 503 shutting_down with Retry-After, an answer serve.Client
+// retries against the restarted server.
 func TestShutdownCancelsEval(t *testing.T) {
 	runcache.Reset()
 	defer runcache.Reset()
@@ -178,11 +194,87 @@ func TestShutdownCancelsEval(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	var api *APIError
-	if err := <-errc; !errors.As(err, &api) || api.Code != http.StatusRequestTimeout || api.Payload.Error != "cancelled" {
-		t.Fatalf("in-flight batch at shutdown: got %v, want 408 cancelled", err)
+	if err := <-errc; !errors.As(err, &api) || api.Code != http.StatusServiceUnavailable ||
+		api.Payload.Error != "shutting_down" || api.Payload.RetryAfterSec <= 0 {
+		t.Fatalf("in-flight batch at shutdown: got %v, want 503 shutting_down with Retry-After", err)
 	}
 	if n := suspend.Pending(dir); n != 0 {
 		t.Fatalf("shutdown checkpointed %d /eval probes", n)
+	}
+}
+
+// TestClientRetriesShutdownAcrossRestart drives a restart under a
+// waiting client: a batch queued on a server whose shutdown hard-cancels
+// it gets the shutdown answer on its first attempt, and Client.Eval's
+// retry is served by a fresh Server swapped in behind the same listener.
+func TestClientRetriesShutdownAcrossRestart(t *testing.T) {
+	runcache.Reset()
+	defer runcache.Reset()
+	old := New(Config{
+		Workers: 1, RetryAfter: 20 * time.Millisecond,
+		DrainGrace: 50 * time.Millisecond, SuspendGrace: 50 * time.Millisecond,
+	})
+	fresh := New(Config{Workers: 1})
+	defer fresh.Shutdown(context.Background())
+	var cur atomic.Pointer[Server]
+	cur.Store(old)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	// Occupy the old server's only worker with a batch that would run
+	// for minutes, then queue the batch under test behind it.
+	long := evalTestCfg()
+	long.Packets = 50_000_000
+	blocked := make(chan error, 1)
+	go func() {
+		blocker := &Client{BaseURL: ts.URL, MaxAttempts: 1}
+		_, err := blocker.Eval(context.Background(), EvalRequest{Cfg: long, Sets: [][]int{{0, 5, 10, 15}}})
+		blocked <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return old.busy.Load() == 1 })
+	c := &Client{BaseURL: ts.URL, MaxAttempts: 2}
+	type result struct {
+		resp *EvalResponse
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		resp, err := c.Eval(context.Background(), EvalRequest{Tenant: "search", Cfg: evalTestCfg(), Sets: [][]int{{0, 5, 10, 15}}})
+		got <- result{resp, err}
+	}()
+	waitFor(t, 5*time.Second, func() bool { return old.sched.depth() == 1 })
+
+	// Restart: new connections reach the fresh server while the old one
+	// drains and hard-cancels both batches.
+	cur.Store(fresh)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := old.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	var api *APIError
+	if err := <-blocked; !errors.As(err, &api) || api.Code != http.StatusServiceUnavailable || api.Payload.Error != "shutting_down" {
+		t.Fatalf("in-flight batch at shutdown: got %v, want 503 shutting_down", err)
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("queued batch across the restart: %v", r.err)
+	}
+	if len(r.resp.Candidates) != 1 || r.resp.Candidates[0].LatencyNS <= 0 {
+		t.Fatalf("retried batch answered %+v", r.resp.Candidates)
+	}
+	if n := c.Retries.Load(); n != 1 {
+		t.Fatalf("client retried %d times, want 1", n)
+	}
+	// Both first attempts got the old server's 503; the retry got the
+	// fresh server's 200.
+	if n := old.mRequests[requestKey{"eval", http.StatusServiceUnavailable}].Value(); n != 2 {
+		t.Fatalf("old server answered %d /eval requests 503, want 2", n)
+	}
+	if n := fresh.mRequests[requestKey{"eval", http.StatusOK}].Value(); n != 1 {
+		t.Fatalf("fresh server answered %d /eval requests 200, want 1", n)
 	}
 }
 

@@ -15,8 +15,9 @@
 //     the server and every other tenant's requests keep going.
 //   - Graceful shutdown: draining first waits for short runs, then flips
 //     the suspend controller so long runs checkpoint themselves as
-//     NOCCKPT01 containers, and only then hard-cancels stragglers. A
-//     restarted server resumes suspended runs to byte-identical artifacts.
+//     NOCCKPT01 containers, and only then hard-cancels stragglers, whose
+//     clients get 503 shutting_down with Retry-After. A restarted server
+//     resumes suspended runs to byte-identical artifacts.
 //
 // The package is HTTP-handler-centric (Server.Handler) so tests can mount
 // it on httptest servers; cmd/nocserved adds the listener, OS signals and
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +209,13 @@ type jobResult struct {
 	err     error
 }
 
+// requestKey names one serve_requests_total series: the endpoint ("run"
+// or "eval", the request path) and the response code.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
 // Server is the service core. Create with New, mount Handler, stop with
 // Shutdown.
 type Server struct {
@@ -237,7 +246,7 @@ type Server struct {
 	lat   *latencyTracker
 	spans *obs.SpanLog
 
-	mRequests  map[int]*obs.Counter
+	mRequests  map[requestKey]*obs.Counter
 	mPanics    *obs.Counter
 	mShed      *obs.Counter
 	mSuspended *obs.Counter
@@ -260,15 +269,18 @@ func New(cfg Config) *Server {
 	}
 	s.lastChange = time.Now()
 
-	s.mRequests = map[int]*obs.Counter{}
-	for _, code := range []int{
-		http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
-		http.StatusMethodNotAllowed, http.StatusRequestTimeout,
-		http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusServiceUnavailable,
-	} {
-		s.mRequests[code] = s.reg.NewCounter("serve_requests_total",
-			"run requests by response code", obs.L("code", fmt.Sprint(code)))
+	s.mRequests = map[requestKey]*obs.Counter{}
+	for _, endpoint := range []string{"run", "eval"} {
+		for _, code := range []int{
+			http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
+			http.StatusMethodNotAllowed, http.StatusRequestTimeout,
+			http.StatusTooManyRequests, http.StatusInternalServerError,
+			http.StatusServiceUnavailable,
+		} {
+			s.mRequests[requestKey{endpoint, code}] = s.reg.NewCounter("serve_requests_total",
+				"/run and /eval requests by endpoint and response code",
+				obs.L("endpoint", endpoint), obs.L("code", fmt.Sprint(code)))
+		}
 	}
 	s.mPanics = s.reg.NewCounter("serve_panics_total", "runs that panicked in a worker (recovered)")
 	s.mShed = s.reg.NewCounter("serve_shed_total", "requests refused by admission control")
@@ -379,10 +391,11 @@ func (s *Server) runJob(j *job) {
 	j.finish(s, outcome)
 	if resp, ok := payload.(*Response); ok {
 		// Only /run's wire format carries the phase split, and only a
-		// finished span has its total.
+		// finished span has its total. The latency window is /run's too:
+		// a DSE batch is not a figure request.
 		resp.Timing = j.span.Timing()
+		s.lat.record(acct.ElapsedMS)
 	}
-	s.lat.record(acct.ElapsedMS)
 	j.done <- jobResult{payload: payload}
 }
 
@@ -465,7 +478,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	runner, err := experiments.ByID(req.Experiment)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, ErrorPayload{Error: "unknown_experiment", Detail: err.Error()})
+		s.writeError(w, r, http.StatusNotFound, ErrorPayload{Error: "unknown_experiment", Detail: err.Error()})
 		return
 	}
 	if req.Scale == "" {
@@ -473,7 +486,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	sc, ok := s.cfg.Scales[req.Scale]
 	if !ok {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "unknown_scale", Detail: req.Scale})
+		s.writeError(w, r, http.StatusBadRequest, ErrorPayload{Error: "unknown_scale", Detail: req.Scale})
 		return
 	}
 	attrs := map[string]string{"experiment": req.Experiment, "scale": req.Scale}
@@ -511,13 +524,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // whether the handler may go on.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, ErrorPayload{Error: "method_not_allowed"})
+		s.writeError(w, r, http.StatusMethodNotAllowed, ErrorPayload{Error: "method_not_allowed"})
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+		s.writeError(w, r, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
 		return false
 	}
 	return true
@@ -534,7 +547,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tenant string, ti
 		tenant = "default"
 	}
 	if s.draining.Load() {
-		s.shed(w, http.StatusServiceUnavailable, "draining")
+		s.shed(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
 
@@ -577,71 +590,87 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tenant string, ti
 		s.trackJob(j, false)
 		switch {
 		case errors.Is(err, ErrDraining):
-			s.shed(w, http.StatusServiceUnavailable, "draining")
+			s.shed(w, r, http.StatusServiceUnavailable, "draining")
 		case errors.Is(err, ErrTenantQueueFull):
-			s.shed(w, http.StatusTooManyRequests, "tenant_queue_full")
+			s.shed(w, r, http.StatusTooManyRequests, "tenant_queue_full")
 		default:
-			s.shed(w, http.StatusTooManyRequests, "overloaded")
+			s.shed(w, r, http.StatusTooManyRequests, "overloaded")
 		}
 		return
 	}
 	select {
 	case res := <-j.done:
-		s.writeResult(w, res)
+		s.writeResult(w, r, res)
 	case <-r.Context().Done():
 		// Client gone: cancel the run (the step loops stop within one
 		// batch) and record the outcome even though nobody reads it.
 		cancel()
 		res := <-j.done
-		s.writeResult(w, res)
+		s.writeResult(w, r, res)
 	}
 }
 
 // shed answers an admission refusal with a Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter, code int, reason string) {
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, code int, reason string) {
 	s.mShed.Inc()
+	s.retryLater(w, r, code, ErrorPayload{Error: reason})
+}
+
+// retryLater answers code with p and the server's Retry-After hint, which
+// serve.Client honours before trying again.
+func (s *Server) retryLater(w http.ResponseWriter, r *http.Request, code int, p ErrorPayload) {
 	retry := s.cfg.RetryAfter
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Seconds()+0.999)))
-	s.writeError(w, code, ErrorPayload{Error: reason, RetryAfterSec: retry.Seconds()})
+	p.RetryAfterSec = retry.Seconds()
+	s.writeError(w, r, code, p)
 }
 
 // writeResult maps a job outcome onto the HTTP surface.
-func (s *Server) writeResult(w http.ResponseWriter, res jobResult) {
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res jobResult) {
 	switch {
 	case res.err == nil:
-		s.mRequests[http.StatusOK].Inc()
+		s.count(r, http.StatusOK)
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(res.payload)
 	case errors.Is(res.err, suspend.ErrSuspended):
 		// The run checkpointed itself; the same request against a
 		// restarted server resumes it.
-		retry := s.cfg.RetryAfter
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Seconds()+0.999)))
-		s.writeError(w, http.StatusServiceUnavailable, ErrorPayload{
+		s.retryLater(w, r, http.StatusServiceUnavailable, ErrorPayload{
 			Error: "suspended", Detail: "run checkpointed for shutdown; retry to resume",
-			RetryAfterSec: retry.Seconds(),
 		})
 	case errors.Is(res.err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusRequestTimeout, ErrorPayload{Error: "timeout"})
+		s.writeError(w, r, http.StatusRequestTimeout, ErrorPayload{Error: "timeout"})
+	case errors.Is(res.err, context.Canceled) && s.draining.Load() && r.Context().Err() == nil:
+		// A shutdown hard-cancelled the work (an /eval probe, a CMP run)
+		// while its client still waits: the same request against a
+		// restarted server runs it.
+		s.retryLater(w, r, http.StatusServiceUnavailable, ErrorPayload{
+			Error: "shutting_down", Detail: "work cancelled by server shutdown; retry",
+		})
 	case errors.Is(res.err, context.Canceled):
-		s.writeError(w, http.StatusRequestTimeout, ErrorPayload{Error: "cancelled"})
+		s.writeError(w, r, http.StatusRequestTimeout, ErrorPayload{Error: "cancelled"})
 	default:
 		var pe *PanicError
 		if errors.As(res.err, &pe) {
-			s.writeError(w, http.StatusInternalServerError, ErrorPayload{Error: "panic", Detail: pe.Value})
+			s.writeError(w, r, http.StatusInternalServerError, ErrorPayload{Error: "panic", Detail: pe.Value})
 			return
 		}
-		s.writeError(w, http.StatusInternalServerError, ErrorPayload{Error: "internal", Detail: res.err.Error()})
+		s.writeError(w, r, http.StatusInternalServerError, ErrorPayload{Error: "internal", Detail: res.err.Error()})
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, p ErrorPayload) {
-	if c, ok := s.mRequests[code]; ok {
-		c.Inc()
-	}
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, p ErrorPayload) {
+	s.count(r, code)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(p)
+}
+
+// count bumps the serve_requests_total series of r's endpoint and code.
+func (s *Server) count(r *http.Request, code int) {
+	if c, ok := s.mRequests[requestKey{strings.TrimPrefix(r.URL.Path, "/"), code}]; ok {
+		c.Inc()
+	}
 }
 
 // handleSpans serves the most recent request span trees as JSON — the

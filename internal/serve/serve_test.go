@@ -155,24 +155,30 @@ func TestRunColdThenWarm(t *testing.T) {
 		t.Fatalf("cold run response incomplete: fp=%q", cold.Fingerprint)
 	}
 
-	code, _, body = post(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("warm run: %d %s", code, body)
-	}
-	warm := decodeResponse(t, body)
-	if !warm.FromCache || warm.Cache.Executions != 0 || warm.Cache.Cycles != 0 {
-		t.Fatalf("warm repeat must run zero simulation work: %+v", warm.Cache)
-	}
-	if warm.Cache.Hits == 0 {
-		t.Fatal("warm repeat should charge cache hits")
-	}
-	if warm.Fingerprint != cold.Fingerprint || warm.Markdown != cold.Markdown {
-		t.Fatal("warm result differs from cold result")
-	}
 	// The acceptance bar: a warm repeat is at least 100x faster than the
-	// cold run (it does no simulation at all).
-	if warm.ElapsedMS*100 > cold.ElapsedMS {
-		t.Fatalf("warm run %.3fms not 100x faster than cold %.1fms", warm.ElapsedMS, cold.ElapsedMS)
+	// cold run (it does no simulation at all). One repeat's elapsed time
+	// can catch a GC pause or a preemption on a loaded host, so the bar
+	// applies to the median of five.
+	warmMS := make([]float64, 5)
+	for i := range warmMS {
+		code, _, body = post(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("warm run: %d %s", code, body)
+		}
+		warm := decodeResponse(t, body)
+		if !warm.FromCache || warm.Cache.Executions != 0 || warm.Cache.Cycles != 0 {
+			t.Fatalf("warm repeat must run zero simulation work: %+v", warm.Cache)
+		}
+		if warm.Cache.Hits == 0 {
+			t.Fatal("warm repeat should charge cache hits")
+		}
+		if warm.Fingerprint != cold.Fingerprint || warm.Markdown != cold.Markdown {
+			t.Fatal("warm result differs from cold result")
+		}
+		warmMS[i] = warm.ElapsedMS
+	}
+	if med := percentile(warmMS, 50); med*100 > cold.ElapsedMS {
+		t.Fatalf("median warm run %.3fms (of %v) not 100x faster than cold %.1fms", med, warmMS, cold.ElapsedMS)
 	}
 }
 
