@@ -56,10 +56,10 @@ func runExp(b *testing.B, id string) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A process-unique Scale.Name per iteration defeats both the
-		// appStudy report cache and the runcache memoization (including
-		// across -count repetitions, which share the process), so every
-		// iteration measures a real regeneration, never a cache lookup.
+		// A process-unique Scale.Name per iteration defeats the runcache
+		// memoization (including across -count repetitions, which share
+		// the process), so every iteration measures a real regeneration,
+		// never a cache lookup.
 		sc.Name = fmt.Sprintf("bench-%s-%d", id, benchRunSeq.Add(1))
 		if _, err := r.Run(context.Background(), sc); err != nil {
 			b.Fatal(err)
@@ -374,8 +374,7 @@ func BenchmarkReliableCycle(b *testing.B) {
 
 // BenchmarkCheckpointRestore measures restoring a mid-run 8x8 network
 // checkpoint into a fresh simulator, acceptance check included — the
-// fixed cost a suspended run pays on resume and `noxsim -ckptcheck` pays
-// to verify its checkpoint. Each fresh network is built with the timer
+// fixed cost `noxsim -ckptcheck` pays to verify its checkpoint. Each fresh network is built with the timer
 // stopped, so ns/op is the restore alone. scripts/bench.sh records it as
 // "ckpt_restore_ns_per_op" in BENCH_noc.json.
 func BenchmarkCheckpointRestore(b *testing.B) {

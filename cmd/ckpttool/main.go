@@ -1,7 +1,6 @@
 // Command ckpttool inspects NOCCKPT01 containers: network checkpoints
-// written by noxsim (-ckptout), suspended runs, run-cache entries (.rc),
-// DSE frontier files (cmd/dse -frontier) and flit traces (tracetool
-// nocrec).
+// written by noxsim (-ckptout), run-cache entries (.rc), DSE frontier
+// files (cmd/dse -frontier) and flit traces (tracetool nocrec).
 //
 // Usage:
 //

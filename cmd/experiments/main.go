@@ -152,10 +152,18 @@ func main() {
 	// manifest's non-canonical section: diagnostics, never identity.
 	rootSpan := obs.NewSpan("experiments")
 	rootSpan.SetAttr("scale", sc.Name)
+	// cacheCounts reads what the run cache has done: memory hits, disk
+	// hits, and recipes run because neither tier held the key. A memory
+	// miss the disk answered is a disk hit, not a recipe run.
+	cacheCounts := func() [3]int64 {
+		hit, _ := runcache.Stats()
+		dh, _, _ := runcache.DiskStats()
+		return [3]int64{hit, dh, runcache.Execs()}
+	}
 	fmt.Fprintf(&b, "# HeteroNoC experiment results (scale: %s)\n\n", sc.Name)
 	for _, r := range runners {
 		start := time.Now()
-		hit0, miss0 := runcache.Stats()
+		c0 := cacheCounts()
 		fmt.Fprintf(os.Stderr, "running %s (%s)...", r.ID, r.Name)
 		expSpan := rootSpan.Child(r.ID)
 		rep, err := r.Run(obs.ContextWithSpan(ctx, expSpan), sc)
@@ -164,9 +172,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "\n%s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		hit1, miss1 := runcache.Stats()
-		fmt.Fprintf(os.Stderr, " done in %.1fs (cache: %d hits, %d misses)\n",
-			time.Since(start).Seconds(), hit1-hit0, miss1-miss0)
+		c1 := cacheCounts()
+		fmt.Fprintf(os.Stderr, " done in %.1fs (cache: %d hits, %d disk hits, %d recipes run)\n",
+			time.Since(start).Seconds(), c1[0]-c0[0], c1[1]-c0[1], c1[2]-c0[2])
 		b.WriteString(rep.Markdown())
 		metrics[rep.ID] = rep.Metrics
 		fingerprints[rep.ID] = rep.Fingerprint()
@@ -187,8 +195,8 @@ func main() {
 		}
 	}
 
-	if hit, miss := runcache.Stats(); hit+miss > 0 {
-		fmt.Fprintf(os.Stderr, "run cache: %d hits, %d misses (%d runs reused)\n", hit, miss, hit)
+	if c := cacheCounts(); c != ([3]int64{}) {
+		fmt.Fprintf(os.Stderr, "run cache: %d hits, %d disk hits, %d recipes run\n", c[0], c[1], c[2])
 	}
 	if dh, dm, de := runcache.DiskStats(); dh+dm > 0 {
 		fmt.Fprintf(os.Stderr, "disk cache (%s): %d hits, %d misses, %d evicted\n",

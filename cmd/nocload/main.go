@@ -7,7 +7,7 @@
 //	nocload -url http://127.0.0.1:8080 [-n 32] [-c 4] [-exp fig1,fig7]
 //	        [-scale quick] [-tenants a,b,c] [-timeout 0] [-json]
 //
-// The client retries shed (429), draining/suspended (503) and
+// The client retries shed (429), draining/shutting_down (503) and
 // worker-panic (500) responses with capped exponential backoff and full
 // jitter, so the report measures what a well-behaved caller experiences
 // against a loaded or chaos-injected server.

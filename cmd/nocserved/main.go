@@ -7,16 +7,17 @@
 //
 //	nocserved [-addr :8080] [-workers N] [-queue-per-tenant 4] [-max-queued 64]
 //	          [-cachedir ~/.cache/heteronoc] [-cachesize bytes]
-//	          [-suspenddir DIR] [-drain-grace 2s] [-suspend-grace 10s]
-//	          [-timeout 0] [-chaos spec] [-chaos-seed 1]
+//	          [-drain-grace 2s] [-timeout 0] [-chaos spec] [-chaos-seed 1]
 //
 // Hardening: bounded per-tenant queues with fair dispatch (429 +
 // Retry-After on overflow), per-worker panic isolation, request
 // cancellation down to the simulator's cycle batches, and graceful
-// shutdown that drains short runs and suspends long ones as NOCCKPT01
-// checkpoints under -suspenddir; a restarted server resumes them to
-// byte-identical artifacts. The -chaos flag arms fault injection (see
-// internal/chaos.Parse) for soak testing.
+// shutdown: on SIGTERM the server waits -drain-grace for short runs, then
+// cancels the rest and answers their clients 503 shutting_down with
+// Retry-After. A retry against the restarted server re-simulates only the
+// runs that were in flight (finished ones come from the -cachedir disk
+// cache) and returns byte-identical artifacts. The -chaos flag arms fault
+// injection (see internal/chaos.Parse) for soak testing.
 package main
 
 import (
@@ -43,9 +44,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-run wall-time cap (0 = none)")
 	cacheDir := flag.String("cachedir", runcache.DefaultDir(), "persistent run-cache directory ('' or 'none' disables the disk tier)")
 	cacheSize := flag.Int64("cachesize", 256<<20, "disk cache byte cap, LRU-evicted (0 = unlimited)")
-	suspendDir := flag.String("suspenddir", "", "checkpoint directory for suspend-on-shutdown ('' disables)")
-	drainGrace := flag.Duration("drain-grace", 2*time.Second, "shutdown: wait this long for runs to finish before suspending")
-	suspendGrace := flag.Duration("suspend-grace", 10*time.Second, "shutdown: wait this long for runs to checkpoint before cancelling")
+	drainGrace := flag.Duration("drain-grace", 2*time.Second, "shutdown: wait this long for runs to finish before cancelling them")
 	chaosSpec := flag.String("chaos", "", "fault injection spec, e.g. 'worker.panic=p0.1+panic,disk.load.slow=d50ms' (soak testing)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos RNG seed")
 	flag.Parse()
@@ -73,14 +72,8 @@ func main() {
 		MaxQueued:      *maxQueued,
 		DefaultTimeout: *timeout,
 		DrainGrace:     *drainGrace,
-		SuspendGrace:   *suspendGrace,
-		SuspendDir:     *suspendDir,
 		Chaos:          ch,
 	})
-	if n := srv.PendingCheckpoints(); n > 0 {
-		fmt.Fprintf(os.Stderr, "%d suspended run(s) pending under %s; identical requests resume them\n",
-			n, *suspendDir)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -104,15 +97,12 @@ func main() {
 	defer stop()
 	<-ctx.Done()
 	stop()
-	fmt.Fprintln(os.Stderr, "shutting down: draining, then suspending long runs...")
+	fmt.Fprintln(os.Stderr, "shutting down: draining, then cancelling long runs...")
 
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drainGrace+*suspendGrace+30*time.Second)
+	sdCtx, cancel := context.WithTimeout(context.Background(), *drainGrace+30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sdCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
 	}
 	hs.Shutdown(sdCtx)
-	if n := srv.PendingCheckpoints(); n > 0 {
-		fmt.Fprintf(os.Stderr, "suspended %d run(s) to %s; restart to resume\n", n, *suspendDir)
-	}
 }

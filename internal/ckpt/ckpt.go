@@ -1,7 +1,7 @@
 // Package ckpt implements the NOCCKPT01 checkpoint container: a small,
 // versioned, CRC-protected binary format used for every persisted file
-// except HNTR2 memory traces — simulator state (noc.Network, suspended
-// runs, cmp.System warm state), run-cache entries, DSE frontiers and flit
+// except HNTR2 memory traces — simulator state (noc.Network,
+// cmp.System warm state), run-cache entries, DSE frontiers and flit
 // traces.
 //
 // Layout:

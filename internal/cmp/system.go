@@ -12,7 +12,6 @@ import (
 	"heteronoc/internal/reqstat"
 	"heteronoc/internal/routing"
 	"heteronoc/internal/stats"
-	"heteronoc/internal/suspend"
 	"heteronoc/internal/trace"
 )
 
@@ -602,16 +601,12 @@ func (s *System) Run(cycles int64) error {
 // RunCtx is Run with cooperative cancellation: the context is consulted
 // every traffic.CancelBatch-equivalent batch of core cycles (256), so a
 // cancelled CMP study stops within one batch instead of finishing its
-// full cycle budget. CMP runs do not checkpoint-suspend mid-flight —
-// their completed results are amortized by the run cache instead — so a
-// suspend request simply stops them via the context alongside
-// cancellation.
+// full cycle budget.
 func (s *System) RunCtx(ctx context.Context, cycles int64) error {
 	if s.warmErr != nil {
 		return s.unusable()
 	}
 	const batch = 256
-	sus := suspend.FromContext(ctx)
 	since := int64(0)
 	for i := int64(0); i < cycles; i++ {
 		if err := s.Step(); err != nil {
@@ -622,9 +617,6 @@ func (s *System) RunCtx(ctx context.Context, cycles int64) error {
 			since = 0
 			if err := ctx.Err(); err != nil {
 				return err
-			}
-			if sus.Requested() {
-				return suspend.ErrSuspended
 			}
 		}
 	}

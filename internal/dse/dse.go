@@ -233,8 +233,7 @@ func ExploreCtx(ctx context.Context, cfg EvalConfig) ([]Candidate, error) {
 // (fixed seed, fixed configuration), so scores are memoized in runcache: a
 // search revisiting a placement, or an Explore re-run in the same process,
 // reuses the first probe. The probe's step loop observes ctx at
-// cycle-batch granularity, and the probe checkpoint-suspends under its
-// cache key like any other network run.
+// cycle-batch granularity.
 func EvaluateCtx(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, error) {
 	if cfg.Workload == "mixed" {
 		return evaluateMixed(ctx, cfg, bigSet)
@@ -249,7 +248,7 @@ func EvaluateCtx(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, 
 		key += "|wl=" + cfg.Workload
 	}
 	return runcache.ForCtx(ctx, key, func(ctx context.Context) (Candidate, error) {
-		return evaluateUncached(ctx, key, cfg, bigSet)
+		return evaluateUncached(ctx, cfg, bigSet)
 	})
 }
 
@@ -287,7 +286,7 @@ func evaluateMixed(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate
 	return out, nil
 }
 
-func evaluateUncached(ctx context.Context, key string, cfg EvalConfig, bigSet []int) (Candidate, error) {
+func evaluateUncached(ctx context.Context, cfg EvalConfig, bigSet []int) (Candidate, error) {
 	layout := core.NewCustom(fmt.Sprintf("dse%v", bigSet), cfg.W, cfg.H, bigSet, cfg.LinkRedist)
 	net, err := layout.Network()
 	if err != nil {
@@ -305,7 +304,6 @@ func evaluateUncached(ctx context.Context, key string, cfg EvalConfig, bigSet []
 		MeasurePackets: cfg.Packets,
 		Seed:           cfg.Seed,
 		MaxCycles:      int64(cfg.Packets) * 100,
-		SuspendKey:     key,
 	})
 	if err != nil {
 		return Candidate{}, err

@@ -141,7 +141,8 @@ func Fig10(ctx context.Context, sc Scale) (*Report, error) {
 
 // Fig11 reports application latency reduction/breakdown and power
 // reduction/breakdown; Fig12 reports IPC improvements. Both come from the
-// same set of CMP runs, executed once and shared.
+// same set of CMP runs, memoized in runcache, so whichever of the two
+// runs second builds its report from cache hits.
 func Fig11(ctx context.Context, sc Scale) (*Report, error) {
 	r11, _, err := appStudy(ctx, sc)
 	return r11, err
@@ -153,14 +154,7 @@ func Fig12(ctx context.Context, sc Scale) (*Report, error) {
 	return r12, err
 }
 
-// appStudyCache avoids re-running the shared CMP sweep when both Fig11 and
-// Fig12 are requested in one process.
-var appStudyCache = map[string][2]*Report{}
-
 func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
-	if c, ok := appStudyCache[sc.Name]; ok {
-		return c[0], c[1], nil
-	}
 	r11 := newReport("fig11", "Application latency and power")
 	r12 := newReport("fig12", "IPC improvement")
 	layouts := appLayouts()
@@ -306,7 +300,6 @@ func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
 		}
 		r12.AddFigure("fig12_"+suiteKey+"_ipc", bars)
 	}
-	appStudyCache[sc.Name] = [2]*Report{r11, r12}
 	return r11, r12, nil
 }
 

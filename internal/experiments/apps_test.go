@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -71,6 +72,39 @@ func TestFig11And12(t *testing.T) {
 	}
 	if !strings.Contains(r12.Markdown(), "PARSEC") {
 		t.Error("fig12 missing PARSEC section")
+	}
+}
+
+// TestFig11And12Concurrent runs the two figures of one CMP sweep at the
+// same time, as a server's workers do when fig11 and fig12 requests
+// arrive together. Under -race it catches any state the two share outside
+// runcache's lock.
+func TestFig11And12Concurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CMP sweep")
+	}
+	sc := tiny()
+	sc.Name = "fig11-12-concurrent"
+	sc.CMPWarmupEntries = 200
+	sc.CMPCycles = 200
+	var wg sync.WaitGroup
+	reps := make([]*Report, 2)
+	errs := make([]error, 2)
+	for i, fig := range []func(context.Context, Scale) (*Report, error){Fig11, Fig12} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = fig(context.Background(), sc)
+		}()
+	}
+	wg.Wait()
+	for i, id := range []string{"fig11", "fig12"} {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", id, errs[i])
+		}
+		if reps[i].ID != id {
+			t.Errorf("report %d is %q, want %q", i, reps[i].ID, id)
+		}
 	}
 }
 

@@ -135,8 +135,7 @@ func (r *Report) Markdown() string {
 
 // Runner names an experiment generator. Run observes its context at
 // cycle-batch granularity: a cancelled context stops the underlying
-// simulations within one batch, and a suspend.Controller on the context
-// checkpoints in-flight network runs instead (see internal/suspend).
+// simulations within one batch.
 type Runner struct {
 	ID   string
 	Name string

@@ -121,19 +121,7 @@ func Sensitivity(ctx context.Context, sc Scale) (*Report, error) {
 	r.Printf("| big routers | power guideline holds | latency (cycles) | power (W) |\n|---|---|---|---|\n")
 	for _, k := range []int{8, 16, 24, 32} {
 		l := core.NewCustom("diag-k", 8, 8, firstKDiagonal(k), true)
-		net, err := l.Network()
-		if err != nil {
-			return nil, err
-		}
-		res, err := traffic.RunCtx(ctx, net, traffic.RunConfig{
-			Pattern:        traffic.UniformRandom{N: 64},
-			Process:        traffic.Bernoulli{P: rate},
-			DataFlits:      l.DataPacketFlits(),
-			WarmupPackets:  sc.WarmupPackets,
-			MeasurePackets: sc.MeasurePackets,
-			Seed:           42,
-			MaxCycles:      int64(sc.MeasurePackets) * 40,
-		})
+		res, err := runNet(ctx, l, traffic.UniformRandom{N: 64}, rate, sc, false)
 		if err != nil {
 			return nil, err
 		}

@@ -64,9 +64,8 @@ func runReliable(ctx context.Context, l core.Layout, plan *fault.Plan, flitRate 
 	pktRate := flitRate / float64(flits)
 	n := l.Mesh.NumTerminals()
 	rng := rand.New(rand.NewSource(seed))
-	// Reliability runs don't checkpoint-suspend (the retry layer's state
-	// has no snapshot format); they observe plain cancellation at the
-	// usual cycle-batch granularity instead.
+	// Reliability runs observe cancellation at the usual cycle-batch
+	// granularity.
 	since := 0
 	batch := func() error {
 		if since++; since >= traffic.CancelBatch {

@@ -19,17 +19,13 @@ import (
 // (fixed seed, fixed configuration), so completed results are memoized in
 // runcache under a key covering every input; repeated probes — across
 // figures or across re-invocations in one process — reuse the first run.
-// The same key names the probe for checkpoint-suspend: a probe suspended
-// by a server shutdown resumes under the identical key, and probes that
-// completed before the shutdown are amortized by the disk cache.
 func runNet(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (traffic.RunResult, error) {
-	key := netKey(l, pattern, rate, sc, selfSimilar)
-	return runcache.ForCtx(ctx, key, func(ctx context.Context) (traffic.RunResult, error) {
-		return runNetUncached(ctx, key, l, pattern, rate, sc, selfSimilar)
+	return runcache.ForCtx(ctx, netKey(l, pattern, rate, sc, selfSimilar), func(ctx context.Context) (traffic.RunResult, error) {
+		return runNetUncached(ctx, l, pattern, rate, sc, selfSimilar)
 	})
 }
 
-func runNetUncached(ctx context.Context, key string, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (traffic.RunResult, error) {
+func runNetUncached(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (traffic.RunResult, error) {
 	net, err := l.Network()
 	if err != nil {
 		return traffic.RunResult{}, err
@@ -48,7 +44,6 @@ func runNetUncached(ctx context.Context, key string, l core.Layout, pattern traf
 		MeasurePackets: sc.MeasurePackets,
 		Seed:           42,
 		MaxCycles:      int64(sc.MeasurePackets) * 40,
-		SuspendKey:     key,
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Span is one timed phase of a request's life: request → admission queue →
-// cache probe per tier → run phases → checkpoint suspend/resume. Spans form
+// cache probe per tier → execute → run phases (warmup, measure). Spans form
 // a tree under one root per request; start offsets are microseconds
 // relative to the root so a span tree is self-contained. The tree *shape*
 // is deterministic for a given request path (durations are wall clock), so

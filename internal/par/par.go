@@ -14,8 +14,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"heteronoc/internal/suspend"
 )
 
 // PanicError reports a job that panicked instead of returning. Map recovers
@@ -44,13 +42,12 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	})
 }
 
-// MapCtx is Map with cooperative cancellation: once ctx is done (or the
-// context's suspend controller requests a checkpoint-suspend), no further
-// indices are dispatched; jobs already running finish on their own —
-// each is expected to observe the same ctx at its next cycle batch. The
-// error rule extends the sequential model: an index the loop never
-// reached fails with ctx.Err() (or suspend.ErrSuspended), so the reported
-// error is still the one the equivalent sequential loop would hit first.
+// MapCtx is Map with cooperative cancellation: once ctx is done, no
+// further indices are dispatched; jobs already running finish on their
+// own — each is expected to observe the same ctx at its next cycle batch.
+// The error rule extends the sequential model: an index the loop never
+// reached fails with ctx.Err(), so the reported error is still the one
+// the equivalent sequential loop would hit first.
 func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -72,10 +69,9 @@ func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i in
 			}
 		}()
 	}
-	sus := suspend.FromContext(ctx)
 	dispatched := n
 	for i := 0; i < n; i++ {
-		if ctx.Err() != nil || sus.Requested() {
+		if ctx.Err() != nil {
 			dispatched = i
 			break
 		}
@@ -84,13 +80,9 @@ func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i in
 	close(next)
 	wg.Wait()
 	// Undispatched indices fail the way the sequential loop would have:
-	// with the cancellation (or suspension) that stopped the dispatch.
+	// with the cancellation that stopped the dispatch.
 	for i := dispatched; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-		} else {
-			errs[i] = suspend.ErrSuspended
-		}
+		errs[i] = ctx.Err()
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -25,11 +25,13 @@
 // experiment already does.
 //
 // Cancellation does not poison the cache. DoCtx runs the recipe under the
-// first caller's context; if that caller is cancelled, deadlined or
-// checkpoint-suspended, the failed entry is dropped rather than memoized,
-// a waiter whose own context is still live retries as the new executor,
-// and a waiter whose context has died stops waiting immediately instead
-// of blocking on an execution it no longer wants.
+// first caller's context; if that caller is cancelled or deadlined (a
+// server shutdown cancels every run in flight), the failed entry is
+// dropped rather than memoized, a waiter whose own context is still live
+// retries as the new executor, and a waiter whose context has died stops
+// waiting immediately instead of blocking on an execution it no longer
+// wants. A retried request therefore re-simulates only the runs that were
+// in flight; every run that finished is answered from the cache.
 //
 // Disable with SetEnabled(false) (the -nocache flag of cmd/experiments):
 // every Do then runs its function directly and the disk tier is bypassed
@@ -46,7 +48,6 @@ import (
 
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/suspend"
 )
 
 // entry is one memoized run. The creating goroutine executes the recipe
@@ -105,13 +106,12 @@ func Do(key string, fn func() (any, error)) (any, error) {
 }
 
 // transient reports whether err is an outcome of this caller being
-// stopped (cancelled, deadlined or suspended) rather than of the recipe
-// itself — outcomes that must not be memoized, because a later caller
-// with a live context would succeed.
+// stopped (cancelled or deadlined) rather than of the recipe itself —
+// outcomes that must not be memoized, because a later caller with a live
+// context would succeed.
 func transient(err error) bool {
 	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, suspend.ErrSuspended)
+		errors.Is(err, context.DeadlineExceeded)
 }
 
 // DoCtx is Do with a context. The recipe runs under the first caller's

@@ -16,8 +16,8 @@ import (
 )
 
 // Client is the Go client for a nocserved instance. It retries the
-// retryable outcomes — shed (429), draining, suspended and shutting_down
-// (503), worker panics (500 "panic") and transport errors — with capped
+// retryable outcomes — shed (429), draining and shutting_down (503),
+// worker panics (500 "panic") and transport errors — with capped
 // exponential backoff and full jitter, honoring Retry-After when the
 // server sends one. Non-retryable outcomes (bad request, unknown
 // experiment, timeout of the run itself) surface immediately.

@@ -91,8 +91,8 @@ func checkEvalRequest(req *EvalRequest) error {
 	return nil
 }
 
-// handleEval validates one evaluation batch and hands it to admit. It
-// runs without the suspend controller: a shutdown cancels its probes.
+// handleEval validates one evaluation batch and hands it to admit. A
+// shutdown cancels its probes like any other run.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	if !s.decode(w, r, 16<<20, &req) {

@@ -13,7 +13,6 @@ import (
 
 	"heteronoc/internal/dse"
 	"heteronoc/internal/runcache"
-	"heteronoc/internal/suspend"
 )
 
 func evalTestCfg() dse.EvalConfig {
@@ -163,19 +162,14 @@ func TestEvalDeadlineStopsWarmup(t *testing.T) {
 	}
 }
 
-// TestShutdownCancelsEval pins that /eval runs without the suspend
-// controller: a shutdown cancels an in-flight batch in its last phase
-// instead of checkpointing its probes the way it suspends /run's runs,
-// and answers 503 shutting_down with Retry-After, an answer serve.Client
-// retries against the restarted server.
+// TestShutdownCancelsEval pins that a shutdown cancels an in-flight
+// /eval batch after the drain grace and answers 503 shutting_down with
+// Retry-After, an answer serve.Client retries against the restarted
+// server.
 func TestShutdownCancelsEval(t *testing.T) {
 	runcache.Reset()
 	defer runcache.Reset()
-	dir := t.TempDir()
-	srv := New(Config{
-		Workers: 1, SuspendDir: dir,
-		DrainGrace: 50 * time.Millisecond, SuspendGrace: 200 * time.Millisecond,
-	})
+	srv := New(Config{Workers: 1, DrainGrace: 50 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -198,9 +192,6 @@ func TestShutdownCancelsEval(t *testing.T) {
 		api.Payload.Error != "shutting_down" || api.Payload.RetryAfterSec <= 0 {
 		t.Fatalf("in-flight batch at shutdown: got %v, want 503 shutting_down with Retry-After", err)
 	}
-	if n := suspend.Pending(dir); n != 0 {
-		t.Fatalf("shutdown checkpointed %d /eval probes", n)
-	}
 }
 
 // TestClientRetriesShutdownAcrossRestart drives a restart under a
@@ -212,7 +203,7 @@ func TestClientRetriesShutdownAcrossRestart(t *testing.T) {
 	defer runcache.Reset()
 	old := New(Config{
 		Workers: 1, RetryAfter: 20 * time.Millisecond,
-		DrainGrace: 50 * time.Millisecond, SuspendGrace: 50 * time.Millisecond,
+		DrainGrace: 50 * time.Millisecond,
 	})
 	fresh := New(Config{Workers: 1})
 	defer fresh.Shutdown(context.Background())

@@ -13,11 +13,12 @@
 //   - Isolation: a panicking run (including injected chaos panics) is
 //     recovered in its worker, answered as a structured 500, and counted;
 //     the server and every other tenant's requests keep going.
-//   - Graceful shutdown: draining first waits for short runs, then flips
-//     the suspend controller so long runs checkpoint themselves as
-//     NOCCKPT01 containers, and only then hard-cancels stragglers, whose
-//     clients get 503 shutting_down with Retry-After. A restarted server
-//     resumes suspended runs to byte-identical artifacts.
+//   - Graceful shutdown: draining first waits for short runs, then
+//     cancels whatever is still running; those clients get 503
+//     shutting_down with Retry-After. The retry against a restarted
+//     server re-simulates only the runs that were in flight (finished
+//     ones are answered from the disk cache) and returns byte-identical
+//     artifacts.
 //
 // The package is HTTP-handler-centric (Server.Handler) so tests can mount
 // it on httptest servers; cmd/nocserved adds the listener, OS signals and
@@ -40,7 +41,6 @@ import (
 	"heteronoc/internal/experiments"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/suspend"
 )
 
 // Request is the POST /run payload.
@@ -121,14 +121,8 @@ type Config struct {
 	// DefaultTimeout caps a run when the request does not (0 = no cap).
 	DefaultTimeout time.Duration
 	// DrainGrace is how long Shutdown waits for in-flight runs to finish
-	// before requesting suspension (default 2s).
+	// before cancelling them (default 2s).
 	DrainGrace time.Duration
-	// SuspendGrace is how long Shutdown then waits for runs to checkpoint
-	// before hard-cancelling (default 10s).
-	SuspendGrace time.Duration
-	// SuspendDir stores NOCCKPT01 run checkpoints; "" disables
-	// checkpoint-suspend (shutdown then cancels long runs outright).
-	SuspendDir string
 	// Chaos optionally arms fault injection (see internal/chaos). Nil is
 	// inert.
 	Chaos *chaos.Chaos
@@ -156,9 +150,6 @@ func (c *Config) fill() {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 2 * time.Second
-	}
-	if c.SuspendGrace <= 0 {
-		c.SuspendGrace = 10 * time.Second
 	}
 	if c.Scales == nil {
 		c.Scales = map[string]experiments.Scale{
@@ -221,14 +212,13 @@ type requestKey struct {
 type Server struct {
 	cfg   Config
 	sched *scheduler
-	sus   *suspend.Controller
 	reg   *obs.Registry
 	mux   *http.ServeMux
 
 	workers  sync.WaitGroup
 	draining atomic.Bool
 
-	// jobs tracks in-flight (dispatched) jobs for the hard-cancel phase.
+	// jobs tracks admitted, unfinished jobs for the shutdown cancel.
 	jobsMu sync.Mutex
 	jobs   map[*job]struct{}
 
@@ -246,13 +236,11 @@ type Server struct {
 	lat   *latencyTracker
 	spans *obs.SpanLog
 
-	mRequests  map[requestKey]*obs.Counter
-	mPanics    *obs.Counter
-	mShed      *obs.Counter
-	mSuspended *obs.Counter
-	mResumed   *obs.Counter
-	mHits      *obs.Counter
-	mWarm      *obs.Counter
+	mRequests map[requestKey]*obs.Counter
+	mPanics   *obs.Counter
+	mShed     *obs.Counter
+	mHits     *obs.Counter
+	mWarm     *obs.Counter
 }
 
 // New builds the server and starts its worker pool.
@@ -261,7 +249,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		sched: newScheduler(cfg.QueuePerTenant, cfg.MaxQueued),
-		sus:   suspend.NewController(cfg.SuspendDir),
 		reg:   obs.NewRegistry(),
 		jobs:  map[*job]struct{}{},
 		lat:   newLatencyTracker(1024),
@@ -284,8 +271,6 @@ func New(cfg Config) *Server {
 	}
 	s.mPanics = s.reg.NewCounter("serve_panics_total", "runs that panicked in a worker (recovered)")
 	s.mShed = s.reg.NewCounter("serve_shed_total", "requests refused by admission control")
-	s.mSuspended = s.reg.NewCounter("serve_suspended_total", "runs suspended to checkpoint at shutdown")
-	s.mResumed = s.reg.NewCounter("serve_resumed_total", "runs resumed from a checkpoint")
 	s.mHits = s.reg.NewCounter("serve_cache_hits_total", "runcache hits charged to requests")
 	s.mWarm = s.reg.NewCounter("serve_warm_requests_total", "requests answered with zero simulation work")
 	s.reg.RegisterGauge("serve_queue_depth", "queued (undispatched) jobs", nil,
@@ -312,10 +297,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// PendingCheckpoints counts suspended runs waiting under the configured
-// suspend directory (what cmd/nocserved logs at startup).
-func (s *Server) PendingCheckpoints() int { return suspend.Pending(s.cfg.SuspendDir) }
-
 // Handler returns the HTTP surface: POST /run, GET /metrics, /healthz,
 // /statusz.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -323,10 +304,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry exposes the server's metrics registry (for composition with a
 // process-wide exposition).
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// SuspendController exposes the shutdown suspend controller (tests flip
-// and inspect it).
-func (s *Server) SuspendController() *suspend.Controller { return s.sus }
 
 // worker pulls jobs until the scheduler closes and drains.
 func (s *Server) worker() {
@@ -399,7 +376,7 @@ func (s *Server) runJob(j *job) {
 	j.done <- jobResult{payload: payload}
 }
 
-// trackJob registers/unregisters a dispatched job for hard cancellation.
+// trackJob registers/unregisters an admitted job for the shutdown cancel.
 func (s *Server) trackJob(j *job, add bool) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -410,9 +387,9 @@ func (s *Server) trackJob(j *job, add bool) {
 	}
 }
 
-// cancelInflight hard-cancels every admitted, unfinished job — dispatched
-// runs stop within a cycle batch, and still-queued jobs fall out of the
-// worker loop's early ctx check (shutdown phase 3).
+// cancelInflight cancels every admitted, unfinished job — dispatched runs
+// stop within a cycle batch, and still-queued jobs fall out of the worker
+// loop's early ctx check (shutdown phase 2).
 func (s *Server) cancelInflight() {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -421,10 +398,11 @@ func (s *Server) cancelInflight() {
 	}
 }
 
-// Shutdown drains the server: refuse new work, let short runs finish
-// (DrainGrace), suspend long runs to checkpoints (SuspendGrace), then
-// hard-cancel stragglers. It returns once every worker has exited or ctx
-// expires.
+// Shutdown drains the server in two phases: refuse new work and let
+// short runs finish (DrainGrace), then cancel whatever is still running
+// or queued. A cancelled run stops within one cycle batch, and a client
+// still waiting on it gets 503 shutting_down with Retry-After. Shutdown
+// returns once every worker has exited or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.sched.close()
@@ -433,34 +411,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
-	wait := func(d time.Duration) bool {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-done:
-			return true
-		case <-ctx.Done():
-			return false
-		case <-t.C:
-			return false
-		}
-	}
-	if wait(s.cfg.DrainGrace) {
+	grace := time.NewTimer(s.cfg.DrainGrace)
+	defer grace.Stop()
+	select {
+	case <-done:
 		return nil
+	case <-ctx.Done():
+	case <-grace.C:
 	}
-	// Phase 2: runs that outlive the grace checkpoint themselves at the
-	// next cycle batch and unwind with ErrSuspended.
-	saves0, _ := s.sus.Stats()
-	s.sus.RequestSuspend()
-	finished := wait(s.cfg.SuspendGrace)
-	if saves1, _ := s.sus.Stats(); saves1 > saves0 {
-		s.mSuspended.Add(saves1 - saves0)
-	}
-	if finished {
-		return nil
-	}
-	// Phase 3: anything still running (e.g. a run without a suspendable
-	// process) is cancelled outright.
 	s.cancelInflight()
 	select {
 	case <-done:
@@ -491,19 +449,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	attrs := map[string]string{"experiment": req.Experiment, "scale": req.Scale}
 	s.admit(w, r, req.Tenant, req.TimeoutSec, attrs, func(ctx context.Context) (any, *accounting, error) {
-		// Only /run's runs suspend at shutdown: dse probes set a
-		// traffic SuspendKey too, so under the controller a shutdown
-		// would checkpoint /eval's probes instead of cancelling them.
-		ctx = suspend.WithController(ctx, s.sus)
-		_, resumes0 := s.sus.Stats()
 		run := obs.SpanFrom(ctx).Child("run")
 		rep, err := runner.Run(obs.ContextWithSpan(ctx, run), sc)
 		run.End()
 		if err != nil {
 			return nil, nil, err
-		}
-		if _, resumes1 := s.sus.Stats(); resumes1 > resumes0 {
-			s.mResumed.Add(resumes1 - resumes0)
 		}
 		resp := &Response{
 			Experiment:  req.Experiment,
@@ -632,18 +582,12 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res jobResu
 		s.count(r, http.StatusOK)
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(res.payload)
-	case errors.Is(res.err, suspend.ErrSuspended):
-		// The run checkpointed itself; the same request against a
-		// restarted server resumes it.
-		s.retryLater(w, r, http.StatusServiceUnavailable, ErrorPayload{
-			Error: "suspended", Detail: "run checkpointed for shutdown; retry to resume",
-		})
 	case errors.Is(res.err, context.DeadlineExceeded):
 		s.writeError(w, r, http.StatusRequestTimeout, ErrorPayload{Error: "timeout"})
 	case errors.Is(res.err, context.Canceled) && s.draining.Load() && r.Context().Err() == nil:
-		// A shutdown hard-cancelled the work (an /eval probe, a CMP run)
-		// while its client still waits: the same request against a
-		// restarted server runs it.
+		// A shutdown cancelled the work while its client still waits:
+		// the same request against a restarted server runs it, and every
+		// run that finished before the shutdown is a cache hit.
 		s.retryLater(w, r, http.StatusServiceUnavailable, ErrorPayload{
 			Error: "shutting_down", Detail: "work cancelled by server shutdown; retry",
 		})
@@ -726,11 +670,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleStatusz is a small human-readable status page.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	saves, resumes := s.sus.Stats()
 	fmt.Fprintf(w, "nocserved\nworkers: %d (busy %d)\nqueued: %d\ndraining: %t\n",
 		s.cfg.Workers, s.busy.Load(), s.sched.depth(), s.draining.Load())
-	fmt.Fprintf(w, "checkpoints: %d saved, %d resumed, %d pending\n",
-		saves, resumes, suspend.Pending(s.cfg.SuspendDir))
 	if pts := s.cfg.Chaos.Points(); len(pts) > 0 {
 		fmt.Fprintf(w, "chaos armed: %v\n", pts)
 	}

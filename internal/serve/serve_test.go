@@ -17,7 +17,6 @@ import (
 	"heteronoc/internal/experiments"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/suspend"
 )
 
 // scaleSeq makes every test's Scale.Name process-unique so the global
@@ -186,8 +185,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	slow := testScale(t, 4_000_000) // minutes if left alone; cancelled below
 	srv := New(Config{
 		Workers: 1, QueuePerTenant: 1, MaxQueued: 2,
-		DrainGrace: 20 * time.Millisecond, SuspendGrace: 20 * time.Millisecond,
-		Scales: map[string]experiments.Scale{"slow": slow},
+		DrainGrace: 20 * time.Millisecond,
+		Scales:     map[string]experiments.Scale{"slow": slow},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -234,8 +233,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("global overflow payload: %+v", p)
 	}
 
-	// Hard shutdown cancels the in-flight and queued slow runs quickly
-	// (no suspend dir: checkpointing is disabled, cancellation is not).
+	// Shutdown cancels the in-flight and queued slow runs quickly.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -323,69 +321,62 @@ func TestClientRetriesPanicsAndShedding(t *testing.T) {
 	}
 }
 
-func TestShutdownSuspendResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
+// TestShutdownRetryByteIdentical pins the one shutdown path: a fig1 run
+// still in flight after the drain grace is cancelled within a cycle
+// batch, so Shutdown returns promptly and the waiting client gets 503
+// shutting_down with Retry-After; the same request against a fresh
+// Server then returns artifacts byte-identical to an uninterrupted run.
+func TestShutdownRetryByteIdentical(t *testing.T) {
 	sc := testScale(t, 100000) // ~1s uninterrupted
-	scales := map[string]experiments.Scale{"sus": sc}
-	req := Request{Experiment: "fig1", Scale: "sus", Tenant: "t"}
+	scales := map[string]experiments.Scale{"long": sc}
+	req := Request{Experiment: "fig1", Scale: "long", Tenant: "t"}
 
-	srv1 := New(Config{
-		Workers: 1, SuspendDir: dir,
-		DrainGrace: 50 * time.Millisecond, SuspendGrace: 10 * time.Second,
-		Scales: scales,
-	})
+	srv1 := New(Config{Workers: 1, DrainGrace: 50 * time.Millisecond, Scales: scales})
 	ts1 := httptest.NewServer(srv1.Handler())
 
 	type outcome struct {
 		code int
+		hdr  http.Header
 		body []byte
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		code, _, body := post(t, ts1.URL, req)
-		res <- outcome{code, body}
+		code, hdr, body := post(t, ts1.URL, req)
+		res <- outcome{code, hdr, body}
 	}()
 	waitFor(t, 5*time.Second, func() bool { return srv1.busy.Load() == 1 })
-	time.Sleep(200 * time.Millisecond) // let the run get well past warmup
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
+	start := time.Now()
 	if err := srv1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("shutdown took %v, want <= 500ms (50ms drain grace + one cycle batch)", took)
 	}
 	out := <-res
 	ts1.Close()
 	if out.code != http.StatusServiceUnavailable {
-		t.Fatalf("suspended run: got %d %s, want 503", out.code, out.body)
+		t.Fatalf("in-flight run at shutdown: got %d %s, want 503", out.code, out.body)
 	}
 	var p ErrorPayload
 	json.Unmarshal(out.body, &p)
-	if p.Error != "suspended" {
-		t.Fatalf("suspended payload: %+v", p)
-	}
-	if saves, _ := srv1.SuspendController().Stats(); saves == 0 {
-		t.Fatal("shutdown did not checkpoint the in-flight run")
-	}
-	if suspend.Pending(dir) == 0 {
-		t.Fatal("no checkpoint on disk after suspend")
+	if p.Error != "shutting_down" || p.RetryAfterSec <= 0 || out.hdr.Get("Retry-After") == "" {
+		t.Fatalf("in-flight run at shutdown: %+v (Retry-After %q), want shutting_down with Retry-After",
+			p, out.hdr.Get("Retry-After"))
 	}
 
-	// A restarted server resumes the checkpoint and completes the run.
-	srv2 := New(Config{Workers: 1, SuspendDir: dir, Scales: scales})
+	// The client's retry reaches a restarted server.
+	srv2 := New(Config{Workers: 1, Scales: scales})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer srv2.Shutdown(context.Background())
 	code, _, body := post(t, ts2.URL, req)
 	if code != http.StatusOK {
-		t.Fatalf("resumed run: got %d %s", code, body)
+		t.Fatalf("retried run: got %d %s", code, body)
 	}
-	resumed := decodeResponse(t, body)
-	if _, resumes := srv2.SuspendController().Stats(); resumes == 0 {
-		t.Fatal("restarted server did not resume from the checkpoint")
-	}
-	if suspend.Pending(dir) != 0 {
-		t.Fatal("checkpoint not cleared after the resumed run completed")
-	}
+	retried := decodeResponse(t, body)
 
 	// Control: the same numeric scale under a different name recomputes
 	// from scratch (cache keys include the name). Byte-identical
@@ -400,15 +391,18 @@ func TestShutdownSuspendResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Fingerprint != ctrl.Fingerprint() {
-		t.Fatalf("resumed fingerprint %s != control %s", resumed.Fingerprint, ctrl.Fingerprint())
+	if retried.Fingerprint != ctrl.Fingerprint() {
+		t.Fatalf("retried fingerprint %s != control %s", retried.Fingerprint, ctrl.Fingerprint())
 	}
-	if resumed.Markdown != ctrl.Markdown() {
-		t.Fatal("resumed markdown differs from uninterrupted control")
+	if retried.Markdown != ctrl.Markdown() {
+		t.Fatal("retried markdown differs from uninterrupted control")
+	}
+	if len(retried.Metrics) != len(ctrl.Metrics) {
+		t.Fatalf("retried run has %d metrics, control %d", len(retried.Metrics), len(ctrl.Metrics))
 	}
 	for k, v := range ctrl.Metrics {
-		if resumed.Metrics[k] != v {
-			t.Fatalf("metric %s: resumed %v != control %v", k, resumed.Metrics[k], v)
+		if retried.Metrics[k] != v {
+			t.Fatalf("metric %s: retried %v != control %v", k, retried.Metrics[k], v)
 		}
 	}
 }
@@ -416,7 +410,7 @@ func TestShutdownSuspendResumeByteIdentical(t *testing.T) {
 func TestDrainingRejectsNewWork(t *testing.T) {
 	slow := testScale(t, 4_000_000)
 	srv := New(Config{
-		Workers: 1, DrainGrace: 300 * time.Millisecond, SuspendGrace: 50 * time.Millisecond,
+		Workers: 1, DrainGrace: 300 * time.Millisecond,
 		Scales: map[string]experiments.Scale{"slow": slow},
 	})
 	ts := httptest.NewServer(srv.Handler())

@@ -9,14 +9,13 @@ import (
 	"heteronoc/internal/noc"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/suspend"
 )
 
 // CancelBatch is the cooperative-cancellation granularity of RunCtx: the
-// step loop consults its context (and the suspend controller) every this
-// many cycles. The check is a handful of atomic loads, so at 256 cycles
-// the overhead is unmeasurable, while a cancelled request stops consuming
-// CPU within one batch — the bound the serve acceptance tests pin.
+// step loop consults its context every this many cycles. The check is a
+// handful of atomic loads, so at 256 cycles the overhead is unmeasurable,
+// while a cancelled request stops consuming CPU within one batch — the
+// bound the serve acceptance tests pin.
 const CancelBatch = 256
 
 // RunConfig controls one measured simulation, mirroring the paper's
@@ -28,18 +27,11 @@ type RunConfig struct {
 	DataFlits      int // flits per injected packet
 	WarmupPackets  int
 	MeasurePackets int
-	Seed           int64
+	Seed           int64 // 0 means 42
 	// MaxCycles aborts runs that cannot deliver the measurement quota
 	// (deeply saturated networks); the statistics gathered so far are
 	// returned. Zero means 200k cycles.
 	MaxCycles int64
-	// SuspendKey names this run for checkpoint-suspend — normally the
-	// same content-addressed string the run is cached under. When set and
-	// the context carries a suspend.Controller, a suspend request makes
-	// the run checkpoint itself ("noc-run" NOCCKPT01) and return
-	// ErrSuspended, and a later run with the same key resumes from the
-	// recorded cycle. Empty disables suspension (cancellation still works).
-	SuspendKey string
 }
 
 // RunResult summarizes one measured simulation.
@@ -79,21 +71,9 @@ func Run(net *noc.Network, cfg RunConfig) (RunResult, error) {
 	return RunCtx(context.Background(), net, cfg)
 }
 
-// Run phases, recorded in suspend checkpoints.
-const (
-	phaseWarmup  = 0
-	phaseMeasure = 1
-)
-
-// RunCtx is Run with cooperative cancellation and checkpoint-suspend.
-// The step loop checks ctx every CancelBatch cycles; a done context stops
-// the simulation within one batch and returns ctx.Err(). If the context
-// carries a suspend.Controller whose suspend has been requested and
-// cfg.SuspendKey is set, the run instead serializes its complete state
-// (network snapshot, RNG position, injection-process state, phase) and
-// returns suspend.ErrSuspended; a later RunCtx with the same key on a
-// freshly built identical network resumes where it left off and produces
-// a byte-identical RunResult.
+// RunCtx is Run with cooperative cancellation: the step loop checks ctx
+// every CancelBatch cycles, and a done context stops the simulation
+// within one batch and returns ctx.Err().
 func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, error) {
 	if cfg.DataFlits <= 0 {
 		return RunResult{}, fmt.Errorf("traffic: DataFlits must be positive")
@@ -101,30 +81,14 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 200000
 	}
-	src := newCountingSource(cfg.Seed)
-	rng := rand.New(src)
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 42
+	}
+	rng := rand.New(rand.NewSource(seed))
 	terms := net.Config().Topo.NumTerminals()
-	sus := suspend.FromContext(ctx)
 	cha := chaos.FromContext(ctx)
 	span := obs.SpanFrom(ctx)
-
-	phase := phaseWarmup
-	start := net.Cycle()
-	if cfg.SuspendKey != "" {
-		if data, ok := sus.Load(cfg.SuspendKey); ok {
-			rs := span.Child("resume")
-			p, ps, err := resumeRun(net, cfg, src, terms, data)
-			rs.End()
-			if err != nil {
-				// The network may be partially restored and cannot be
-				// stepped; drop the checkpoint so the caller's retry
-				// starts clean.
-				sus.Clear(cfg.SuspendKey)
-				return RunResult{}, fmt.Errorf("traffic: resume: %w", err)
-			}
-			phase, start = p, ps
-		}
-	}
 
 	inject := func() {
 		for t := 0; t < terms; t++ {
@@ -138,73 +102,51 @@ func RunCtx(ctx context.Context, net *noc.Network, cfg RunConfig) (RunResult, er
 		}
 	}
 
-	// sinceCheck counts cycles since the last batch boundary; check
-	// settles the per-request cycle account and consults the suspend and
-	// cancellation signals.
+	// sinceCheck counts cycles since the last batch boundary, where step
+	// settles the per-request cycle account and consults the context.
 	sinceCheck := 0
-	check := func(ph int, phStart int64) error {
+	step := func() error {
+		if err := net.Step(); err != nil {
+			return err
+		}
+		if sinceCheck++; sinceCheck < CancelBatch {
+			return nil
+		}
 		reqstat.AddCycles(ctx, int64(sinceCheck))
 		sinceCheck = 0
 		if cha != nil {
 			cha.Hit(chaos.PointRunStall)
 		}
-		// Suspend is tested before plain cancellation so a shutting-down
-		// server checkpoints in-flight runs rather than discarding them.
-		if cfg.SuspendKey != "" && sus.Requested() {
-			ss := span.Child("suspend.save")
-			if data, err := snapshotRun(net, cfg, src, ph, phStart); err == nil {
-				if err := sus.Save(cfg.SuspendKey, data); err == nil {
-					ss.End()
-					return suspend.ErrSuspended
-				}
-			}
-			ss.End()
-			// Snapshot or store failed (unsupported process, no directory):
-			// fall through — the run continues until its context stops it.
-		}
 		return ctx.Err()
 	}
-	step := func(ph int, phStart int64) error {
-		if err := net.Step(); err != nil {
-			return err
-		}
-		if sinceCheck++; sinceCheck >= CancelBatch {
-			return check(ph, phStart)
-		}
-		return nil
-	}
 
-	// Warmup phase (skipped when resuming into measurement).
-	if phase == phaseWarmup {
-		ws := span.Child("warmup")
-		for net.Stats().PacketsInjected < int64(cfg.WarmupPackets) && net.Cycle()-start < cfg.MaxCycles {
-			inject()
-			if err := step(phaseWarmup, start); err != nil {
-				ws.End()
-				return RunResult{}, err
-			}
+	// Warmup phase.
+	start := net.Cycle()
+	ws := span.Child("warmup")
+	for net.Stats().PacketsInjected < int64(cfg.WarmupPackets) && net.Cycle()-start < cfg.MaxCycles {
+		inject()
+		if err := step(); err != nil {
+			ws.End()
+			return RunResult{}, err
 		}
-		ws.End()
-		reqstat.AddCycles(ctx, int64(sinceCheck))
-		sinceCheck = 0
-		net.ResetStats()
-		start = net.Cycle()
 	}
+	ws.End()
+	reqstat.AddCycles(ctx, int64(sinceCheck))
+	sinceCheck = 0
+	net.ResetStats()
+	start = net.Cycle()
 	// Measurement phase: keep offering load until the quota of measured
 	// packets has been received or the cycle budget runs out.
 	ms := span.Child("measure")
 	for net.Stats().PacketsReceived < int64(cfg.MeasurePackets) && net.Cycle()-start < cfg.MaxCycles {
 		inject()
-		if err := step(phaseMeasure, start); err != nil {
+		if err := step(); err != nil {
 			ms.End()
 			return RunResult{}, err
 		}
 	}
 	ms.End()
 	reqstat.AddCycles(ctx, int64(sinceCheck))
-	if cfg.SuspendKey != "" {
-		sus.Clear(cfg.SuspendKey)
-	}
 	s := net.Stats()
 	res := RunResult{
 		Cycles:      s.Cycles,

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -354,5 +356,38 @@ func TestWrappedPatternInjectsAtEveryTerminal(t *testing.T) {
 		if len(wrapped.srcs) < 3*n/4 {
 			t.Errorf("%dx%d: %d of %d terminals injected", w, w, len(wrapped.srcs), n)
 		}
+	}
+}
+
+// TestCancellationBounded pins the acceptance criterion that a cancelled
+// run stops within one cycle batch: cancel at cycle 5000 and assert the
+// network never advanced past 5000+CancelBatch.
+func TestCancellationBounded(t *testing.T) {
+	net, err := buildBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = 5000
+	net.SetOnCycle(func(c int64) {
+		if c == cancelAt {
+			cancel()
+		}
+	})
+	_, err = RunCtx(ctx, net, RunConfig{
+		Pattern:        UniformRandom{N: 64},
+		Process:        Bernoulli{P: 0.01},
+		DataFlits:      6,
+		WarmupPackets:  1 << 30, // never satisfied: only cancellation stops it
+		MeasurePackets: 1,
+		Seed:           3,
+		MaxCycles:      1 << 40,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if c := net.Cycle(); c > cancelAt+CancelBatch {
+		t.Errorf("network reached cycle %d, want <= %d (cancel + one batch)", c, cancelAt+CancelBatch)
 	}
 }

@@ -10,11 +10,12 @@
 #      misses);
 #   2. warm cache-hit path: an identical repeat request is answered
 #      from the cache with zero simulation work (from_cache true);
-#   3. graceful drain: SIGTERM while a long run is in flight suspends
-#      it as a NOCCKPT01 checkpoint instead of discarding the work;
-#   4. resume-after-kill equivalence: a restarted server resumes the
-#      checkpoint and produces the same fingerprint as an uninterrupted
-#      -nocache regeneration of the same experiment.
+#   3. graceful drain: SIGTERM while a long run is in flight cancels it
+#      after the drain grace and answers its client 503 shutting_down
+#      with Retry-After;
+#   4. retry-after-restart equivalence: a restarted server on the same
+#      -cachedir answers the retried request with the same fingerprint
+#      as an uninterrupted -nocache regeneration of the same experiment.
 #
 # The in-process acceptance tests (go test -race ./internal/serve ...)
 # run as a separate CI step; this script is pure black-box.
@@ -72,41 +73,33 @@ curl -sf "$url/metrics" | grep -q 'serve_warm_requests_total 1' || {
 }
 kill "$(cat "$work/warm.pid")" 2>/dev/null || true
 
-echo "== 3. graceful drain: SIGTERM suspends the in-flight run =="
-ckptdir="$work/ckpt"
-start_server drain -cachedir "$work/cache-drain" -suspenddir "$ckptdir" \
-	-drain-grace 100ms -suspend-grace 10s
-# A full-scale fig1 run takes ~1s; SIGTERM lands mid-run.
+echo "== 3. graceful drain: SIGTERM cancels the in-flight run =="
+start_server drain -cachedir "$work/cache-drain" -drain-grace 100ms
+# A full-scale fig1 run takes ~1.2s; SIGTERM lands mid-run.
 longreq='{"experiment":"fig1","scale":"full","tenant":"smoke"}'
-curl -s "$url/run" -d "$longreq" > "$work/suspended.json" &
+curl -s -D "$work/cancelled.hdr" "$url/run" -d "$longreq" > "$work/cancelled.json" &
 curlpid=$!
 sleep 0.4
 kill -TERM "$(cat "$work/drain.pid")"
 wait "$curlpid" || true
 wait "$(cat "$work/drain.pid")" 2>/dev/null || true
-grep -q suspended "$work/suspended.json" || {
-	echo "draining server did not answer 503 suspended"; cat "$work/suspended.json"; exit 1
-}
-ls "$ckptdir"/*.ckpt > /dev/null 2>&1 || {
-	echo "no checkpoint written by graceful drain"; exit 1
+grep -q '"error":"shutting_down"' "$work/cancelled.json" &&
+	grep -q '^HTTP/[0-9.]* 503' "$work/cancelled.hdr" &&
+	grep -qi '^Retry-After:' "$work/cancelled.hdr" || {
+	echo "draining server did not answer 503 shutting_down with Retry-After"
+	cat "$work/cancelled.hdr" "$work/cancelled.json"; exit 1
 }
 
-echo "== 4. resume-after-kill equivalence =="
-start_server resume -cachedir "$work/cache-drain" -suspenddir "$ckptdir"
-curl -sf "$url/run" -d "$longreq" > "$work/resumed.json"
-curl -sf "$url/metrics" | grep -q 'serve_resumed_total [1-9]' || {
-	echo "restarted server did not resume from the checkpoint"; exit 1
-}
-if ls "$ckptdir"/*.ckpt > /dev/null 2>&1; then
-	echo "checkpoint not cleared after resumed run completed"; exit 1
-fi
+echo "== 4. retry-after-restart equivalence =="
+start_server retry -cachedir "$work/cache-drain"
+curl -sf "$url/run" -d "$longreq" > "$work/retried.json"
 # Control: uninterrupted regeneration with both cache tiers off.
 "$expbin" -exp fig1 -scale full -nocache -manifest "$work/ctrl.json" -out /dev/null 2>/dev/null
-resumed_fp=$(field "$work/resumed.json" fingerprint)
+retried_fp=$(field "$work/retried.json" fingerprint)
 ctrl_fp=$(sed -n 's/.*"fig1"[[:space:]]*:[[:space:]]*"\([0-9a-f]*\)".*/\1/p' "$work/ctrl.json" | head -1)
-[ -n "$resumed_fp" ] && [ "$resumed_fp" = "$ctrl_fp" ] || {
-	echo "resumed fingerprint $resumed_fp != uninterrupted control $ctrl_fp"; exit 1
+[ -n "$retried_fp" ] && [ "$retried_fp" = "$ctrl_fp" ] || {
+	echo "retried fingerprint $retried_fp != uninterrupted control $ctrl_fp"; exit 1
 }
-kill "$(cat "$work/resume.pid")" 2>/dev/null || true
+kill "$(cat "$work/retry.pid")" 2>/dev/null || true
 
 echo "server smoke: all phases passed"
