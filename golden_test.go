@@ -53,7 +53,7 @@ func goldenCases() []goldenCase {
 		// scheduler's best case — and its most delicate one.
 		{"diagonalBL_nn", core.NewLayout(core.PlacementDiagonal, 8, 8, true), 0.10, 8, 6000, 5},
 		// A 256-router mesh pins the scaled engine (SoA active sets,
-		// work-stealing shards) at a size the paper never reaches. The
+		// fixed-span sharded cycle) at a size the paper never reaches. The
 		// rate is bisection-scaled to a moderate relative load.
 		{"baseline16x16_ur", core.NewBaseline(16, 16), 0.015, 6, 4000, 6},
 	}

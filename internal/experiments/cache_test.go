@@ -115,8 +115,9 @@ func TestRunAppCached(t *testing.T) {
 // TestFigureOutputIdenticalWithAndWithoutCache is the end-to-end
 // transparency gate of the acceptance criteria: a full figure regeneration
 // renders byte-identical markdown whether its runs come from the cache or
-// from fresh simulations. Fig1 covers the network runs, Fig14 the
-// asymmetric-CMP runs.
+// from fresh simulations. Fig1 covers the network runs, Fig2 the
+// concentrated mesh and flattened butterfly, Fig14 the asymmetric-CMP
+// runs.
 func TestFigureOutputIdenticalWithAndWithoutCache(t *testing.T) {
 	defer func() {
 		runcache.SetEnabled(true)
@@ -125,7 +126,7 @@ func TestFigureOutputIdenticalWithAndWithoutCache(t *testing.T) {
 	for _, fig := range []struct {
 		name string
 		run  func(context.Context, Scale) (*Report, error)
-	}{{"fig1", Fig1}, {"fig14", Fig14}} {
+	}{{"fig1", Fig1}, {"fig2", Fig2}, {"fig14", Fig14}} {
 		t.Run(fig.name, func(t *testing.T) {
 			runcache.SetEnabled(true)
 			runcache.Reset()

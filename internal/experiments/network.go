@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"heteronoc/internal/core"
 	"heteronoc/internal/noc"
@@ -95,24 +96,32 @@ func Fig2(ctx context.Context, sc Scale) (*Report, error) {
 		{"(a) Concentrated mesh", cm, routing.NewXY(cm), 4, 4, 0.04},
 		{"(b) Flattened butterfly", fb, routing.NewFBflyRC(fb), 4, 4, 0.06},
 	}
+	rc := noc.RouterConfig{VCs: 3, BufDepth: 5}
+	pattern := traffic.UniformRandom{N: 64}
+	const flits, seed = 6, 42
 	for _, c := range cases {
-		net, err := noc.New(noc.Config{
-			Topo:           c.topo,
-			Routing:        c.alg,
-			Routers:        []noc.RouterConfig{{VCs: 3, BufDepth: 5}},
-			WatchdogCycles: 100000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := traffic.RunCtx(ctx, net, traffic.RunConfig{
-			Pattern:        traffic.UniformRandom{N: 64},
-			Process:        traffic.Bernoulli{P: c.rate},
-			DataFlits:      6,
-			WarmupPackets:  sc.WarmupPackets,
-			MeasurePackets: sc.MeasurePackets,
-			Seed:           42,
-			MaxCycles:      int64(sc.MeasurePackets) * 40,
+		runKey := fmt.Sprintf("fig2|%s|%s|rc=%+v|%s|r=%g|flits=%d|seed=%d|sc=%s/%d/%d",
+			c.topo.Name(), c.alg.Name(), rc, patternKey(pattern), c.rate, flits, seed,
+			sc.Name, sc.WarmupPackets, sc.MeasurePackets)
+		res, err := runcache.ForCtx(ctx, runKey, func(ctx context.Context) (traffic.RunResult, error) {
+			net, err := noc.New(noc.Config{
+				Topo:           c.topo,
+				Routing:        c.alg,
+				Routers:        []noc.RouterConfig{rc},
+				WatchdogCycles: 100000,
+			})
+			if err != nil {
+				return traffic.RunResult{}, err
+			}
+			return traffic.RunCtx(ctx, net, traffic.RunConfig{
+				Pattern:        pattern,
+				Process:        traffic.Bernoulli{P: c.rate},
+				DataFlits:      flits,
+				WarmupPackets:  sc.WarmupPackets,
+				MeasurePackets: sc.MeasurePackets,
+				Seed:           seed,
+				MaxCycles:      int64(sc.MeasurePackets) * 40,
+			})
 		})
 		if err != nil {
 			return nil, err

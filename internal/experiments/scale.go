@@ -42,7 +42,7 @@ func scaleMaxRate(w int) float64 { return 0.072 * 8 / float64(w) }
 // ScaleUp sweeps uniform random load on 16x16 and 32x32 meshes, comparing
 // the baseline homogeneous design against the diagonal heterogeneous
 // placement, and then audits the engine itself: a 32x32 run repeated on
-// the work-stealing sharded tick must reproduce the sequential run's
+// the fixed-span sharded cycle must reproduce the sequential run's
 // fingerprint bit for bit.
 func ScaleUp(ctx context.Context, sc Scale) (*Report, error) {
 	r := newReport("scale", "Scaling to 16x16 and 32x32 meshes")
@@ -141,11 +141,11 @@ func scaleSweep(ctx context.Context, r *Report, w int, sc Scale) error {
 	return nil
 }
 
-// shardedCheck replays one 32x32 run twice — sequential tick, then the
-// work-stealing sharded tick — and asserts the two final network
-// fingerprints are identical. The fingerprint covers every statistics
-// counter, so a match certifies the parallel engine is bit-exact at 1024
-// routers, not merely close. Wall-clock speedup is reported in the body
+// shardedCheck replays one 32x32 run twice — the one-span kernel, then
+// every stage of each cycle on fixed router spans, one per worker — and
+// asserts the two final network fingerprints are identical. The
+// fingerprint covers every statistics counter, so a match certifies the
+// parallel engine is bit-exact at 1024 routers, not merely close. Wall-clock speedup is reported in the body
 // only: it varies with the host (a single-core container reports ~1x) and
 // must not perturb the deterministic metric fingerprint.
 func shardedCheck(ctx context.Context, r *Report, sc Scale) error {

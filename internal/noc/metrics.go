@@ -85,10 +85,6 @@ func (n *Network) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 			return snap
 		})
 
-	if n.pool != nil {
-		n.pool.RegisterMetrics(reg, labels...)
-	}
-
 	for r := range n.routers {
 		rt := &n.routers[r]
 		rl := append(append([]obs.Label(nil), labels...), obs.L("router", strconv.Itoa(r)))

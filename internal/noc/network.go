@@ -63,9 +63,9 @@ type Network struct {
 	// bit once a port's queues drain. Hoisted out of the router structs so
 	// scanning a mostly-idle 1024-router mesh touches a few cache lines of
 	// dense counters instead of a thousand scattered structs. All three are
-	// live state, not statistics: they survive ResetStats. Neighboring
-	// elements share cache lines across shard boundaries, but each element
-	// has a single writer per pass, so sharded ticks stay race free.
+	// live state, not statistics: they survive ResetStats. In a sharded
+	// cycle only the span holding a router writes its elements; other spans
+	// send their updates through their sinks (shard.go).
 	inFlits  []int32
 	portMask []uint32
 	evMask   []uint32
@@ -98,12 +98,14 @@ type Network struct {
 	atrOn      bool
 	termRouter []int32
 
-	// Intra-cycle sharding (see shard.go). directFx is the always-present
-	// sequential effect sink; pool and shards exist only when sharding is
-	// enabled via SetShardWorkers.
-	directFx tickFx
-	pool     *par.Pool
-	shards   []tickFx
+	// Cycle sharding (see shard.go). whole is the one span covering the
+	// network, the sequential kernel; the pool, its spans and the phase
+	// functions it runs exist only after SetShardWorkers.
+	whole       [1]tickFx
+	pool        *par.Pool
+	shards      []tickFx
+	deliverTick func(shard, lo, hi int)
+	allocTick   func(shard, lo, hi int)
 
 	// restored marks a network RestoreSnapshot has written into (whether
 	// or not the restore succeeded); it refuses a second restore.
@@ -223,7 +225,7 @@ func New(cfg Config) (*Network, error) {
 		q.up.creditQ.buf = make([]creditEvt, 4)
 	}
 	n.syncDerived(true) // credit masks and upstream (credit return) pointers
-	n.directFx = tickFx{n: n, direct: true}
+	n.whole[0] = tickFx{n: n, hi: len(n.routers), niHi: len(n.nis)}
 	return n, nil
 }
 
@@ -311,16 +313,21 @@ func (n *Network) Step() error {
 	if n.faultsArmed {
 		n.applyFaults()
 	}
-	n.deliver()
-	n.purgeBroken() // packets that lost a flit in this cycle's deliveries
-	n.inject()
-	if n.shardable() {
-		n.allocateSharded()
+	fxs := n.spans()
+	if len(fxs) == 1 {
+		n.deliver(&fxs[0])
 	} else {
-		n.routeAndAllocate(0, len(n.routers), &n.directFx)
-		n.switchAllocate(0, len(n.routers), &n.directFx)
+		n.pool.ShardedTick(len(n.routers), n.deliverTick)
 	}
-	n.accumulate()
+	n.endDeliver(fxs)
+	n.purgeBroken() // packets that lost a flit in this cycle's deliveries
+	if len(fxs) == 1 {
+		n.allocate(&fxs[0])
+	} else {
+		n.pool.ShardedTick(len(n.routers), n.allocTick)
+	}
+	n.endAllocate(fxs)
+	n.stats.Cycles++
 	if n.onCycle != nil {
 		n.onCycle(n.cycle)
 	}
@@ -331,29 +338,32 @@ func (n *Network) Step() error {
 	return nil
 }
 
-// deliver moves matured flits off link wires into downstream buffers or
-// sinks, and matured credits back to upstream counters. Only routers with
-// queued events are visited (in ascending router order, so arrival order is
-// identical to a full scan); idle routers cost one counter check.
-func (n *Network) deliver() {
-	for r, m := range n.evMask {
+// deliver is the first phase of a cycle for one span: it moves matured
+// flits off the span's link wires into downstream buffers or sinks, and
+// matured credits back to upstream counters. Only routers with queued
+// events are visited (in ascending router order, so arrival order is
+// identical to a full scan); idle routers cost one counter check. The
+// span's NIs follow.
+func (n *Network) deliver(fx *tickFx) {
+	for i, m := range n.evMask[fx.lo:fx.hi] {
 		if m == 0 {
 			continue // dense scan: an idle router costs one word read
 		}
+		r := fx.lo + i
 		rt := &n.routers[r]
 		for ; m != 0; m &= m - 1 {
 			pi := bits.TrailingZeros32(m)
 			op := rt.out[pi]
-			n.deliverPort(op)
+			n.deliverPort(op, fx)
 			if op.creditQ.n == 0 && op.wire.n == 0 {
 				n.evMask[r] &^= 1 << pi
 			}
 		}
 	}
-	for t := range n.nis {
+	for t := fx.niLo; t < fx.niHi; t++ {
 		up := &n.nis[t].up
 		if up.wire.n > 0 || up.creditQ.n > 0 {
-			n.deliverPort(up)
+			n.deliverPort(up, fx)
 		}
 	}
 }
@@ -362,9 +372,9 @@ func (n *Network) deliver() {
 // Events mature in enqueue order (fixed +1/+2 delays), so the matured set
 // is always a prefix of each queue. The credit loop indexes the queue
 // directly with local cursors and writes back once: nothing reached from
-// here (credit bookkeeping, sink callbacks) ever pushes onto this port's
-// queues, so the cursors cannot go stale.
-func (n *Network) deliverPort(op *outputPort) {
+// here (credit bookkeeping, sinks) ever pushes onto this port's queues, so
+// the cursors cannot go stale.
+func (n *Network) deliverPort(op *outputPort, fx *tickFx) {
 	cyc := n.cycle
 	if cq := &op.creditQ; cq.n > 0 {
 		head, cnt, nb := cq.head, cq.n, len(cq.buf)
@@ -387,7 +397,7 @@ func (n *Network) deliverPort(op *outputPort) {
 	}
 	for op.wire.n > 0 && op.wire.front().at <= cyc {
 		we := op.wire.pop()
-		n.lastMove = cyc
+		fx.moved = true
 		if n.faultsArmed {
 			if op.faultUntil >= cyc {
 				if !op.faultCorrupt {
@@ -401,17 +411,19 @@ func (n *Network) deliverPort(op *outputPort) {
 				continue
 			}
 		}
-		if op.slots < we.flit.Pkt.MinSlots {
-			we.flit.Pkt.MinSlots = op.slots
+		f := we.flit
+		// Only a head writes its packet here: the body follows the head's
+		// links, and it may sit in another span this cycle.
+		if f.Kind.IsHead() && op.slots < f.Pkt.MinSlots {
+			f.Pkt.MinSlots = op.slots
 		}
 		if op.isTerm {
-			n.sink(we.flit)
+			n.sink(f, fx)
 			continue
 		}
 		dr := op.link.Router
 		rt := &n.routers[dr]
 		ip := &rt.in[op.link.Port]
-		f := we.flit
 		f.arrive = cyc
 		vc := &ip.vcs[we.outVC]
 		if vc.buf.count == 0 {
@@ -424,9 +436,13 @@ func (n *Network) deliverPort(op *outputPort) {
 			ip.raMask |= 1 << we.outVC
 		}
 		ip.flits++
-		n.inFlits[dr]++
-		n.portMask[dr] |= 1 << op.link.Port
-		rt.bufWrites++
+		if fx.owns(dr) {
+			n.inFlits[dr]++
+			n.portMask[dr] |= 1 << op.link.Port
+			rt.bufWrites++
+		} else {
+			fx.arrivals = append(fx.arrivals, uint32(dr)<<5|uint32(op.link.Port))
+		}
 		if f.Kind.IsHead() && op.router >= 0 {
 			f.Pkt.Hops++
 			n.trace(EvHop, f.Pkt.ID, op.link.Router)
@@ -434,10 +450,10 @@ func (n *Network) deliverPort(op *outputPort) {
 	}
 }
 
-// sink consumes a flit at its destination terminal.
-func (n *Network) sink(f Flit) {
-	n.flitsInNetwork--
-	n.stats.FlitsReceived++
+// sink consumes a flit at its destination terminal and queues the packet
+// for eject once its tail arrives.
+func (n *Network) sink(f Flit, fx *tickFx) {
+	fx.sunk++
 	p := f.Pkt
 	p.received++
 	if n.atrOn && f.Kind.IsHead() {
@@ -448,29 +464,45 @@ func (n *Network) sink(f Flit) {
 			panic(fmt.Sprintf("noc: packet %d tail with %d/%d flits received", p.ID, p.received, p.NumFlits))
 		}
 		p.RecvCycle = n.cycle
-		if n.atrOn && p.headRecv > 0 {
-			// Endpoint rollups: NI queue wait plus the NI wire cycle charge
-			// to the source router, body-drain serialization to the
-			// destination router. sink runs in the sequential deliver phase,
-			// so these cross-router writes are race free under sharding.
-			src := &n.routers[n.termRouter[p.Src]]
-			src.atr[AttrQueue] += p.InjectCycle - p.CreateCycle
-			src.atr[AttrLink]++
-			dst := &n.routers[n.termRouter[p.Dst]]
-			dst.atr[AttrSerialization] += n.cycle - p.headRecv
-		}
 		n.trace(EvEject, p.ID, -1)
-		n.stats.recordPacket(p)
-		if n.onPacket != nil {
-			n.onPacket(p)
-		}
+		fx.ejected = append(fx.ejected, p)
 	}
 }
 
-// inject pushes flits from NI source queues into router local input ports,
-// using the same VC-allocation and credit machinery as a link.
-func (n *Network) inject() {
-	for t := range n.nis {
+// eject finishes a delivered packet after the deliver phase: the endpoint
+// attribution rollups, the statistics and the delivery callback.
+func (n *Network) eject(p *Packet) {
+	if n.atrOn && p.headRecv > 0 {
+		// Endpoint rollups: NI queue wait plus the NI wire cycle charge to
+		// the source router, body-drain serialization to the destination
+		// router.
+		src := &n.routers[n.termRouter[p.Src]]
+		src.atr[AttrQueue] += p.InjectCycle - p.CreateCycle
+		src.atr[AttrLink]++
+		dst := &n.routers[n.termRouter[p.Dst]]
+		dst.atr[AttrSerialization] += n.cycle - p.headRecv
+	}
+	n.stats.recordPacket(p)
+	if n.onPacket != nil {
+		n.onPacket(p)
+	}
+}
+
+// allocate is the second phase of a cycle for one span: injection from the
+// span's NIs, then route/VC allocation, switch allocation and the
+// occupancy count over its routers. No stage reads another router's state,
+// so each span runs them back to back.
+func (n *Network) allocate(fx *tickFx) {
+	n.inject(fx)
+	n.routeAndAllocate(fx)
+	n.switchAllocate(fx)
+	n.accumulate(fx)
+}
+
+// inject pushes flits from the span's NI source queues into router local
+// input ports, using the same VC-allocation and credit machinery as a link.
+func (n *Network) inject(fx *tickFx) {
+	for t, hi := fx.niLo, fx.niHi; t < hi; t++ {
 		q := &n.nis[t]
 		if len(q.streams) == 0 && q.queued() == 0 {
 			continue // nothing queued, nothing mid-injection
@@ -482,7 +514,7 @@ func (n *Network) inject() {
 			st := q.streams[i]
 			if budget > 0 && q.up.creditOK(st.vc) {
 				budget--
-				n.emitFlit(q, &st)
+				n.emitFlit(q, &st, fx)
 			}
 			if st.pkt != nil {
 				live = append(live, st)
@@ -507,10 +539,10 @@ func (n *Network) inject() {
 			p.InjectCycle = n.cycle
 			n.trace(EvInject, p.ID, q.up.link.Router)
 			q.pop()
-			n.queuedPackets--
+			fx.popped++
 			st := niStream{pkt: p, vc: vc}
 			budget--
-			n.emitFlit(q, &st)
+			n.emitFlit(q, &st, fx)
 			if st.pkt != nil {
 				q.streams = append(q.streams, st)
 			}
@@ -524,7 +556,7 @@ func (n *Network) inject() {
 			st := &q.streams[i]
 			if st.pkt != nil && q.up.creditOK(st.vc) {
 				budget--
-				n.emitFlit(q, st)
+				n.emitFlit(q, st, fx)
 			}
 		}
 		k := 0
@@ -539,16 +571,15 @@ func (n *Network) inject() {
 }
 
 // emitFlit sends the next flit of a stream and closes the stream on tail.
-func (n *Network) emitFlit(q *ni, st *niStream) {
+func (n *Network) emitFlit(q *ni, st *niStream, fx *tickFx) {
 	p := st.pkt
 	kind := flitKind(p.NumFlits, st.nextSeq)
 	f := Flit{Pkt: p, Seq: int32(st.nextSeq), Kind: kind}
 	f.Csum = n.flitCsum(&f)
 	q.up.consumeCredit(st.vc)
 	q.up.wire.push(wireEvt{flit: f, outVC: st.vc, at: n.cycle + 1})
-	n.flitsInNetwork++
-	n.stats.FlitsInjected++
-	n.lastMove = n.cycle
+	fx.injected++
+	fx.moved = true
 	st.nextSeq++
 	if kind.IsTail() {
 		q.up.releaseOnTail(st.vc)
@@ -557,15 +588,15 @@ func (n *Network) emitFlit(q *ni, st *niStream) {
 }
 
 // routeAndAllocate is pipeline stage 1a: route computation for fresh heads
-// and downstream VC allocation for waiting heads, over routers [lo,hi).
+// and downstream VC allocation for waiting heads, over the span's routers.
 // All writes stay inside the visited router (and the packet whose head it
 // holds) except the effects routed through fx, so disjoint spans may run
 // concurrently (see shard.go).
-func (n *Network) routeAndAllocate(lo, hi int, fx *tickFx) {
+func (n *Network) routeAndAllocate(fx *tickFx) {
 	// The port-fairness rotation offset is cycle%radix; routers share a
 	// handful of radix values, so memoize the division across the scan.
 	lastRadix, cycOff := 0, 0
-	for r := lo; r < hi; r++ {
+	for r, hi := fx.lo, fx.hi; r < hi; r++ {
 		if n.inFlits[r] == 0 {
 			continue // no buffered flit anywhere: no VC has work
 		}
@@ -725,9 +756,9 @@ const saIterations = 3
 //     output port (the split-datapath crossbar of Figure 4),
 //   - an output port accepts at most `slots` flits (2 on wide links),
 //   - every flit needs a credit on its downstream VC.
-func (n *Network) switchAllocate(lo, hi int, fx *tickFx) {
+func (n *Network) switchAllocate(fx *tickFx) {
 	lastRadix, cycOff := 0, 0 // cycle%radix memo, as in routeAndAllocate
-	for r := lo; r < hi; r++ {
+	for r, hi := fx.lo, fx.hi; r < hi; r++ {
 		if n.inFlits[r] == 0 {
 			continue // nothing buffered: no VC can bid, no output can send
 		}
@@ -870,7 +901,7 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 	rt.bufReads++
 	rt.xbarFlits++
 	out.flitsSent++
-	fx.progress()
+	fx.moved = true
 	if n.tracer != nil {
 		n.tracer.record(n.cycle, EvSwitchAlloc, f.Pkt.ID, rt.id, int16(out.port), vc.outVC, sa)
 	}
@@ -900,13 +931,12 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 	}
 }
 
-// accumulate gathers per-cycle occupancy statistics from the maintained
-// flit counters (CheckInvariants audits them against a rescan).
-func (n *Network) accumulate() {
-	n.stats.Cycles++
-	for r, f := range n.inFlits {
+// accumulate gathers the span's per-cycle occupancy statistics from the
+// maintained flit counters (CheckInvariants audits them against a rescan).
+func (n *Network) accumulate(fx *tickFx) {
+	for i, f := range n.inFlits[fx.lo:fx.hi] {
 		if f != 0 {
-			n.routers[r].bufOccSum += int64(f)
+			n.routers[fx.lo+i].bufOccSum += int64(f)
 		}
 	}
 }

@@ -11,9 +11,9 @@ const (
 )
 
 // inVC is one virtual channel of an input port. The allocation stages scan
-// these linearly every cycle, so the struct is packed into 48 bytes (narrow
-// index fields, int32 counters) to keep a port's VCs within two cache
-// lines; router radix and VC counts are far below the int16 range.
+// these linearly every cycle, so the struct is packed into 64 bytes, one
+// host cache line (narrow index fields, int32 counters); router radix and
+// VC counts are far below the int16 range.
 type inVC struct {
 	buf   ring
 	state vcState

@@ -1,113 +1,174 @@
 package noc
 
-// Deterministic intra-cycle sharding. The allocation stages of Step —
-// route computation / VC allocation (stage 1a) and switch allocation /
-// traversal (stage 1b+2) — only read and write state owned by the router
-// being visited: its input VCs, its per-router counters and its own output
-// ports. Exactly three effects cross a router boundary, and all three are
-// order-independent or order-normalizable:
+// Deterministic cycle sharding. SetShardWorkers splits the routers into
+// one fixed, contiguous span per worker, and each span's terminals are the
+// run of terminals whose routers it holds. Every stage of Step runs per
+// span, in two phases separated by the pool's barrier: deliver, then
+// inject, route/VC allocation, switch allocation and the occupancy count.
+// Span s always runs on worker s and the caller runs span 0. The
+// sequential kernel is the same code run as one span covering the network.
 //
-//   - the credit sent upstream when a flit leaves its buffer: each output
-//     port's credit queue is filled by exactly one downstream input port,
-//     so the shard that owns the downstream router is the queue's only
-//     writer this cycle (nothing reads credit queues until next cycle's
-//     deliver);
-//   - the event-mask bit telling the upstream router it has a queued
-//     credit: a read-modify-write on another router's word, so shards
-//     buffer (router, port) pairs and the commit phase ORs them in after
-//     the join (OR is commutative — any commit order yields the same mask);
-//   - the watchdog progress flag and the broken-packet queue: buffered
-//     per shard and folded in shard order, which equals ascending router
-//     order because shards are contiguous ascending spans.
+// A span writes the state of its own routers and terminals directly.
+// Effects that leave the span follow these ownership rules, which keep the
+// spans deterministic without atomics:
 //
-// Under that discipline the merged state is byte-identical to the
-// sequential kernel for every worker count, which the golden fingerprints
-// and the par determinism test pin down. Sharding is only taken on cycles
-// with no cross-cutting machinery active: no tracer (event order), no
-// escaper (global escape stats and trace events in stage 1a), no armed
-// faults (purges walk the whole network). Those runs fall back to the
-// sequential path and stay bit-identical too.
+//   - each input port has exactly one feeder, so a flit delivered across a
+//     span boundary writes that port's ring, headArrive, candidate masks and
+//     flit count directly; the receiving router's own counters (inFlits,
+//     portMask, bufWrites) go through the span's sink;
+//   - each credit queue is filled by exactly one downstream input port, and
+//     nothing reads credit queues until next cycle's deliver, so the credit
+//     push is direct; the upstream router's event-mask bit goes through the
+//     sink when that router lies outside the span;
+//   - ejections are queued: the statistics, the endpoint attribution
+//     rollups and the onPacket callback run after the deliver phase, span
+//     by span, which is ascending router order as in a full scan;
+//   - global counters (flits in the network and delivered, packets still
+//     queued, watchdog progress) and packets marked broken fold per span
+//     after their phase.
+//
+// The folds run on the caller between the phases, so the merged state is
+// byte-identical to the one-span kernel for every worker count, which the
+// golden fingerprints and the par determinism tests pin down. A cycle runs
+// as one span whenever machinery with global side effects is active: a
+// tracer (event order), an escaper (global escape stats and trace events
+// in route allocation) or armed faults (purges walk the whole network).
 
 import "heteronoc/internal/par"
 
-// tickFx is the side-effect sink of one allocation pass. The sequential
-// kernel uses a single direct sink that applies effects immediately; each
-// shard of a parallel pass gets its own deferred sink whose buffered
-// effects the commit phase folds in.
+// tickFx is one span of a cycle: the routers [lo,hi) and terminals
+// [niLo,niHi) it runs, and the sink for its effects outside them.
 type tickFx struct {
-	n      *Network
-	direct bool     // apply effects immediately (sequential kernel)
-	evOr   []uint32 // deferred evMask bits, packed router<<5|port
-	moved  bool     // a flit moved (watchdog progress)
-	broken []*Packet
-	_      [40]byte // keep neighboring shard sinks off one cache line
+	n          *Network
+	lo, hi     int
+	niLo, niHi int
+
+	// Deliver phase.
+	arrivals []uint32  // flits buffered into routers outside the span, router<<5|port
+	ejected  []*Packet // packets whose tail reached its terminal, in delivery order
+	sunk     int       // flits consumed at terminals
+
+	// Allocation phase.
+	injected int       // flits launched from the span's NIs
+	popped   int       // packets that left the span's NI queues
+	evOr     []uint32  // event-mask bits of routers outside the span, router<<5|port
+	broken   []*Packet // packets marked for purging, in router order
+
+	moved bool     // a flit moved (watchdog progress)
+	_     [64]byte // keep neighboring span sinks off one cache line
 }
+
+// owns reports whether router r lies in the span.
+func (fx *tickFx) owns(r int) bool { return uint(r-fx.lo) < uint(fx.hi-fx.lo) }
 
 // creditNotify marks the upstream output port's event mask so next cycle's
 // deliver visits its freshly queued credit.
 func (fx *tickFx) creditNotify(router, port int) {
-	if fx.direct {
-		fx.n.evMask[router] |= 1 << uint(port)
+	if !fx.owns(router) {
+		fx.evOr = append(fx.evOr, uint32(router)<<5|uint32(port))
 		return
 	}
-	fx.evOr = append(fx.evOr, uint32(router)<<5|uint32(port))
-}
-
-// progress records that a flit moved this cycle.
-func (fx *tickFx) progress() {
-	if fx.direct {
-		fx.n.lastMove = fx.n.cycle
-		return
-	}
-	fx.moved = true
+	fx.n.evMask[router] |= 1 << port
 }
 
 // markBroken queues a packet for purging; the first cause wins. Only the
-// shard holding the packet's head flit can reach it, so the flag write is
-// single-writer even in a parallel pass.
+// span holding the packet's head flit can reach it, so the flag write has
+// a single writer.
 func (fx *tickFx) markBroken(p *Packet, why DropReason) {
 	if p == nil || p.broken {
 		return
 	}
 	p.broken = true
 	p.dropWhy = why
-	if fx.direct {
-		fx.n.brokenQ = append(fx.n.brokenQ, p)
-		return
-	}
 	fx.broken = append(fx.broken, p)
 }
 
-// SetShardWorkers reconfigures intra-cycle sharding: w > 0 runs the
-// allocation stages of every eligible Step on a persistent pool of w
-// workers (w = 1 exercises the sharded path serially), 0 restores the
-// plain sequential kernel. Requests beyond the router count are clamped —
-// extra workers could never hold a router and would only idle in the pool.
-// Results are bit-identical in every mode. Call Close when done with a
-// sharded network to release the pool.
-func (n *Network) SetShardWorkers(w int) {
-	if n.pool != nil {
-		n.pool.Close()
-		n.pool = nil
-	}
-	if w <= 0 {
-		n.shards = nil
-		return
-	}
-	if nr := len(n.routers); w > nr {
-		w = nr
-	}
-	n.pool = par.NewPool(w)
-	// One sink per steal chunk, not per worker: the pool oversubscribes
-	// the tick into Shards(n) chunks and hands fn the chunk index.
-	n.shards = make([]tickFx, n.pool.Shards(len(n.routers)))
-	for i := range n.shards {
-		n.shards[i].n = n
+// endDeliver folds the deliver phase's sinks in span order and finishes
+// the cycle's ejections.
+func (n *Network) endDeliver(fxs []tickFx) {
+	for i := range fxs {
+		fx := &fxs[i]
+		for _, a := range fx.arrivals {
+			r := a >> 5
+			n.inFlits[r]++
+			n.portMask[r] |= 1 << (a & 31)
+			n.routers[r].bufWrites++
+		}
+		fx.arrivals = fx.arrivals[:0]
+		n.flitsInNetwork -= fx.sunk
+		n.stats.FlitsReceived += int64(fx.sunk)
+		fx.sunk = 0
+		n.noteProgress(fx)
+		for _, p := range fx.ejected {
+			n.eject(p)
+		}
+		clear(fx.ejected)
+		fx.ejected = fx.ejected[:0]
 	}
 }
 
+// endAllocate folds the allocation phase's sinks in span order.
+func (n *Network) endAllocate(fxs []tickFx) {
+	for i := range fxs {
+		fx := &fxs[i]
+		for _, e := range fx.evOr {
+			n.evMask[e>>5] |= 1 << (e & 31)
+		}
+		fx.evOr = fx.evOr[:0]
+		n.flitsInNetwork += fx.injected
+		n.stats.FlitsInjected += int64(fx.injected)
+		n.queuedPackets -= fx.popped
+		fx.injected, fx.popped = 0, 0
+		n.noteProgress(fx)
+		if len(fx.broken) > 0 {
+			n.brokenQ = append(n.brokenQ, fx.broken...)
+			clear(fx.broken)
+			fx.broken = fx.broken[:0]
+		}
+	}
+}
+
+// noteProgress moves a span's progress flag to the watchdog.
+func (n *Network) noteProgress(fx *tickFx) {
+	if fx.moved {
+		n.lastMove = n.cycle
+		fx.moved = false
+	}
+}
+
+// SetShardWorkers reconfigures cycle sharding: w > 0 runs every eligible
+// Step as w spans on a persistent pool (w = 1 is the one-span kernel on
+// the caller), 0 restores the plain sequential kernel. Requests beyond the
+// router count are clamped: a span without a router would only idle.
+// Results are bit-identical in every mode. Call Close when done with a
+// sharded network to release the pool.
+func (n *Network) SetShardWorkers(w int) {
+	n.Close()
+	if w <= 0 {
+		return
+	}
+	nr := len(n.routers)
+	w = min(w, nr)
+	n.pool = par.NewPool(w)
+	n.shards = make([]tickFx, w)
+	t := 0
+	for s := range n.shards {
+		lo, hi := par.Span(nr, w, s)
+		niLo := t
+		for t < len(n.nis) && int(n.termRouter[t]) < hi {
+			t++
+		}
+		n.shards[s] = tickFx{n: n, lo: lo, hi: hi, niLo: niLo, niHi: t}
+	}
+	// Terminals out of router order, if a topology numbers them so, fall
+	// to the last span; any partition of the terminals is correct.
+	n.shards[w-1].niHi = len(n.nis)
+	n.deliverTick = func(s, _, _ int) { n.deliver(&n.shards[s]) }
+	n.allocTick = func(s, _, _ int) { n.allocate(&n.shards[s]) }
+}
+
 // ShardWorkers returns the effective (post-clamp) worker count of the
-// intra-cycle sharding pool, or 0 when the sequential kernel is active.
+// cycle-sharding pool, or 0 when the sequential kernel is active.
 func (n *Network) ShardWorkers() int {
 	if n.pool == nil {
 		return 0
@@ -122,41 +183,15 @@ func (n *Network) Close() {
 		n.pool.Close()
 		n.pool = nil
 		n.shards = nil
+		n.deliverTick, n.allocTick = nil, nil
 	}
 }
 
-// shardable reports whether this cycle's allocation stages may run on the
-// worker pool: no machinery with global side effects can be active.
-func (n *Network) shardable() bool {
-	return n.pool != nil && n.tracer == nil && n.escaper == nil && !n.faultsArmed
-}
-
-// allocateSharded runs stages 1a and 1b+2 over contiguous router spans on
-// the worker pool, then commits the buffered cross-router effects in shard
-// order.
-func (n *Network) allocateSharded() {
-	shards := n.shards
-	n.pool.ShardedTick(len(n.routers), func(shard, lo, hi int) {
-		fx := &shards[shard]
-		n.routeAndAllocate(lo, hi, fx)
-		n.switchAllocate(lo, hi, fx)
-	})
-	for i := range shards {
-		fx := &shards[i]
-		for _, e := range fx.evOr {
-			n.evMask[e>>5] |= 1 << (e & 31)
-		}
-		fx.evOr = fx.evOr[:0]
-		if fx.moved {
-			n.lastMove = n.cycle
-			fx.moved = false
-		}
-		if len(fx.broken) > 0 {
-			n.brokenQ = append(n.brokenQ, fx.broken...)
-			for j := range fx.broken {
-				fx.broken[j] = nil
-			}
-			fx.broken = fx.broken[:0]
-		}
+// spans returns this cycle's spans: the pool's when it may run the cycle,
+// else the one span covering the network.
+func (n *Network) spans() []tickFx {
+	if n.pool != nil && n.tracer == nil && n.escaper == nil && !n.faultsArmed {
+		return n.shards
 	}
+	return n.whole[:]
 }

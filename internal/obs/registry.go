@@ -5,8 +5,8 @@
 // experiment results.
 //
 // The registry is pull-based: producers register closures that read
-// counters they already maintain (noc router activity, runcache hit/miss,
-// shard-pool balance), so registration adds zero work to simulation hot
+// counters they already maintain (noc router activity, runcache hit/miss),
+// so registration adds zero work to simulation hot
 // paths — cost is only paid when an exposition is actually rendered. The
 // one push-style instrument, Counter, is for paths with no counter of
 // their own to read; its Add is one atomic add.

@@ -12,6 +12,8 @@ import (
 
 	"heteronoc/internal/core"
 	"heteronoc/internal/noc"
+	"heteronoc/internal/routing"
+	"heteronoc/internal/topology"
 	"heteronoc/internal/traffic"
 )
 
@@ -105,6 +107,104 @@ func TestShardWorkersClampedToRouters(t *testing.T) {
 	for _, w := range []int{3, 16, 64} {
 		if got := fingerprintTiny(t, w); got != want {
 			t.Errorf("%d workers: fingerprint %016x, sequential %016x", w, got, want)
+		}
+	}
+}
+
+// spanCase is one scenario of TestShardedSpansMatchOneSpan: a network
+// builder, a traffic pattern over its terminals, an injection rate and a
+// cycle count.
+type spanCase struct {
+	name    string
+	build   func() (*noc.Network, error)
+	pattern func(terms int) traffic.Pattern
+	rate    float64
+	cycles  int
+}
+
+// fig2Network builds one of Fig 2's two 64-terminal networks.
+func fig2Network(topo topology.Topology, alg routing.Algorithm) func() (*noc.Network, error) {
+	return func() (*noc.Network, error) {
+		return noc.New(noc.Config{Topo: topo, Routing: alg,
+			Routers: []noc.RouterConfig{{VCs: 3, BufDepth: 5}}, WatchdogCycles: 100000})
+	}
+}
+
+// spanRun is what TestShardedSpansMatchOneSpan compares: the statistics
+// and network fingerprints, plus a hash of the delivery callbacks in call
+// order.
+type spanRun struct{ stats, net, order uint64 }
+
+// runSpans drives one case with the given shard workers (0 = the one-span
+// kernel). Every delivered request triggers a two-flit reply injected from
+// the delivery callback, as the CMP's protocol handlers do, so the order
+// of the queued ejections reaches the packet IDs, the traffic and the
+// order hash.
+func runSpans(t *testing.T, c spanCase, workers int) spanRun {
+	t.Helper()
+	net, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers > 0 {
+		net.SetShardWorkers(workers)
+		defer net.Close()
+	}
+	var order uint64
+	net.SetOnPacket(func(p *noc.Packet) {
+		order = (order ^ p.ID) * 0x100000001b3
+		if p.Class == 0 && p.ID%2 == 0 {
+			net.Inject(&noc.Packet{Src: p.Dst, Dst: p.Src, NumFlits: 2, Class: 1})
+		}
+	})
+	terms := net.Config().Topo.NumTerminals()
+	pattern := c.pattern(terms)
+	proc := traffic.Bernoulli{P: c.rate}
+	rng := rand.New(rand.NewSource(11))
+	for cyc := 0; cyc < c.cycles; cyc++ {
+		for term := 0; term < terms; term++ {
+			if proc.Fire(term, net.Cycle(), rng) {
+				net.Inject(&noc.Packet{Src: term, Dst: pattern.Dst(term, rng), NumFlits: 6})
+			}
+		}
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := net.CheckInvariants(); err != nil {
+		t.Fatalf("%s, %d workers: %v", c.name, workers, err)
+	}
+	if net.Stats().PacketsReceived == 0 {
+		t.Fatalf("%s: no packet delivered in %d cycles", c.name, c.cycles)
+	}
+	return spanRun{net.Stats().Fingerprint(), net.Fingerprint(), order}
+}
+
+// TestShardedSpansMatchOneSpan: beyond the goldens' 16x16, every span
+// count reproduces the one-span kernel bit for bit, on 1,024 routers under
+// uniform and hotspot traffic, on a torus, and on Fig 2's concentrated
+// mesh and flattened butterfly, whose routers serve four terminals each.
+func TestShardedSpansMatchOneSpan(t *testing.T) {
+	uniform := func(terms int) traffic.Pattern { return traffic.UniformRandom{N: terms} }
+	cm := topology.NewCMesh(4, 4, 4)
+	fb := topology.NewFBfly(4, 4, 4)
+	cases := []spanCase{
+		{"32x32 Diagonal+BL uniform", core.NewLayout(core.PlacementDiagonal, 32, 32, true).Network,
+			uniform, 0.0075, 500},
+		{"32x32 Diagonal+BL hotspot", core.NewLayout(core.PlacementDiagonal, 32, 32, true).Network,
+			func(terms int) traffic.Pattern { return traffic.Hotspot{N: terms, Hot: 100, Frac: 0.1} }, 0.006, 500},
+		{"8x8 torus", core.NewLayout(core.PlacementDiagonal, 8, 8, true).OnTorus().Network,
+			uniform, 0.03, 1500},
+		{"fig2 concentrated mesh", fig2Network(cm, routing.NewXY(cm)), uniform, 0.04, 1500},
+		{"fig2 flattened butterfly", fig2Network(fb, routing.NewFBflyRC(fb)), uniform, 0.06, 1500},
+	}
+	for _, c := range cases {
+		want := runSpans(t, c, 0)
+		for _, w := range []int{2, 3, 5} {
+			if got := runSpans(t, c, w); got != want {
+				t.Errorf("%s, %d workers: fingerprints (stats %016x, network %016x, deliveries %016x), one span (%016x, %016x, %016x)",
+					c.name, w, got.stats, got.net, got.order, want.stats, want.net, want.order)
+			}
 		}
 	}
 }

@@ -103,180 +103,178 @@ func runJob[T any](ctx context.Context, i int, fn func(ctx context.Context, i in
 	return fn(ctx, i)
 }
 
-// Pool is a persistent set of worker goroutines for per-cycle sharding.
-// Unlike Map — which spawns goroutines per batch and is amortized over
-// multi-millisecond sweep jobs — a Pool is built once and reused every
-// simulated cycle, so a tick costs a handful of channel operations instead
-// of goroutine creation. The zero Pool is not usable; call NewPool.
+// Pool is a fixed set of workers for per-cycle sharding. ShardedTick
+// splits its items into one contiguous span per worker: span s always runs
+// on worker s, and the caller runs span 0 itself, so a pool of w holds w-1
+// goroutines. Unlike Map, which spawns goroutines per batch and is
+// amortized over multi-millisecond sweep jobs, a Pool is built once and
+// reused every simulated cycle: a tick hands off through shared counters
+// that the waiting side spins on. The zero Pool is not usable; call
+// NewPool.
 type Pool struct {
 	workers int
-	work    chan shardJob
 	wg      sync.WaitGroup
-	closed  bool
 
-	// Tick accounting (see TickStats). Plain counters written by the
-	// single goroutine driving ShardedTick; read them from that goroutine
-	// (or after the simulation stops), not concurrently.
-	ticks       int64
-	inlineTicks int64
-	spans       int64
-	items       int64
-	maxSpan     int
-	minSpan     int
+	// The tick in flight: the caller writes fn, n and spans, then bumps
+	// gen; each worker runs its span and decrements pending. Close sets
+	// closed before its own bump.
+	fn      func(shard, lo, hi int)
+	n       int
+	spans   int
+	gen     atomic.Uint64
+	pending atomic.Int32
+	closed  atomic.Bool
+
+	panicMu sync.Mutex
+	panicV  any // the first panic of the tick in flight
+
+	// await's blocking fallback. sleepers counts the goroutines blocked in
+	// it, so a handoff pays for the lock only when someone sleeps.
+	mu       sync.Mutex
+	wakeup   *sync.Cond
+	sleepers atomic.Int32
 }
 
-// shardJob is one worker's share of a tick: loop stealing chunk indices
-// from the shared counter and run fn over each stolen chunk's span until
-// the chunks are exhausted.
-type shardJob struct {
-	fn           func(shard, lo, hi int)
-	chunks       int
-	span, extra  int // chunk c covers span items, +1 for the first extra
-	next         *atomic.Int64
-	done         *sync.WaitGroup
-	panicked     *panicBox
-	panickedOnce *sync.Once
-}
-
-// panicBox carries the first panic out of a tick back to the caller.
-type panicBox struct{ value any }
-
-// NewPool starts a pool of `workers` goroutines (minimum 1; values above
-// GOMAXPROCS are allowed but cannot add real parallelism). Close the pool
-// when the owning simulation is done with it.
+// NewPool starts a pool of `workers` spans (minimum 1) and workers-1
+// goroutines. Values above GOMAXPROCS are allowed but cannot add real
+// parallelism. Close the pool when the owning simulation is done with it.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, work: make(chan shardJob)}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for j := range p.work {
-				j.run()
-			}
-		}()
+	p := &Pool{workers: workers}
+	p.wakeup = sync.NewCond(&p.mu)
+	p.wg.Add(workers - 1)
+	for s := 1; s < workers; s++ {
+		go p.work(s)
 	}
 	return p
 }
 
-func (j shardJob) run() {
-	defer func() {
-		if v := recover(); v != nil {
-			j.panickedOnce.Do(func() { j.panicked.value = v })
-		}
-		j.done.Done()
-	}()
+// work is worker s's loop: wait for the next tick, run span s, report.
+func (p *Pool) work(s int) {
+	defer p.wg.Done()
+	var seen uint64
 	for {
-		c := int(j.next.Add(1)) - 1
-		if c >= j.chunks {
+		p.await(func() bool { return p.gen.Load() != seen })
+		if p.closed.Load() {
 			return
 		}
-		lo := c * j.span
-		if c < j.extra {
-			lo += c
-		} else {
-			lo += j.extra
+		// The caller starts the next tick only after this worker reports,
+		// so gen has moved exactly once.
+		seen++
+		p.runSpan(s)
+		if p.pending.Add(-1) == 0 {
+			p.wake()
 		}
-		hi := lo + j.span
-		if c < j.extra {
-			hi++
-		}
-		j.fn(c, lo, hi)
 	}
 }
 
-// Workers returns the pool size.
+// spinBudget is how many rounds await spins, yielding the processor each
+// round, before it blocks: about 150 µs on an idle 2-vCPU host (Go 1.24),
+// longer than the gap between two phases of a 32x32 cycle. A shorter spin
+// blocks inside a cycle (2^8 rounds slowed a two-span 32x32 run by 45%);
+// a longer one spins away CPU time that other processes on a busy host
+// would give the spans.
+const spinBudget = 1 << 10
+
+// await returns once ready holds. It first spins, calling runtime.Gosched
+// every round so that more workers than CPUs still make progress, then
+// sleeps until a wake, so an idle or closed pool holds no CPU.
+func (p *Pool) await(ready func() bool) {
+	for i := 0; i < spinBudget; i++ {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	p.mu.Lock()
+	p.sleepers.Add(1)
+	for !ready() {
+		p.wakeup.Wait()
+	}
+	p.sleepers.Add(-1)
+	p.mu.Unlock()
+}
+
+// wake rouses the goroutines blocked in await after the state they wait on
+// changed. A sleeper registers before its last check of that state, so it
+// either sees the change or is counted here.
+func (p *Pool) wake() {
+	if p.sleepers.Load() > 0 {
+		p.mu.Lock()
+		p.wakeup.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// runSpan runs span s of the tick in flight, keeping the tick's first
+// panic for the caller.
+func (p *Pool) runSpan(s int) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.panicMu.Lock()
+			if p.panicV == nil {
+				p.panicV = v
+			}
+			p.panicMu.Unlock()
+		}
+	}()
+	if s < p.spans {
+		lo, hi := Span(p.n, p.spans, s)
+		p.fn(s, lo, hi)
+	}
+}
+
+// Workers returns the pool size: the number of spans a tick of at least
+// that many items splits into.
 func (p *Pool) Workers() int { return p.workers }
 
 // Close shuts the worker goroutines down. The pool must be idle (no
 // ShardedTick in flight). Close is idempotent.
 func (p *Pool) Close() {
-	if p.closed {
+	if p.closed.Swap(true) {
 		return
 	}
-	p.closed = true
-	close(p.work)
+	p.gen.Add(1)
+	p.wake()
 	p.wg.Wait()
 }
 
-// stealChunkFactor oversubscribes the tick partition: each worker's fair
-// share is split into this many chunks so a worker that drew light spans
-// (idle routers) steals the heavy tail from its neighbors instead of
-// leaving the pool waiting on one straggler.
-const stealChunkFactor = 4
-
-// Shards returns the number of contiguous chunks ShardedTick partitions n
-// items into — the length a caller's per-shard sink slice must have. The
-// count depends only on n and the pool size.
-func (p *Pool) Shards(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		return 1
-	}
-	c := w * stealChunkFactor
-	if c > n {
-		c = n
-	}
-	return c
+// Span returns the s-th of parts contiguous, near-equal spans of [0,n).
+// Spans ascend with s and are never empty when parts <= n.
+func Span(n, parts, s int) (lo, hi int) {
+	return s * n / parts, (s + 1) * n / parts
 }
 
-// ShardedTick partitions [0,n) into Shards(n) contiguous chunks and runs
-// fn(shard, lo, hi) for each chunk on the pool, blocking until every chunk
-// has completed. Workers steal chunk indices from a shared counter, so
-// which worker runs a chunk varies — but the partition itself depends only
-// on n and the pool size, and shard s always covers items before shard
-// s+1, so a caller that merges per-shard effects in shard order reproduces
-// ascending item order regardless of scheduling. fn must confine its
-// writes to the items it was handed (plus per-shard scratch); under that
-// contract the merged state is identical for every worker count, including
-// 1. A panicking chunk is re-panicked on the caller's goroutine after the
-// tick drains, so the pool is never left with a wedged tick.
+// ShardedTick splits [0,n) into min(Workers(), n) spans with Span and runs
+// fn(shard, lo, hi) for span `shard` on worker `shard`, the caller taking
+// span 0, and returns when every span has finished. The partition depends
+// only on n and the pool size, and span s covers items before span s+1, so
+// a caller that merges per-span effects in span order reproduces ascending
+// item order regardless of scheduling. fn must confine its writes to the
+// items it was handed (plus per-span scratch); under that contract the
+// merged state is identical for every worker count, including 1. A panic
+// in any span is raised again on the caller after the tick drains, so the
+// pool is never left with a wedged tick.
 func (p *Pool) ShardedTick(n int, fn func(shard, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := p.Shards(n)
-	p.ticks++
-	p.items += int64(n)
-	p.spans += int64(chunks)
-	if chunks == 1 {
-		p.inlineTicks++
-		p.noteSpan(n, n)
-		// Single shard: run inline, same code path as a worker would take.
+	spans := min(p.workers, n)
+	if spans == 1 {
 		fn(0, 0, n)
 		return
 	}
-	span := n / chunks
-	extra := n % chunks // the first `extra` chunks take one more item
-	if extra > 0 {
-		p.noteSpan(span+1, span)
-	} else {
-		p.noteSpan(span, span)
-	}
-	workers := p.workers
-	if workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
-	var done sync.WaitGroup
-	var once sync.Once
-	var pb panicBox
-	done.Add(workers)
-	job := shardJob{fn: fn, chunks: chunks, span: span, extra: extra,
-		next: &next, done: &done, panicked: &pb, panickedOnce: &once}
-	for w := 0; w < workers; w++ {
-		p.work <- job
-	}
-	done.Wait()
-	if pb.value != nil {
-		panic(pb.value)
+	p.fn, p.n, p.spans = fn, n, spans
+	p.pending.Store(int32(p.workers - 1))
+	p.gen.Add(1)
+	p.wake()
+	p.runSpan(0)
+	p.await(func() bool { return p.pending.Load() == 0 })
+	p.fn = nil
+	if v := p.panicV; v != nil {
+		p.panicV = nil
+		panic(v)
 	}
 }

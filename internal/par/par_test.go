@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMapOrder: results land at their job index regardless of which worker
@@ -158,26 +159,47 @@ func TestShardedTickPartition(t *testing.T) {
 	}
 }
 
-// TestShardedTickPanic: a panicking shard propagates to the caller after
-// the tick joins, and the pool stays usable afterwards.
+// TestIdlePoolBlocks: a pool left idle stops spinning and blocks every
+// worker, so it holds no CPU between ticks that never come.
+func TestIdlePoolBlocks(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	p.ShardedTick(3, func(shard, lo, hi int) {})
+	time.Sleep(50 * time.Millisecond)
+	if got := p.sleepers.Load(); got != 2 {
+		t.Fatalf("after 50 ms idle %d of 2 workers are blocked", got)
+	}
+	// A tick wakes them.
+	var ran atomic.Int32
+	p.ShardedTick(3, func(shard, lo, hi int) { ran.Add(1) })
+	if ran.Load() != 3 {
+		t.Fatalf("%d of 3 spans ran after the pool slept", ran.Load())
+	}
+}
+
+// TestShardedTickPanic: a panic in any span, the caller's span 0
+// included, is raised again on the caller after the tick joins, and the
+// pool stays usable afterwards.
 func TestShardedTickPanic(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("shard panic did not propagate")
-			}
+	for bad := 0; bad < 4; bad++ {
+		func() {
+			defer func() {
+				if v := recover(); v != fmt.Sprint("span ", bad) {
+					t.Errorf("span %d panicked, caller recovered %v", bad, v)
+				}
+			}()
+			p.ShardedTick(8, func(shard, lo, hi int) {
+				if shard == bad {
+					panic(fmt.Sprint("span ", bad))
+				}
+			})
 		}()
-		p.ShardedTick(8, func(shard, lo, hi int) {
-			if lo == 0 {
-				panic("shard blew up")
-			}
-		})
-	}()
-	var ran atomic.Int32
-	p.ShardedTick(4, func(shard, lo, hi int) { ran.Add(int32(hi - lo)) })
-	if ran.Load() != 4 {
-		t.Fatalf("pool wedged after panic: %d/4 items ran", ran.Load())
+		var ran atomic.Int32
+		p.ShardedTick(4, func(shard, lo, hi int) { ran.Add(int32(hi - lo)) })
+		if ran.Load() != 4 {
+			t.Fatalf("pool wedged after a panic in span %d: %d/4 items ran", bad, ran.Load())
+		}
 	}
 }

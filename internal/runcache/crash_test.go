@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,8 +24,8 @@ func TestDiskStoreCrashMidWriteLeavesNoLoadablePartial(t *testing.T) {
 	dir := withDiskDir(t)
 
 	calls := 0
-	fn := func() (diskVal, error) { calls++; return diskVal{"crash", []int{9, 9}}, nil }
-	if _, err := For("crash-k", fn); err != nil {
+	fn := func(context.Context) (diskVal, error) { calls++; return diskVal{"crash", []int{9, 9}}, nil }
+	if _, err := ForCtx(context.Background(), "crash-k", fn); err != nil {
 		t.Fatal(err)
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*"+diskExt))
@@ -46,7 +47,7 @@ func TestDiskStoreCrashMidWriteLeavesNoLoadablePartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	Reset()
-	if _, err := For("crash-k", fn); err != nil {
+	if _, err := ForCtx(context.Background(), "crash-k", fn); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
@@ -65,7 +66,7 @@ func TestDiskStoreCrashMidWriteLeavesNoLoadablePartial(t *testing.T) {
 		}
 		Reset()
 		before := calls
-		v, err := For("crash-k", fn)
+		v, err := ForCtx(context.Background(), "crash-k", fn)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -97,12 +98,12 @@ func TestDiskChaosCorruptionIsGracefulMiss(t *testing.T) {
 	defer SetChaos(nil)
 
 	calls := 0
-	fn := func() (diskVal, error) { calls++; return diskVal{"chaos", []int{1}}, nil }
-	if _, err := For("chaos-k", fn); err != nil {
+	fn := func(context.Context) (diskVal, error) { calls++; return diskVal{"chaos", []int{1}}, nil }
+	if _, err := ForCtx(context.Background(), "chaos-k", fn); err != nil {
 		t.Fatal(err)
 	}
 	Reset()
-	if _, err := For("chaos-k", fn); err != nil {
+	if _, err := ForCtx(context.Background(), "chaos-k", fn); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
@@ -133,7 +134,7 @@ func TestDiskEvictionConcurrentWithLoads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				key := fmt.Sprintf("evict-w%d-%d", w, i)
-				v, err := For(key, func() (diskVal, error) {
+				v, err := ForCtx(context.Background(), key, func(context.Context) (diskVal, error) {
 					return diskVal{key, []int{i}}, nil
 				})
 				if err != nil {
@@ -156,7 +157,7 @@ func TestDiskEvictionConcurrentWithLoads(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				key := fmt.Sprintf("evict-shared-%d", i%5)
 				Reset() // drop the memory tier so the disk path is exercised
-				v, err := For(key, func() (diskVal, error) {
+				v, err := ForCtx(context.Background(), key, func(context.Context) (diskVal, error) {
 					return diskVal{key, nil}, nil
 				})
 				if err != nil {

@@ -2,7 +2,7 @@ package runcache
 
 // Persistent disk tier. When a cache directory is configured (the
 // -cachedir flag of cmd/experiments, default ~/.cache/heteronoc), memoized
-// results also survive the process: a For miss consults the disk before
+// results also survive the process: a memory miss consults the disk before
 // running the recipe, and a computed result is written back. Keys reuse
 // the same canonical strings as the in-memory tier; the file name is the
 // SHA-256 of a versioned prefix plus the key, so any format change bumps

@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,9 +64,9 @@ func TestDiskTierSurvivesMemoryReset(t *testing.T) {
 	withDiskDir(t)
 
 	calls := 0
-	fn := func() (diskVal, error) { calls++; return diskVal{"a", []int{1, 2, 3}}, nil }
+	fn := func(context.Context) (diskVal, error) { calls++; return diskVal{"a", []int{1, 2, 3}}, nil }
 
-	v, err := For("disk-k1", fn)
+	v, err := ForCtx(context.Background(), "disk-k1", fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDiskTierSurvivesMemoryReset(t *testing.T) {
 	// Dropping the memory tier simulates a fresh process: the next For
 	// must come from disk, not rerun the recipe.
 	Reset()
-	v2, err := For("disk-k1", fn)
+	v2, err := ForCtx(context.Background(), "disk-k1", fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +98,8 @@ func TestDiskTierToleratesCorruption(t *testing.T) {
 	dir := withDiskDir(t)
 
 	calls := 0
-	fn := func() (int, error) { calls++; return 42, nil }
-	if _, err := For("disk-k2", fn); err != nil {
+	fn := func(context.Context) (int, error) { calls++; return 42, nil }
+	if _, err := ForCtx(context.Background(), "disk-k2", fn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,7 +129,7 @@ func TestDiskTierToleratesCorruption(t *testing.T) {
 		}
 		Reset() // force a disk consult
 		before := calls
-		v, err := For("disk-k2", fn)
+		v, err := ForCtx(context.Background(), "disk-k2", fn)
 		if err != nil {
 			t.Fatalf("%s: corrupted entry surfaced an error: %v", name, err)
 		}
@@ -150,7 +151,7 @@ func TestDiskTierBypassedWhenDisabled(t *testing.T) {
 	defer SetEnabled(true)
 
 	calls := 0
-	if _, err := For("disk-k3", func() (int, error) { calls++; return 7, nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "disk-k3", func(context.Context) (int, error) { calls++; return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "*"+diskExt)); len(files) != 0 {
@@ -162,13 +163,13 @@ func TestDiskTierBypassedWhenDisabled(t *testing.T) {
 
 	// Pre-seed an entry with the cache on, then verify -nocache ignores it.
 	SetEnabled(true)
-	if _, err := For("disk-k4", func() (int, error) { return 1, nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "disk-k4", func(context.Context) (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	SetEnabled(false)
 	Reset()
 	ran := false
-	v, err := For("disk-k4", func() (int, error) { ran = true; return 2, nil })
+	v, err := ForCtx(context.Background(), "disk-k4", func(context.Context) (int, error) { ran = true; return 2, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestDiskTierEvictsLRUUnderCap(t *testing.T) {
 	payload := strings.Repeat("x", 1024)
 	keys := []string{"ev-a", "ev-b", "ev-c"}
 	for i, k := range keys {
-		if _, err := For(k, func() (string, error) { return payload, nil }); err != nil {
+		if _, err := ForCtx(context.Background(), k, func(context.Context) (string, error) { return payload, nil }); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct mtimes so LRU order is well defined even on coarse
@@ -200,13 +201,13 @@ func TestDiskTierEvictsLRUUnderCap(t *testing.T) {
 
 	// Touch ev-a so ev-b becomes the oldest.
 	Reset()
-	if _, err := For("ev-a", func() (string, error) { t.Fatal("should hit disk"); return "", nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "ev-a", func(context.Context) (string, error) { t.Fatal("should hit disk"); return "", nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	SetMaxBytes(2500)
 	// The next store triggers eviction of the oldest files.
-	if _, err := For("ev-d", func() (string, error) { return payload, nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "ev-d", func(context.Context) (string, error) { return payload, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +232,7 @@ func TestDiskTierSingleflightAcrossTiers(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			For("sf-k", func() (int, error) {
+			ForCtx(context.Background(), "sf-k", func(context.Context) (int, error) {
 				calls++ // safe: the once-body runs exactly once
 				time.Sleep(10 * time.Millisecond)
 				return 5, nil

@@ -15,10 +15,10 @@ func Len() int {
 // populating the cache concurrently.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("runcache_hits_total",
-		"Do calls that found an existing entry", nil,
+		"lookups that found an entry in memory", nil,
 		func() float64 { return float64(hits.Load()) })
 	reg.RegisterCounter("runcache_misses_total",
-		"Do calls that executed their function", nil,
+		"lookups that missed the memory tier", nil,
 		func() float64 { return float64(misses.Load()) })
 	reg.RegisterGauge("runcache_entries",
 		"memoized run results held in memory", nil,
@@ -35,7 +35,7 @@ func RegisterMetrics(reg *obs.Registry) {
 		"recipes that actually ran (no tier satisfied the key)", nil,
 		func() float64 { return float64(execs.Load()) })
 	reg.RegisterCounter("runcache_disk_hits_total",
-		"For calls satisfied from the persistent disk tier", nil,
+		"lookups satisfied from the persistent disk tier", nil,
 		func() float64 { return float64(diskHits.Load()) })
 	reg.RegisterCounter("runcache_disk_misses_total",
 		"disk-tier lookups that found no usable entry", nil,

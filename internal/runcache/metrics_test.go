@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestRegisterMetrics(t *testing.T) {
 	Reset()
 	defer Reset()
-	run := func() { Do("k", func() (any, error) { return 1, nil }) }
+	run := func() { ForCtx(context.Background(), "k", func(context.Context) (any, error) { return 1, nil }) }
 	run()
 	run()
 	reg := obs.NewRegistry()

@@ -18,13 +18,13 @@
 // are process-global and never evicted; a full `-scale full` regeneration
 // holds a few hundred results, each a few kilobytes.
 //
-// Do has singleflight semantics: concurrent callers of the same key (the
+// ForCtx has singleflight semantics: concurrent callers of the same key (the
 // sweeps fan out on the par worker pool) run the recipe once and share the
 // result. Cached values are returned by reference where they contain
 // slices or maps; callers must treat results as immutable, which every
 // experiment already does.
 //
-// Cancellation does not poison the cache. DoCtx runs the recipe under the
+// Cancellation does not poison the cache. ForCtx runs the recipe under the
 // first caller's context; if that caller is cancelled or deadlined (a
 // server shutdown cancels every run in flight), the failed entry is
 // dropped rather than memoized, a waiter whose own context is still live
@@ -34,9 +34,9 @@
 // in flight; every run that finished is answered from the cache.
 //
 // Disable with SetEnabled(false) (the -nocache flag of cmd/experiments):
-// every Do then runs its function directly and the disk tier is bypassed
-// in both directions. Because runs are
-// deterministic, outputs are identical either way — a property pinned by
+// every ForCtx then runs its function directly and the disk tier is
+// bypassed in both directions. Because runs are deterministic, outputs are
+// identical either way — a property pinned by
 // TestRunCacheTransparent in the experiments package.
 package runcache
 
@@ -87,7 +87,7 @@ func Reset() {
 	execs.Store(0)
 }
 
-// Stats returns the cumulative hit and miss counts. A hit is a Do call
+// Stats returns the cumulative hit and miss counts. A hit is a lookup
 // that found an existing entry (including one still being computed by a
 // concurrent caller); a miss executed the function.
 func Stats() (hit, miss int64) { return hits.Load(), misses.Load() }
@@ -99,12 +99,6 @@ func Stats() (hit, miss int64) { return hits.Load(), misses.Load() }
 // the dse tests and CI gate assert.
 func Execs() int64 { return execs.Load() }
 
-// Do returns the memoized result for key, running fn exactly once per key
-// across all goroutines. With the cache disabled it runs fn directly.
-func Do(key string, fn func() (any, error)) (any, error) {
-	return DoCtx(context.Background(), key, func(context.Context) (any, error) { return fn() })
-}
-
 // transient reports whether err is an outcome of this caller being
 // stopped (cancelled or deadlined) rather than of the recipe itself —
 // outcomes that must not be memoized, because a later caller with a live
@@ -114,9 +108,11 @@ func transient(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// DoCtx is Do with a context. The recipe runs under the first caller's
-// context; see the package comment for the cancellation contract.
-func DoCtx(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, error) {
+// doCtx returns the memoized result for key, running fn exactly once per
+// key across all goroutines; with the cache disabled it runs fn directly.
+// The recipe runs under the first caller's context; see the package
+// comment for the cancellation contract.
+func doCtx(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, error) {
 	if !enabled.Load() {
 		misses.Add(1)
 		reqstat.Miss(ctx)
@@ -163,23 +159,18 @@ func DoCtx(ctx context.Context, key string, fn func(ctx context.Context) (any, e
 	}
 }
 
-// For runs fn through the cache with a typed result. When a disk tier is
-// configured (SetDir), a memory miss consults the disk before running fn,
-// and a freshly computed result is written back. Both happen inside the
-// executing caller's critical section, so singleflight spans the tiers:
-// one disk read and at most one execution per key, no matter how many
-// goroutines race.
-func For[T any](key string, fn func() (T, error)) (T, error) {
-	return ForCtx(context.Background(), key, func(context.Context) (T, error) { return fn() })
-}
-
-// ForCtx is For with a context (see DoCtx for the cancellation contract).
+// ForCtx runs fn through the cache with a typed result (see doCtx for
+// the cancellation contract). When a disk tier is configured (SetDir), a
+// memory miss consults the disk before running fn, and a freshly computed
+// result is written back. Both happen inside the executing caller's
+// critical section, so singleflight spans the tiers: one disk read and at
+// most one execution per key, no matter how many goroutines race.
 // When the context carries a request span, the cache-miss path records
 // "cache.disk" (the disk-tier probe) and "execute" (the recipe run) child
 // spans, so a served request's timing decomposes into cache tiers vs
 // simulation.
 func ForCtx[T any](ctx context.Context, key string, fn func(ctx context.Context) (T, error)) (T, error) {
-	v, err := DoCtx(ctx, key, func(ctx context.Context) (any, error) {
+	v, err := doCtx(ctx, key, func(ctx context.Context) (any, error) {
 		span := obs.SpanFrom(ctx)
 		disk := span.Child("cache.disk")
 		v, ok := diskLoad[T](key)

@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,9 +13,9 @@ func TestDoMemoizes(t *testing.T) {
 	Reset()
 	defer Reset()
 	calls := 0
-	fn := func() (any, error) { calls++; return calls, nil }
+	fn := func(context.Context) (any, error) { calls++; return calls, nil }
 	for i := 0; i < 3; i++ {
-		v, err := Do("k", fn)
+		v, err := ForCtx(context.Background(), "k", fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func TestDoDistinctKeys(t *testing.T) {
 	Reset()
 	defer Reset()
 	for i := 0; i < 3; i++ {
-		v, _ := Do(fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
+		v, _ := ForCtx(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (any, error) { return i, nil })
 		if v.(int) != i {
 			t.Fatalf("key k%d returned %v", i, v)
 		}
@@ -50,7 +51,7 @@ func TestErrorsAreMemoized(t *testing.T) {
 	sentinel := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, err := Do("bad", func() (any, error) { calls++; return nil, sentinel })
+		_, err := ForCtx(context.Background(), "bad", func(context.Context) (any, error) { calls++; return nil, sentinel })
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("call %d: err = %v, want sentinel", i, err)
 		}
@@ -69,7 +70,7 @@ func TestDisabledBypasses(t *testing.T) {
 	}
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, _ := Do("k", func() (any, error) { calls++; return calls, nil })
+		v, _ := ForCtx(context.Background(), "k", func(context.Context) (any, error) { calls++; return calls, nil })
 		if v.(int) != i+1 {
 			t.Fatalf("disabled cache returned stale value %v on call %d", v, i)
 		}
@@ -95,7 +96,7 @@ func TestSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			v, err := Do("shared", func() (any, error) {
+			v, err := ForCtx(context.Background(), "shared", func(context.Context) (any, error) {
 				calls.Add(1)
 				return 42, nil
 			})
@@ -125,16 +126,16 @@ func TestForTyped(t *testing.T) {
 	Reset()
 	defer Reset()
 	type result struct{ X int }
-	v, err := For("typed", func() (result, error) { return result{X: 7}, nil })
+	v, err := ForCtx(context.Background(), "typed", func(context.Context) (result, error) { return result{X: 7}, nil })
 	if err != nil || v.X != 7 {
 		t.Fatalf("For = %+v, %v", v, err)
 	}
-	v, err = For("typed", func() (result, error) { return result{X: 99}, nil })
+	v, err = ForCtx(context.Background(), "typed", func(context.Context) (result, error) { return result{X: 99}, nil })
 	if err != nil || v.X != 7 {
 		t.Fatalf("second For = %+v, %v, want memoized X=7", v, err)
 	}
 	// A nil any (from an error path) must come back as the zero T, not panic.
-	bad, err := For("typed-err", func() (*result, error) { return nil, errors.New("no") })
+	bad, err := ForCtx(context.Background(), "typed-err", func(context.Context) (*result, error) { return nil, errors.New("no") })
 	if bad != nil || err == nil {
 		t.Fatalf("For error path = %v, %v", bad, err)
 	}
@@ -143,12 +144,12 @@ func TestForTyped(t *testing.T) {
 func TestReset(t *testing.T) {
 	Reset()
 	defer Reset()
-	if _, err := Do("k", func() (any, error) { return 1, nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "k", func(context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	Reset()
 	calls := 0
-	if _, err := Do("k", func() (any, error) { calls++; return 2, nil }); err != nil {
+	if _, err := ForCtx(context.Background(), "k", func(context.Context) (any, error) { calls++; return 2, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
