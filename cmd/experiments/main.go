@@ -211,16 +211,16 @@ func main() {
 				path = *out + ".manifest.json"
 			}
 		}
-		hit, miss := runcache.Stats()
-		dh, dm, de := runcache.DiskStats()
+		c := cacheCounts()
+		_, dm, de := runcache.DiskStats()
 		m := &obs.Manifest{
 			Tool:         "experiments",
 			ConfigHash:   experiments.ConfigHash(ids, sc),
 			Scale:        sc.Name,
 			Experiments:  ids,
 			Fingerprints: fingerprints,
-			RuncacheHits: hit, RuncacheMisses: miss,
-			DiskHits: dh, DiskMisses: dm, DiskEvictions: de,
+			RuncacheHits: c[0], DiskHits: c[1], RecipesRun: c[2],
+			DiskMisses: dm, DiskEvictions: de,
 			WallTimeSec: time.Since(runStart).Seconds(),
 		}
 		rootSpan.End()

@@ -43,9 +43,9 @@ func main() {
 	}
 
 	first := ms[0]
-	fmt.Printf("%s: run %s (tool %s, config %s, %d experiments, cache %d/%d, %.1fs)\n",
-		names[0], first.Hash(), first.Tool, first.ConfigHash,
-		len(first.Experiments), first.RuncacheHits, first.RuncacheMisses, first.WallTimeSec)
+	fmt.Printf("%s: run %s (tool %s, config %s, %d experiments, cache: %d hits, %d disk hits, %d recipes run, %.1fs)\n",
+		names[0], first.Hash(), first.Tool, first.ConfigHash, len(first.Experiments),
+		first.RuncacheHits, first.DiskHits, first.RecipesRun, first.WallTimeSec)
 	ids := make([]string, 0, len(first.Fingerprints))
 	for id := range first.Fingerprints {
 		ids = append(ids, id)

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"heteronoc/internal/cmp/cache"
 )
@@ -132,9 +133,8 @@ func (h *Home) send(t MsgType, line uint64, dst, reqer int, dirty bool) {
 
 // process starts servicing a GetS/GetM whose line is not busy.
 func (h *Home) process(m Msg) {
-	e, hit := h.l2.Lookup(m.Line)
+	e, hit := h.lookup(m.Line)
 	if !hit {
-		h.L2Misses++
 		tx := h.getTx(m)
 		h.busy[m.Line] = tx
 		if h.makeRoom(tx) {
@@ -142,63 +142,114 @@ func (h *Home) process(m Msg) {
 		}
 		return
 	}
-	h.L2Hits++
 	d := &e.Payload
-	owner := int(d.Owner)
-	switch m.Type {
-	case GetS:
-		if owner >= 0 && owner != m.Src {
-			tx := h.getTx(m)
-			tx.stage, tx.fwdKeepS = txFwd, true
-			h.busy[m.Line] = tx
-			h.send(FwdGetS, m.Line, owner, m.Src, false)
-			return
-		}
-		if !d.hasCopies() {
-			// First reader gets an exclusive clean copy.
-			d.Owner = int16(m.Src)
-			h.send(DataE, m.Line, m.Src, m.Src, false)
-			return
-		}
-		if owner == m.Src {
-			// The owner re-reads its own line (it may have silently
-			// dropped a clean E copy); refresh it as exclusive again.
-			h.send(DataE, m.Line, m.Src, m.Src, false)
-			return
-		}
-		d.Sharers |= 1 << uint(m.Src)
+	switch decide(d, m.Src, m.Type == GetM) {
+	case grantS:
 		h.send(Data, m.Line, m.Src, m.Src, false)
-	case GetM:
-		if owner >= 0 && owner != m.Src {
-			tx := h.getTx(m)
-			tx.stage = txFwd
-			h.busy[m.Line] = tx
-			h.send(FwdGetM, m.Line, owner, m.Src, false)
-			return
+	case grantE:
+		h.send(DataE, m.Line, m.Src, m.Src, false)
+	case grantM:
+		h.send(DataM, m.Line, m.Src, m.Src, false)
+	case fwdS, fwdM:
+		tx := h.getTx(m)
+		tx.stage, tx.fwdKeepS = txFwd, m.Type == GetS
+		h.busy[m.Line] = tx
+		fwd := FwdGetM
+		if tx.fwdKeepS {
+			fwd = FwdGetS
 		}
-		others := d.Sharers &^ (1 << uint(m.Src))
-		if others != 0 {
-			tx := h.getTx(m)
-			tx.stage = txInv
-			for t := 0; t < 64; t++ {
-				if others&(1<<uint(t)) != 0 {
-					tx.acksLeft++
-					h.send(Inv, m.Line, t, m.Src, false)
-				}
-			}
-			h.busy[m.Line] = tx
-			return
+		h.send(fwd, m.Line, int(d.Owner), m.Src, false)
+	case invSharers:
+		tx := h.getTx(m)
+		tx.stage = txInv
+		for others := d.Sharers &^ (1 << uint(m.Src)); others != 0; others &= others - 1 {
+			tx.acksLeft++
+			h.send(Inv, m.Line, bits.TrailingZeros64(others), m.Src, false)
 		}
-		h.grantM(m, d)
+		h.busy[m.Line] = tx
 	}
 }
 
-// grantM hands the line to a writer.
-func (h *Home) grantM(m Msg, d *DirEntry) {
+// lookup probes the bank for a request's line, counting the L2 hit or
+// miss.
+func (h *Home) lookup(line uint64) (*cache.Line[DirEntry], bool) {
+	e, hit := h.l2.Lookup(line)
+	if hit {
+		h.L2Hits++
+	} else {
+		h.L2Misses++
+	}
+	return e, hit
+}
+
+// grant is the home's answer to a request for a line the bank holds.
+type grant uint8
+
+const (
+	grantS     grant = iota // a Shared copy
+	grantE                  // an Exclusive clean copy
+	grantM                  // a writable copy
+	fwdS                    // the owner must downgrade first (FwdGetS)
+	fwdM                    // the owner must give the line up first (FwdGetM)
+	invSharers              // the other sharers must be invalidated first
+)
+
+// decide applies the directory transition for a GetS (write false) or a
+// GetM from src and returns the grant. The three deferred grants change
+// nothing yet: forwarded or setM completes them once the owner or the
+// sharers have answered.
+func decide(d *DirEntry, src int, write bool) grant {
+	owner := int(d.Owner)
+	if owner >= 0 && owner != src {
+		if write {
+			return fwdM
+		}
+		return fwdS
+	}
+	switch {
+	case write && d.Sharers&^(1<<uint(src)) != 0:
+		return invSharers
+	case write:
+		setM(d, src)
+		return grantM
+	case !d.hasCopies():
+		// First reader gets an exclusive clean copy.
+		d.Owner = int16(src)
+		return grantE
+	case owner == src:
+		// The owner re-reads its own line (it may have silently dropped a
+		// clean E copy); refresh it as exclusive again.
+		return grantE
+	}
+	d.Sharers |= 1 << uint(src)
+	return grantS
+}
+
+// setM hands the line to a writer.
+func setM(d *DirEntry, src int) {
 	d.Sharers = 0
-	d.Owner = int16(m.Src)
+	d.Owner = int16(src)
 	d.Dirty = true
-	h.send(DataM, m.Line, m.Src, m.Src, false)
+}
+
+// forwarded completes a forwarded request from src once the old owner has
+// answered: held says whether it still had the line, dirty whether its
+// copy was modified. A GetS (write false) leaves the old owner, when it
+// held the line, and the requester sharing; a GetM hands ownership over.
+func forwarded(d *DirEntry, src int, write, held, dirty bool) {
+	oldOwner := d.Owner
+	if dirty {
+		d.Dirty = true
+	}
+	d.Owner = -1
+	if write {
+		setM(d, src)
+		return
+	}
+	if held {
+		d.Sharers |= 1 << uint(oldOwner)
+	}
+	d.Sharers |= 1 << uint(src)
 }
 
 // makeRoom ensures the target set has a free way for tx.req.Line. It
@@ -232,11 +283,9 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 		tx.acksLeft++
 		h.send(Inv, v.Tag, int(d.Owner), h.tile, false)
 	}
-	for t := 0; t < 64; t++ {
-		if d.Sharers&(1<<uint(t)) != 0 {
-			tx.acksLeft++
-			h.send(Inv, v.Tag, t, h.tile, false)
-		}
+	for s := d.Sharers; s != 0; s &= s - 1 {
+		tx.acksLeft++
+		h.send(Inv, v.Tag, bits.TrailingZeros64(s), h.tile, false)
 	}
 	return false
 }
@@ -244,11 +293,19 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 // dropVictim evicts a recalled or copy-free victim, writing back when
 // dirty.
 func (h *Home) dropVictim(line uint64, dirty bool) {
-	if dirty {
-		h.MemWrites++
+	if h.drop(line, dirty) {
 		h.send(MemWrite, line, h.mcFor(line), h.tile, true)
 	}
+}
+
+// drop evicts line from the bank and reports whether memory must take
+// its data back (dirty).
+func (h *Home) drop(line uint64, dirty bool) bool {
+	if dirty {
+		h.MemWrites++
+	}
 	h.l2.Invalidate(line)
+	return dirty
 }
 
 // fetch issues the memory read for a missing line.
@@ -263,12 +320,17 @@ func (h *Home) fetch(tx *homeTx) {
 // GetM gets M without further blocking).
 func (h *Home) install(tx *homeTx) {
 	line := tx.req.Line
-	h.l2.Insert(line, cache.Shared, DirEntry{Owner: -1})
+	h.insert(line)
 	req := tx.req
 	delete(h.busy, line)
 	h.process(req)
 	h.drain(line)
 	h.putTx(tx)
+}
+
+// insert places a fetched line in the bank with an empty directory entry.
+func (h *Home) insert(line uint64) {
+	h.l2.Insert(line, cache.Shared, DirEntry{Owner: -1})
 }
 
 func (h *Home) handleMemData(m Msg) {
@@ -311,23 +373,20 @@ func (h *Home) handleInvAck(m Msg) {
 		}
 		h.drain(victim)
 	case tx.stage == txInv:
+		e, ok := h.l2.Peek(m.Line)
+		if !ok {
+			panic("coherence: invalidation target vanished from L2")
+		}
 		if m.Dirty {
-			if e, ok := h.l2.Peek(m.Line); ok {
-				e.Payload.Dirty = true
-			}
+			e.Payload.Dirty = true
 		}
 		tx.acksLeft--
 		if tx.acksLeft > 0 {
 			return
 		}
-		e, ok := h.l2.Peek(m.Line)
-		if !ok {
-			panic("coherence: invalidation target vanished from L2")
-		}
-		d := &e.Payload
-		d.Sharers = 0
 		delete(h.busy, m.Line)
-		h.grantM(tx.req, d)
+		setM(&e.Payload, tx.req.Src)
+		h.send(DataM, m.Line, tx.req.Src, tx.req.Src, false)
 		h.drain(m.Line)
 		h.putTx(tx)
 	default:
@@ -344,43 +403,32 @@ func (h *Home) handleFwdResp(m Msg) {
 	if !ok {
 		panic("coherence: forwarded line vanished from L2")
 	}
-	d := &e.Payload
-	oldOwner := d.Owner
-	if m.Dirty {
-		d.Dirty = true
-	}
 	req := tx.req
 	delete(h.busy, m.Line)
+	forwarded(&e.Payload, req.Src, !tx.fwdKeepS, m.Type == FwdAckData, m.Dirty)
 	if tx.fwdKeepS {
-		// GetS flow: the owner downgraded (keeping a shared copy unless it
-		// had already evicted the line).
-		d.Owner = -1
-		if m.Type == FwdAckData {
-			d.Sharers |= 1 << uint(oldOwner)
-		}
-		d.Sharers |= 1 << uint(req.Src)
 		h.send(Data, m.Line, req.Src, req.Src, false)
 	} else {
-		// GetM flow: the owner invalidated; hand ownership over.
-		d.Owner = -1
-		h.grantM(req, d)
+		h.send(DataM, m.Line, req.Src, req.Src, false)
 	}
 	h.drain(m.Line)
 	h.putTx(tx)
 }
 
 func (h *Home) handlePutM(m Msg) {
-	// Write-backs are acknowledged unconditionally. The directory only
-	// changes when the writer is still the registered owner (a racing
-	// forward may already have moved ownership).
-	if e, ok := h.l2.Peek(m.Line); ok {
-		d := &e.Payload
-		if int(d.Owner) == m.Src {
-			d.Owner = -1
-			d.Dirty = true
-		}
-	}
+	// Write-backs are acknowledged unconditionally.
+	h.putM(m.Line, m.Src)
 	h.send(WBAck, m.Line, m.Src, m.Src, false)
+}
+
+// putM applies src's write-back of line. The directory only changes when
+// the writer is still the registered owner (a racing forward may already
+// have moved ownership).
+func (h *Home) putM(line uint64, src int) {
+	if e, ok := h.l2.Peek(line); ok && int(e.Payload.Owner) == src {
+		e.Payload.Owner = -1
+		e.Payload.Dirty = true
+	}
 }
 
 // drain reprocesses requests queued behind a finished transaction.

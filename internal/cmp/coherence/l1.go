@@ -151,52 +151,13 @@ func (l *L1) send(t MsgType, line uint64, dst int, dirty bool) {
 // line. done fires when the access is architecturally complete (immediately
 // on a hit, at fill time on a miss).
 func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
-	if e, ok := l.c.Lookup(line); ok {
-		if e.Payload {
-			l.PrefetchesUseful++
-			e.Payload = false
-		}
-		switch {
-		case !write:
-			l.Hits++
-			done()
-			return Hit
-		case e.State == cache.Modified:
-			l.Hits++
-			done()
-			return Hit
-		case e.State == cache.Exclusive:
-			// Silent E->M upgrade.
-			e.State = cache.Modified
-			l.Hits++
-			l.Upgrades++
-			done()
-			return Hit
-		default: // Shared + write: upgrade through the home.
-			if m := l.findMSHR(line); m != nil {
-				if m.wantM {
-					m.callbacks = append(m.callbacks, done)
-					l.Coalesces++
-					return Coalesced
-				}
-				l.Blocks++
-				return Blocked
-			}
-			if len(l.mshrLine) >= l.MaxMSHR {
-				l.Blocks++
-				return Blocked
-			}
-			l.Misses++
-			m := l.addMSHR(line, true, false)
-			m.callbacks = append(m.callbacks, done)
-			// Drop the S copy now: the home invalidates other sharers and
-			// replies DataM (it may also Inv us first, harmlessly).
-			l.c.Invalidate(line)
-			l.send(GetM, line, l.homeFor(line), false)
-			return MissIssued
-		}
+	e, held := l.c.Lookup(line)
+	if held && l.hit(e, write) {
+		done()
+		return Hit
 	}
-	// Miss.
+	// A miss, or a write to a Shared line that must upgrade through the
+	// home.
 	if m := l.findMSHR(line); m != nil {
 		if !write || m.wantM {
 			m.callbacks = append(m.callbacks, done)
@@ -211,7 +172,7 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 		l.Blocks++
 		return Blocked
 	}
-	l.Misses++
+	l.miss(line, held)
 	m := l.addMSHR(line, write, false)
 	m.callbacks = append(m.callbacks, done)
 	if write {
@@ -219,8 +180,41 @@ func (l *L1) Access(line uint64, write bool, done func()) AccessResult {
 	} else {
 		l.send(GetS, line, l.homeFor(line), false)
 	}
-	l.maybePrefetch(line + 1)
+	if !held {
+		l.maybePrefetch(line + 1)
+	}
 	return MissIssued
+}
+
+// hit applies a demand access to a line the L1 holds: the first demand
+// hit on a prefetched line counts the prefetch useful, and a write to an
+// Exclusive line upgrades it to Modified silently. It reports whether the
+// access completes in the L1; a write to a Shared line does not.
+func (l *L1) hit(e *cache.Line[bool], write bool) bool {
+	if e.Payload {
+		l.PrefetchesUseful++
+		e.Payload = false
+	}
+	switch {
+	case !write || e.State == cache.Modified:
+	case e.State == cache.Exclusive:
+		e.State = cache.Modified
+		l.Upgrades++
+	default:
+		return false
+	}
+	l.Hits++
+	return true
+}
+
+// miss counts a demand request to the home. An upgrade drops the Shared
+// copy first: the home invalidates the other sharers and replies DataM
+// (it may also Inv this L1, harmlessly).
+func (l *L1) miss(line uint64, upgrade bool) {
+	l.Misses++
+	if upgrade {
+		l.c.Invalidate(line)
+	}
 }
 
 // maybePrefetch issues a low-priority GetS for a predicted line when the
@@ -247,15 +241,8 @@ func (l *L1) Handle(m Msg) {
 	case Data, DataE, DataM:
 		l.fill(m)
 	case Inv:
-		l.Invalidations++
-		dirty := false
-		if old, ok := l.c.Invalidate(m.Line); ok {
-			dirty = old.State == cache.Modified
-		} else if l.wb[m.Line] > 0 {
-			dirty = true
-		}
-		l.send(InvAck, m.Line, m.Src, dirty)
-	case FwdGetS:
+		l.send(InvAck, m.Line, m.Src, l.invalidate(m.Line))
+	case FwdGetS, FwdGetM:
 		if l.findMSHR(m.Line) != nil {
 			// With ordered per-pair delivery a forward can only find an
 			// open MSHR when our own re-request is still queued at the
@@ -264,28 +251,8 @@ func (l *L1) Handle(m Msg) {
 			l.send(FwdNoData, m.Line, m.Src, false)
 			return
 		}
-		if e, ok := l.c.Peek(m.Line); ok {
-			dirty := e.State == cache.Modified
-			e.State = cache.Shared
+		if held, dirty := l.forward(m.Line, m.Type == FwdGetS); held {
 			l.send(FwdAckData, m.Line, m.Src, dirty)
-			return
-		}
-		if l.wb[m.Line] > 0 {
-			l.send(FwdAckData, m.Line, m.Src, true)
-			return
-		}
-		l.send(FwdNoData, m.Line, m.Src, false)
-	case FwdGetM:
-		if l.findMSHR(m.Line) != nil {
-			l.send(FwdNoData, m.Line, m.Src, false)
-			return
-		}
-		if old, ok := l.c.Invalidate(m.Line); ok {
-			l.send(FwdAckData, m.Line, m.Src, old.State == cache.Modified)
-			return
-		}
-		if l.wb[m.Line] > 0 {
-			l.send(FwdAckData, m.Line, m.Src, true)
 			return
 		}
 		l.send(FwdNoData, m.Line, m.Src, false)
@@ -298,6 +265,35 @@ func (l *L1) Handle(m Msg) {
 	default:
 		panic(fmt.Sprintf("coherence: L1 %d got unexpected %v", l.tile, m.Type))
 	}
+}
+
+// invalidate services an invalidation or a recall of line and reports
+// whether the copy given up was dirty. A line still in the write-back
+// buffer counts as dirty.
+func (l *L1) invalidate(line uint64) (dirty bool) {
+	l.Invalidations++
+	if old, ok := l.c.Invalidate(line); ok {
+		return old.State == cache.Modified
+	}
+	return l.wb[line] > 0
+}
+
+// forward services a forwarded request for line: the L1 keeps a Shared
+// copy (FwdGetS, keepS) or gives the line up (FwdGetM). It reports
+// whether the L1 held the line, in its cache or its write-back buffer,
+// and whether that copy was dirty.
+func (l *L1) forward(line uint64, keepS bool) (held, dirty bool) {
+	if keepS {
+		if e, ok := l.c.Peek(line); ok {
+			dirty = e.State == cache.Modified
+			e.State = cache.Shared
+			return true, dirty
+		}
+	} else if old, ok := l.c.Invalidate(line); ok {
+		return true, old.State == cache.Modified
+	}
+	held = l.wb[line] > 0
+	return held, held
 }
 
 // fill installs a response line and completes waiting accesses.
@@ -318,11 +314,12 @@ func (l *L1) fill(m Msg) {
 	}
 	// A racing Inv/FwdGetM between our GetM send and the DataM response
 	// cannot target us (the home serializes per line and we were not a
-	// sharer), so a plain insert is safe. Make room first.
-	if v := l.c.Victim(m.Line); v.State.Valid() {
-		l.evict(v)
+	// sharer), so a plain insert is safe.
+	if v, dirty := l.install(m.Line, st, mshr.prefetch); dirty {
+		// The write-back buffer answers racing forwards until WBAck.
+		l.wb[v]++
+		l.send(PutM, v, l.homeFor(v), true)
 	}
-	l.c.Insert(m.Line, st, mshr.prefetch)
 	l.removeMSHR(m.Line)
 	for _, cb := range mshr.callbacks {
 		cb()
@@ -330,13 +327,14 @@ func (l *L1) fill(m Msg) {
 	l.putMSHR(mshr)
 }
 
-// evict removes a victim line: dirty lines write back through the wb
-// buffer, clean lines drop silently.
-func (l *L1) evict(v *cache.Line[bool]) {
-	line := v.Tag
-	if v.State == cache.Modified {
-		l.wb[line]++
-		l.send(PutM, line, l.homeFor(line), true)
+// install inserts line after making room in its set: a clean victim drops
+// silently, a Modified one is returned (dirty) for the caller to write
+// back.
+func (l *L1) install(line uint64, st cache.State, prefetch bool) (victim uint64, dirty bool) {
+	if v := l.c.Victim(line); v.State.Valid() {
+		victim, dirty = v.Tag, v.State == cache.Modified
+		l.c.Invalidate(victim)
 	}
-	l.c.Invalidate(line)
+	l.c.Insert(line, st, prefetch)
+	return victim, dirty
 }

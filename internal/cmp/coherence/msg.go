@@ -5,7 +5,9 @@
 //
 // The controllers are pure state machines over an abstract Transport so
 // they can be unit tested without the network simulator; the cmp package
-// binds them to the NoC.
+// binds them to the NoC. Each state change lives in one message-free
+// method or function that the message handlers call; Warm calls the same
+// ones to apply a whole transaction at once for cache warmup.
 package coherence
 
 import "fmt"

@@ -16,11 +16,16 @@ type fabric struct {
 	mcT   int // terminal id of the fake memory controller
 	q     []Msg
 	sent  int
+	// tap, when set, sees every message as it is sent.
+	tap func(Msg)
 }
 
 func (f *fabric) Send(m Msg, after int64) {
 	f.q = append(f.q, m)
 	f.sent++
+	if f.tap != nil {
+		f.tap(m)
+	}
 }
 
 // run delivers messages until quiescent.
@@ -48,14 +53,19 @@ func (f *fabric) run() {
 
 // newFabric builds n tiles all homed on tile 0 for deterministic tests.
 func newFabric(t *testing.T, n int) *fabric {
+	return buildFabric(t, n, func(uint64) int { return 0 },
+		cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: 128},
+		cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
+}
+
+// buildFabric builds n tiles with the given home mapping, L1 geometry
+// and L2 bank geometry.
+func buildFabric(t *testing.T, n int, homeFor func(uint64) int, l1, l2 cache.Config) *fabric {
 	f := &fabric{t: t, mcT: n}
-	homeFor := func(line uint64) int { return 0 }
 	mcFor := func(line uint64) int { return f.mcT }
 	for i := 0; i < n; i++ {
-		l1c := cache.New[bool](cache.Config{SizeBytes: 32 * 1024, Ways: 4, LineBytes: 128})
-		f.l1s = append(f.l1s, NewL1(i, l1c, f, homeFor))
-		l2c := cache.New[DirEntry](cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128})
-		f.homes = append(f.homes, NewHome(i, l2c, f, mcFor))
+		f.l1s = append(f.l1s, NewL1(i, cache.New[bool](l1), f, homeFor))
+		f.homes = append(f.homes, NewHome(i, cache.New[DirEntry](l2), f, mcFor))
 	}
 	return f
 }

@@ -411,7 +411,10 @@ const (
 // L1s, L2 banks and the directory before timing measurement begins — the
 // standard answer to the multi-million-cycle cold-start a 400-cycle DRAM
 // would otherwise impose. Trace generators keep their state, so timing
-// simulation continues the same streams.
+// simulation continues the same streams. Each entry is one whole MESI
+// transaction (coherence.Warm); with the prefetcher on, whose request
+// interleaves with the demand's messages, it is an L1 access whose
+// messages drain before the next entry (drainWarm).
 //
 // The trace readers run on a second goroutine, at most warmBuffers
 // batches ahead of the protocol (see readWarm); the result is
@@ -441,9 +444,9 @@ func (s *System) unusable() error {
 }
 
 // warmPipelined runs the warmup's two stages: readWarm on its own
-// goroutine, and the message-driven protocol on this one. The reader
-// stage has finished by the time it returns, and a panic on it is
-// raised again here, where the caller's recover can see it.
+// goroutine, and the protocol on this one. The reader stage has
+// finished by the time it returns, and a panic on it is raised again
+// here, where the caller's recover can see it.
 func (s *System) warmPipelined(ctx context.Context, entriesPerCore int) error {
 	tiles := len(s.Tiles)
 	free := make(chan []trace.Entry, warmBuffers)
@@ -469,16 +472,25 @@ func (s *System) warmPipelined(ctx context.Context, entriesPerCore int) error {
 
 	s.warmup = true
 	defer func() { s.warmup = false }()
+	l1s := make([]*coherence.L1, tiles)
+	homes := make([]*coherence.Home, tiles)
+	for t, tile := range s.Tiles {
+		l1s[t], homes[t] = tile.L1, tile.Home
+	}
 	lineBytes := uint64(s.cfg.LineBytes)
 	for buf := range full {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for row := 0; row < len(buf); row += tiles {
-			for t, tile := range s.Tiles {
+			for t := range tiles {
 				e := buf[row+t]
-				tile.L1.Access(e.Addr/lineBytes, e.Write, func() {})
-				s.drainWarm()
+				if s.cfg.Prefetch {
+					l1s[t].Access(e.Addr/lineBytes, e.Write, func() {})
+					s.drainWarm()
+				} else {
+					coherence.Warm(l1s, homes, t, e.Addr/lineBytes, e.Write)
+				}
 			}
 		}
 		free <- buf[:cap(buf)]
@@ -520,8 +532,9 @@ func readWarm(readers []trace.Reader, entries int, free <-chan []trace.Entry, fu
 	}
 }
 
-// drainWarm delivers warmup messages synchronously; memory requests are
-// answered on the spot.
+// drainWarm delivers warmup messages synchronously in FIFO order; memory
+// requests are answered on the spot. coherence.Warm reproduces its
+// result one transaction at a time for systems without the prefetcher.
 func (s *System) drainWarm() {
 	for s.warmHead < len(s.warmQ) {
 		m := s.warmQ[s.warmHead]

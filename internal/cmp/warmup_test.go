@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,9 +24,10 @@ func mustWarm(t testing.TB, s *System, entries int) {
 }
 
 // warmupRef is the sequential warmup the pipelined Warmup replaced: read
-// one entry per core, replay it through the protocol, repeat. Warmup must
-// leave every system, readers included, exactly where this leaves it.
-func warmupRef(s *System, entriesPerCore int) {
+// one entry per core, replay it through the protocol's message drain,
+// repeat. Warmup must leave every system, readers included, exactly where
+// this leaves it. It returns the number of L2 recalls the warmup ran.
+func warmupRef(s *System, entriesPerCore int) (recalls int64) {
 	s.warmup = true
 	lineBytes := uint64(s.cfg.LineBytes)
 	for i := 0; i < entriesPerCore; i++ {
@@ -37,7 +39,11 @@ func warmupRef(s *System, entriesPerCore int) {
 	}
 	s.warmup = false
 	s.warmedEntries += entriesPerCore
+	for _, tile := range s.Tiles {
+		recalls += tile.Home.Recalls
+	}
 	s.ResetStats()
+	return recalls
 }
 
 // warmReaderKind builds a fresh reader set for n tiles; close releases
@@ -85,12 +91,8 @@ func warmReaderKinds() []warmReaderKind {
 			}
 		}
 	}
-	libquantum, err := trace.ProfileByName("libquantum")
-	if err != nil {
-		panic(err)
-	}
-	return []warmReaderKind{
-		{"libquantum", generators(func(c int) trace.Reader { return trace.NewGenerator(libquantum, c, 128) })},
+	kinds := []warmReaderKind{
+		{"libquantum", workload("libquantum")},
 		{"ur", generators(func(c int) trace.Reader { return trace.NewURGenerator(c, 128) })},
 		{"mc-incast", workload("mc-incast")},
 		{"shared-storm", workload("shared-storm")},
@@ -105,17 +107,33 @@ func warmReaderKinds() []warmReaderKind {
 			return trs, func() {}
 		}},
 	}
+	// Then every other Table 2 profile and adversarial class.
+	for _, name := range append(trace.Names(), trace.AdversarialNames()...) {
+		if !slices.ContainsFunc(kinds, func(k warmReaderKind) bool { return k.name == name }) {
+			kinds = append(kinds, warmReaderKind{name, workload(name)})
+		}
+	}
+	return kinds
 }
 
 // TestWarmupPipelineMatchesReference runs the pipelined Warmup and
-// warmupRef side by side on randomized systems and requires identical
-// warm checkpoints and identical reader positions. Every reader kind
-// runs on every mesh size; the entry counts (around the batch size)
-// cycle across the cases, the L1 prefetcher is drawn at random, and
-// each case runs at GOMAXPROCS 1 and 2.
+// warmupRef side by side and requires identical warm checkpoints and
+// identical reader positions. Every reader kind (each Table 2 profile,
+// each adversarial class, and the file, uniform-random and shared-reader
+// kinds) runs on every mesh size, with the L1 prefetcher off (Warmup
+// applies whole transactions) and on (Warmup drains messages); the entry
+// counts (around the batch size) cycle across the cases, and each case
+// runs at GOMAXPROCS 1 and 2. Those warmups never fill an L2 set, so one
+// more case runs thrash on 2x2 long enough to recall.
 func TestWarmupPipelineMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(16))
+	type warmCase struct {
+		kind         warmReaderKind
+		dim, entries int
+		recalls      bool // the warmup must recall
+	}
+	var cases []warmCase
 	meshes := []int{2, 4, 8}
 	counts := []int{0, 1, warmBatch - 1, warmBatch, warmBatch + 1, -1}
 	for ki, kind := range warmReaderKinds() {
@@ -124,12 +142,26 @@ func TestWarmupPipelineMatchesReference(t *testing.T) {
 			if entries < 0 { // a random count that is not a multiple of the batch
 				entries = 2*warmBatch + 1 + rng.Intn(warmBatch-1)
 			}
-			prefetch := rng.Intn(2) == 1
+			rng.Intn(2) // keeps the random counts, and so the subtest names, stable
+			cases = append(cases, warmCase{kind, dim, entries, false})
+			if kind.name == "thrash" && dim == 2 {
+				cases = append(cases, warmCase{kind, dim, 10000, true})
+			}
+		}
+	}
+	for _, c := range cases {
+		for _, prefetch := range []bool{false, true} {
 			for _, procs := range []int{1, 2} {
-				name := fmt.Sprintf("%s/%dx%d/e=%d/pf=%t/procs=%d", kind.name, dim, dim, entries, prefetch, procs)
+				name := fmt.Sprintf("%s/%dx%d/e=%d/pf=%t/procs=%d", c.kind.name, c.dim, c.dim, c.entries, prefetch, procs)
 				t.Run(name, func(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
-					warmupMatchesReference(t, kind, dim, entries, prefetch)
+					recalls := warmupMatchesReference(t, c.kind, c.dim, c.entries, prefetch)
+					if c.recalls {
+						if recalls == 0 {
+							t.Error("the warmup ran no L2 recall")
+						}
+						t.Logf("%d L2 recalls", recalls)
+					}
 				})
 			}
 		}
@@ -137,8 +169,9 @@ func TestWarmupPipelineMatchesReference(t *testing.T) {
 }
 
 // warmupMatchesReference warms two identical systems, one with Warmup and
-// one with warmupRef, and compares their checkpoints and readers.
-func warmupMatchesReference(t *testing.T, kind warmReaderKind, dim, entries int, prefetch bool) {
+// one with warmupRef, and compares their checkpoints and readers. It
+// returns the number of recalls the reference ran.
+func warmupMatchesReference(t *testing.T, kind warmReaderKind, dim, entries int, prefetch bool) int64 {
 	build := func() (*System, func()) {
 		trs, closeTrs := kind.build(t, dim*dim)
 		s, err := New(Config{Layout: core.NewBaseline(dim, dim), Traces: trs, Prefetch: prefetch})
@@ -151,7 +184,7 @@ func warmupMatchesReference(t *testing.T, kind warmReaderKind, dim, entries int,
 	defer closeRef()
 	got, closeGot := build()
 	defer closeGot()
-	warmupRef(ref, entries)
+	recalls := warmupRef(ref, entries)
 	mustWarm(t, got, entries)
 
 	refSnap, err := ref.WarmSnapshot()
@@ -174,6 +207,7 @@ func warmupMatchesReference(t *testing.T, kind warmReaderKind, dim, entries int,
 			}
 		}
 	}
+	return recalls
 }
 
 // goroutinesBackTo fails t unless the goroutine count falls back to want

@@ -149,9 +149,9 @@ func (n *Network) killRouter(r int) {
 		ip := &rt.in[pi]
 		for vi := range ip.vcs {
 			vc := &ip.vcs[vi]
-			n.markBroken(vc.cur, DropRouterFail)
+			markBroken(&n.brokenQ, vc.cur, DropRouterFail)
 			for i := int32(0); i < vc.buf.count; i++ {
-				n.markBroken(vc.buf.at(i).Pkt, DropRouterFail)
+				markBroken(&n.brokenQ, vc.buf.at(i).Pkt, DropRouterFail)
 			}
 		}
 	}
@@ -186,7 +186,7 @@ func (n *Network) killPort(op *outputPort, why DropReason) {
 	for op.wire.n > 0 {
 		we := op.wire.pop()
 		n.stats.FlitsLost++
-		n.markBroken(we.flit.Pkt, why)
+		markBroken(&n.brokenQ, we.flit.Pkt, why)
 	}
 	for op.creditQ.n > 0 {
 		op.creditQ.pop()
@@ -204,7 +204,7 @@ func (n *Network) killNI(t int) {
 		return
 	}
 	for i := range q.streams {
-		n.markBroken(q.streams[i].pkt, DropTermDown)
+		markBroken(&n.brokenQ, q.streams[i].pkt, DropTermDown)
 	}
 	n.killPort(&q.up, DropTermDown)
 	for q.queued() > 0 {
@@ -240,20 +240,24 @@ func (n *Network) sweepDeadVCs() {
 					vc.waitCycles = 0
 					continue
 				}
-				n.markBroken(vc.cur, DropLinkFail)
+				markBroken(&n.brokenQ, vc.cur, DropLinkFail)
 			}
 		}
 	}
 }
 
-// markBroken queues a packet for purging; the first cause wins.
-func (n *Network) markBroken(p *Packet, why DropReason) {
+// markBroken appends a packet to q, a purge queue, and records why it
+// breaks; the first cause wins. The fault paths queue on the network's
+// brokenQ; a tick span queues on its own sink (only the span holding the
+// packet's head flit can reach it, so the flag write has a single
+// writer), folded into brokenQ in span order.
+func markBroken(q *[]*Packet, p *Packet, why DropReason) {
 	if p == nil || p.broken {
 		return
 	}
 	p.broken = true
 	p.dropWhy = why
-	n.brokenQ = append(n.brokenQ, p)
+	*q = append(*q, p)
 }
 
 // purgeBroken removes every marked packet from the network, then
@@ -387,7 +391,7 @@ func (n *Network) dropWireFlit(op *outputPort, we wireEvt, why DropReason) {
 	if op.credits != nil {
 		op.credits[we.outVC]++
 	}
-	n.markBroken(we.flit.Pkt, why)
+	markBroken(&n.brokenQ, we.flit.Pkt, why)
 }
 
 // csumFlip is the bit pattern a corrupting transient fault XORs into a

@@ -632,7 +632,7 @@ func (n *Network) routeAndAllocate(fx *tickFx) {
 						// No live route (severed destination, or a
 						// non-fault-aware algorithm pointing at a dead
 						// link): drop the packet rather than wedge.
-						fx.markBroken(p, DropUnroutable)
+						markBroken(&fx.broken, p, DropUnroutable)
 						continue
 					}
 					vc.outPort, vc.class = int16(d.OutPort), int16(d.VCClass)
@@ -667,7 +667,7 @@ func (n *Network) routeAndAllocate(fx *tickFx) {
 						n.trace(EvEscape, p.ID, r)
 						d := n.escaper.EscapeHop(r, p.Src, p.Dst)
 						if d.OutPort < 0 || rt.out[d.OutPort].dead {
-							fx.markBroken(p, DropUnroutable)
+							markBroken(&fx.broken, p, DropUnroutable)
 							continue
 						}
 						vc.outPort, vc.class = int16(d.OutPort), int16(d.VCClass)
@@ -708,7 +708,7 @@ func (n *Network) routeAndAllocate(fx *tickFx) {
 				out.releaseOnTail(int(vc.outVC))
 				d := n.escaper.EscapeHop(r, p.Src, p.Dst)
 				if d.OutPort < 0 || rt.out[d.OutPort].dead {
-					fx.markBroken(p, DropUnroutable)
+					markBroken(&fx.broken, p, DropUnroutable)
 					continue
 				}
 				p.escaped = true

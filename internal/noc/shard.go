@@ -71,18 +71,6 @@ func (fx *tickFx) creditNotify(router, port int) {
 	fx.n.evMask[router] |= 1 << port
 }
 
-// markBroken queues a packet for purging; the first cause wins. Only the
-// span holding the packet's head flit can reach it, so the flag write has
-// a single writer.
-func (fx *tickFx) markBroken(p *Packet, why DropReason) {
-	if p == nil || p.broken {
-		return
-	}
-	p.broken = true
-	p.dropWhy = why
-	fx.broken = append(fx.broken, p)
-}
-
 // endDeliver folds the deliver phase's sinks in span order and finishes
 // the cycle's ejections.
 func (n *Network) endDeliver(fxs []tickFx) {

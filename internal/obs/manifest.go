@@ -14,7 +14,7 @@ import (
 // cmd/experiments result file, so any artifact can be traced back to the
 // exact recipe that produced it.
 //
-// Everything except WallTimeSec and the disk-tier counters (which depend
+// Everything except WallTimeSec and the run-cache counters (which depend
 // on what earlier processes cached) is deterministic: two identical runs
 // of a deterministic simulator produce byte-identical manifests modulo
 // those fields — a property pinned by TestManifestDeterministic. Canonical
@@ -36,15 +36,15 @@ type Manifest struct {
 	// Fingerprints maps experiment id -> result fingerprint (a hash of the
 	// experiment's full metric map; see experiments.Report.Fingerprint).
 	Fingerprints map[string]string `json:"fingerprints,omitempty"`
-	// RuncacheHits/RuncacheMisses are the process-global run-cache counters
-	// at the end of the run. Deterministic: the same recipe produces the
-	// same probe sequence, hence the same hit pattern.
-	RuncacheHits   int64 `json:"runcache_hits"`
-	RuncacheMisses int64 `json:"runcache_misses"`
-	// DiskHits/DiskMisses/DiskEvictions are the persistent disk-tier
-	// counters. Like wall time they depend on what earlier processes left
-	// in the cache directory, so Canonical zeroes them.
+	// RuncacheHits, DiskHits and RecipesRun count the run's memory hits,
+	// disk hits and recipes run because neither cache tier held the key;
+	// DiskMisses and DiskEvictions are the disk tier's other counters.
+	// Like wall time they depend on what earlier processes left in the
+	// cache directory (a warm rerun reads from disk what a cold run
+	// executed), so Canonical zeroes them.
+	RuncacheHits  int64 `json:"runcache_hits"`
 	DiskHits      int64 `json:"runcache_disk_hits,omitempty"`
+	RecipesRun    int64 `json:"runcache_recipes_run"`
 	DiskMisses    int64 `json:"runcache_disk_misses,omitempty"`
 	DiskEvictions int64 `json:"runcache_disk_evictions,omitempty"`
 	// WallTimeSec is elapsed wall time, nondeterministic by nature.
@@ -56,12 +56,13 @@ type Manifest struct {
 }
 
 // Canonical renders the deterministic identity form: indented JSON with
-// wall time zeroed. Two runs of the same recipe produce byte-identical
-// canonical forms.
+// wall time and the run-cache counters zeroed. Two runs of the same
+// recipe produce byte-identical canonical forms, whatever the cache held.
 func (m *Manifest) Canonical() []byte {
 	c := *m
 	c.WallTimeSec = 0
-	c.DiskHits, c.DiskMisses, c.DiskEvictions = 0, 0, 0
+	c.RuncacheHits, c.DiskHits, c.RecipesRun = 0, 0, 0
+	c.DiskMisses, c.DiskEvictions = 0, 0
 	c.Spans = nil
 	// Deep-copy and sort the slices JSON would otherwise render in caller
 	// order; run order is part of the recipe, so Experiments stays as-is,

@@ -101,7 +101,7 @@ func TestManifestDeterministicModuloWallTime(t *testing.T) {
 			Experiments:  []string{"fig1", "fig7"},
 			Seeds:        []int64{42, 1},
 			Fingerprints: map[string]string{"fig1": "a", "fig7": "b"},
-			RuncacheHits: 3, RuncacheMisses: 9,
+			RuncacheHits: 3, RecipesRun: 9,
 			WallTimeSec: wall,
 		}
 	}
@@ -111,6 +111,14 @@ func TestManifestDeterministicModuloWallTime(t *testing.T) {
 	}
 	if a.Hash() != b.Hash() {
 		t.Fatal("hashes differ")
+	}
+	// A warm rerun on the same cache directory reads from disk what the
+	// cold run executed: its cache counters differ, its identity does not.
+	warm := build(0.2)
+	warm.RuncacheHits, warm.DiskHits, warm.RecipesRun = 0, 12, 0
+	warm.DiskMisses, warm.DiskEvictions = 0, 1
+	if !bytes.Equal(a.Canonical(), warm.Canonical()) {
+		t.Fatalf("cache counters leaked into the canonical form:\n%s\nvs\n%s", a.Canonical(), warm.Canonical())
 	}
 	c := build(1.5)
 	c.Fingerprints["fig7"] = "CHANGED"
