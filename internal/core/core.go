@@ -258,11 +258,9 @@ func (l Layout) DataPacketFlits() int { return 6 }
 
 // RouterConfigs converts the layout into simulator router configurations.
 func (l Layout) RouterConfigs() []noc.RouterConfig {
-	specs := Specs()
-	out := make([]noc.RouterConfig, len(l.Class))
-	for i, c := range l.Class {
-		s := specs[c]
-		out[i] = noc.RouterConfig{
+	var byClass [ClassBig + 1]noc.RouterConfig
+	for c, s := range Specs() {
+		byClass[c] = noc.RouterConfig{
 			VCs:      s.VCs,
 			BufDepth: s.BufDepth,
 			Wide:     l.LinkRedist && c == ClassBig,
@@ -274,6 +272,10 @@ func (l Layout) RouterConfigs() []noc.RouterConfig {
 			SplitDatapath: l.LinkRedist && c != ClassBaseline,
 			ImprovedSA:    c != ClassBaseline,
 		}
+	}
+	out := make([]noc.RouterConfig, len(l.Class))
+	for i, c := range l.Class {
+		out[i] = byClass[c]
 	}
 	return out
 }

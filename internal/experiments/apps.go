@@ -13,6 +13,7 @@ import (
 	"heteronoc/internal/runcache"
 	"heteronoc/internal/stats"
 	"heteronoc/internal/trace"
+	"heteronoc/internal/warm"
 )
 
 // appResult captures one benchmark x layout CMP run.
@@ -30,41 +31,39 @@ type appResult struct {
 	Classes map[int]noc.ClassStats
 }
 
-// runApp executes one benchmark on one layout, memoized in runcache: the
-// same (layout, bench, MC placement, budget) recipe appears across Fig10,
-// Fig11/12 and Fig13, and every run is deterministic.
-func runApp(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int) (appResult, error) {
-	return runcache.ForCtx(ctx, appKey(l, bench, sc, mcTiles), func(ctx context.Context) (appResult, error) {
-		return runAppUncached(ctx, l, bench, sc, mcTiles, false)
+// runApp executes one benchmark on one layout, with the L1 next-line
+// prefetcher on every core when prefetch is set, memoized in runcache: the
+// same (layout, bench, MC placement, prefetch, budget) recipe appears
+// across Fig10, Fig11/12, Fig13 and the prefetch extension, and every run
+// is deterministic.
+func runApp(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int, prefetch bool) (appResult, error) {
+	return runcache.ForCtx(ctx, appKey(l, bench, sc, mcTiles, prefetch), func(ctx context.Context) (appResult, error) {
+		// bench resolves through the workload registry, so adversarial
+		// names ("hotspot", "mc-incast", ...) work anywhere a profile
+		// name does.
+		trs, err := trace.WorkloadTraces(bench, l.Mesh.NumTerminals(), 128)
+		if err != nil {
+			return appResult{}, err
+		}
+		s, err := cmp.New(cmp.Config{
+			Layout:   l,
+			Traces:   trs,
+			MCTiles:  mcTiles,
+			Prefetch: prefetch,
+		})
+		if err != nil {
+			return appResult{}, err
+		}
+		// A shared warm checkpoint when the run cache is enabled; bit for
+		// bit the same state as s.Warmup (see the warm package).
+		if err := warm.System(ctx, s, l, bench, sc.CMPWarmupEntries); err != nil {
+			return appResult{}, err
+		}
+		if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
+			return appResult{}, err
+		}
+		return collect(s, l), nil
 	})
-}
-
-// runAppUncached is runApp without the cache, with the L1 next-line
-// prefetcher on every core when prefetch is set (appKey has no prefetch
-// field, so the Prefetch extension calls this directly).
-func runAppUncached(ctx context.Context, l core.Layout, bench string, sc Scale, mcTiles []int, prefetch bool) (appResult, error) {
-	// bench resolves through the workload registry, so adversarial names
-	// ("hotspot", "mc-incast", ...) work anywhere a profile name does.
-	trs, err := trace.WorkloadTraces(bench, l.Mesh.NumTerminals(), 128)
-	if err != nil {
-		return appResult{}, err
-	}
-	s, err := cmp.New(cmp.Config{
-		Layout:   l,
-		Traces:   trs,
-		MCTiles:  mcTiles,
-		Prefetch: prefetch,
-	})
-	if err != nil {
-		return appResult{}, err
-	}
-	if err := warmSystem(ctx, s, l, bench, sc); err != nil {
-		return appResult{}, err
-	}
-	if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
-		return appResult{}, err
-	}
-	return collect(s, l), nil
 }
 
 func collect(s *cmp.System, l core.Layout) appResult {
@@ -113,7 +112,7 @@ func Fig10(ctx context.Context, sc Scale) (*Report, error) {
 	for _, b := range benches {
 		for _, l := range layouts10 {
 			b, l := b, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil, false) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)
@@ -163,7 +162,7 @@ func appStudy(ctx context.Context, sc Scale) (*Report, *Report, error) {
 	for _, b := range benches {
 		for _, l := range layouts {
 			b, l := b, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, b, sc, nil, false) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)

@@ -72,7 +72,7 @@ func LatencyBreakdown(ctx context.Context, sc Scale) (*Report, error) {
 		core.NewLayout(core.PlacementDiagonal, 8, 8, true),
 	}
 	ress, err := par.MapCtx(ctx, len(layouts), func(ctx context.Context, i int) (traffic.RunResult, error) {
-		return runNet(ctx, layouts[i], pat, rate, sc, false)
+		return runNet(ctx, layoutRecipe(layouts[i], pat, rate, sc))
 	})
 	if err != nil {
 		return nil, err

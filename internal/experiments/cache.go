@@ -8,13 +8,16 @@ import (
 	"heteronoc/internal/traffic"
 )
 
-// This file builds the content-addressed keys under which completed runs
-// are memoized in runcache. A key must capture every input that influences
-// the run's outcome: the layout's full spec (placement, link widths,
-// torus, frequency class), the traffic recipe, and the simulation budget.
-// Scale.Name is included defensively — it is what lets bench_test defeat
-// the cache per iteration — but the numeric budget fields are the real
-// content.
+// This file builds the content-addressed keys under which completed CMP
+// runs are memoized in runcache; network runs are keyed by netRecipe.key
+// (network.go). A key must capture every input that influences the run's
+// outcome: for a CMP run, the layout's full spec (placement, link widths,
+// torus), the workload, the memory-controller placement, the prefetcher
+// and the simulation budget. Scale.Name is included defensively — it is
+// what lets bench_test defeat the cache per iteration — but the numeric
+// budget fields are the real content. A key names inputs, not code: a
+// change that moves any simulated result must bump runcache's
+// diskVersion, or the disk tier keeps serving the old result.
 
 // layoutKey canonicalizes a layout through its JSON spec (name, dims,
 // torus flag, big-router set, link redistribution).
@@ -28,8 +31,8 @@ func layoutKey(l core.Layout) string {
 }
 
 // patternKey canonicalizes a traffic pattern. Grid-bound patterns reduce
-// to a short tag: their grid is the layout's own mesh, already covered by
-// layoutKey.
+// to a short tag: their grid is the recipe's own topology, already named
+// in its key.
 func patternKey(p traffic.Pattern) string {
 	switch p := p.(type) {
 	case traffic.UniformRandom:
@@ -45,14 +48,6 @@ func patternKey(p traffic.Pattern) string {
 	}
 }
 
-// netKey addresses one runNet probe (seed and MaxCycles are derived from
-// the Scale inside runNet, so the Scale fields cover them).
-func netKey(l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) string {
-	return fmt.Sprintf("net|%s|%s|r=%g|sc=%s/%d/%d|ss=%t",
-		layoutKey(l), patternKey(pattern), rate,
-		sc.Name, sc.WarmupPackets, sc.MeasurePackets, selfSimilar)
-}
-
 // mcKey canonicalizes a memory-controller tile set. nil means the cmp
 // default (corner placement), spelled out so Fig13's explicit corner
 // reference hits the same entries as Fig10/11's default-placement runs.
@@ -65,9 +60,9 @@ func mcKey(l core.Layout, mcTiles []int) string {
 }
 
 // appKey addresses one runApp CMP run (default cores, default routing).
-func appKey(l core.Layout, bench string, sc Scale, mcTiles []int) string {
-	return fmt.Sprintf("app|%s|%s|mc=%s|sc=%s/%d/%d",
-		layoutKey(l), bench, mcKey(l, mcTiles),
+func appKey(l core.Layout, bench string, sc Scale, mcTiles []int, prefetch bool) string {
+	return fmt.Sprintf("app|%s|%s|mc=%s|pf=%t|sc=%s/%d/%d",
+		layoutKey(l), bench, mcKey(l, mcTiles), prefetch,
 		sc.Name, sc.CMPWarmupEntries, sc.CMPCycles)
 }
 

@@ -68,7 +68,7 @@ func Fig13(ctx context.Context, sc Scale) (*Report, error) {
 				if b == "UR" {
 					return runURApp(ctx, cfgc.layout, sc, mcTiles)
 				}
-				return runApp(ctx, cfgc.layout, b, sc, mcTiles)
+				return runApp(ctx, cfgc.layout, b, sc, mcTiles, false)
 			})
 		}
 	}
@@ -132,22 +132,17 @@ func Fig13(ctx context.Context, sc Scale) (*Report, error) {
 // so memoized in runcache like runApp.
 func runURApp(ctx context.Context, l core.Layout, sc Scale, mcTiles []int) (appResult, error) {
 	return runcache.ForCtx(ctx, urAppKey(l, sc, mcTiles), func(ctx context.Context) (appResult, error) {
-		return runURAppUncached(ctx, l, sc, mcTiles)
+		s, err := cmp.New(cmp.Config{Layout: l, Traces: urTraces(l.Mesh.NumTerminals()), MCTiles: mcTiles})
+		if err != nil {
+			return appResult{}, err
+		}
+		// No warmup: UR is all cold misses by construction (the paper's
+		// closed-loop evaluation with 16 outstanding requests per node).
+		if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
+			return appResult{}, err
+		}
+		return collect(s, l), nil
 	})
-}
-
-func runURAppUncached(ctx context.Context, l core.Layout, sc Scale, mcTiles []int) (appResult, error) {
-	n := l.Mesh.NumTerminals()
-	s, err := cmp.New(cmp.Config{Layout: l, Traces: urTraces(n), MCTiles: mcTiles})
-	if err != nil {
-		return appResult{}, err
-	}
-	// No warmup: UR is all cold misses by construction (the paper's
-	// closed-loop evaluation with 16 outstanding requests per node).
-	if err := s.RunCtx(ctx, sc.CMPCycles); err != nil {
-		return appResult{}, err
-	}
-	return collect(s, l), nil
 }
 
 // idleTrace effectively never issues memory operations (for alone-run

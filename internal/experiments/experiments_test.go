@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"heteronoc/internal/runcache"
 )
 
 // tiny returns a scale small enough for unit tests.
@@ -241,11 +243,14 @@ func TestFigureSVGDigest(t *testing.T) {
 func TestExperimentsDeterministic(t *testing.T) {
 	// Two runs of the same experiment must produce identical metrics (the
 	// whole stack is seeded; EXPERIMENTS.md promises byte-identical
-	// reports).
+	// reports). The second run bypasses the run cache: a cache hit would
+	// compare the first run with itself.
 	a, err := Fig1(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runcache.SetEnabled(false)
+	defer runcache.SetEnabled(true)
 	b, err := Fig1(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)

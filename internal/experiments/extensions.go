@@ -7,7 +7,6 @@ import (
 	"heteronoc/internal/core"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/power"
-	"heteronoc/internal/routing"
 	"heteronoc/internal/stats"
 	"heteronoc/internal/topology"
 	"heteronoc/internal/trace"
@@ -39,29 +38,6 @@ func Extensions() []Runner {
 // AllWithExtensions returns the paper experiments plus the extensions.
 func AllWithExtensions() []Runner { return append(All(), Extensions()...) }
 
-// ablationNetwork builds Diagonal+BL with individual mechanisms disabled.
-func ablationNetwork(l core.Layout, wide, split, vcs bool) (*noc.Network, error) {
-	cfgs := l.RouterConfigs()
-	for i := range cfgs {
-		if !wide {
-			cfgs[i].Wide = false
-		}
-		if !split {
-			cfgs[i].SplitDatapath = false
-			cfgs[i].ImprovedSA = false
-		}
-		if !vcs {
-			cfgs[i].VCs = 3 // revert the buffer redistribution
-		}
-	}
-	return noc.New(noc.Config{
-		Topo:           l.Mesh,
-		Routing:        routing.NewXY(l.Mesh),
-		Routers:        cfgs,
-		WatchdogCycles: 100000,
-	})
-}
-
 // Ablation quantifies what each HeteroNoC mechanism contributes to the
 // Diagonal+BL latency win: wide links (flit combining), the split-datapath
 // allocator, and the VC redistribution.
@@ -83,19 +59,20 @@ func Ablation(ctx context.Context, sc Scale) (*Report, error) {
 	r.Printf("| variant | latency (cycles) | blocking | accepted |\n|---|---|---|---|\n")
 	var full float64
 	for i, c := range cases {
-		net, err := ablationNetwork(l, c.wide, c.split, c.vcs)
-		if err != nil {
-			return nil, err
+		rec := layoutRecipe(l, traffic.UniformRandom{N: 64}, rate, sc)
+		for j := range rec.routers {
+			rc := &rec.routers[j]
+			if !c.wide {
+				rc.Wide = false
+			}
+			if !c.split {
+				rc.SplitDatapath, rc.ImprovedSA = false, false
+			}
+			if !c.vcs {
+				rc.VCs = 3 // revert the buffer redistribution
+			}
 		}
-		res, err := traffic.RunCtx(ctx, net, traffic.RunConfig{
-			Pattern:        traffic.UniformRandom{N: 64},
-			Process:        traffic.Bernoulli{P: rate},
-			DataFlits:      l.DataPacketFlits(),
-			WarmupPackets:  sc.WarmupPackets,
-			MeasurePackets: sc.MeasurePackets,
-			Seed:           42,
-			MaxCycles:      int64(sc.MeasurePackets) * 40,
-		})
+		res, err := runNet(ctx, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +98,7 @@ func Sensitivity(ctx context.Context, sc Scale) (*Report, error) {
 	r.Printf("| big routers | power guideline holds | latency (cycles) | power (W) |\n|---|---|---|---|\n")
 	for _, k := range []int{8, 16, 24, 32} {
 		l := core.NewCustom("diag-k", 8, 8, firstKDiagonal(k), true)
-		res, err := runNet(ctx, l, traffic.UniformRandom{N: 64}, rate, sc, false)
+		res, err := runNet(ctx, layoutRecipe(l, traffic.UniformRandom{N: 64}, rate, sc))
 		if err != nil {
 			return nil, err
 		}
@@ -201,11 +178,16 @@ func Patterns(ctx context.Context, sc Scale) (*Report, error) {
 	pm := power.NewModel()
 	r.Printf("| pattern | base latency | diag latency | latency red %% | power red %% |\n|---|---|---|---|---|\n")
 	for _, p := range pats {
-		bres, err := runNet(ctx, base, p.make(base), p.rate, sc, p.selfSim)
+		run := func(l core.Layout) (traffic.RunResult, error) {
+			rec := layoutRecipe(l, p.make(l), p.rate, sc)
+			rec.selfSimilar = p.selfSim
+			return runNet(ctx, rec)
+		}
+		bres, err := run(base)
 		if err != nil {
 			return nil, err
 		}
-		dres, err := runNet(ctx, diag, p.make(diag), p.rate, sc, p.selfSim)
+		dres, err := run(diag)
 		if err != nil {
 			return nil, err
 		}
@@ -240,59 +222,33 @@ func Generality(ctx context.Context, sc Scale) (*Report, error) {
 		"diagonal": {0, 5, 10, 15},
 	}
 	cases := []struct {
-		name string
-		topo topology.Topology
-		alg  routing.Algorithm
-		rate float64
+		name    string
+		topo    topology.Topology
+		routing string
+		rate    float64
 	}{
-		{"cmesh4x4c4", cm, routing.NewXY(cm), 0.028},
-		{"fbfly4x4c4", fb, routing.NewFBflyRC(fb), 0.05},
+		{"cmesh4x4c4", cm, "xy", 0.028},
+		{"fbfly4x4c4", fb, "fbfly-rc", 0.05},
 	}
 	r.Printf("| topology | placement | baseline latency | hetero latency | reduction %% |\n|---|---|---|---|---|\n")
 	for _, c := range cases {
-		run := func(cfgs []noc.RouterConfig) (float64, error) {
-			net, err := noc.New(noc.Config{
-				Topo: c.topo, Routing: c.alg, Routers: cfgs,
-				WatchdogCycles: 100000,
-			})
-			if err != nil {
-				return 0, err
-			}
-			res, err := traffic.RunCtx(ctx, net, traffic.RunConfig{
-				Pattern:        traffic.UniformRandom{N: c.topo.NumTerminals()},
-				Process:        traffic.Bernoulli{P: c.rate},
-				DataFlits:      6,
-				WarmupPackets:  sc.WarmupPackets,
-				MeasurePackets: sc.MeasurePackets,
-				Seed:           42,
-				MaxCycles:      int64(sc.MeasurePackets) * 40,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.AvgLatency, nil
-		}
-		baseCfg := make([]noc.RouterConfig, c.topo.NumRouters())
-		for i := range baseCfg {
-			baseCfg[i] = base
-		}
-		baseLat, err := run(baseCfg)
+		rec := netRecipe{topo: c.topo, routing: c.routing, routers: uniformRouters(c.topo, base),
+			pattern: traffic.UniformRandom{N: c.topo.NumTerminals()}, rate: c.rate, sc: sc}
+		res, err := runNet(ctx, rec)
 		if err != nil {
 			return nil, err
 		}
+		baseLat := res.AvgLatency
 		for _, place := range []string{"center", "diagonal"} {
-			set := bigSets[place]
-			cfgs := make([]noc.RouterConfig, c.topo.NumRouters())
-			for i := range cfgs {
-				cfgs[i] = small
+			rec.routers = uniformRouters(c.topo, small)
+			for _, b := range bigSets[place] {
+				rec.routers[b] = big
 			}
-			for _, b := range set {
-				cfgs[b] = big
-			}
-			hetLat, err := run(cfgs)
+			res, err := runNet(ctx, rec)
 			if err != nil {
 				return nil, err
 			}
+			hetLat := res.AvgLatency
 			// The hetero network pays the 2.07 GHz clock; compare in ns.
 			red := stats.PctReduction(hetLat/2.07, baseLat/2.20)
 			r.Printf("| %s | %s | %.1f | %.1f | %+.1f |\n", c.name, place, baseLat, hetLat, red)
@@ -318,30 +274,11 @@ func Adaptive(ctx context.Context, sc Scale) (*Report, error) {
 	rows := map[string]row{}
 	for _, l := range layouts {
 		for _, adaptive := range []bool{false, true} {
-			var alg routing.Algorithm
-			var wf *routing.WestFirst
+			rec := layoutRecipe(l, traffic.UniformRandom{N: 64}, rate, sc)
 			if adaptive {
-				wf = routing.NewWestFirst(l.Mesh)
-				alg = wf
-			} else {
-				alg = routing.NewXY(l.Mesh)
+				rec.routing = "west-first"
 			}
-			net, err := l.NetworkWith(alg)
-			if err != nil {
-				return nil, err
-			}
-			if wf != nil {
-				wf.Congestion = net.PortCongestion
-			}
-			res, err := traffic.RunCtx(ctx, net, traffic.RunConfig{
-				Pattern:        traffic.UniformRandom{N: 64},
-				Process:        traffic.Bernoulli{P: rate},
-				DataFlits:      l.DataPacketFlits(),
-				WarmupPackets:  sc.WarmupPackets,
-				MeasurePackets: sc.MeasurePackets,
-				Seed:           42,
-				MaxCycles:      int64(sc.MeasurePackets) * 40,
-			})
+			res, err := runNet(ctx, rec)
 			if err != nil {
 				return nil, err
 			}
@@ -385,7 +322,7 @@ func Prefetch(ctx context.Context, sc Scale) (*Report, error) {
 		rows[b] = map[string]cell{}
 		for _, l := range layouts {
 			for _, pf := range []bool{false, true} {
-				res, err := runAppUncached(ctx, l, b, sc, nil, pf)
+				res, err := runApp(ctx, l, b, sc, nil, pf)
 				if err != nil {
 					return nil, err
 				}
@@ -434,7 +371,7 @@ func Adversarial(ctx context.Context, sc Scale) (*Report, error) {
 	for _, w := range names {
 		for _, l := range []core.Layout{base, diag} {
 			w, l := w, l
-			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, w, sc, nil) })
+			jobs = append(jobs, func(ctx context.Context) (appResult, error) { return runApp(ctx, l, w, sc, nil, false) })
 		}
 	}
 	flat, err := runAll(ctx, jobs)
@@ -465,11 +402,11 @@ func Tails(ctx context.Context, sc Scale) (*Report, error) {
 	const rate = 0.048
 	base := core.NewBaseline(8, 8)
 	diag := core.NewLayout(core.PlacementDiagonal, 8, 8, true)
-	bres, err := runNet(ctx, base, traffic.UniformRandom{N: 64}, rate, sc, false)
+	bres, err := runNet(ctx, layoutRecipe(base, traffic.UniformRandom{N: 64}, rate, sc))
 	if err != nil {
 		return nil, err
 	}
-	dres, err := runNet(ctx, diag, traffic.UniformRandom{N: 64}, rate, sc, false)
+	dres, err := runNet(ctx, layoutRecipe(diag, traffic.UniformRandom{N: 64}, rate, sc))
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +447,7 @@ func Model(ctx context.Context, sc Scale) (*Report, error) {
 	for _, l := range layouts {
 		am := analytic.NewMeshModel(l, l.DataPacketFlits())
 		for _, rate := range rates {
-			res, err := runNet(ctx, l, traffic.UniformRandom{N: 64}, rate, sc, false)
+			res, err := runNet(ctx, layoutRecipe(l, traffic.UniformRandom{N: 64}, rate, sc))
 			if err != nil {
 				return nil, err
 			}

@@ -15,10 +15,6 @@ func TestAblationRanksMechanisms(t *testing.T) {
 	if none <= 0 {
 		t.Errorf("removing all mechanisms cost %.1f%%, want positive", none)
 	}
-	for k, v := range r.Metrics {
-		_ = k
-		_ = v
-	}
 }
 
 func TestSensitivityGuideline(t *testing.T) {

@@ -10,23 +10,9 @@ import (
 	"heteronoc/internal/par"
 	"heteronoc/internal/plot"
 	"heteronoc/internal/reqstat"
-	"heteronoc/internal/routing"
+	"heteronoc/internal/runcache"
 	"heteronoc/internal/traffic"
 )
-
-// faultNet builds a layout's network with fault-aware table routing and an
-// armed fault plan. Both layouts share the 8x8 mesh, so one plan names the
-// same physical links in either network.
-func faultNet(l core.Layout, plan *fault.Plan) (*noc.Network, error) {
-	net, err := l.NetworkWith(routing.NewFaultTable(l.Mesh, routing.FaultTableConfig{Big: l.BigSet()}))
-	if err != nil {
-		return nil, err
-	}
-	if err := net.SetFaultPlan(plan); err != nil {
-		return nil, err
-	}
-	return net, nil
-}
 
 // degradationPlan draws the k-link failure set for one sweep point. Every
 // failure strikes at cycle 1 so each point measures a steady-state degraded
@@ -43,87 +29,73 @@ func degradationPlan(l core.Layout, k int, seed int64) *fault.Plan {
 }
 
 // degResult is one reliability-layer measurement on a degraded network.
+// Its fields are exported so the disk tier can gob-encode it.
 type degResult struct {
-	rs       noc.ReliableStats
-	avgLat   float64
-	netFP    uint64 // network fingerprint after quiescence
-	statsFP  uint64 // reliability-stats fingerprint
-	pktsLost int64  // packets purged by fault recovery (recovered by retry)
+	Stats noc.ReliableStats
+	NetFP uint64 // network fingerprint after quiescence
 }
 
-// runReliable offers uniform-random traffic at flitRate flits/node/cycle
-// through the end-to-end reliability layer for injectCycles, then drains
-// until every transfer is delivered or abandoned.
-func runReliable(ctx context.Context, l core.Layout, plan *fault.Plan, flitRate float64, injectCycles int64, seed int64) (degResult, error) {
-	net, err := faultNet(l, plan)
-	if err != nil {
-		return degResult{}, err
-	}
-	rel := noc.NewReliable(net, noc.ReliableConfig{Timeout: 512, MaxRetries: 8})
-	flits := l.DataPacketFlits()
-	pktRate := flitRate / float64(flits)
-	n := l.Mesh.NumTerminals()
-	rng := rand.New(rand.NewSource(seed))
-	// Reliability runs observe cancellation at the usual cycle-batch
-	// granularity.
-	since := 0
-	batch := func() error {
-		if since++; since >= traffic.CancelBatch {
-			reqstat.AddCycles(ctx, int64(since))
-			since = 0
-			return ctx.Err()
+// runReliable offers r's network Bernoulli uniform-random transfers at
+// r.rate packets/node/cycle through the end-to-end reliability layer for
+// 2 x MeasurePackets cycles, then drains until every transfer is
+// delivered or abandoned. The transfers come from their own seeded
+// source, not from traffic.Run, so the recipe's pattern only names them.
+// Memoized in runcache like runNet.
+func runReliable(ctx context.Context, r netRecipe) (degResult, error) {
+	return runcache.ForCtx(ctx, "rel|"+r.key(), func(ctx context.Context) (degResult, error) {
+		net, err := r.network()
+		if err != nil {
+			return degResult{}, err
 		}
-		return nil
-	}
-	for c := int64(0); c < injectCycles; c++ {
-		for t := 0; t < n; t++ {
-			if rng.Float64() < pktRate {
-				// Refusals (severed destination) are counted by the layer.
-				_, _ = rel.Send(t, rng.Intn(n), flits, 0, nil)
+		rel := noc.NewReliable(net, noc.ReliableConfig{Timeout: 512, MaxRetries: 8})
+		n := r.topo.NumTerminals()
+		rng := rand.New(rand.NewSource(7))
+		// Reliability runs observe cancellation at the usual cycle-batch
+		// granularity.
+		since := 0
+		batch := func() error {
+			if since++; since >= traffic.CancelBatch {
+				reqstat.AddCycles(ctx, int64(since))
+				since = 0
+				return ctx.Err()
+			}
+			return nil
+		}
+		for c := int64(0); c < 2*int64(r.sc.MeasurePackets); c++ {
+			for t := 0; t < n; t++ {
+				if rng.Float64() < r.rate {
+					// Refusals (severed destination) are counted by the layer.
+					_, _ = rel.Send(t, rng.Intn(n), dataFlits, 0, nil)
+				}
+			}
+			if err := rel.Step(); err != nil {
+				return degResult{}, err
+			}
+			if err := batch(); err != nil {
+				return degResult{}, err
 			}
 		}
-		if err := rel.Step(); err != nil {
-			return degResult{}, err
+		// Drain: retry backoff means a quiet network can still owe deliveries.
+		for i := 0; !rel.Quiesced() && i < 1<<20; i++ {
+			if err := rel.Step(); err != nil {
+				return degResult{}, err
+			}
+			if err := batch(); err != nil {
+				return degResult{}, err
+			}
 		}
-		if err := batch(); err != nil {
-			return degResult{}, err
-		}
-	}
-	// Drain: retry backoff means a quiet network can still owe deliveries.
-	for i := 0; !rel.Quiesced() && i < 1<<20; i++ {
-		if err := rel.Step(); err != nil {
-			return degResult{}, err
-		}
-		if err := batch(); err != nil {
-			return degResult{}, err
-		}
-	}
-	rs := *rel.Stats()
-	return degResult{
-		rs:       rs,
-		avgLat:   rs.AvgLatency(),
-		netFP:    net.Fingerprint(),
-		statsFP:  rs.Fingerprint(),
-		pktsLost: net.Stats().PacketsLost,
-	}, nil
+		return degResult{Stats: *rel.Stats(), NetFP: net.Fingerprint()}, nil
+	})
 }
 
-// runSaturated measures accepted throughput on the degraded network at an
-// offered load past the fault-free saturation point of both designs.
-func runSaturated(ctx context.Context, l core.Layout, plan *fault.Plan, sc Scale) (traffic.RunResult, error) {
-	net, err := faultNet(l, plan)
-	if err != nil {
-		return traffic.RunResult{}, err
-	}
-	return traffic.RunCtx(ctx, net, traffic.RunConfig{
-		Pattern:        traffic.UniformRandom{N: l.Mesh.NumTerminals()},
-		Process:        traffic.Bernoulli{P: 0.09},
-		DataFlits:      l.DataPacketFlits(),
-		WarmupPackets:  sc.WarmupPackets,
-		MeasurePackets: sc.MeasurePackets,
-		Seed:           42,
-		MaxCycles:      int64(sc.MeasurePackets) * 40,
-	})
+// faultRecipe is layout l's network under uniform-random traffic at rate
+// packets/node/cycle, with fault-table routing and plan armed. Both
+// degradation layouts share the 8x8 mesh, so one plan names the same
+// physical links in either network.
+func faultRecipe(l core.Layout, plan *fault.Plan, rate float64, sc Scale) netRecipe {
+	r := layoutRecipe(l, traffic.UniformRandom{N: l.Mesh.NumTerminals()}, rate, sc)
+	r.routing, r.faults = "fault-table", plan
+	return r
 }
 
 // degradationSeed fixes the failure draw per sweep point; the acceptance
@@ -156,7 +128,6 @@ func Degradation(ctx context.Context, sc Scale) (*Report, error) {
 			plans[k][d] = degradationPlan(layouts[0], k, degradationSeed+int64(numDraws*k+d))
 		}
 	}
-	injectCycles := int64(sc.MeasurePackets) * 2
 	type point struct {
 		rel degResult
 		sat float64 // accepted packets/node/cycle, averaged over the draws
@@ -165,13 +136,16 @@ func Degradation(ctx context.Context, sc Scale) (*Report, error) {
 	nl := len(layouts)
 	pts, err := par.MapCtx(ctx, (maxFailed+1)*nl, func(ctx context.Context, i int) (point, error) {
 		k, l := i/nl, layouts[i%nl]
-		rel, err := runReliable(ctx, l, plans[k][0], 0.2, injectCycles, 7)
+		// The reliability run offers 0.2 flits/node/cycle.
+		rel, err := runReliable(ctx, faultRecipe(l, plans[k][0], 0.2/dataFlits, sc))
 		if err != nil {
 			return point{}, err
 		}
+		// The saturation probe offers a load past the fault-free
+		// saturation point of both designs.
 		var sat float64
 		for _, plan := range plans[k] {
-			res, err := runSaturated(ctx, l, plan, sc)
+			res, err := runNet(ctx, faultRecipe(l, plan, 0.09, sc))
 			if err != nil {
 				return point{}, err
 			}
@@ -197,27 +171,28 @@ func Degradation(ctx context.Context, sc Scale) (*Report, error) {
 	for k := 0; k <= maxFailed; k++ {
 		for li, l := range layouts {
 			p := pts[k*nl+li]
+			rs := p.rel.Stats
 			frac := 0.0
-			if p.rel.rs.Sent > 0 {
-				frac = float64(p.rel.rs.Delivered) / float64(p.rel.rs.Sent)
+			if rs.Sent > 0 {
+				frac = float64(rs.Delivered) / float64(rs.Sent)
 			}
 			retention := 0.0
 			if fresh := pts[li].sat; fresh > 0 {
 				retention = p.sat / fresh
 			}
 			r.Printf("| %d | %s | %.4f | %d | %d | %.1f | %.4f | %.2f |\n",
-				k, l.Name, frac, p.rel.rs.Recovered, p.rel.rs.Retransmissions,
-				p.rel.avgLat, p.sat, retention)
+				k, l.Name, frac, rs.Recovered, rs.Retransmissions,
+				rs.AvgLatency(), p.sat, retention)
 			key := names[li]
 			r.Metrics[keyNameInt("delivered_frac_"+key, k)] = frac
-			r.Metrics[keyNameInt("recovered_"+key, k)] = float64(p.rel.rs.Recovered)
+			r.Metrics[keyNameInt("recovered_"+key, k)] = float64(rs.Recovered)
 			r.Metrics[keyNameInt("sat_"+key, k)] = p.sat
 			r.Metrics[keyNameInt("retention_"+key, k)] = retention
-			r.Metrics[keyNameInt("latency_"+key, k)] = p.rel.avgLat
+			r.Metrics[keyNameInt("latency_"+key, k)] = rs.AvgLatency()
 			series[li].sat.X = append(series[li].sat.X, float64(k))
 			series[li].sat.Y = append(series[li].sat.Y, p.sat)
 			series[li].lat.X = append(series[li].lat.X, float64(k))
-			series[li].lat.Y = append(series[li].lat.Y, p.rel.avgLat)
+			series[li].lat.Y = append(series[li].lat.Y, rs.AvgLatency())
 		}
 	}
 	for li := range layouts {

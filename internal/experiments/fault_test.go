@@ -5,38 +5,43 @@ import (
 	"testing"
 
 	"heteronoc/internal/core"
+	"heteronoc/internal/runcache"
 )
 
-// TestReliableDeliveryAcceptance pins the PR's headline acceptance
-// criterion: a seeded plan failing 4 links on the 8x8 heterogeneous mesh,
+// TestReliableDeliveryAcceptance pins the reliability layer's headline
+// acceptance criterion: a seeded plan failing 4 links on the 8x8 heterogeneous mesh,
 // offered 0.2 flits/node/cycle through the reliability layer, delivers
 // 100% of accepted traffic exactly once — and the whole run is
-// bit-identical across repeats (network and stats fingerprints).
+// bit-identical across repeats (network and stats fingerprints). The
+// repeat bypasses the run cache, so it is a second execution.
 func TestReliableDeliveryAcceptance(t *testing.T) {
 	l := core.NewLayout(core.PlacementDiagonal, 8, 8, true)
+	rec := faultRecipe(l, degradationPlan(l, 4, degradationSeed+4*3), 0.2/dataFlits,
+		Scale{Name: "reliable-acceptance", MeasurePackets: 1000})
 	run := func() degResult {
-		plan := degradationPlan(l, 4, degradationSeed+4*3)
-		res, err := runReliable(context.Background(), l, plan, 0.2, 2000, 7)
+		res, err := runReliable(context.Background(), rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	a := run()
-	if a.rs.Sent == 0 {
+	if a.Stats.Sent == 0 {
 		t.Fatal("no traffic accepted")
 	}
-	if a.rs.Delivered != a.rs.Sent {
+	if a.Stats.Delivered != a.Stats.Sent {
 		t.Fatalf("delivered %d of %d transfers — reliability layer lost traffic on a connected degraded mesh",
-			a.rs.Delivered, a.rs.Sent)
+			a.Stats.Delivered, a.Stats.Sent)
 	}
-	if a.rs.Abandoned != 0 || a.rs.Unreachable != 0 {
-		t.Fatalf("connected plan produced abandoned=%d unreachable=%d", a.rs.Abandoned, a.rs.Unreachable)
+	if a.Stats.Abandoned != 0 || a.Stats.Unreachable != 0 {
+		t.Fatalf("connected plan produced abandoned=%d unreachable=%d", a.Stats.Abandoned, a.Stats.Unreachable)
 	}
+	runcache.SetEnabled(false)
+	defer runcache.SetEnabled(true)
 	b := run()
-	if a.netFP != b.netFP || a.statsFP != b.statsFP {
+	if a.NetFP != b.NetFP || a.Stats.Fingerprint() != b.Stats.Fingerprint() {
 		t.Fatalf("repeat run not bit-identical: net %x/%x stats %x/%x",
-			a.netFP, b.netFP, a.statsFP, b.statsFP)
+			a.NetFP, b.NetFP, a.Stats.Fingerprint(), b.Stats.Fingerprint())
 	}
 }
 

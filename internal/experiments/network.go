@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"heteronoc/internal/core"
+	"heteronoc/internal/fault"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/par"
 	"heteronoc/internal/plot"
@@ -16,35 +18,173 @@ import (
 	"heteronoc/internal/traffic"
 )
 
-// runNet drives one network-only measurement. Runs are deterministic
-// (fixed seed, fixed configuration), so completed results are memoized in
-// runcache under a key covering every input; repeated probes — across
-// figures or across re-invocations in one process — reuse the first run.
-func runNet(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (traffic.RunResult, error) {
-	return runcache.ForCtx(ctx, netKey(l, pattern, rate, sc, selfSimilar), func(ctx context.Context) (traffic.RunResult, error) {
-		return runNetUncached(ctx, l, pattern, rate, sc, selfSimilar)
-	})
+// netRecipe names every input of one network-only run: the network
+// (topology, routing by name, router configs, an optional fault plan) and
+// its synthetic traffic (pattern, Bernoulli or self-similar process at
+// rate packets/node/cycle, the Scale's packet budgets). It is the
+// package's one description of a network run: network is the only place
+// that builds a network, config the only traffic.RunConfig, key the
+// runcache key, and runNet the entry point.
+type netRecipe struct {
+	topo topology.Topology
+	// routing is one of "xy", "torus-xy", "fbfly-rc", "west-first" or
+	// "fault-table". Each run builds its own Algorithm: networks that step
+	// at the same time must not share one.
+	routing     string
+	routers     []noc.RouterConfig // one per router
+	faults      *fault.Plan        // nil: fault-free
+	pattern     traffic.Pattern
+	rate        float64
+	selfSimilar bool
+	sc          Scale
 }
 
-func runNetUncached(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (traffic.RunResult, error) {
-	net, err := l.Network()
+// layoutRecipe is a layout's network under pattern at rate, with the
+// layout's own routing: X-Y, or dateline X-Y on a torus.
+func layoutRecipe(l core.Layout, pattern traffic.Pattern, rate float64, sc Scale) netRecipe {
+	alg := "xy"
+	if l.Mesh.Wrap() {
+		alg = "torus-xy"
+	}
+	return netRecipe{topo: l.Mesh, routing: alg, routers: l.RouterConfigs(), pattern: pattern, rate: rate, sc: sc}
+}
+
+// uniformRouters gives every router of t the config rc.
+func uniformRouters(t topology.Topology, rc noc.RouterConfig) []noc.RouterConfig {
+	out := make([]noc.RouterConfig, t.NumRouters())
+	for i := range out {
+		out[i] = rc
+	}
+	return out
+}
+
+// key addresses the recipe in runcache. The topology's name carries its
+// kind, dimensions and wrap; the router configs are spelled out once per
+// stretch of identical routers, which keeps a layout's key short and
+// cheap (a served figure computes it on every cache hit); seed, flit
+// count and cycle cap are fixed by config, so the Scale's budgets cover
+// them.
+func (r netRecipe) key() string {
+	b := make([]byte, 0, 256)
+	b = append(b, "net|"...)
+	b = append(b, r.topo.Name()...)
+	b = append(b, '|')
+	b = append(b, r.routing...)
+	b = append(b, "|rc="...)
+	for i := 0; i < len(r.routers); {
+		rc, n := r.routers[i], 1
+		for i+n < len(r.routers) && r.routers[i+n] == rc {
+			n++
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, int64(rc.VCs), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(rc.BufDepth), 10)
+		b = append(b, '/')
+		for _, on := range [...]bool{rc.Wide, rc.SplitDatapath, rc.ImprovedSA} {
+			flag := byte('0')
+			if on {
+				flag = '1'
+			}
+			b = append(b, flag)
+		}
+		b = append(b, ',')
+		i += n
+	}
+	if r.faults != nil {
+		b = fmt.Appendf(b, "|faults=%v", r.faults.Events())
+	}
+	b = append(b, '|')
+	b = append(b, patternKey(r.pattern)...)
+	b = append(b, "|r="...)
+	b = strconv.AppendFloat(b, r.rate, 'g', -1, 64)
+	b = append(b, "|ss="...)
+	b = strconv.AppendBool(b, r.selfSimilar)
+	b = append(b, "|sc="...)
+	b = append(b, r.sc.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(r.sc.WarmupPackets), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(r.sc.MeasurePackets), 10)
+	return string(b)
+}
+
+// network builds the recipe's network with a fresh routing algorithm and
+// its fault plan armed. Fault-table routing prefers shortest paths
+// through the wide (big) routers.
+func (r netRecipe) network() (*noc.Network, error) {
+	var alg routing.Algorithm
+	var wf *routing.WestFirst
+	grid, isGrid := r.topo.(topology.Grid)
+	mesh, isMesh := r.topo.(*topology.Mesh)
+	fb, isFBfly := r.topo.(*topology.FBfly)
+	switch {
+	case r.routing == "xy" && isGrid:
+		alg = routing.NewXY(grid)
+	case r.routing == "torus-xy" && isMesh && mesh.Wrap():
+		alg = routing.NewTorusXY(mesh)
+	case r.routing == "west-first" && isMesh && !mesh.Wrap():
+		wf = routing.NewWestFirst(mesh)
+		alg = wf
+	case r.routing == "fbfly-rc" && isFBfly:
+		alg = routing.NewFBflyRC(fb)
+	case r.routing == "fault-table":
+		big := make([]bool, len(r.routers))
+		for i, rc := range r.routers {
+			big[i] = rc.Wide
+		}
+		alg = routing.NewFaultTable(r.topo, routing.FaultTableConfig{Big: big})
+	default:
+		return nil, fmt.Errorf("experiments: no %q routing on %s", r.routing, r.topo.Name())
+	}
+	net, err := noc.New(noc.Config{Topo: r.topo, Routing: alg, Routers: r.routers, WatchdogCycles: 100000})
 	if err != nil {
-		return traffic.RunResult{}, err
+		return nil, err
 	}
-	var proc traffic.Process
-	if selfSimilar {
-		proc = traffic.NewSelfSimilar(l.Mesh.NumTerminals(), rate)
-	} else {
-		proc = traffic.Bernoulli{P: rate}
+	if wf != nil {
+		wf.Congestion = net.PortCongestion
 	}
-	return traffic.RunCtx(ctx, net, traffic.RunConfig{
-		Pattern:        pattern,
+	if r.faults != nil {
+		if err := net.SetFaultPlan(r.faults); err != nil {
+			return nil, err
+		}
+	}
+	return net, nil
+}
+
+// dataFlits is every run's packet length: the paper's 1024-bit cache
+// line, 6 flits in every layout (core.Layout.DataPacketFlits).
+const dataFlits = 6
+
+// config is the recipe's traffic: a fixed seed, and a cycle cap that
+// ends deeply saturated runs.
+func (r netRecipe) config() traffic.RunConfig {
+	var proc traffic.Process = traffic.Bernoulli{P: r.rate}
+	if r.selfSimilar {
+		proc = traffic.NewSelfSimilar(r.topo.NumTerminals(), r.rate)
+	}
+	return traffic.RunConfig{
+		Pattern:        r.pattern,
 		Process:        proc,
-		DataFlits:      l.DataPacketFlits(),
-		WarmupPackets:  sc.WarmupPackets,
-		MeasurePackets: sc.MeasurePackets,
+		DataFlits:      dataFlits,
+		WarmupPackets:  r.sc.WarmupPackets,
+		MeasurePackets: r.sc.MeasurePackets,
 		Seed:           42,
-		MaxCycles:      int64(sc.MeasurePackets) * 40,
+		MaxCycles:      int64(r.sc.MeasurePackets) * 40,
+	}
+}
+
+// runNet drives one network-only measurement. Runs are deterministic, so
+// completed results are memoized in runcache under the recipe's key;
+// repeated probes, across figures or re-invocations, reuse the first run.
+func runNet(ctx context.Context, r netRecipe) (traffic.RunResult, error) {
+	return runcache.ForCtx(ctx, r.key(), func(ctx context.Context) (traffic.RunResult, error) {
+		net, err := r.network()
+		if err != nil {
+			return traffic.RunResult{}, err
+		}
+		return traffic.RunCtx(ctx, net, r.config())
 	})
 }
 
@@ -54,7 +194,7 @@ func runNetUncached(ctx context.Context, l core.Layout, pattern traffic.Pattern,
 func Fig1(ctx context.Context, sc Scale) (*Report, error) {
 	r := newReport("fig1", "Buffer and link utilization heat maps")
 	l := core.NewBaseline(8, 8)
-	res, err := runNet(ctx, l, traffic.UniformRandom{N: 64}, 0.06, sc, false)
+	res, err := runNet(ctx, layoutRecipe(l, traffic.UniformRandom{N: 64}, 0.06, sc))
 	if err != nil {
 		return nil, err
 	}
@@ -84,45 +224,22 @@ func Fig1(ctx context.Context, sc Scale) (*Report, error) {
 func Fig2(ctx context.Context, sc Scale) (*Report, error) {
 	r := newReport("fig2", "Buffer utilization in other topologies")
 	type tcase struct {
-		name string
-		topo topology.Topology
-		alg  routing.Algorithm
-		w, h int
-		rate float64
+		name    string
+		topo    topology.Topology
+		routing string
+		w, h    int
+		rate    float64
 	}
 	cm := topology.NewCMesh(4, 4, 4)
 	fb := topology.NewFBfly(4, 4, 4)
 	cases := []tcase{
-		{"(a) Concentrated mesh", cm, routing.NewXY(cm), 4, 4, 0.04},
-		{"(b) Flattened butterfly", fb, routing.NewFBflyRC(fb), 4, 4, 0.06},
+		{"(a) Concentrated mesh", cm, "xy", 4, 4, 0.04},
+		{"(b) Flattened butterfly", fb, "fbfly-rc", 4, 4, 0.06},
 	}
 	rc := noc.RouterConfig{VCs: 3, BufDepth: 5}
-	pattern := traffic.UniformRandom{N: 64}
-	const flits, seed = 6, 42
 	for _, c := range cases {
-		runKey := fmt.Sprintf("fig2|%s|%s|rc=%+v|%s|r=%g|flits=%d|seed=%d|sc=%s/%d/%d",
-			c.topo.Name(), c.alg.Name(), rc, patternKey(pattern), c.rate, flits, seed,
-			sc.Name, sc.WarmupPackets, sc.MeasurePackets)
-		res, err := runcache.ForCtx(ctx, runKey, func(ctx context.Context) (traffic.RunResult, error) {
-			net, err := noc.New(noc.Config{
-				Topo:           c.topo,
-				Routing:        c.alg,
-				Routers:        []noc.RouterConfig{rc},
-				WatchdogCycles: 100000,
-			})
-			if err != nil {
-				return traffic.RunResult{}, err
-			}
-			return traffic.RunCtx(ctx, net, traffic.RunConfig{
-				Pattern:        pattern,
-				Process:        traffic.Bernoulli{P: c.rate},
-				DataFlits:      flits,
-				WarmupPackets:  sc.WarmupPackets,
-				MeasurePackets: sc.MeasurePackets,
-				Seed:           seed,
-				MaxCycles:      int64(sc.MeasurePackets) * 40,
-			})
-		})
+		res, err := runNet(ctx, netRecipe{topo: c.topo, routing: c.routing, routers: uniformRouters(c.topo, rc),
+			pattern: traffic.UniformRandom{N: 64}, rate: c.rate, sc: sc})
 		if err != nil {
 			return nil, err
 		}
@@ -208,8 +325,8 @@ type ratePoint struct {
 // measurePoint runs one (layout, rate) probe. Probes are independent (each
 // builds its own network and a fixed-seed traffic source), so the sweeps
 // fan them out on the par worker pool without changing any result.
-func measurePoint(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale, selfSimilar bool) (ratePoint, error) {
-	res, err := runNet(ctx, l, pattern, rate, sc, selfSimilar)
+func measurePoint(ctx context.Context, l core.Layout, pattern traffic.Pattern, rate float64, sc Scale) (ratePoint, error) {
+	res, err := runNet(ctx, layoutRecipe(l, pattern, rate, sc))
 	if err != nil {
 		return ratePoint{}, err
 	}
@@ -274,7 +391,7 @@ func loadSweepReport(ctx context.Context, sc Scale, id, title string, nn bool) (
 		if nn {
 			pattern = traffic.NearestNeighbor{Grid: l.Mesh}
 		}
-		return measurePoint(ctx, l, pattern, rates[k%nr], sc, false)
+		return measurePoint(ctx, l, pattern, rates[k%nr], sc)
 	})
 	if err != nil {
 		return nil, err
@@ -438,7 +555,7 @@ func Fig8(ctx context.Context, sc Scale) (*Report, error) {
 	pm := power.NewModel()
 	// The four layout probes are independent; fan them out.
 	ress, err := par.MapCtx(ctx, len(layouts), func(ctx context.Context, i int) (traffic.RunResult, error) {
-		return runNet(ctx, layouts[i], traffic.UniformRandom{N: 64}, rate, sc, false)
+		return runNet(ctx, layoutRecipe(layouts[i], traffic.UniformRandom{N: 64}, rate, sc))
 	})
 	if err != nil {
 		return nil, err

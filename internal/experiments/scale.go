@@ -69,7 +69,7 @@ func scaleSweep(ctx context.Context, r *Report, w int, sc Scale) error {
 	// The layouts x rates grid is a flat batch of independent probes, same
 	// fan-out as Fig 7; each probe is memoized in runcache under its own key.
 	pts, err := par.MapCtx(ctx, len(layouts)*nr, func(ctx context.Context, k int) (ratePoint, error) {
-		return measurePoint(ctx, layouts[k/nr], traffic.UniformRandom{N: w * w}, rates[k%nr], sc, false)
+		return measurePoint(ctx, layouts[k/nr], traffic.UniformRandom{N: w * w}, rates[k%nr], sc)
 	})
 	if err != nil {
 		return err
@@ -145,14 +145,18 @@ func scaleSweep(ctx context.Context, r *Report, w int, sc Scale) error {
 // every stage of each cycle on fixed router spans, one per worker — and
 // asserts the two final network fingerprints are identical. The
 // fingerprint covers every statistics counter, so a match certifies the
-// parallel engine is bit-exact at 1024 routers, not merely close. Wall-clock speedup is reported in the body
-// only: it varies with the host (a single-core container reports ~1x) and
-// must not perturb the deterministic metric fingerprint.
+// parallel engine is bit-exact at 1024 routers, not merely close. Both
+// runs build their network and traffic from one netRecipe but skip the
+// cache: the check exists to exercise the live engine. Wall-clock speedup
+// is reported in the body only: it varies with the host (a single-core
+// container reports ~1x) and must not perturb the deterministic metric
+// fingerprint.
 func shardedCheck(ctx context.Context, r *Report, sc Scale) error {
 	const w = 32
 	rate := scaleMaxRate(w) / 2 // comfortably pre-knee
+	rec := layoutRecipe(core.NewBaseline(w, w), traffic.UniformRandom{N: w * w}, rate, sc)
 	run := func(workers int) (uint64, time.Duration, error) {
-		net, err := core.NewBaseline(w, w).Network()
+		net, err := rec.network()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -161,16 +165,7 @@ func shardedCheck(ctx context.Context, r *Report, sc Scale) error {
 			net.SetShardWorkers(workers)
 		}
 		start := time.Now()
-		_, err = traffic.RunCtx(ctx, net, traffic.RunConfig{
-			Pattern:        traffic.UniformRandom{N: w * w},
-			Process:        traffic.Bernoulli{P: rate},
-			DataFlits:      core.NewBaseline(w, w).DataPacketFlits(),
-			WarmupPackets:  sc.WarmupPackets,
-			MeasurePackets: sc.MeasurePackets,
-			Seed:           42,
-			MaxCycles:      int64(sc.MeasurePackets) * 40,
-		})
-		if err != nil {
+		if _, err := traffic.RunCtx(ctx, net, rec.config()); err != nil {
 			return 0, 0, err
 		}
 		return net.Fingerprint(), time.Since(start), nil

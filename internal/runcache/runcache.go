@@ -37,7 +37,7 @@
 // every ForCtx then runs its function directly and the disk tier is
 // bypassed in both directions. Because runs are deterministic, outputs are
 // identical either way — a property pinned by
-// TestRunCacheTransparent in the experiments package.
+// TestFigureOutputIdenticalWithAndWithoutCache in the experiments package.
 package runcache
 
 import (
