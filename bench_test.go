@@ -372,49 +372,6 @@ func BenchmarkReliableCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRestore measures restoring a mid-run 8x8 network
-// checkpoint into a fresh simulator, acceptance check included — the
-// fixed cost `noxsim -ckptcheck` pays to verify its checkpoint. Each fresh network is built with the timer
-// stopped, so ns/op is the restore alone. scripts/bench.sh records it as
-// "ckpt_restore_ns_per_op" in BENCH_noc.json.
-func BenchmarkCheckpointRestore(b *testing.B) {
-	l := core.NewBaseline(8, 8)
-	net, err := l.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := traffic.UniformRandom{N: 64}
-	proc := traffic.Bernoulli{P: 0.03}
-	rng := newBenchRng()
-	for c := 0; c < 2000; c++ {
-		for t := 0; t < 64; t++ {
-			if proc.Fire(t, net.Cycle(), rng) {
-				net.Inject(&noc.Packet{Src: t, Dst: gen.Dst(t, rng), NumFlits: 6})
-			}
-		}
-		if err := net.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	snap, err := net.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(snap)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fresh, err := l.Network()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := fresh.RestoreSnapshot(snap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWarmRestore measures restoring a shared CMP warm checkpoint
 // versus the warmup replay it replaces (BenchmarkCMPWarmup below); the
 // ratio is the per-run saving the warmup-sharing path buys each figure.

@@ -1,16 +1,16 @@
-// Command ckpttool inspects NOCCKPT01 containers: network checkpoints
-// written by noxsim (-ckptout), run-cache entries (.rc), DSE frontier
-// files (cmd/dse -frontier) and flit traces (tracetool nocrec).
+// Command ckpttool inspects NOCCKPT01 containers: run-cache entries (.rc,
+// which also carry CMP warm checkpoints), DSE frontier files (cmd/dse
+// -frontier) and flit traces (tracetool nocrec).
 //
 // Usage:
 //
-//	ckpttool info file...       print each checkpoint's header
+//	ckpttool info file...       print each checkpoint's kind, version and size
 //	ckpttool validate file...   verify magic, CRC and header; exit 1 on any failure
-//	ckpttool diff a b           compare two checkpoints field by field
+//	ckpttool diff a b           compare two checkpoints' kind, version and size
 //
-// info reads only the header, so it works even when the body is from a
-// newer (unknown) state version; validate checks the whole container's
-// integrity without interpreting the body.
+// Every command checks the whole container's integrity without
+// interpreting the body, so it works even when the body is from a newer
+// (unknown) state version.
 package main
 
 import (
@@ -61,61 +61,44 @@ func exit(ok bool) {
 func info(paths []string) bool {
 	ok := true
 	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			ok = false
-			continue
-		}
-		h, err := ckpt.ReadHeader(data)
+		h, size, err := validateFile(p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", p, err)
 			ok = false
 			continue
 		}
 		fmt.Printf("%s:\n", p)
-		printHeader(h, int64(len(data)))
+		fmt.Printf("  kind  %s (v%d)\n", h.Kind, h.Version)
+		fmt.Printf("  size  %d bytes\n", size)
 	}
 	return ok
-}
-
-func printHeader(h ckpt.Header, size int64) {
-	fmt.Printf("  kind         %s (v%d)\n", h.Kind, h.Version)
-	fmt.Printf("  size         %d bytes\n", size)
-	fmt.Printf("  cycle        %d\n", h.Cycle)
-	fmt.Printf("  flits        %d in network\n", h.Flits)
-	fmt.Printf("  queued       %d packets\n", h.Queued)
-	fmt.Printf("  next pkt id  %d\n", h.NextPktID)
-	fmt.Printf("  fingerprint  %016x\n", h.Fingerprint)
 }
 
 func validate(paths []string) bool {
 	ok := true
 	for _, p := range paths {
-		if err := validateFile(p); err != nil {
+		h, size, err := validateFile(p)
+		if err != nil {
 			fmt.Printf("%s: INVALID: %v\n", p, err)
 			ok = false
 			continue
 		}
-		data, _ := os.ReadFile(p)
-		h, _ := ckpt.ReadHeader(data)
-		fmt.Printf("%s: ok (%s v%d, cycle %d, fingerprint %016x)\n",
-			p, h.Kind, h.Version, h.Cycle, h.Fingerprint)
+		fmt.Printf("%s: ok (%s v%d, %d bytes)\n", p, h.Kind, h.Version, size)
 	}
 	return ok
 }
 
-// validateFile verifies one container's integrity: magic, header layout
-// and the CRC over the whole file. Any damage — truncation, a flipped
-// bit anywhere from header to footer — surfaces as an error wrapping
-// ckpt.ErrCorrupt, which the CLI turns into a nonzero exit.
-func validateFile(path string) error {
+// validateFile reads one container and verifies its integrity: magic,
+// header layout and the CRC over the whole file. Any damage — truncation,
+// a flipped bit anywhere from header to footer — surfaces as an error
+// wrapping ckpt.ErrCorrupt, which the CLI turns into a nonzero exit.
+func validateFile(path string) (h ckpt.Header, size int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return h, 0, err
 	}
-	_, err = ckpt.NewReader(data)
-	return err
+	h, err = ckpt.ReadHeader(data)
+	return h, len(data), err
 }
 
 func diff(pa, pb string) bool {
@@ -141,17 +124,12 @@ func diff(pa, pb string) bool {
 	}
 	cmp := func(field string, a, b any) {
 		if a != b {
-			fmt.Printf("  %-12s %v != %v\n", field, a, b)
+			fmt.Printf("  %-8s %v != %v\n", field, a, b)
 		}
 	}
 	fmt.Printf("differ (%d vs %d bytes):\n", len(da), len(db))
 	cmp("kind", ha.Kind, hb.Kind)
 	cmp("version", ha.Version, hb.Version)
-	cmp("cycle", ha.Cycle, hb.Cycle)
-	cmp("flits", ha.Flits, hb.Flits)
-	cmp("queued", ha.Queued, hb.Queued)
-	cmp("next pkt id", ha.NextPktID, hb.NextPktID)
-	cmp("fingerprint", fmt.Sprintf("%016x", ha.Fingerprint), fmt.Sprintf("%016x", hb.Fingerprint))
 	if ha == hb {
 		fmt.Println("  headers identical; bodies differ")
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,19 +9,19 @@ import (
 	"testing"
 
 	"heteronoc/internal/ckpt"
+	"heteronoc/internal/cmp"
+	"heteronoc/internal/core"
 	"heteronoc/internal/dse"
 	"heteronoc/internal/noc"
 	"heteronoc/internal/runcache"
+	"heteronoc/internal/trace"
 )
 
 // buildCheckpoint writes a small valid NOCCKPT01 container to dir and
 // returns its path and bytes.
 func buildCheckpoint(t *testing.T, dir string) (string, []byte) {
 	t.Helper()
-	w := ckpt.NewWriter(ckpt.Header{
-		Kind: "test-run", Version: 1, Cycle: 12345, Flits: 7, Queued: 3,
-		NextPktID: 99, Fingerprint: 0xdeadbeefcafe,
-	})
+	w := ckpt.NewWriter(ckpt.Header{Kind: "test-run", Version: 1})
 	w.Str("body-field")
 	w.I64(-42)
 	w.Bytes([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -33,9 +34,13 @@ func buildCheckpoint(t *testing.T, dir string) (string, []byte) {
 }
 
 func TestValidateFileAcceptsValidCheckpoint(t *testing.T) {
-	p, _ := buildCheckpoint(t, t.TempDir())
-	if err := validateFile(p); err != nil {
+	p, data := buildCheckpoint(t, t.TempDir())
+	h, size, err := validateFile(p)
+	if err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+	if h != (ckpt.Header{Kind: "test-run", Version: 1}) || size != len(data) {
+		t.Fatalf("validateFile = %+v, %d bytes; want test-run v1, %d bytes", h, size, len(data))
 	}
 	if !validate([]string{p}) {
 		t.Fatal("validate() reported failure for a valid file")
@@ -52,7 +57,7 @@ func TestValidateFileRejectsTruncation(t *testing.T) {
 		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := validateFile(p)
+		_, _, err := validateFile(p)
 		if err == nil {
 			t.Fatalf("cut=%d: truncated checkpoint validated", cut)
 		}
@@ -83,7 +88,7 @@ func TestValidateFileRejectsBitFlips(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := validateFile(p)
+		_, _, err := validateFile(p)
 		if err == nil {
 			t.Fatalf("%s flip at %d validated", name, off)
 		}
@@ -97,15 +102,15 @@ func TestValidateFileRejectsBitFlips(t *testing.T) {
 }
 
 func TestValidateFileRejectsMissingFile(t *testing.T) {
-	if err := validateFile(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
+	if _, _, err := validateFile(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
 		t.Fatal("missing file validated")
 	}
 }
 
 // TestValidateEveryPersistedKind runs validate over the files the rest of
 // the repository persists — a DSE frontier, the run-cache entries its
-// probes leave on disk, and a flit trace — and over a truncated copy of
-// each, which must fail.
+// probes leave on disk, a flit trace and a CMP warm checkpoint — and over
+// a truncated copy of each, which must fail.
 func TestValidateEveryPersistedKind(t *testing.T) {
 	dir := t.TempDir()
 	runcache.Reset()
@@ -132,7 +137,17 @@ func TestValidateEveryPersistedKind(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("search left no run-cache entries on disk")
 	}
-	for _, p := range []string{frontier, flt, entries[0]} {
+	warm := filepath.Join(dir, "warm.ckpt")
+	if err := os.WriteFile(warm, warmSnapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ path, kind string }{
+		{frontier, "dse-frontier"}, {flt, noc.KindFlitTrace}, {entries[0], "runcache"}, {warm, cmp.KindWarmSystem},
+	} {
+		p := f.path
+		if h, _, err := validateFile(p); err != nil || h.Kind != f.kind {
+			t.Fatalf("%s: kind %q, error %v; want %q", p, h.Kind, err, f.kind)
+		}
 		if !validate([]string{p}) {
 			t.Fatalf("%s: valid file rejected", p)
 		}
@@ -144,8 +159,34 @@ func TestValidateEveryPersistedKind(t *testing.T) {
 		if err := os.WriteFile(cut, data[:len(data)-1], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := validateFile(cut); !errors.Is(err, ckpt.ErrCorrupt) {
+		if _, _, err := validateFile(cut); !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("%s: truncated copy gave %v, want ckpt.ErrCorrupt", p, err)
 		}
 	}
+}
+
+// warmSnapshot returns the warm checkpoint of a 2x2 SPECjbb CMP.
+func warmSnapshot(t *testing.T) []byte {
+	t.Helper()
+	p, err := trace.ProfileByName("SPECjbb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := core.NewBaseline(2, 2)
+	traces := make([]trace.Reader, l.Mesh.NumTerminals())
+	for i := range traces {
+		traces[i] = trace.NewGenerator(p, i, 128)
+	}
+	s, err := cmp.New(cmp.Config{Layout: l, Traces: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warmup(context.Background(), 200); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.WarmSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

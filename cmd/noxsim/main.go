@@ -8,7 +8,6 @@
 //	       [-torus] [-warmup 1000] [-packets 100000] [-seed 42]
 //	       [-sweep lo:hi:step] [-csv]
 //	       [-obs :6060] [-stride 1000] [-timeseries ts.json] [-manifest run.json]
-//	       [-ckptout net.ckpt] [-ckptcheck]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -sweep, the single measurement is replaced by a load sweep and one
@@ -61,8 +60,6 @@ func main() {
 	stride := flag.Int64("stride", 1000, "sampling window in cycles for -obs/-timeseries")
 	tsOut := flag.String("timeseries", "", "write the sampled time series to this file (.csv or JSON)")
 	manifestOut := flag.String("manifest", "", "write a run-provenance manifest to this file")
-	ckptOut := flag.String("ckptout", "", "write a checkpoint of the final network state to this file (last sweep rate wins)")
-	ckptCheck := flag.Bool("ckptcheck", false, "after each run, snapshot the network, restore into a fresh one and verify bit-identical state")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -155,7 +152,7 @@ func main() {
 	start := time.Now()
 	fingerprints := map[string]string{}
 	for _, rt := range rates {
-		fp := runOnce(l, pattern, rt, *selfSim, *warmup, *packets, *seed, *csvOut || *sweep != "", *csvOut, ob, *ckptOut, *ckptCheck)
+		fp := runOnce(l, pattern, rt, *selfSim, *warmup, *packets, *seed, *csvOut || *sweep != "", *csvOut, ob)
 		fingerprints[fmt.Sprintf("rate=%.4f", rt)] = fp
 	}
 	if *manifestOut != "" {
@@ -198,8 +195,7 @@ func configHash(l core.Layout, pattern string, selfSim bool, warmup, packets int
 // runOnce measures one operating point, prints it, and returns the
 // network-state fingerprint of the run.
 func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
-	warmup, packets int, seed int64, brief, csvOut bool, ob *obsState,
-	ckptOut string, ckptCheck bool) string {
+	warmup, packets int, seed int64, brief, csvOut bool, ob *obsState) string {
 	net, err := l.Network()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -259,35 +255,6 @@ func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
 		os.Exit(1)
 	}
 	fp := fmt.Sprintf("%016x", net.Fingerprint())
-	if ckptOut != "" || ckptCheck {
-		snap, err := net.Snapshot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if ckptCheck {
-			fresh, err := l.Network()
-			if err == nil {
-				err = fresh.RestoreSnapshot(snap)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint self-check FAILED: %v\n", err)
-				os.Exit(1)
-			}
-			if got := fmt.Sprintf("%016x", fresh.Fingerprint()); got != fp {
-				fmt.Fprintf(os.Stderr, "checkpoint self-check FAILED: restored fingerprint %s, want %s\n", got, fp)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "checkpoint self-check OK (%d bytes, fingerprint %s)\n", len(snap), fp)
-		}
-		if ckptOut != "" {
-			if err := os.WriteFile(ckptOut, snap, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", ckptOut, len(snap))
-		}
-	}
 	pw := power.Network(power.NewModel(), l, res.Activity)
 	if csvOut {
 		fmt.Printf("%.4f,%.2f,%.2f,%.4f,%v,%.2f,%.3f\n",

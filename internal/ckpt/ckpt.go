@@ -1,17 +1,16 @@
 // Package ckpt implements the NOCCKPT01 checkpoint container: a small,
 // versioned, CRC-protected binary format used for every persisted file
-// except HNTR2 memory traces — simulator state (noc.Network,
-// cmp.System warm state), run-cache entries, DSE frontiers and flit
-// traces.
+// except HNTR2 memory traces — CMP warm state (cmp.System), run-cache
+// entries, DSE frontiers and flit traces.
 //
 // Layout:
 //
-//	magic   "NOCCKPT01"                  (9 bytes)
-//	kind    string                       (what is inside: "noc-net", ...)
-//	version uvarint                      (per-kind schema version)
-//	header  cycle, flits, queued, nextPktID, fingerprint
-//	body    kind-specific varint-coded fields
-//	crc32   IEEE, little-endian fixed32  (over everything preceding it)
+//	magic    "NOCCKPT01"                  (9 bytes)
+//	kind     string                       (what is inside: "cmp-warm", ...)
+//	version  uvarint                      (per-kind schema version)
+//	reserved five varints                 (written as zeros, ignored on read)
+//	body     kind-specific varint-coded fields
+//	crc32    IEEE, little-endian fixed32  (over everything preceding it)
 //
 // All integers are varints (zigzag for signed); strings, byte slices and
 // element counts are length-prefixed, and a reader refuses any length
@@ -42,17 +41,16 @@ const Magic = "NOCCKPT01"
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
 // Header is the kind-independent prefix of every checkpoint, readable
-// without the originating Config (cmd/ckpttool relies on this). Kinds
-// that have no natural value for a field store zero.
+// without knowing the kind (cmd/ckpttool relies on this).
 type Header struct {
-	Kind        string
-	Version     uint64
-	Cycle       int64
-	Flits       int64 // flits in flight inside the network
-	Queued      int64 // packets queued at NIs
-	NextPktID   uint64
-	Fingerprint uint64 // golden fingerprint the restored state must reproduce
+	Kind    string
+	Version uint64
 }
+
+// reservedVarints is the number of varints between the version and the
+// body. No kind uses them: writers emit zeros, which keeps every kind's
+// bytes as they were, and readers skip them.
+const reservedVarints = 5
 
 // Writer accumulates a checkpoint body after the magic and header.
 type Writer struct {
@@ -65,11 +63,9 @@ func NewWriter(h Header) *Writer {
 	w.buf = append(w.buf, Magic...)
 	w.Str(h.Kind)
 	w.U64(h.Version)
-	w.I64(h.Cycle)
-	w.I64(h.Flits)
-	w.I64(h.Queued)
-	w.U64(h.NextPktID)
-	w.U64(h.Fingerprint)
+	for i := 0; i < reservedVarints; i++ {
+		w.U64(0)
+	}
 	return w
 }
 
@@ -150,11 +146,9 @@ func NewReader(data []byte) (*Reader, error) {
 	r := &Reader{data: body, pos: len(Magic)}
 	r.hdr.Kind = r.StrMax(64)
 	r.hdr.Version = r.U64()
-	r.hdr.Cycle = r.I64()
-	r.hdr.Flits = r.I64()
-	r.hdr.Queued = r.I64()
-	r.hdr.NextPktID = r.U64()
-	r.hdr.Fingerprint = r.U64()
+	for i := 0; i < reservedVarints; i++ {
+		r.U64()
+	}
 	if r.err != nil {
 		return nil, r.err
 	}

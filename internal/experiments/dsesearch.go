@@ -170,7 +170,6 @@ func DSESearch(ctx context.Context, sc Scale) (*Report, error) {
 		return nil, err
 	}
 	repeatExecs := float64(runcache.Execs() - execs0)
-	r.Printf("### D. Repeatability: the same search answered from cache\n\n")
 	r.Printf("%s", repeatSentence(resD.Evals, repeatExecs))
 	r.Metrics["repeat_search_evals"] = float64(resD.Evals)
 	r.Metrics["repeat_search_executions"] = repeatExecs
@@ -180,15 +179,17 @@ func DSESearch(ctx context.Context, sc Scale) (*Report, error) {
 	return r, nil
 }
 
-// repeatSentence reports part D's repeat: with a warm run cache it runs no
-// simulation; one that runs any had the cache off or cold.
+// repeatSentence reports part D's repeat under its heading: with a warm
+// run cache it runs no simulation; one that runs any had the cache off or
+// cold.
 func repeatSentence(evals int, execs float64) string {
-	verdict := " — every probe answered by the run cache"
+	heading, verdict := "answered from cache", " — every probe answered by the run cache"
 	if execs != 0 {
-		verdict = ", because the run cache was off or cold"
+		heading, verdict = "simulated again", ", because the run cache was off or cold"
 	}
-	return fmt.Sprintf("Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested %d evaluations and ran %.0f simulations%s.\n",
-		evals, execs, verdict)
+	return fmt.Sprintf("### D. Repeatability: the same search %s\n\n"+
+		"Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested %d evaluations and ran %.0f simulations%s.\n",
+		heading, evals, execs, verdict)
 }
 
 type signature struct{ corners, center int }

@@ -55,14 +55,17 @@ func TestDSESearchReportsAllParts(t *testing.T) {
 }
 
 // TestRepeatSentenceNamesWhyProbesRan pins part D's two wordings: the
-// warm-cache sentence is unchanged, and a repeat that simulated (the run
-// cache off or cold) no longer claims the cache answered it.
+// warm-cache heading and sentence are unchanged, and neither the heading
+// nor the sentence of a repeat that simulated (the run cache off or cold)
+// claims the cache answered it.
 func TestRepeatSentenceNamesWhyProbesRan(t *testing.T) {
-	warm := "Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested 72 evaluations and ran 0 simulations — every probe answered by the run cache.\n"
+	warm := "### D. Repeatability: the same search answered from cache\n\n" +
+		"Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested 72 evaluations and ran 0 simulations — every probe answered by the run cache.\n"
 	if got := repeatSentence(72, 0); got != warm {
 		t.Errorf("warm repeat reads %q, want %q", got, warm)
 	}
-	cold := "Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested 72 evaluations and ran 72 simulations, because the run cache was off or cold.\n"
+	cold := "### D. Repeatability: the same search simulated again\n\n" +
+		"Re-running the part-A search from scratch (no frontier file, archive discarded) re-requested 72 evaluations and ran 72 simulations, because the run cache was off or cold.\n"
 	if got := repeatSentence(72, 72); got != cold {
 		t.Errorf("uncached repeat reads %q, want %q", got, cold)
 	}

@@ -187,40 +187,6 @@ func TestAttributionShardInvariant(t *testing.T) {
 	}
 }
 
-// TestAttributionSnapshotRoundTrip suspends a contended run mid-flight and
-// restores it: the resumed run's attribution (including in-flight per-hop
-// scratch state) must match the uninterrupted run exactly.
-func TestAttributionSnapshotRoundTrip(t *testing.T) {
-	finish := func(n *Network) ([NumAttrBuckets]int64, uint64) {
-		runUntilQuiesced(t, n, 200000)
-		return n.Stats().Attribution(), n.Fingerprint()
-	}
-	ref := newHeteroMeshNet(t)
-	injectMixedLoad(t, ref, 53, 800, 0.05)
-	wantAttr, wantFP := finish(ref)
-
-	n := newHeteroMeshNet(t)
-	injectMixedLoad(t, n, 53, 800, 0.05)
-	blob, err := n.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := newHeteroMeshNet(t)
-	if err := restored.RestoreSnapshot(blob); err != nil {
-		t.Fatal(err)
-	}
-	gotAttr, gotFP := finish(restored)
-	if gotFP != wantFP {
-		t.Fatalf("restored fingerprint %x, want %x", gotFP, wantFP)
-	}
-	if gotAttr != wantAttr {
-		t.Fatalf("restored attribution %v, want %v", gotAttr, wantAttr)
-	}
-	if res := restored.Stats().AttrResidual(); res != 0 {
-		t.Errorf("restored residual = %d, want 0", res)
-	}
-}
-
 // newEscapeMeshNet builds an 8x8 table-routed mesh with big routers on
 // both diagonals and a 4-cycle escape threshold, so the escape rescue
 // fires and revokes VC grants under load.

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"runtime"
 	"testing"
 )
@@ -13,6 +15,15 @@ const (
 	flitAllocPerByte = 32
 	flitAllocSlack   = 16 << 10
 )
+
+// withCRC returns data with its CRC footer recomputed.
+func withCRC(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if n := len(out); n >= 4 {
+		binary.LittleEndian.PutUint32(out[n-4:], crc32.ChecksumIEEE(out[:n-4]))
+	}
+	return out
+}
 
 // FuzzReadFlitTrace mutates real flit traces, recomputing the CRC footer
 // so the mutations reach the record decoder. Every input must be refused

@@ -134,7 +134,7 @@ func TestReadFlitTraceRejectsGarbage(t *testing.T) {
 		"empty":      nil,
 		"bad magic":  []byte("BADMAGIC\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
 		"truncated":  good[:len(good)-1],
-		"wrong kind": ckpt.NewWriter(ckpt.Header{Kind: "noc-net", Version: flitTraceVersion}).Finish(),
+		"wrong kind": ckpt.NewWriter(ckpt.Header{Kind: "cmp-warm", Version: flitTraceVersion}).Finish(),
 		"version 1":  ckpt.NewWriter(ckpt.Header{Kind: KindFlitTrace, Version: 1}).Finish(),
 		"no routers": flitContainer(0, 0),
 		"short body": flitContainer(4, 2, rawFlitRecord{cycle: 1}),

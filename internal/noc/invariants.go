@@ -6,9 +6,9 @@ import (
 )
 
 // CheckInvariants audits the network's state and returns the first
-// violation found. It is O(network size) and meant for tests, debugging
-// and RestoreSnapshot's acceptance check, not the hot path; a state that
-// passes is one Step can run. Checked invariants:
+// violation found. It is O(network size) and meant for tests and
+// debugging, not the hot path; a state that passes is one Step can run.
+// Checked invariants:
 //
 //   - Derived state equals a rescan of the primary state (syncDerived).
 //   - Credit conservation: for every live link, the upstream credits plus
@@ -77,9 +77,9 @@ func derive[T comparable](d *deriver, have *T, want T, what string, at ...int) {
 // per-port flit counts and candidate masks, the headArrive mirror of each
 // non-empty VC, credit masks, upstream pointers (nil where the feeding
 // port is dead), the fail-stopped terminals and the flit and
-// queued-packet totals — from a rescan of the primary state. With fix set it assigns the rescan, which is how
-// RestoreSnapshot rebuilds derived state; otherwise it returns the first
-// maintained value that disagrees.
+// queued-packet totals — from a rescan of the primary state. With fix set
+// it assigns the rescan, which is how New and the fault purge set derived
+// state; otherwise it returns the first maintained value that disagrees.
 func (n *Network) syncDerived(fix bool) error {
 	d := &deriver{fix: fix}
 	flits, queued := 0, 0
@@ -165,6 +165,10 @@ func creditMaskOf(op *outputPort) uint32 {
 	}
 	return m
 }
+
+// bornDead reports a port New left unwired: no downstream router and no
+// terminal. Such a port is dead from construction.
+func (o *outputPort) bornDead() bool { return o.credits == nil && !o.isTerm }
 
 // liveFeeder is the upstream pointer of the input port op feeds: op
 // itself, or nil once op is dead (killPort severs the credit channel).
@@ -320,11 +324,10 @@ type pktAudit struct {
 //     numbered [received, emitted), in worm order (checkWorm);
 //   - brokenQ holds exactly the packets marked broken, once each.
 func (n *Network) checkPackets() error {
-	k := &walker{index: map[*Packet]int{}}
-	n.walkBody(k)
-	au := make([]pktAudit, len(k.table))
+	table, index := n.packetTable()
+	au := make([]pktAudit, len(table))
 	classes := n.alg.NumVCClasses()
-	for i, p := range k.table {
+	for i, p := range table {
 		if p.Src < 0 || p.Src >= len(n.nis) || p.Dst < 0 || p.Dst >= len(n.nis) ||
 			p.NumFlits < 1 || p.NumFlits > math.MaxInt32 || p.received < 0 || p.received > p.NumFlits ||
 			p.vcClass < 0 || p.vcClass >= classes || p.CreateCycle < 0 || p.CreateCycle > n.cycle {
@@ -339,7 +342,7 @@ func (n *Network) checkPackets() error {
 			if p.Src != t || p.broken {
 				return fmt.Errorf("ni %d: queues packet %d (source %d, broken %v)", t, p.ID, p.Src, p.broken)
 			}
-			a := &au[k.index[p]]
+			a := &au[index[p]]
 			a.niRefs++
 			a.emitted = 0
 		}
@@ -350,7 +353,7 @@ func (n *Network) checkPackets() error {
 				return fmt.Errorf("ni %d: streams packet %d (source %d) on VC %d of %d from flit %d of %d",
 					t, p.ID, p.Src, st.vc, q.up.downVCs, st.nextSeq, p.NumFlits)
 			}
-			a := &au[k.index[p]]
+			a := &au[index[p]]
 			a.niRefs++
 			a.emitted, a.streamVC = st.nextSeq, st.vc
 		}
@@ -366,7 +369,7 @@ func (n *Network) checkPackets() error {
 		}
 		s.flits = append(s.flits, f)
 		p, seq := f.Pkt, int(f.Seq)
-		a := &au[k.index[p]]
+		a := &au[index[p]]
 		if flitErr == nil && (seq < 0 || seq >= p.NumFlits || f.Kind != flitKind(p.NumFlits, seq) ||
 			f.Csum != n.flitCsum(&f) || (!p.broken && (seq < p.received || seq >= a.emitted))) {
 			flitErr = fmt.Errorf("packet %d: flit %d (%s, checksum %#x) of %d, %d emitted and %d received",
@@ -383,7 +386,7 @@ func (n *Network) checkPackets() error {
 			for vi := range rt.in[pi].vcs {
 				vc := &rt.in[pi].vcs[vi]
 				if vc.state != vcIdle {
-					au[k.index[vc.cur]].held++
+					au[index[vc.cur]].held++
 				}
 				for i := int32(0); i < vc.buf.count; i++ {
 					add(streamKey{vc: vc}, r, *vc.buf.at(i))
@@ -413,7 +416,7 @@ func (n *Network) checkPackets() error {
 	}
 
 	broken := 0
-	for i, p := range k.table {
+	for i, p := range table {
 		a := &au[i]
 		if a.niRefs > 1 {
 			return fmt.Errorf("packet %d: %d NI queue and stream entries", p.ID, a.niRefs)
@@ -430,7 +433,7 @@ func (n *Network) checkPackets() error {
 		}
 	}
 	for i, p := range n.brokenQ {
-		a := &au[k.index[p]]
+		a := &au[index[p]]
 		if !p.broken || a.purging {
 			return fmt.Errorf("brokenQ[%d]: packet %d (broken %v) listed twice or unbroken", i, p.ID, p.broken)
 		}
@@ -440,6 +443,60 @@ func (n *Network) checkPackets() error {
 		return fmt.Errorf("%d packets marked broken, %d queued for purging", broken, len(n.brokenQ))
 	}
 	return nil
+}
+
+// packetTable numbers every packet the network references, in the order
+// first seen: per NI its queue, streams and injection port; per router
+// its non-idle VCs and buffered flits, then its output ports; brokenQ
+// last. A port references the packets owning its downstream VCs and
+// those of its wire flits.
+func (n *Network) packetTable() (table []*Packet, index map[*Packet]int) {
+	index = map[*Packet]int{}
+	see := func(p *Packet) {
+		if _, seen := index[p]; p != nil && !seen {
+			index[p] = len(table)
+			table = append(table, p)
+		}
+	}
+	port := func(op *outputPort) {
+		for _, p := range op.owner {
+			see(p)
+		}
+		for i := 0; i < op.wire.n; i++ {
+			see(op.wire.at(i).flit.Pkt)
+		}
+	}
+	for t := range n.nis {
+		q := &n.nis[t]
+		for _, p := range q.queue[q.qHead:] {
+			see(p)
+		}
+		for _, st := range q.streams {
+			see(st.pkt)
+		}
+		port(&q.up)
+	}
+	for r := range n.routers {
+		rt := &n.routers[r]
+		for pi := range rt.in {
+			for vi := range rt.in[pi].vcs {
+				vc := &rt.in[pi].vcs[vi]
+				if vc.state != vcIdle {
+					see(vc.cur)
+				}
+				for i := int32(0); i < vc.buf.count; i++ {
+					see(vc.buf.at(i).Pkt)
+				}
+			}
+		}
+		for _, op := range rt.out {
+			port(op)
+		}
+	}
+	for _, p := range n.brokenQ {
+		see(p)
+	}
+	return table, index
 }
 
 // checkWorm follows an unbroken packet's worm downstream from its

@@ -106,10 +106,6 @@ type Network struct {
 	shards      []tickFx
 	deliverTick func(shard, lo, hi int)
 	allocTick   func(shard, lo, hi int)
-
-	// restored marks a network RestoreSnapshot has written into (whether
-	// or not the restore succeeded); it refuses a second restore.
-	restored bool
 }
 
 // New builds and validates a network.

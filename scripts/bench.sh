@@ -12,11 +12,10 @@
 # "fault_sweep_ns_per_op" field so fault-stack regressions are one jq
 # expression away (`jq '.[-1].fault_sweep_ns_per_op' BENCH_noc.json`).
 #
-# The checkpoint stack is surfaced the same way: "ckpt_restore_ns_per_op"
-# (BenchmarkCheckpointRestore: deserializing a mid-run network state) and
-# "warm_regen_speedup" (a cold-vs-warm double run of cmd/experiments in
-# fresh processes sharing one initially-empty disk cache; the script fails
-# if the two outputs are not byte-identical).
+# The persistent cache is surfaced the same way: "warm_regen_speedup" (a
+# cold-vs-warm double run of cmd/experiments in fresh processes sharing
+# one initially-empty disk cache; the script fails if the two outputs are
+# not byte-identical).
 #
 # Mesh scaling is tracked by two per-entry fields:
 # "table_build_1024_ns_per_op" (BenchmarkTableBuild1024: full fault-free
@@ -216,8 +215,6 @@ END {
 		printf "\"dse_evals_per_sec\": %g, ", median(ev["BenchmarkDSEGeneration"])
 	if ("BenchmarkDSEGeneration" in hr)
 		printf "\"dse_cache_hit_ratio\": %g, ", median(hr["BenchmarkDSEGeneration"])
-	if ("BenchmarkCheckpointRestore" in ns)
-		printf "\"ckpt_restore_ns_per_op\": %g, ", median(ns["BenchmarkCheckpointRestore"])
 	if ("BenchmarkFaultSweep" in ns)
 		printf "\"fault_sweep_ns_per_op\": %g, ", median(ns["BenchmarkFaultSweep"])
 	if ("BenchmarkTraceDecode/next" in ns)
